@@ -40,13 +40,10 @@ from .optics import (
     ClusterAssignment,
     OpticsParams,
     OrderedPoint,
-    core_distance,
     extract_clusters,
     optics_order,
-    reachability_distance,
 )
 from .protocol import (
-    AcceptanceLevel,
     AllNodesDeadError,
     ProtocolConfig,
     RoundState,
@@ -62,7 +59,6 @@ from .protocol import (
 )
 
 __all__ = [
-    "AcceptanceLevel",
     "AllNodesDeadError",
     "Cluster",
     "ClusterAssignment",
@@ -85,7 +81,6 @@ __all__ = [
     "analytic_cr",
     "build_neighbor_table",
     "choose_initial_sensor",
-    "core_distance",
     "cover_cluster",
     "coverage_grid",
     "disc_contains",
@@ -100,7 +95,6 @@ __all__ = [
     "optics_order",
     "overlap",
     "overlap_angle",
-    "reachability_distance",
     "run_round",
     "run_simulation",
     "select_next",

@@ -51,9 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the deployment-size sweep")
     add_config_args(run_p)
     run_p.add_argument("--out", help="output directory (overrides output.dir)")
-    run_p.add_argument("--seed", type=int, help="master seed override")
-    run_p.add_argument("--trials", type=int, help="trials per deployment size")
-    run_p.add_argument("--rounds", type=int, help="rounds per trial")
+    run_p.add_argument("--seed", help="master seed override")
+    run_p.add_argument("--trials", help="trials per deployment size")
+    run_p.add_argument("--rounds", help="rounds per trial")
     run_p.add_argument(
         "--d-list", help="comma-separated deployment sizes, e.g. 100,200,300"
     )
@@ -61,11 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     base_p = sub.add_parser("rand-baseline", help="protocol vs random subset")
     add_config_args(base_p)
     base_p.add_argument("--out", help="output directory (overrides output.dir)")
-    base_p.add_argument("--seed", type=int, help="master seed override")
-    base_p.add_argument("--trials", type=int, help="number of paired trials")
-    base_p.add_argument(
-        "--count", type=int, help="deployment size (overrides deployment.count)"
-    )
+    base_p.add_argument("--seed", help="master seed override")
+    base_p.add_argument("--trials", help="number of paired trials")
+    base_p.add_argument("--count", help="deployment size (overrides deployment.count)")
 
     plot_p = sub.add_parser("plot-data", help="CSV exports from a round trace")
     plot_p.add_argument("--trace", required=True, help="trace JSON-lines file")
@@ -82,30 +80,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# shortcut flags, each a section.key=value override applied after --set
+_FLAG_KEYS = {
+    "out": "output.dir",
+    "seed": "deployment.seed",
+    "trials": "experiment.trials",
+    "rounds": "experiment.rounds",
+    "count": "deployment.count",
+    "d_list": "experiment.d_list",
+}
+
+
 def _load(args) -> RunConfig:
-    config = load_config(args.config, args.overrides)
-    for attr, override in [
-        ("output_dir", getattr(args, "out", None)),
-        ("seed", getattr(args, "seed", None)),
-        ("trials", getattr(args, "trials", None)),
-        ("rounds", getattr(args, "rounds", None)),
-        ("count", getattr(args, "count", None)),
-    ]:
-        if override is not None:
-            config = _replace(config, attr, override)
-    d_list = getattr(args, "d_list", None)
-    if d_list is not None:
-        config = _replace(
-            config, "d_list", tuple(int(x) for x in d_list.split(",") if x.strip())
-        )
+    overrides = list(args.overrides) + [
+        f"{key}={getattr(args, dest)}"
+        for dest, key in _FLAG_KEYS.items()
+        if getattr(args, dest, None) is not None
+    ]
+    config = load_config(args.config, overrides)
     config.validate()
     return config
-
-
-def _replace(config: RunConfig, attr: str, value) -> RunConfig:
-    from dataclasses import replace
-
-    return replace(config, **{attr: value})
 
 
 def _cmd_run(args) -> int:
@@ -152,6 +146,8 @@ def _cmd_rand_baseline(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
+    if args.resolution < 10:
+        raise ConfigError(f"--resolution must be >= 10, got {args.resolution}")
     try:
         written = export_plot_data(args.trace, args.out, args.resolution)
     except FileNotFoundError:

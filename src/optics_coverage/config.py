@@ -3,13 +3,16 @@
 Every protocol constant is surfaced here with its standard default
 (acceptance-level weights 0.4/0.3/0.2, coverage radius 5 m, clustering
 eps 10 m, redundancy threshold 0.1) so experiments never depend on values
-buried in code.
+buried in code. Each key is declared once, as a ``RunConfig`` field whose
+metadata names its INI section; parsing, the unknown-key check and the
+default INI file are derived from the fields.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 from typing import Sequence
 
 from .optics import OpticsParams
@@ -20,37 +23,42 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-DEFAULT_D_LIST = (100, 150, 200, 250, 300, 350, 400, 450, 500)
+_PROTOCOL = ProtocolConfig()
+
+
+def _ini(section: str, default, key: str | None = None, note: str | None = None):
+    """A field stored as ``key`` (default: the field name) under ``[section]``;
+    ``note`` is printed above it in the default INI file."""
+    return field(default=default, metadata={"section": section, "key": key, "note": note})
 
 
 @dataclass
 class RunConfig:
-    # deployment
-    count: int = 100
-    width: float = 50.0
-    height: float = 50.0
-    radius: float = 5.0
-    seed: int = 42
-    battery_min: float = 0.5
-    battery_max: float = 1.0
-    # optics
-    eps: float | None = None  # None -> 2 * radius
-    min_pts: int = 4
-    eps_prime: float | None = None  # None -> eps / 2
-    # protocol
-    theta: float = 0.1
-    battery_drain: float = 0.1
-    sleep_rounds: int = 1
-    w_battery: float = 0.4
-    w_neighbors: float = 0.3
-    w_distance: float = 0.2
-    # experiment
-    d_list: tuple[int, ...] = DEFAULT_D_LIST
-    trials: int = 3
-    rounds: int = 1
-    grid_resolution: int = 500
-    # output
-    output_dir: str = "out"
+    count: int = _ini("deployment", 100)
+    width: float = _ini("deployment", 50.0)
+    height: float = _ini("deployment", 50.0)
+    radius: float = _ini("deployment", 5.0)
+    seed: int = _ini("deployment", 42)
+    battery_min: float = _ini("deployment", 0.5)
+    battery_max: float = _ini("deployment", 1.0)
+    eps: float | None = _ini("optics", None, note="blank eps means 2 * radius")
+    min_pts: int = _ini("optics", 4)
+    eps_prime: float | None = _ini(
+        "optics", _PROTOCOL.eps_prime, note="blank eps_prime means eps / 2"
+    )
+    theta: float = _ini("protocol", _PROTOCOL.theta)
+    battery_drain: float = _ini("protocol", _PROTOCOL.battery_drain)
+    sleep_rounds: int = _ini("protocol", _PROTOCOL.sleep_rounds)
+    w_battery: float = _ini("protocol", _PROTOCOL.w_battery)
+    w_neighbors: float = _ini("protocol", _PROTOCOL.w_neighbors)
+    w_distance: float = _ini("protocol", _PROTOCOL.w_distance)
+    d_list: tuple[int, ...] = _ini(
+        "experiment", (100, 150, 200, 250, 300, 350, 400, 450, 500)
+    )
+    trials: int = _ini("experiment", 3)
+    rounds: int = _ini("experiment", 1)
+    grid_resolution: int = _ini("experiment", _PROTOCOL.grid_resolution)
+    output_dir: str = _ini("output", "out", key="dir")
 
     @property
     def resolved_eps(self) -> float:
@@ -61,14 +69,7 @@ class RunConfig:
 
     def protocol_config(self) -> ProtocolConfig:
         return ProtocolConfig(
-            theta=self.theta,
-            battery_drain=self.battery_drain,
-            sleep_rounds=self.sleep_rounds,
-            w_battery=self.w_battery,
-            w_neighbors=self.w_neighbors,
-            w_distance=self.w_distance,
-            eps_prime=self.eps_prime,
-            grid_resolution=self.grid_resolution,
+            **{f.name: getattr(self, f.name) for f in fields(ProtocolConfig)}
         )
 
     def validate(self) -> None:
@@ -82,89 +83,64 @@ class RunConfig:
             raise ConfigError(
                 "deployment battery range must satisfy 0 <= min <= max <= 1"
             )
+        try:
+            self.optics_params()
+            self.protocol_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.resolved_eps < self.radius:
             raise ConfigError(
                 f"optics.eps = {self.resolved_eps} is below the coverage radius "
                 f"{self.radius}: the request range 2r must fit inside the "
                 f"clustering neighborhood (2r <= 2*eps requires eps >= r)"
             )
-        if self.min_pts < 1:
-            raise ConfigError("optics.min_pts must be >= 1")
-        if self.eps_prime is not None and not 0 < self.eps_prime <= self.resolved_eps:
-            raise ConfigError("optics.eps_prime must be in (0, eps]")
-        if not 0 <= self.theta <= 1:
-            raise ConfigError("protocol.theta must be in [0, 1]")
-        if self.battery_drain < 0:
-            raise ConfigError("protocol.battery_drain must be >= 0")
-        if self.sleep_rounds < 1:
-            raise ConfigError("protocol.sleep_rounds must be >= 1")
-        if self.w_distance <= 0:
-            raise ConfigError("protocol.w_distance must be positive")
+        if self.eps_prime is not None and self.eps_prime > self.resolved_eps:
+            raise ConfigError(
+                f"optics.eps_prime = {self.eps_prime} exceeds eps = {self.resolved_eps}"
+            )
         if not self.d_list or any(d < 1 for d in self.d_list):
             raise ConfigError("experiment.d_list must list deployment sizes >= 1")
         if self.trials < 1:
             raise ConfigError("experiment.trials must be >= 1")
         if self.rounds < 1:
             raise ConfigError("experiment.rounds must be >= 1")
-        if self.grid_resolution < 10:
-            raise ConfigError("experiment.grid_resolution must be >= 10")
 
 
-_SCHEMA = {
-    "deployment": {
-        "count": int,
-        "width": float,
-        "height": float,
-        "radius": float,
-        "seed": int,
-        "battery_min": float,
-        "battery_max": float,
-    },
-    "optics": {"eps": float, "min_pts": int, "eps_prime": float},
-    "protocol": {
-        "theta": float,
-        "battery_drain": float,
-        "sleep_rounds": int,
-        "w_battery": float,
-        "w_neighbors": float,
-        "w_distance": float,
-    },
-    "experiment": {
-        "d_list": None,  # comma-separated ints, parsed below
-        "trials": int,
-        "rounds": int,
-        "grid_resolution": int,
-    },
-    "output": {"dir": None},
+def _optional_float(raw: str) -> float | None:
+    return float(raw) if raw.strip() else None
+
+
+def _int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+# RunConfig field annotation -> (parser of the INI text, what the text must be)
+_PARSERS = {
+    "int": (int, "an int"),
+    "float": (float, "a float"),
+    "float | None": (_optional_float, "a float or blank"),
+    "tuple[int, ...]": (_int_tuple, "a comma-separated int list"),
+    "str": (str.strip, "a string"),
 }
 
-# config keys that do not match the RunConfig attribute name
-_FIELD_NAME = {("output", "dir"): "output_dir"}
+
+def _ini_key(f) -> str:
+    return f.metadata["key"] or f.name
 
 
-def _parse_d_list(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"experiment.d_list is not a comma-separated int list: {raw!r}") from exc
+_FIELDS = {(f.metadata["section"], _ini_key(f)): f for f in fields(RunConfig)}
 
 
 def _apply_key(config: RunConfig, section: str, key: str, raw: str) -> RunConfig:
-    if section not in _SCHEMA or key not in _SCHEMA[section]:
+    f = _FIELDS.get((section, key))
+    if f is None:
         raise ConfigError(f"unknown config key [{section}] {key}")
-    name = _FIELD_NAME.get((section, key), key)
-    if key == "d_list":
-        return replace(config, d_list=_parse_d_list(raw))
-    if name == "output_dir":
-        return replace(config, output_dir=raw.strip())
-    caster = _SCHEMA[section][key]
-    if key in ("eps", "eps_prime") and raw.strip() == "":
-        return replace(config, **{key: None})
+    parse, expected = _PARSERS[f.type]
     try:
-        value = caster(raw)
+        value = parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {caster.__name__}") from exc
-    return replace(config, **{name: value})
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {expected}") from exc
+    return replace(config, **{f.name: value})
 
 
 def load_config(path: str | None = None, overrides: Sequence[str] = ()) -> RunConfig:
@@ -191,40 +167,22 @@ def load_config(path: str | None = None, overrides: Sequence[str] = ()) -> RunCo
     return config
 
 
+def _ini_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return str(value)
+
+
 def default_ini() -> str:
     """Template config file with every key at its default."""
-    c = RunConfig()
-    return (
-        "[deployment]\n"
-        f"count = {c.count}\n"
-        f"width = {c.width}\n"
-        f"height = {c.height}\n"
-        f"radius = {c.radius}\n"
-        f"seed = {c.seed}\n"
-        f"battery_min = {c.battery_min}\n"
-        f"battery_max = {c.battery_max}\n"
-        "\n"
-        "[optics]\n"
-        "; blank eps means 2 * radius\n"
-        "eps =\n"
-        f"min_pts = {c.min_pts}\n"
-        "; blank eps_prime means eps / 2\n"
-        "eps_prime =\n"
-        "\n"
-        "[protocol]\n"
-        f"theta = {c.theta}\n"
-        f"battery_drain = {c.battery_drain}\n"
-        f"sleep_rounds = {c.sleep_rounds}\n"
-        f"w_battery = {c.w_battery}\n"
-        f"w_neighbors = {c.w_neighbors}\n"
-        f"w_distance = {c.w_distance}\n"
-        "\n"
-        "[experiment]\n"
-        f"d_list = {', '.join(str(d) for d in c.d_list)}\n"
-        f"trials = {c.trials}\n"
-        f"rounds = {c.rounds}\n"
-        f"grid_resolution = {c.grid_resolution}\n"
-        "\n"
-        "[output]\n"
-        f"dir = {c.output_dir}\n"
-    )
+    sections = []
+    for section, group in groupby(fields(RunConfig), lambda f: f.metadata["section"]):
+        lines = [f"[{section}]\n"]
+        for f in group:
+            if f.metadata["note"]:
+                lines.append(f"; {f.metadata['note']}\n")
+            lines.append(f"{_ini_key(f)} = {_ini_text(f.default)}".rstrip() + "\n")
+        sections.append("".join(lines))
+    return "\n".join(sections)

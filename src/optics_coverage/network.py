@@ -9,10 +9,8 @@ range. Positions never change after deployment.
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass, field
-from typing import IO
 
 from .geometry import Point2D, euclidean_distance
 
@@ -151,34 +149,3 @@ def drain_battery(node: SensorNode, amount: float) -> SensorNode:
     if node.battery == 0.0:
         node.state = DEAD
     return node
-
-
-def save_deployment_csv(deployment: Deployment, out: IO[str]) -> None:
-    writer = csv.writer(out)
-    writer.writerow(["id", "x", "y", "battery", "state"])
-    for n in deployment.nodes:
-        writer.writerow([n.id, repr(n.position.x), repr(n.position.y), repr(n.battery), n.state])
-
-
-def load_deployment_csv(
-    src: IO[str], width: float, height: float, radius: float
-) -> Deployment:
-    """Rebuild a deployment from its CSV dump (region geometry is not
-    stored in the file and must be supplied)."""
-    reader = csv.reader(src)
-    header = next(reader, None)
-    if header != ["id", "x", "y", "battery", "state"]:
-        raise ValueError("not a deployment CSV")
-    nodes = []
-    for row in reader:
-        nid, x, y, battery, state = row
-        nodes.append(
-            SensorNode(
-                id=int(nid),
-                position=Point2D(float(x), float(y)),
-                battery=float(battery),
-                radius=radius,
-                state=state,
-            )
-        )
-    return Deployment(nodes, width, height, radius, seed=None)

@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import IO, Mapping
 
-from .geometry import Point2D, euclidean_distance
+from .geometry import Point2D
 from .spatial import GridIndex, brute_force_query
 
 # below this size the grid index buys nothing over a linear scan
@@ -84,35 +84,16 @@ class _Neighborhoods:
         return brute_force_query(self.points, center, self.eps)
 
 
-def core_distance(
-    pid: int, points: Mapping[int, Point2D], params: OpticsParams
-) -> float | None:
-    """Distance to the min_pts-th closest point within eps, or None.
-
-    None means the eps-neighborhood of ``pid`` (itself included) holds
-    fewer than ``min_pts`` points, i.e. ``pid`` is not a core point.
-    """
-    neighborhood = _Neighborhoods(points, params.eps).query(pid)
-    return _core_distance_from(neighborhood, params.min_pts)
-
-
 def _core_distance_from(
     neighborhood: list[tuple[int, float]], min_pts: int
 ) -> float | None:
+    """Distance to the min_pts-th closest point of an eps-neighborhood, or
+    None when the neighborhood (the point itself included) holds fewer
+    than ``min_pts`` points, i.e. the point is not a core point."""
     if len(neighborhood) < min_pts:
         return None
     dists = sorted(d for _, d in neighborhood)
     return dists[min_pts - 1]
-
-
-def reachability_distance(
-    p: int, q: int, points: Mapping[int, Point2D], params: OpticsParams
-) -> float | None:
-    """max(core_distance(p), dist(p, q)), or None when p is not core."""
-    cd = core_distance(p, points, params)
-    if cd is None:
-        return None
-    return max(cd, euclidean_distance(points[p], points[q]))
 
 
 def optics_order(
@@ -126,7 +107,6 @@ def optics_order(
     if not points:
         raise ValueError("point set must be non-empty")
     hoods = _Neighborhoods(points, params.eps)
-    core: dict[int, float | None] = {}
     reach: dict[int, float] = {}
     processed: set[int] = set()
     order: list[OrderedPoint] = []
@@ -138,7 +118,6 @@ def optics_order(
         processed.add(pid)
         neighborhood = hoods.query(pid)
         cd = _core_distance_from(neighborhood, params.min_pts)
-        core[pid] = cd
         order.append(OrderedPoint(pid, len(order), reachability, cd))
         if cd is None:
             return
@@ -209,22 +188,3 @@ def write_reachability_csv(ordering: list[OrderedPoint], out: IO[str]) -> None:
                 "" if op.core_distance is None else repr(op.core_distance),
             ]
         )
-
-
-def read_reachability_csv(src: IO[str]) -> list[OrderedPoint]:
-    reader = csv.reader(src)
-    header = next(reader, None)
-    if header != ["order_index", "point_id", "reachability", "core_distance"]:
-        raise ValueError("not a reachability CSV")
-    out = []
-    for row in reader:
-        idx, pid, r, cd = row
-        out.append(
-            OrderedPoint(
-                point_id=int(pid),
-                order_index=int(idx),
-                reachability=float(r) if r else None,
-                core_distance=float(cd) if cd else None,
-            )
-        )
-    return out

@@ -7,10 +7,12 @@ round's active set. Tree growth is driven by the acceptance level
     L = (w_b * battery + w_n * neighbor_count) / (w_d * distance)
 
 which prefers close, well-connected, well-charged candidates. A candidate
-whose disc boundary is almost entirely inside already-activated discs of
-its cluster adds nothing and is discarded. Actives retire to sleep at the
-end of their round and rejoin the eligible pool after a configurable
-number of rounds.
+is discarded as redundant when the overlap arcs (2*alpha each) that the
+already-activated discs of its cluster cut from its boundary add up to
+more than ``1 - theta`` of the full circle. The arcs are summed, not
+united, so where two active discs cover the same stretch of boundary it
+counts twice. Actives retire to sleep at the end of their round and
+rejoin the eligible pool after a configurable number of rounds.
 """
 
 from __future__ import annotations
@@ -52,12 +54,13 @@ class AllNodesDeadError(RuntimeError):
         self.round_index = round_index
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
     """Tunables of the activation protocol.
 
     ``theta`` is the minimum fraction of a candidate's boundary that must
-    stay outside already-active discs for it to be worth activating.
+    stay free of the summed overlap arcs of already-active discs for it to
+    be worth activating.
     ``eps_prime`` is the reachability cut used for cluster extraction
     (defaults to half the clustering eps when None).
     """
@@ -71,34 +74,21 @@ class ProtocolConfig:
     eps_prime: float | None = None
     grid_resolution: int = 500
 
-
-@dataclass(frozen=True)
-class AcceptanceLevel:
-    """A candidate's score together with the inputs that produced it."""
-
-    value: float
-    battery: float
-    neighbor_count: int
-    distance: float
-
-    @classmethod
-    def compute(
-        cls,
-        battery: float,
-        neighbor_count: int,
-        distance: float,
-        config: ProtocolConfig | None = None,
-    ) -> "AcceptanceLevel":
-        cfg = config or ProtocolConfig()
-        value = acceptance_level(
-            battery,
-            neighbor_count,
-            distance,
-            cfg.w_battery,
-            cfg.w_neighbors,
-            cfg.w_distance,
-        )
-        return cls(value, battery, neighbor_count, distance)
+    def __post_init__(self):
+        if not 0 <= self.theta <= 1:
+            raise ValueError(f"theta must be in [0, 1], got {self.theta}")
+        if self.battery_drain < 0:
+            raise ValueError(f"battery_drain must be >= 0, got {self.battery_drain}")
+        if self.sleep_rounds < 1:
+            raise ValueError(f"sleep_rounds must be >= 1, got {self.sleep_rounds}")
+        if self.w_distance <= 0:
+            raise ValueError(f"w_distance must be positive, got {self.w_distance}")
+        if self.grid_resolution < 10:
+            raise ValueError(
+                f"grid_resolution must be >= 10, got {self.grid_resolution}"
+            )
+        if self.eps_prime is not None and self.eps_prime <= 0:
+            raise ValueError(f"eps_prime must be positive, got {self.eps_prime}")
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import configparser
 import json
+from dataclasses import fields, replace
 
 import pytest
 
@@ -61,6 +63,60 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")
 
+    def test_protocol_value_rejected_as_config_error(self):
+        config = load_config(overrides=["protocol.theta=5"])
+        with pytest.raises(ConfigError, match="theta"):
+            config.validate()
+
+
+# every RunConfig field at a non-default value: INI key -> (field, text, value)
+NON_DEFAULTS = {
+    "deployment.count": ("count", "7", 7),
+    "deployment.width": ("width", "60.5", 60.5),
+    "deployment.height": ("height", "40", 40.0),
+    "deployment.radius": ("radius", "4.5", 4.5),
+    "deployment.seed": ("seed", "9", 9),
+    "deployment.battery_min": ("battery_min", "0.6", 0.6),
+    "deployment.battery_max": ("battery_max", "0.9", 0.9),
+    "optics.eps": ("eps", "12.5", 12.5),
+    "optics.min_pts": ("min_pts", "5", 5),
+    "optics.eps_prime": ("eps_prime", "3", 3.0),
+    "protocol.theta": ("theta", "0.25", 0.25),
+    "protocol.battery_drain": ("battery_drain", "0.2", 0.2),
+    "protocol.sleep_rounds": ("sleep_rounds", "2", 2),
+    "protocol.w_battery": ("w_battery", "0.5", 0.5),
+    "protocol.w_neighbors": ("w_neighbors", "0.1", 0.1),
+    "protocol.w_distance": ("w_distance", "0.3", 0.3),
+    "experiment.d_list": ("d_list", "10, 20,30", (10, 20, 30)),
+    "experiment.trials": ("trials", "2", 2),
+    "experiment.rounds": ("rounds", "4", 4),
+    "experiment.grid_resolution": ("grid_resolution", "200", 200),
+    "output.dir": ("output_dir", "results", "results"),
+}
+
+
+class TestEveryKey:
+    def test_cases_cover_every_field(self):
+        assert sorted(name for name, _, _ in NON_DEFAULTS.values()) == sorted(
+            f.name for f in fields(RunConfig)
+        )
+
+    @pytest.mark.parametrize("key", NON_DEFAULTS)
+    def test_set_and_ini_read_back(self, key, tmp_path):
+        name, text, value = NON_DEFAULTS[key]
+        expected = replace(RunConfig(), **{name: value})
+        assert getattr(RunConfig(), name) != value
+        assert load_config(overrides=[f"{key}={text}"]) == expected
+
+        section, option = key.split(".")
+        parser = configparser.ConfigParser()
+        parser.read_string(default_ini())
+        parser[section][option] = text
+        path = tmp_path / "run.ini"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        assert load_config(str(path)) == expected
+
 
 class TestValidateConfigCommand:
     def test_ok(self, capsys):
@@ -74,7 +130,10 @@ class TestValidateConfigCommand:
 
     def test_print_default(self, capsys):
         assert run_cli("validate-config", "--print-default") == 0
-        assert "[deployment]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[deployment]" in out
+        assert "; blank eps means 2 * radius" in out
+        assert "; blank eps_prime means eps / 2" in out
 
 
 class TestRunCommand:
@@ -128,6 +187,23 @@ class TestRunCommand:
 
     def test_bad_config_exits_2(self):
         assert run_cli("run", "--set", "experiment.trials=0") == 2
+
+    def test_bad_d_list_exits_2_without_traceback(self, capsys):
+        assert run_cli("run", "--d-list", "100,abc") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "'100,abc'" in err
+        assert "Traceback" not in err
+
+    def test_flags_override_set(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(
+            "run", "--set", f"output.dir={tmp_path / 'elsewhere'}", "--out", str(out),
+            "--set", "deployment.seed=1", "--seed", "5", "--d-list", "20",
+            "--trials", "1", *FAST,
+        ) == 0
+        header = json.loads((out / "trace_D20_trial0.jsonl").read_text().splitlines()[0])
+        assert header["seed"] == 5
 
 
 class TestRandBaselineCommand:
@@ -184,6 +260,16 @@ class TestPlotDataCommand:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         assert run_cli("plot-data", "--trace", str(empty)) == 2
+
+    def test_low_resolution_names_the_flag(self, trace, tmp_path, capsys):
+        code = run_cli(
+            "plot-data", "--trace", str(trace), "--out", str(tmp_path / "plots"),
+            "--resolution", "3",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--resolution" in err
+        assert "bad trace" not in err
 
     def test_corrupt_trace_exits_2(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +12,6 @@ from optics_coverage.network import (
     build_neighbor_table,
     drain_battery,
     generate_deployment,
-    load_deployment_csv,
-    save_deployment_csv,
     send_req,
 )
 
@@ -181,30 +177,3 @@ class TestNodeInvariants:
         ]
         with pytest.raises(ValueError):
             Deployment(nodes, 10, 10, 5.0)
-
-
-class TestDeploymentCsv:
-    def test_roundtrip(self):
-        dep = generate_deployment(25, 50, 50, 5, seed=4)
-        dep.nodes[3].state = SLEEPING
-        buf = io.StringIO()
-        save_deployment_csv(dep, buf)
-        back = load_deployment_csv(
-            io.StringIO(buf.getvalue()), width=50, height=50, radius=5
-        )
-        assert len(back.nodes) == 25
-        for original, loaded in zip(dep.nodes, back.nodes):
-            assert loaded.position == original.position
-            assert loaded.battery == original.battery
-            assert loaded.state == original.state
-
-    def test_save_is_deterministic(self):
-        dep = generate_deployment(10, 50, 50, 5, seed=4)
-        a, b = io.StringIO(), io.StringIO()
-        save_deployment_csv(dep, a)
-        save_deployment_csv(dep, b)
-        assert a.getvalue() == b.getvalue()
-
-    def test_rejects_foreign_csv(self):
-        with pytest.raises(ValueError):
-            load_deployment_csv(io.StringIO("a,b\n1,2\n"), 50, 50, 5)

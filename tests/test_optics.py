@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 
@@ -7,11 +8,8 @@ from hypothesis import given, settings, strategies as st
 from optics_coverage.geometry import Point2D
 from optics_coverage.optics import (
     OpticsParams,
-    core_distance,
     extract_clusters,
     optics_order,
-    reachability_distance,
-    read_reachability_csv,
     write_reachability_csv,
 )
 from optics_coverage.spatial import GridIndex, brute_force_query
@@ -43,37 +41,46 @@ def as_tuples(points):
     return {i: (p.x, p.y) for i, p in points.items()}
 
 
+def by_id(points, params):
+    return {op.point_id: op for op in optics_order(points, params)}
+
+
 class TestCoreDistance:
     def test_second_closest_including_self(self):
         pts = line_points([0, 1, 3])
-        assert core_distance(0, pts, OpticsParams(eps=5, min_pts=2)) == 1
+        assert by_id(pts, OpticsParams(eps=5, min_pts=2))[0].core_distance == 1
 
     def test_sparse_neighborhood_undefined(self):
         pts = line_points([0, 1, 3])
-        assert core_distance(0, pts, OpticsParams(eps=0.5, min_pts=2)) is None
+        assert by_id(pts, OpticsParams(eps=0.5, min_pts=2))[0].core_distance is None
 
     def test_min_pts_one_is_zero(self):
         pts = line_points([0, 1, 3])
-        for pid in pts:
-            assert core_distance(pid, pts, OpticsParams(eps=2, min_pts=1)) == 0
+        for op in optics_order(pts, OpticsParams(eps=2, min_pts=1)):
+            assert op.core_distance == 0
 
 
 class TestReachabilityDistance:
-    # p at 0 with min_pts=3 over {0,1,2,...}: core distance is 2
+    # a point's reachability is max(core distance of the core point that
+    # reached it, distance between the two), minimized over processed cores
     def test_core_distance_dominates(self):
+        # 0 is the start, core distance 2; 1 sits 1 away
         pts = line_points([0, 1, 2])
-        params = OpticsParams(eps=5, min_pts=3)
-        assert reachability_distance(0, 1, pts, params) == 2
+        ordered = by_id(pts, OpticsParams(eps=5, min_pts=3))
+        assert ordered[0].core_distance == 2
+        assert ordered[1].reachability == 2
 
     def test_actual_distance_dominates(self):
-        pts = line_points([0, 1, 2, 3])
-        params = OpticsParams(eps=5, min_pts=3)
-        assert reachability_distance(0, 3, pts, params) == 3
+        # 2 is reached from 1 (core distance 0.5) across a distance of 2.5
+        pts = line_points([0, 0.5, 3])
+        ordered = by_id(pts, OpticsParams(eps=5, min_pts=2))
+        assert ordered[1].core_distance == 0.5
+        assert ordered[2].reachability == 2.5
 
     def test_non_core_point_undefined(self):
         pts = line_points([0, 1, 3])
-        params = OpticsParams(eps=5, min_pts=10)
-        assert reachability_distance(0, 1, pts, params) is None
+        for op in optics_order(pts, OpticsParams(eps=5, min_pts=10)):
+            assert op.reachability is None
 
 
 class TestOpticsOrder:
@@ -246,9 +253,17 @@ class TestReachabilityCsv:
         path = tmp_path / "reach.csv"
         with open(path, "w", newline="") as fh:
             write_reachability_csv(out, fh)
-        with open(path) as fh:
-            back = read_reachability_csv(fh)
-        assert back == out
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["order_index", "point_id", "reachability", "core_distance"]
+        back = [
+            (int(idx), int(pid), float(r) if r else None, float(cd) if cd else None)
+            for idx, pid, r, cd in rows
+        ]
+        assert back == [
+            (op.order_index, op.point_id, op.reachability, op.core_distance)
+            for op in out
+        ]
 
     def test_undefined_encodes_empty(self, tmp_path):
         out = optics_order({0: Point2D(0, 0)}, OpticsParams(eps=1, min_pts=2))

@@ -14,7 +14,6 @@ from optics_coverage.network import (
 )
 from optics_coverage.optics import Cluster, OpticsParams
 from optics_coverage.protocol import (
-    AcceptanceLevel,
     AllNodesDeadError,
     ProtocolConfig,
     acceptance_level,
@@ -65,15 +64,28 @@ class TestAcceptanceLevel:
         assert weak_battery == pytest.approx(1.05)
         assert weak_battery > strong_battery
 
-    def test_scored_record_keeps_components(self):
-        level = AcceptanceLevel.compute(0.5, 3, 2)
-        assert level.value == pytest.approx(2.75)
-        assert (level.battery, level.neighbor_count, level.distance) == (0.5, 3, 2)
-
     def test_custom_weights(self):
-        config = ProtocolConfig(w_battery=1.0, w_neighbors=0.0, w_distance=1.0)
-        level = AcceptanceLevel.compute(0.8, 5, 2, config)
-        assert level.value == pytest.approx(0.4)
+        assert acceptance_level(0.8, 5, 2, 1.0, 0.0, 1.0) == pytest.approx(0.4)
+
+
+class TestProtocolConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"theta": -0.1},
+            {"theta": 5},
+            {"battery_drain": -1},
+            {"sleep_rounds": 0},
+            {"w_distance": 0},
+            {"grid_resolution": 9},
+            {"eps_prime": 0},
+        ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_invalid_value_rejected_at_construction(self, bad):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            ProtocolConfig(**bad)
 
 
 class TestChooseInitialSensor:
