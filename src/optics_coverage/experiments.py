@@ -69,8 +69,10 @@ def run_table_experiment(
 
     A trial's table entry is its first round's active count. Trials that
     die mid-simulation are recorded and skipped by the summary; the
-    summary is None when every trial failed.
+    summary is None when every trial failed. Raises ``ConfigError`` for an
+    invalid config before any deployment is generated.
     """
+    config.validate()
     params = config.optics_params()
     proto = config.protocol_config()
     out_path = Path(out_dir) if out_dir is not None else None
@@ -161,8 +163,10 @@ def run_rand_baseline(
 
     For each trial the protocol picks its active set; a uniformly random
     subset of the same size from the same deployment is scored with the
-    same grid estimator.
+    same grid estimator. Raises ``ConfigError`` for an invalid config
+    before any deployment is generated.
     """
+    config.validate()
     deployed = deployed if deployed is not None else config.count
     trials = trials if trials is not None else config.trials
     params = config.optics_params()
@@ -220,8 +224,11 @@ def export_plot_data(
     """Turn a round trace into plot-ready CSVs.
 
     Emits one reachability CSV per round plus one coverage 0/1 grid per
-    round, reconstructed from the trace's node snapshot.
+    round, reconstructed from the trace's node snapshot. A resolution
+    below 10 raises ``ValueError`` before anything is written.
     """
+    if resolution < 10:
+        raise ValueError(f"resolution must be >= 10, got {resolution}")
     trace_path = Path(trace_path)
     with open(trace_path) as fh:
         header, rounds = read_trace(fh)

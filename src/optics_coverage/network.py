@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .geometry import Point2D, euclidean_distance
+from .geometry import Point2D
+from .spatial import GridIndex
 
 IDLE = "idle"
 ACTIVE = "active"
@@ -111,17 +112,18 @@ def generate_deployment(
 
 def build_neighbor_table(deployment: Deployment) -> NeighborTable:
     """Connect every pair of nodes within 2r of each other (inclusive)."""
-    reach = 2 * deployment.radius
+    positions = {n.id: n.position for n in deployment.nodes}
+    index = GridIndex(positions, 2 * deployment.radius)
     table: dict[int, list[tuple[int, float]]] = {n.id: [] for n in deployment.nodes}
-    nodes = sorted(deployment.nodes, key=lambda n: n.id)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            d = euclidean_distance(a.position, b.position)
-            if d <= reach:
-                table[a.id].append((b.id, d))
-                table[b.id].append((a.id, d))
-    for lst in table.values():
-        lst.sort()
+    # rows fill in id order: a node's lower-id neighbors arrive on their own
+    # turns, then its higher-id ones from its query, already sorted by id
+    for a in sorted(deployment.nodes, key=lambda n: n.id):
+        row = table[a.id]
+        for pair in index.query(a.position):
+            b, d = pair
+            if b > a.id:
+                row.append(pair)
+                table[b].append((a.id, d))
     return NeighborTable(table)
 
 

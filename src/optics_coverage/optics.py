@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 from typing import IO, Mapping
 
 from .geometry import Point2D
-from .spatial import GridIndex, brute_force_query
-
-# below this size the grid index buys nothing over a linear scan
-_GRID_THRESHOLD = 64
+from .spatial import GridIndex
+from .spatial import brute_force_query  # noqa: F401 - perfbench/tracing.py wraps it here
 
 
 @dataclass(frozen=True)
@@ -69,21 +67,6 @@ class ClusterAssignment:
     outliers: set[int] = field(default_factory=set)
 
 
-class _Neighborhoods:
-    """eps-neighborhood lookup, grid-backed for larger point sets."""
-
-    def __init__(self, points: Mapping[int, Point2D], eps: float):
-        self.points = points
-        self.eps = eps
-        self._grid = GridIndex(points, eps) if len(points) >= _GRID_THRESHOLD else None
-
-    def query(self, pid: int) -> list[tuple[int, float]]:
-        center = self.points[pid]
-        if self._grid is not None:
-            return self._grid.query(center, self.eps)
-        return brute_force_query(self.points, center, self.eps)
-
-
 def _core_distance_from(
     neighborhood: list[tuple[int, float]], min_pts: int
 ) -> float | None:
@@ -106,7 +89,7 @@ def optics_order(
     """
     if not points:
         raise ValueError("point set must be non-empty")
-    hoods = _Neighborhoods(points, params.eps)
+    index = GridIndex(points, params.eps)
     reach: dict[int, float] = {}
     processed: set[int] = set()
     order: list[OrderedPoint] = []
@@ -116,7 +99,7 @@ def optics_order(
 
     def emit(pid: int, reachability: float | None) -> None:
         processed.add(pid)
-        neighborhood = hoods.query(pid)
+        neighborhood = index.query(points[pid])
         cd = _core_distance_from(neighborhood, params.min_pts)
         order.append(OrderedPoint(pid, len(order), reachability, cd))
         if cd is None:

@@ -1,16 +1,19 @@
 """Uniform-grid spatial index for fixed-radius neighborhood queries.
 
-Points are bucketed into square cells sized to the query radius, so a
-radius query only inspects the 3x3 block of cells around the query point.
-Results are identical to a brute-force scan; the grid is purely a speedup
-for deployments with hundreds of sensors.
+Every fixed-radius question of a round goes through ``GridIndex``: the
+neighbor table's 2r range and the ordering's eps-neighborhoods. Cells have
+the query radius as side, so a query scans the 3x3 block around its
+center and keeps a point by the same ``euclidean_distance <= radius`` test
+as ``brute_force_query``, the reference the tests compare it with. (A pair
+straddling 0 with a coordinate below half an ulp of the radius can fall
+outside the block; deployments have no negative coordinates.)
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .geometry import Point2D, euclidean_distance
 
@@ -28,33 +31,33 @@ def brute_force_query(
 
 
 class GridIndex:
-    """Bucket points into cells of ``cell_size`` for radius queries."""
+    """Points bucketed into cells of side ``radius`` for radius queries."""
 
-    def __init__(self, points: Mapping[int, Point2D], cell_size: float):
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
-        self.cell_size = cell_size
-        self.points = dict(points)
-        self._cells: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for pid, p in self.points.items():
-            self._cells[self._cell_of(p)].append(pid)
+    def __init__(self, points: Mapping[int, Point2D], radius: float):
+        if radius <= 0:
+            raise ValueError(f"radius must be positive, got {radius}")
+        self.radius = radius
+        self._cells: dict[tuple[int, int], list[tuple[int, float, float]]] = (
+            defaultdict(list)
+        )
+        for pid, p in points.items():
+            self._cells[self._cell_of(p)].append((pid, p.x, p.y))
 
     def _cell_of(self, p: Point2D) -> tuple[int, int]:
-        return (math.floor(p.x / self.cell_size), math.floor(p.y / self.cell_size))
+        return (math.floor(p.x / self.radius), math.floor(p.y / self.radius))
 
-    def _candidate_ids(self, center: Point2D, radius: float) -> Iterable[int]:
-        reach = math.ceil(radius / self.cell_size)
-        cx, cy = self._cell_of(center)
-        for ix in range(cx - reach, cx + reach + 1):
-            for iy in range(cy - reach, cy + reach + 1):
-                yield from self._cells.get((ix, iy), ())
-
-    def query(self, center: Point2D, radius: float) -> list[tuple[int, float]]:
+    def query(self, center: Point2D) -> list[tuple[int, float]]:
         """All (id, distance) pairs with distance <= radius, sorted by id."""
+        radius, cells = self.radius, self._cells
+        x, y = center.x, center.y
+        cx, cy = self._cell_of(center)
         out = []
-        for pid in self._candidate_ids(center, radius):
-            d = euclidean_distance(self.points[pid], center)
-            if d <= radius:
-                out.append((pid, d))
+        for ix in (cx - 1, cx, cx + 1):
+            for iy in (cy - 1, cy, cy + 1):
+                for pid, px, py in cells.get((ix, iy), ()):
+                    # euclidean_distance(point, center), inlined
+                    d = math.hypot(px - x, py - y)
+                    if d <= radius:
+                        out.append((pid, d))
         out.sort()
         return out

@@ -4,9 +4,14 @@ from dataclasses import fields, replace
 
 import pytest
 
+from optics_coverage import experiments
 from optics_coverage.cli import main
 from optics_coverage.config import ConfigError, RunConfig, default_ini, load_config
-from optics_coverage.experiments import run_rand_baseline, run_table_experiment
+from optics_coverage.experiments import (
+    export_plot_data,
+    run_rand_baseline,
+    run_table_experiment,
+)
 
 FAST = [
     "--set", "experiment.grid_resolution=100",
@@ -271,6 +276,12 @@ class TestPlotDataCommand:
         assert "--resolution" in err
         assert "bad trace" not in err
 
+    def test_library_low_resolution_writes_nothing(self, trace, tmp_path):
+        out = tmp_path / "plots"
+        with pytest.raises(ValueError, match="resolution"):
+            export_plot_data(trace, out, 3)
+        assert not out.exists()
+
     def test_corrupt_trace_exits_2(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"type": "round"}\n')
@@ -298,3 +309,28 @@ class TestExperimentHelpers:
         assert len(result.pairs) == 2
         for pair in result.pairs:
             assert pair.active_count > 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [replace(RunConfig(), d_list=()), replace(RunConfig(), eps=2.0)],
+        ids=["empty_d_list", "eps_below_radius"],
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda config, out: run_table_experiment(config, out),
+            lambda config, out: run_rand_baseline(config),
+        ],
+        ids=["table", "rand_baseline"],
+    )
+    def test_invalid_config_rejected_before_any_deployment(
+        self, run, config, tmp_path, monkeypatch
+    ):
+        def no_deployment(*args, **kwargs):
+            raise AssertionError("a deployment was generated")
+
+        monkeypatch.setattr(experiments, "generate_deployment", no_deployment)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError):
+            run(config, out)
+        assert not out.exists()

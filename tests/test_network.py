@@ -14,6 +14,7 @@ from optics_coverage.network import (
     generate_deployment,
     send_req,
 )
+from optics_coverage.spatial import brute_force_query
 
 
 def make_deployment(positions, radius=5.0, battery=1.0, states=None):
@@ -22,6 +23,19 @@ def make_deployment(positions, radius=5.0, battery=1.0, states=None):
         for i, (x, y) in enumerate(positions)
     ]
     return Deployment(nodes, 100.0, 100.0, radius)
+
+
+def reference_table(dep):
+    """Neighbor rows by the brute-force scan at 2r, minus each node itself."""
+    points = {n.id: n.position for n in dep.nodes}
+    return {
+        n.id: [
+            (q, d)
+            for q, d in brute_force_query(points, n.position, 2 * dep.radius)
+            if q != n.id
+        ]
+        for n in dep.nodes
+    }
 
 
 class TestGenerateDeployment:
@@ -92,6 +106,33 @@ class TestNeighborTable:
             for other, dist in entries:
                 assert (nid, dist) in table[other]
                 assert dist <= 2 * dep.radius
+
+    @given(
+        st.integers(1, 120),
+        st.floats(1.0, 80.0),
+        st.floats(1.0, 80.0),
+        st.floats(0.5, 10.0),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force(self, count, width, height, radius, seed):
+        dep = generate_deployment(count, width, height, radius, seed)
+        assert build_neighbor_table(dep).neighbors == reference_table(dep)
+
+    def test_matches_brute_force_on_cell_edges(self):
+        # r = 5, so 2r = 10 is both the reach and the grid's cell side
+        positions = [
+            (0, 0), (10, 0), (6, 8),  # exactly 2r apart: on an axis, 3-4-5
+            (-10, 0), (0, -10), (-6, -8), (-10, -10),  # negative coordinates
+            (10, 10), (20, 10), (20, 20), (30, 0),  # cell corners and edges
+            (-20, 10), (-20.000000000000004, 0),  # 2r apart, one just past an edge
+            (4, 3), (16, 18),
+        ]
+        dep = make_deployment(positions)
+        table = build_neighbor_table(dep)
+        assert table.neighbors == reference_table(dep)
+        assert (1, 10.0) in table[0] and (2, 10.0) in table[0]
+        assert (5, 10.0) in table[0] and (0, 10.0) in table[3]
 
 
 class TestSendReq:

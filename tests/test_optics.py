@@ -124,8 +124,8 @@ class TestOpticsOrder:
         assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
 
     def test_matches_reference_through_grid_index(self):
-        # above the grid threshold the spatial index takes over; results
-        # must stay identical to the brute-force path
+        # a larger field spanning many grid cells; results must stay
+        # identical to the brute-force reference
         rng = random.Random(99)
         pts = random_points(120, rng, span=30.0)
         params = OpticsParams(eps=4.0, min_pts=4)
@@ -236,13 +236,17 @@ class TestGridIndex:
     def test_matches_brute_force(self):
         rng = random.Random(42)
         pts = random_points(150, rng, span=25.0)
-        index = GridIndex(pts, cell_size=3.0)
-        for _ in range(30):
-            center = Point2D(rng.uniform(0, 25), rng.uniform(0, 25))
-            radius = rng.uniform(0.5, 6.0)
-            assert index.query(center, radius) == brute_force_query(
-                pts, center, radius
-            )
+        # points on the cell edges of radius 3, some exactly 3 or 6 apart
+        for i in range(9):
+            pts[150 + i] = Point2D(3.0 * i, 3.0 * (i % 3))
+        for radius in (0.5, 3.0, 6.0):
+            index = GridIndex(pts, radius)
+            centers = [Point2D(rng.uniform(0, 25), rng.uniform(0, 25)) for _ in range(30)]
+            # centers on cell edges and corners
+            centers += [Point2D(radius * i, rng.uniform(0, 25)) for i in range(5)]
+            centers += [Point2D(radius * i, radius * j) for i in range(4) for j in range(4)]
+            for center in centers:
+                assert index.query(center) == brute_force_query(pts, center, radius)
 
 
 class TestReachabilityCsv:
