@@ -11,6 +11,7 @@ default INI file are derived from the fields.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from typing import Sequence
@@ -75,10 +76,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.count < 1:
             raise ConfigError("deployment.count must be >= 1")
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError("deployment region dimensions must be positive")
-        if self.radius <= 0:
-            raise ConfigError("deployment.radius must be positive")
+        if not all(0 < v < math.inf for v in (self.width, self.height, self.radius)):
+            raise ConfigError(
+                "deployment width, height and radius must be positive and finite"
+            )
         if not 0 <= self.battery_min <= self.battery_max <= 1:
             raise ConfigError(
                 "deployment battery range must satisfy 0 <= min <= max <= 1"

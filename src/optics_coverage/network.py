@@ -9,6 +9,7 @@ range. Positions never change after deployment.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -97,8 +98,8 @@ def generate_deployment(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if width <= 0 or height <= 0 or radius <= 0:
-        raise ValueError("width, height and radius must be positive")
+    if not all(0 < v < math.inf for v in (width, height, radius)):
+        raise ValueError("width, height and radius must be positive and finite")
     lo, hi = battery_range
     rng = random.Random(seed)
     nodes = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import IO, Mapping
 
@@ -35,8 +36,8 @@ class OpticsParams:
     min_pts: int
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.min_pts < 1:
             raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
 

@@ -11,8 +11,9 @@ is discarded as redundant when the overlap arcs (2*alpha each) that the
 already-activated discs of its cluster cut from its boundary add up to
 more than ``1 - theta`` of the full circle. The arcs are summed, not
 united, so where two active discs cover the same stretch of boundary it
-counts twice. Actives retire to sleep at the end of their round and
-rejoin the eligible pool after a configurable number of rounds.
+counts twice; each member keeps a running sum, grown by the discs of its
+neighbor-table row as they activate. Actives retire to sleep at the end
+of their round and rejoin the pool after a configurable number of rounds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Container, Iterable, Iterator
 
 from .geometry import (
     CoLocatedSensorsError,
@@ -75,6 +76,9 @@ class ProtocolConfig:
     grid_resolution: int = 500
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0 <= self.theta <= 1:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
         if self.battery_drain < 0:
@@ -125,11 +129,11 @@ def acceptance_level(
     w_neighbors: float = 0.3,
     w_distance: float = 0.2,
 ) -> float:
-    """Candidate score; higher is better. Distance zero is degenerate."""
-    if distance == 0:
-        raise CoLocatedSensorsError("candidate at distance 0 from selector")
+    """Candidate score; higher is better. A distance weighting to 0 is co-location."""
     if distance < 0:
         raise ValueError(f"distance must be positive, got {distance}")
+    if w_distance * distance == 0:  # zero, or too small to divide by
+        raise CoLocatedSensorsError(f"candidate at distance {distance} from selector")
     return (w_battery * battery + w_neighbors * neighbor_count) / (
         w_distance * distance
     )
@@ -139,13 +143,11 @@ def choose_initial_sensor(cluster: Cluster, deployment: Deployment) -> int:
     """Cluster member closest to the member centroid, lower id on ties."""
     if not cluster.members:
         raise ValueError("cannot seed an empty cluster")
-    cx = sum(deployment.node(m).position.x for m in cluster.members) / len(
-        cluster.members
+    positions = [deployment.node(m).position for m in cluster.members]
+    centroid = Point2D(
+        sum(p.x for p in positions) / len(positions),
+        sum(p.y for p in positions) / len(positions),
     )
-    cy = sum(deployment.node(m).position.y for m in cluster.members) / len(
-        cluster.members
-    )
-    centroid = Point2D(cx, cy)
     return min(
         cluster.members,
         key=lambda m: (euclidean_distance(deployment.node(m).position, centroid), m),
@@ -156,7 +158,7 @@ def select_next(
     current: int,
     table: NeighborTable,
     deployment: Deployment,
-    allowed: set[int] | None = None,
+    allowed: Container[int] | None = None,
     exclude: frozenset[int] | set[int] = frozenset(),
     config: ProtocolConfig | None = None,
 ) -> int | None:
@@ -189,22 +191,6 @@ def select_next(
     return best
 
 
-def _mostly_overlapped(
-    pos: Point2D, active_positions: Iterable[Point2D], radius: float, theta: float
-) -> bool:
-    """True when less than ``theta`` of the boundary at ``pos`` stays free.
-
-    The covered boundary is approximated by summing the full overlap arc
-    (2*alpha) against each active disc, clamped at the full circle.
-    """
-    covered = 0.0
-    for ap in active_positions:
-        covered += 2 * overlap_angle(euclidean_distance(pos, ap), radius)
-        if covered >= TWO_PI:
-            return theta > 0
-    return (TWO_PI - covered) / TWO_PI < theta
-
-
 def cover_cluster(
     cluster: Cluster,
     deployment: Deployment,
@@ -217,32 +203,39 @@ def cover_cluster(
     in turn activates its best acceptable idle neighbor (redundant ones are
     discarded for the rest of the round) and re-enters the frontier behind
     its new child; a node with no acceptable neighbor left drops out.
+    Each activation adds its arc to the sums of the members in its table
+    row, so a sensor co-located with a member raises as soon as it activates.
     """
     cfg = config or ProtocolConfig()
     root = choose_initial_sensor(cluster, deployment)
-    deployment.node(root).state = ACTIVE
     tree = SelectionTree(cluster.cluster_id, root)
-    members = set(cluster.members)
-    active_positions = [deployment.node(root).position]
+    # member -> summed arc (2*alpha each) the cluster's actives cut from it
+    covered = dict.fromkeys(cluster.members, 0.0)
+
+    def activate(nid: int) -> None:
+        deployment.node(nid).state = ACTIVE
+        for m, d in table[nid]:
+            if m in covered:
+                covered[m] += 2 * overlap_angle(d, deployment.radius)
+
+    activate(root)
     discarded: set[int] = set()
     frontier = deque([root])
     while frontier:
         u = frontier.popleft()
         while True:
             candidate = select_next(
-                u, table, deployment, allowed=members, exclude=discarded, config=cfg
+                u, table, deployment, allowed=covered, exclude=discarded, config=cfg
             )
             if candidate is None:
                 break
-            cand_pos = deployment.node(candidate).position
-            if _mostly_overlapped(
-                cand_pos, active_positions, deployment.radius, cfg.theta
-            ):
+            free = (TWO_PI - covered[candidate]) / TWO_PI
+            # nothing free: redundant unless theta = 0, however far the sum overshoots
+            if (cfg.theta > 0) if free <= 0 else free < cfg.theta:
                 discarded.add(candidate)
                 continue
-            deployment.node(candidate).state = ACTIVE
+            activate(candidate)
             tree.edges.append((u, candidate))
-            active_positions.append(cand_pos)
             frontier.append(candidate)
             frontier.append(u)
             break

@@ -4,9 +4,9 @@ Every fixed-radius question of a round goes through ``GridIndex``: the
 neighbor table's 2r range and the ordering's eps-neighborhoods. Cells have
 the query radius as side, so a query scans the 3x3 block around its
 center and keeps a point by the same ``euclidean_distance <= radius`` test
-as ``brute_force_query``, the reference the tests compare it with. (A pair
-straddling 0 with a coordinate below half an ulp of the radius can fall
-outside the block; deployments have no negative coordinates.)
+as ``brute_force_query``, the reference the tests compare it with. Cells
+count from the lower corner of the points' bounding box, so no point's
+offset is negative and a pair straddling 0 cannot skip a cell.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ class GridIndex:
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         self.radius = radius
+        self._x0 = min((p.x for p in points.values()), default=0.0)
+        self._y0 = min((p.y for p in points.values()), default=0.0)
         self._cells: dict[tuple[int, int], list[tuple[int, float, float]]] = (
             defaultdict(list)
         )
@@ -44,7 +46,8 @@ class GridIndex:
             self._cells[self._cell_of(p)].append((pid, p.x, p.y))
 
     def _cell_of(self, p: Point2D) -> tuple[int, int]:
-        return (math.floor(p.x / self.radius), math.floor(p.y / self.radius))
+        r = self.radius
+        return math.floor((p.x - self._x0) / r), math.floor((p.y - self._y0) / r)
 
     def query(self, center: Point2D) -> list[tuple[int, float]]:
         """All (id, distance) pairs with distance <= radius, sorted by id."""

@@ -100,6 +100,13 @@ NON_DEFAULTS = {
 }
 
 
+FLOAT_KEYS = [
+    key
+    for key, (name, _, _) in NON_DEFAULTS.items()
+    if "float" in RunConfig.__dataclass_fields__[name].type
+]
+
+
 class TestEveryKey:
     def test_cases_cover_every_field(self):
         assert sorted(name for name, _, _ in NON_DEFAULTS.values()) == sorted(
@@ -199,6 +206,22 @@ class TestRunCommand:
         assert err.startswith("config error:")
         assert "'100,abc'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_exits_2_without_traceback(
+        self, key, value, tmp_path, capsys, monkeypatch
+    ):
+        def no_deployment(*args, **kwargs):
+            raise AssertionError("a deployment was generated")
+
+        monkeypatch.setattr(experiments, "generate_deployment", no_deployment)
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--set", f"{key}={value}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_flags_override_set(self, tmp_path):
         out = tmp_path / "out"

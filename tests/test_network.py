@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,6 +72,14 @@ class TestGenerateDeployment:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             generate_deployment(0, 50, 50, 5, seed=0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("arg", [1, 2, 3], ids=["width", "height", "radius"])
+    def test_geometry_must_be_positive_and_finite(self, arg, bad):
+        args = [10, 50.0, 50.0, 5.0]
+        args[arg] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            generate_deployment(*args, seed=0)
 
 
 class TestNeighborTable:

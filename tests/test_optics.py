@@ -113,6 +113,11 @@ class TestOpticsOrder:
         with pytest.raises(ValueError):
             optics_order({}, OpticsParams(eps=1, min_pts=1))
 
+    @pytest.mark.parametrize("eps", [0, -1, math.nan, math.inf])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            OpticsParams(eps=eps, min_pts=1)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_reference_small(self, seed):
         rng = random.Random(seed)
@@ -247,6 +252,15 @@ class TestGridIndex:
             centers += [Point2D(radius * i, radius * j) for i in range(4) for j in range(4)]
             for center in centers:
                 assert index.query(center) == brute_force_query(pts, center, radius)
+
+    def test_pair_straddling_zero(self):
+        # 3.0 apart after rounding; cells counted from 0 would put the two
+        # points at -1 and 1, outside each other's 3x3 block
+        pts = {0: Point2D(-1.5e-323, 0.0), 1: Point2D(3.0, 0.0)}
+        index = GridIndex(pts, 3.0)
+        for center in pts.values():
+            assert index.query(center) == brute_force_query(pts, center, 3.0)
+        assert index.query(pts[0]) == [(0, 0.0), (1, 3.0)]
 
 
 class TestReachabilityCsv:
