@@ -33,7 +33,6 @@ from .network import (
     build_neighbor_table,
     drain_battery,
     generate_deployment,
-    send_req,
 )
 from .optics import (
     Cluster,
@@ -98,6 +97,5 @@ __all__ = [
     "run_round",
     "run_simulation",
     "select_next",
-    "send_req",
     "summarize_experiment",
 ]

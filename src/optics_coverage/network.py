@@ -71,10 +71,12 @@ class NeighborTable:
     """Distance-annotated adjacency at the 2r communication threshold.
 
     ``neighbors[j]`` lists (neighbor id, distance) pairs sorted by id;
-    its length is the direct-neighbor count of node j.
+    its length is the direct-neighbor count of node j. ``radius`` is the
+    2r the rows hold, so they also serve any eps <= radius neighborhood.
     """
 
     neighbors: dict[int, list[tuple[int, float]]]
+    radius: float
 
     def degree(self, node_id: int) -> int:
         return len(self.neighbors[node_id])
@@ -114,7 +116,8 @@ def generate_deployment(
 def build_neighbor_table(deployment: Deployment) -> NeighborTable:
     """Connect every pair of nodes within 2r of each other (inclusive)."""
     positions = {n.id: n.position for n in deployment.nodes}
-    index = GridIndex(positions, 2 * deployment.radius)
+    radius = 2 * deployment.radius
+    index = GridIndex(positions, radius)
     table: dict[int, list[tuple[int, float]]] = {n.id: [] for n in deployment.nodes}
     # rows fill in id order: a node's lower-id neighbors arrive on their own
     # turns, then its higher-id ones from its query, already sorted by id
@@ -125,23 +128,7 @@ def build_neighbor_table(deployment: Deployment) -> NeighborTable:
             if b > a.id:
                 row.append(pair)
                 table[b].append((a.id, d))
-    return NeighborTable(table)
-
-
-def send_req(from_id: int, table: NeighborTable, deployment: Deployment) -> list[int]:
-    """Ids of idle neighbors that would answer a request broadcast.
-
-    The sender must be active; sleeping, active and dead neighbors do not
-    respond.
-    """
-    if from_id not in deployment:
-        raise KeyError(f"unknown node id {from_id}")
-    sender = deployment.node(from_id)
-    if sender.state != ACTIVE:
-        raise ValueError(f"node {from_id} is {sender.state}, not active")
-    return [
-        nid for nid, _ in table[from_id] if deployment.node(nid).state == IDLE
-    ]
+    return NeighborTable(table, radius)
 
 
 def drain_battery(node: SensorNode, amount: float) -> SensorNode:

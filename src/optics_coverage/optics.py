@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import IO, Mapping
 
 from .geometry import Point2D
+from .network import NeighborTable
 from .spatial import GridIndex
 from .spatial import brute_force_query  # noqa: F401 - perfbench/tracing.py wraps it here
 
@@ -81,16 +82,33 @@ def _core_distance_from(
 
 
 def optics_order(
-    points: Mapping[int, Point2D], params: OpticsParams
+    points: Mapping[int, Point2D], params: OpticsParams, table: NeighborTable | None = None
 ) -> list[OrderedPoint]:
     """Emit every point once, ordered by expansion from core points.
 
     Each emitted point carries the smallest reachability distance seen from
     any core point processed before it; group starters carry None.
+
+    Given a neighbor table over the same positions with ``eps <=
+    table.radius``, a point's eps-neighborhood is itself at 0.0 plus its
+    table row's entries in ``points`` within eps; otherwise a ``GridIndex``
+    over ``points`` answers it, with the same pairs and distances.
     """
     if not points:
         raise ValueError("point set must be non-empty")
-    index = GridIndex(points, params.eps)
+    eps = params.eps
+    if table is not None and eps <= table.radius:
+
+        def neighborhood_of(pid: int) -> list[tuple[int, float]]:
+            hits = [(q, d) for q, d in table[pid] if d <= eps and q in points]
+            return [(pid, 0.0), *hits]
+
+    else:
+        index = GridIndex(points, eps)
+
+        def neighborhood_of(pid: int) -> list[tuple[int, float]]:
+            return index.query(points[pid])
+
     reach: dict[int, float] = {}
     processed: set[int] = set()
     order: list[OrderedPoint] = []
@@ -100,7 +118,7 @@ def optics_order(
 
     def emit(pid: int, reachability: float | None) -> None:
         processed.add(pid)
-        neighborhood = index.query(points[pid])
+        neighborhood = neighborhood_of(pid)
         cd = _core_distance_from(neighborhood, params.min_pts)
         order.append(OrderedPoint(pid, len(order), reachability, cd))
         if cd is None:
@@ -135,8 +153,8 @@ def extract_clusters(
     cluster when its own core distance is within the cut, and is an
     outlier otherwise.
     """
-    if eps_prime <= 0:
-        raise ValueError(f"eps_prime must be positive, got {eps_prime}")
+    if not 0 < eps_prime < math.inf:
+        raise ValueError(f"eps_prime must be positive and finite, got {eps_prime}")
     clusters: list[Cluster] = []
     outliers: set[int] = set()
     current: list[int] = []

@@ -40,7 +40,6 @@ from .network import (
     NeighborTable,
     build_neighbor_table,
     drain_battery,
-    send_req,
 )
 from .optics import Cluster, OpticsParams, OrderedPoint, extract_clusters, optics_order
 
@@ -165,21 +164,28 @@ def select_next(
     """Idle neighbor of ``current`` answering a request with the highest
     acceptance level.
 
-    Returns None when no idle neighbor qualifies. ``allowed`` restricts
-    candidates (e.g. to one cluster's members) and ``exclude`` removes
-    candidates already found redundant. Ties break toward the lower id.
+    The sender must be active; only idle neighbors answer (sleeping,
+    active and dead ones stay silent). Returns None when no idle neighbor
+    qualifies. ``allowed`` restricts candidates (e.g. to one cluster's
+    members) and ``exclude`` removes candidates already found redundant.
+    Ties break toward the lower id.
     """
     cfg = config or ProtocolConfig()
-    responders = set(send_req(current, table, deployment))
+    if current not in deployment:
+        raise KeyError(f"unknown node id {current}")
+    sender = deployment.node(current)
+    if sender.state != ACTIVE:
+        raise ValueError(f"node {current} is {sender.state}, not active")
     best: int | None = None
     best_score = -math.inf
     for nid, dist in table[current]:  # sorted by id: first max wins ties
-        if nid not in responders or nid in exclude:
+        if nid in exclude or (allowed is not None and nid not in allowed):
             continue
-        if allowed is not None and nid not in allowed:
+        node = deployment.node(nid)
+        if node.state != IDLE:
             continue
         score = acceptance_level(
-            deployment.node(nid).battery,
+            node.battery,
             table.degree(nid),
             dist,
             cfg.w_battery,
@@ -288,7 +294,7 @@ def run_round(
     trees: list[SelectionTree] = []
     ordering: list[OrderedPoint] = []
     if eligible:
-        ordering = optics_order(eligible, params)
+        ordering = optics_order(eligible, params, table)
         assignment = extract_clusters(ordering, _resolve_eps_prime(params, cfg))
         # clusters are node-disjoint, so covering order cannot matter;
         # sort only to fix the trace layout

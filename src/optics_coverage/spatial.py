@@ -1,12 +1,14 @@
 """Uniform-grid spatial index for fixed-radius neighborhood queries.
 
-Every fixed-radius question of a round goes through ``GridIndex``: the
-neighbor table's 2r range and the ordering's eps-neighborhoods. Cells have
-the query radius as side, so a query scans the 3x3 block around its
-center and keeps a point by the same ``euclidean_distance <= radius`` test
-as ``brute_force_query``, the reference the tests compare it with. Cells
-count from the lower corner of the points' bounding box, so no point's
-offset is negative and a pair straddling 0 cannot skip a cell.
+``GridIndex`` answers the fixed-radius questions a round cannot read from
+its neighbor table: it builds that table at the 2r range, and serves the
+ordering's eps-neighborhoods only when eps exceeds 2r (or a library caller
+orders points without a table). Cells have the query radius as side, so a
+query scans the 3x3 block around its center and keeps a point by the same
+``euclidean_distance <= radius`` test as ``brute_force_query``, the
+reference the tests compare it with. Cells count from the lower corner of
+the points' bounding box, so no point's offset is negative and a pair
+straddling 0 cannot skip a cell.
 """
 
 from __future__ import annotations

@@ -5,16 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from optics_coverage.geometry import Point2D
 from optics_coverage.network import (
-    ACTIVE,
     DEAD,
     IDLE,
-    SLEEPING,
     Deployment,
     SensorNode,
     build_neighbor_table,
     drain_battery,
     generate_deployment,
-    send_req,
 )
 from optics_coverage.spatial import brute_force_query
 
@@ -143,40 +140,6 @@ class TestNeighborTable:
         assert table.neighbors == reference_table(dep)
         assert (1, 10.0) in table[0] and (2, 10.0) in table[0]
         assert (5, 10.0) in table[0] and (0, 10.0) in table[3]
-
-
-class TestSendReq:
-    def test_idle_neighbors_answer(self):
-        dep = make_deployment(
-            [(0, 0), (3, 0), (0, 3), (-3, 0)], states={0: ACTIVE}
-        )
-        table = build_neighbor_table(dep)
-        assert send_req(0, table, dep) == [1, 2, 3]
-
-    def test_sleeping_neighbors_silent(self):
-        dep = make_deployment(
-            [(0, 0), (3, 0), (0, 3)],
-            states={0: ACTIVE, 1: SLEEPING, 2: SLEEPING},
-        )
-        table = build_neighbor_table(dep)
-        assert send_req(0, table, dep) == []
-
-    def test_isolated_node(self):
-        dep = make_deployment([(0, 0), (50, 50)], states={0: ACTIVE})
-        table = build_neighbor_table(dep)
-        assert send_req(0, table, dep) == []
-
-    def test_unknown_node(self):
-        dep = make_deployment([(0, 0)], states={0: ACTIVE})
-        table = build_neighbor_table(dep)
-        with pytest.raises(KeyError):
-            send_req(99, table, dep)
-
-    def test_non_active_sender_rejected(self):
-        dep = make_deployment([(0, 0), (3, 0)])
-        table = build_neighbor_table(dep)
-        with pytest.raises(ValueError):
-            send_req(0, table, dep)
 
 
 class TestDrainBattery:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optics_coverage.geometry import Point2D
+from optics_coverage.network import Deployment, SensorNode, build_neighbor_table
 from optics_coverage.optics import (
     OpticsParams,
     extract_clusters,
@@ -39,6 +40,23 @@ def two_blobs(rng, per_blob=10, spread=1.0, centers=((10.0, 10.0), (40.0, 40.0))
 
 def as_tuples(points):
     return {i: (p.x, p.y) for i, p in points.items()}
+
+
+@st.composite
+def table_layouts(draw):
+    """A deployment with some co-located pairs, and the idle subset a
+    rotation round would order."""
+    coord = st.floats(0, 30)
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    twins = draw(st.lists(st.integers(0, len(positions) - 1), max_size=4))
+    positions += [positions[i] for i in twins]
+    radius = draw(st.sampled_from([2.0, 3.5, 5.0]))
+    nodes = [
+        SensorNode(i, Point2D(x, y), 1.0, radius) for i, (x, y) in enumerate(positions)
+    ]
+    dep = Deployment(nodes, 30.0, 30.0, radius)
+    ids = draw(st.sets(st.sampled_from(range(len(nodes))), min_size=1))
+    return dep, {i: nodes[i].position for i in sorted(ids)}
 
 
 def by_id(points, params):
@@ -173,6 +191,18 @@ class TestOpticsOrder:
             else:
                 assert op.reachability == min(candidates)
 
+    @given(table_layouts(), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_table_neighborhoods_match_grid(self, layout, min_pts):
+        dep, eligible = layout
+        table = build_neighbor_table(dep)
+        r = dep.radius
+        for eps in (r, 1.5 * r, 2 * r, 3 * r):  # 3r is past the table's 2r
+            params = OpticsParams(eps=eps, min_pts=min_pts)
+            assert optics_order(eligible, params, table) == optics_order(
+                eligible, params
+            )
+
 
 class TestExtractClusters:
     def test_single_dense_run(self):
@@ -232,9 +262,11 @@ class TestExtractClusters:
         assert len(assignment.clusters) == 1
         assert not assignment.outliers
 
-    def test_bad_eps_prime(self):
-        with pytest.raises(ValueError):
-            extract_clusters([], 0)
+    @pytest.mark.parametrize("eps_prime", [0, -1, math.nan, math.inf])
+    def test_bad_eps_prime(self, eps_prime):
+        ordering = optics_order(line_points([0, 1, 3]), OpticsParams(eps=2, min_pts=2))
+        with pytest.raises(ValueError, match="eps_prime"):
+            extract_clusters(ordering, eps_prime)
 
 
 class TestGridIndex:

@@ -203,6 +203,17 @@ class TestSelectNext:
         with pytest.raises(ValueError):
             select_next(0, table, dep)
 
+    def test_unknown_selector(self):
+        dep = make_deployment([(0, 0)], states={0: ACTIVE})
+        table = build_neighbor_table(dep)
+        with pytest.raises(KeyError):
+            select_next(99, table, dep)
+
+    def test_isolated_selector(self):
+        dep = make_deployment([(0, 0), (50, 50)], states={0: ACTIVE})
+        table = build_neighbor_table(dep)
+        assert select_next(0, table, dep) is None
+
 
 class TestCoverCluster:
     def test_singleton_cluster(self):
