@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .geometry import Point2D
-from .spatial import GridIndex
+from .spatial import neighbor_rows
 
 IDLE = "idle"
 ACTIVE = "active"
@@ -114,21 +114,15 @@ def generate_deployment(
 
 
 def build_neighbor_table(deployment: Deployment) -> NeighborTable:
-    """Connect every pair of nodes within 2r of each other (inclusive)."""
-    positions = {n.id: n.position for n in deployment.nodes}
+    """Connect every pair of nodes within 2r of each other (inclusive).
+
+    ``spatial.neighbor_rows`` finds the pairs: a numpy prefilter over cell
+    blocks proposes candidates, 64 nodes at a time, and each kept distance
+    is ``math.hypot`` of the pair's coordinate differences.
+    """
     radius = 2 * deployment.radius
-    index = GridIndex(positions, radius)
-    table: dict[int, list[tuple[int, float]]] = {n.id: [] for n in deployment.nodes}
-    # rows fill in id order: a node's lower-id neighbors arrive on their own
-    # turns, then its higher-id ones from its query, already sorted by id
-    for a in sorted(deployment.nodes, key=lambda n: n.id):
-        row = table[a.id]
-        for pair in index.query(a.position):
-            b, d = pair
-            if b > a.id:
-                row.append(pair)
-                table[b].append((a.id, d))
-    return NeighborTable(table, radius)
+    positions = {n.id: n.position for n in deployment.nodes}
+    return NeighborTable(neighbor_rows(positions, radius), radius)
 
 
 def drain_battery(node: SensorNode, amount: float) -> SensorNode:

@@ -264,7 +264,8 @@ def run_round(
     Last round's actives go to sleep, expired sleepers rejoin the idle
     pool, the idle pool is re-clustered and covered cluster by cluster,
     and the new actives pay the round's battery cost. Outliers of the
-    clustering stay idle.
+    clustering stay idle. A ``table`` passed in must be this deployment's:
+    built at its 2r, with a row for each of its nodes and no other.
     """
     cfg = config or ProtocolConfig()
     round_index = state.round_index + 1
@@ -272,6 +273,12 @@ def run_round(
         raise AllNodesDeadError(round_index)
     if table is None:
         table = build_neighbor_table(deployment)
+    elif table.radius != 2 * deployment.radius:
+        raise ValueError(
+            f"table radius {table.radius} is not 2r = {2 * deployment.radius}"
+        )
+    elif table.neighbors.keys() != {n.id for n in deployment.nodes}:
+        raise ValueError("table rows are not the deployment's node ids")
 
     sleeping: dict[int, int] = {}
     for nid, remaining in state.sleeping.items():

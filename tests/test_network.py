@@ -13,6 +13,8 @@ from optics_coverage.network import (
     drain_battery,
     generate_deployment,
 )
+from optics_coverage.optics import OpticsParams
+from optics_coverage.protocol import AllNodesDeadError, iterate_rounds
 from optics_coverage.spatial import brute_force_query
 
 
@@ -120,10 +122,17 @@ class TestNeighborTable:
         st.floats(1.0, 80.0),
         st.floats(0.5, 10.0),
         st.integers(0, 10_000),
+        st.lists(st.integers(0, 119), max_size=8),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_brute_force(self, count, width, height, radius, seed):
-        dep = generate_deployment(count, width, height, radius, seed)
+    def test_matches_brute_force(self, count, width, height, radius, seed, twins):
+        nodes = generate_deployment(count, width, height, radius, seed).nodes
+        # extra nodes on the positions of drawn nodes, some drawn twice
+        nodes += [
+            SensorNode(count + k, nodes[i % count].position, 1.0, radius)
+            for k, i in enumerate(twins)
+        ]
+        dep = Deployment(nodes, width, height, radius)
         assert build_neighbor_table(dep).neighbors == reference_table(dep)
 
     def test_matches_brute_force_on_cell_edges(self):
@@ -140,6 +149,69 @@ class TestNeighborTable:
         assert table.neighbors == reference_table(dep)
         assert (1, 10.0) in table[0] and (2, 10.0) in table[0]
         assert (5, 10.0) in table[0] and (0, 10.0) in table[3]
+
+    def test_pair_rounding_down_to_2r(self):
+        # nodes 1 and 2 are 0.5 = 2r apart after rounding; with cells of
+        # side exactly 2r they sit two cells apart
+        dep = make_deployment([(0.0, 0.0), (1.0, 0.0), (0.49999999999999994, 0.0)], radius=0.25)
+        table = build_neighbor_table(dep)
+        assert table.neighbors == reference_table(dep)
+        assert table[1] == [(2, 0.5)]
+
+    def test_pair_at_2r_whose_squares_round_up(self):
+        # math.hypot gives exactly 10.0, but dx*dx + dy*dy rounds to
+        # 100.00000000000001: a prefilter at (2r)^2 would drop the pair
+        dep = make_deployment(
+            [(8.429714851915298, 11.346867301343616), (13.692736402074342, 19.849843495745287)]
+        )
+        table = build_neighbor_table(dep)
+        assert table.neighbors == reference_table(dep)
+        assert table[0] == [(1, 10.0)]
+
+    def test_empty_deployment(self):
+        dep = Deployment([], 50.0, 50.0, 5.0)
+        table = build_neighbor_table(dep)
+        assert table.neighbors == {} and table.radius == 10.0
+        with pytest.raises(AllNodesDeadError):
+            next(iterate_rounds(dep, OpticsParams(eps=10, min_pts=4)))
+
+    def test_unsorted_sparse_ids(self):
+        nodes = [SensorNode(nid, Point2D(x, 0.0), 1.0, 5.0) for nid, x in ((7, 0.0), (3, 4.0), (100, 8.0))]
+        table = build_neighbor_table(Deployment(nodes, 50.0, 50.0, 5.0))
+        assert list(table.neighbors) == [7, 3, 100]
+        assert table[7] == [(3, 4.0), (100, 8.0)]
+        assert table[3] == [(7, 4.0), (100, 4.0)]
+        assert table[100] == [(3, 4.0), (7, 8.0)]
+
+    def test_co_located_twins(self):
+        dep = make_deployment([(3.0, 4.0), (3.0, 4.0), (9.0, 12.0)])
+        table = build_neighbor_table(dep)
+        assert table[0] == [(1, 0.0), (2, 10.0)]
+        assert table[1] == [(0, 0.0), (2, 10.0)]
+
+    def test_far_offset_field(self):
+        base = generate_deployment(300, 50, 50, 5, seed=3)
+        nodes = [
+            SensorNode(n.id, Point2D(n.position.x + 1e6, n.position.y + 1e6), 1.0, 5.0)
+            for n in base.nodes
+        ]
+        dep = Deployment(nodes, 50.0, 50.0, 5.0)
+        assert build_neighbor_table(dep).neighbors == reference_table(dep)
+
+    def test_entries_are_plain_python_shared_objects(self):
+        # numpy scalars would change the reachability CSV's float reprs and
+        # break json.dumps of traces. Rows hold the nodes' own id objects
+        # (ids past the small-int cache) and one distance object per pair.
+        base = generate_deployment(200, 50, 50, 5, seed=4)
+        nodes = [SensorNode(n.id + 10**6, n.position, 1.0, 5.0) for n in base.nodes]
+        dep = Deployment(nodes, 50.0, 50.0, 5.0)
+        table = build_neighbor_table(dep)
+        by_id = {n.id: n.id for n in nodes}
+        for nid, row in table.neighbors.items():
+            for other, d in row:
+                assert type(other) is int and type(d) is float
+                assert other is by_id[other]
+                assert next(e for o, e in table[other] if o == nid) is d
 
 
 class TestDrainBattery:

@@ -294,6 +294,35 @@ class TestGridIndex:
             assert index.query(center) == brute_force_query(pts, center, 3.0)
         assert index.query(pts[0]) == [(0, 0.0), (1, 3.0)]
 
+    def test_pair_rounding_down_to_the_radius(self):
+        # points 1 and 2 are 0.5 apart after rounding; with cells of side
+        # exactly 0.5 they sit in cells 2 and 0, outside each other's block
+        pts = {0: Point2D(0.0, 0.0), 1: Point2D(1.0, 0.0), 2: Point2D(0.49999999999999994, 0.0)}
+        index = GridIndex(pts, 0.5)
+        for center in pts.values():
+            assert index.query(center) == brute_force_query(pts, center, 0.5)
+        assert index.query(pts[1]) == [(1, 0.0), (2, 0.5)]
+
+    def test_matches_brute_force_near_cell_edges(self):
+        # lattice points at multiples of r/2, each coordinate nudged by up
+        # to two ulps: pairs land on, just inside and just past cell edges
+        rng = random.Random(0)
+
+        def nudge(v):
+            for _ in range(rng.randint(0, 2)):
+                v = math.nextafter(v, rng.choice((-math.inf, math.inf)))
+            return v
+
+        for _ in range(3000):
+            r = rng.choice((0.1, 0.3, 0.5, 1.0, 3.0, 5.0, 10.0))
+            pts = {
+                i: Point2D(nudge(rng.randint(0, 6) * r / 2), nudge(rng.randint(0, 6) * r / 2))
+                for i in range(5)
+            }
+            index = GridIndex(pts, r)
+            for center in pts.values():
+                assert index.query(center) == brute_force_query(pts, center, r)
+
 
 class TestReachabilityCsv:
     def test_roundtrip(self, tmp_path):

@@ -374,6 +374,27 @@ class TestRunRound:
         for nid in s1.active:
             assert dep.node(nid).state in (IDLE, ACTIVE)
 
+    def test_table_of_another_radius_rejected(self):
+        # a table built for r = 5 links nodes 8 m apart; at r = 3 (2r = 6)
+        # they are isolated, and that table would make them one cluster
+        dep = make_deployment([(0, 0), (8, 0), (16, 0)], radius=3.0)
+        other = make_deployment([(0, 0), (8, 0), (16, 0)], radius=5.0)
+        with pytest.raises(ValueError, match="radius"):
+            run_round(
+                initial_round_state(), dep, OpticsParams(eps=6, min_pts=1),
+                table=build_neighbor_table(other),
+            )
+        assert all(n.state == IDLE for n in dep.nodes)
+
+    def test_table_of_other_nodes_rejected(self):
+        dep = generate_deployment(60, 30, 30, 5, seed=2)
+        table = build_neighbor_table(generate_deployment(50, 30, 30, 5, seed=2))
+        s1, _ = run_round(initial_round_state(), dep, OpticsParams(eps=10, min_pts=4))
+        states = [n.state for n in dep.nodes]
+        with pytest.raises(ValueError, match="node ids"):
+            run_round(s1, dep, OpticsParams(eps=10, min_pts=4), table=table)
+        assert [n.state for n in dep.nodes] == states
+
     def test_all_dead_raises_with_round_index(self):
         dep = make_deployment([(0, 0), (3, 0)], batteries={0: 0.5, 1: 0.5})
         params = OpticsParams(eps=10, min_pts=1)
