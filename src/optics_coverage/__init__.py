@@ -53,7 +53,6 @@ from .protocol import (
     initial_round_state,
     iterate_rounds,
     run_round,
-    run_simulation,
     select_next,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "overlap",
     "overlap_angle",
     "run_round",
-    "run_simulation",
     "select_next",
     "summarize_experiment",
 ]

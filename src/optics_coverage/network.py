@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .geometry import Point2D
 from .spatial import neighbor_rows
@@ -47,7 +48,10 @@ class SensorNode:
 
 @dataclass
 class Deployment:
-    nodes: list[SensorNode]
+    """Sensors of one field. ``nodes`` is stored as a tuple, since the id
+    index is built once, at construction."""
+
+    nodes: Sequence[SensorNode]
     region_width: float
     region_height: float
     radius: float
@@ -55,6 +59,7 @@ class Deployment:
     _by_id: dict[int, SensorNode] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.nodes = tuple(self.nodes)
         self._by_id = {n.id: n for n in self.nodes}
         if len(self._by_id) != len(self.nodes):
             raise ValueError("node ids must be unique")

@@ -2,12 +2,14 @@
 
 Each round the eligible sensors are clustered, every cluster grows a
 selection tree from a seed node, and the union of tree nodes becomes the
-round's active set. Tree growth is driven by the acceptance level
+round's active set. A tree node sends one request per visit; its idle
+neighbors in the cluster reply, ranked by the acceptance level
 
     L = (w_b * battery + w_n * neighbor_count) / (w_d * distance)
 
-which prefers close, well-connected, well-charged candidates. A candidate
-is discarded as redundant when the overlap arcs (2*alpha each) that the
+which prefers close, well-connected, well-charged candidates, and the
+node activates the best reply that is not redundant. A reply is
+discarded as redundant when the overlap arcs (2*alpha each) that the
 already-activated discs of its cluster cut from its boundary add up to
 more than ``1 - theta`` of the full circle. The arcs are summed, not
 united, so where two active discs cover the same stretch of boundary it
@@ -124,17 +126,19 @@ def acceptance_level(
     battery: float,
     neighbor_count: int,
     distance: float,
-    w_battery: float = 0.4,
-    w_neighbors: float = 0.3,
-    w_distance: float = 0.2,
+    config: ProtocolConfig | None = None,
 ) -> float:
-    """Candidate score; higher is better. A distance weighting to 0 is co-location."""
+    """Candidate score under ``config``'s weights; higher is better.
+
+    A distance weighting to 0 is co-location.
+    """
+    cfg = config or ProtocolConfig()
     if distance < 0:
         raise ValueError(f"distance must be positive, got {distance}")
-    if w_distance * distance == 0:  # zero, or too small to divide by
+    if cfg.w_distance * distance == 0:  # zero, or too small to divide by
         raise CoLocatedSensorsError(f"candidate at distance {distance} from selector")
-    return (w_battery * battery + w_neighbors * neighbor_count) / (
-        w_distance * distance
+    return (cfg.w_battery * battery + cfg.w_neighbors * neighbor_count) / (
+        cfg.w_distance * distance
     )
 
 
@@ -158,17 +162,15 @@ def select_next(
     table: NeighborTable,
     deployment: Deployment,
     allowed: Container[int] | None = None,
-    exclude: frozenset[int] | set[int] = frozenset(),
     config: ProtocolConfig | None = None,
-) -> int | None:
-    """Idle neighbor of ``current`` answering a request with the highest
-    acceptance level.
+) -> list[int]:
+    """Replies to one request from ``current``, best first.
 
     The sender must be active; only idle neighbors answer (sleeping,
-    active and dead ones stay silent). Returns None when no idle neighbor
-    qualifies. ``allowed`` restricts candidates (e.g. to one cluster's
-    members) and ``exclude`` removes candidates already found redundant.
-    Ties break toward the lower id.
+    active and dead ones stay silent). ``allowed`` restricts who answers
+    (e.g. to one cluster's members). Replies are ranked by acceptance
+    level, highest first, ties going to the lower id; a reply scoring
+    -inf is never offered. Empty when no idle neighbor answers.
     """
     cfg = config or ProtocolConfig()
     if current not in deployment:
@@ -176,25 +178,17 @@ def select_next(
     sender = deployment.node(current)
     if sender.state != ACTIVE:
         raise ValueError(f"node {current} is {sender.state}, not active")
-    best: int | None = None
-    best_score = -math.inf
-    for nid, dist in table[current]:  # sorted by id: first max wins ties
-        if nid in exclude or (allowed is not None and nid not in allowed):
+    replies = []
+    for nid, dist in table[current]:
+        if allowed is not None and nid not in allowed:
             continue
         node = deployment.node(nid)
         if node.state != IDLE:
             continue
-        score = acceptance_level(
-            node.battery,
-            table.degree(nid),
-            dist,
-            cfg.w_battery,
-            cfg.w_neighbors,
-            cfg.w_distance,
-        )
-        if score > best_score:
-            best, best_score = nid, score
-    return best
+        score = acceptance_level(node.battery, table.degree(nid), dist, cfg)
+        if score > -math.inf:
+            replies.append((-score, nid))  # sorts best first, lower id on ties
+    return [nid for _, nid in sorted(replies)]
 
 
 def cover_cluster(
@@ -205,17 +199,21 @@ def cover_cluster(
 ) -> SelectionTree:
     """Grow one cluster's selection tree until no candidate is acceptable.
 
-    The frontier rotates breadth-first in activation order: each tree node
-    in turn activates its best acceptable idle neighbor (redundant ones are
-    discarded for the rest of the round) and re-enters the frontier behind
-    its new child; a node with no acceptable neighbor left drops out.
+    The frontier rotates breadth-first in activation order. Each visit of
+    a tree node sends one request and walks the ranked replies: a
+    redundant reply leaves the cluster's candidate pool for the rest of
+    the round, and the first acceptable one activates, after which the
+    node re-enters the frontier behind its new child. A node whose
+    replies are all redundant, or that gets none, drops out.
     Each activation adds its arc to the sums of the members in its table
     row, so a sensor co-located with a member raises as soon as it activates.
     """
     cfg = config or ProtocolConfig()
     root = choose_initial_sensor(cluster, deployment)
     tree = SelectionTree(cluster.cluster_id, root)
-    # member -> summed arc (2*alpha each) the cluster's actives cut from it
+    # candidate pool: member -> summed arc (2*alpha each) the cluster's
+    # actives cut from it. A discarded member's sum can only grow, so it
+    # would stay redundant and is dropped.
     covered = dict.fromkeys(cluster.members, 0.0)
 
     def activate(nid: int) -> None:
@@ -225,20 +223,14 @@ def cover_cluster(
                 covered[m] += 2 * overlap_angle(d, deployment.radius)
 
     activate(root)
-    discarded: set[int] = set()
     frontier = deque([root])
     while frontier:
         u = frontier.popleft()
-        while True:
-            candidate = select_next(
-                u, table, deployment, allowed=covered, exclude=discarded, config=cfg
-            )
-            if candidate is None:
-                break
+        for candidate in select_next(u, table, deployment, allowed=covered, config=cfg):
             free = (TWO_PI - covered[candidate]) / TWO_PI
             # nothing free: redundant unless theta = 0, however far the sum overshoots
             if (cfg.theta > 0) if free <= 0 else free < cfg.theta:
-                discarded.add(candidate)
+                del covered[candidate]
                 continue
             activate(candidate)
             tree.edges.append((u, candidate))
@@ -337,24 +329,27 @@ def iterate_rounds(
     config: ProtocolConfig | None = None,
     rounds: int = 1,
 ) -> Iterator[tuple[RoundState, RoundReport]]:
-    """Yield (state, report) for each round of a fresh simulation."""
+    """Yield (state, report) for each round of a fresh simulation.
+
+    ``rounds`` is checked here; the neighbor table is built at the first
+    ``next()``.
+    """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    return _rounds(deployment, params, config, rounds)
+
+
+def _rounds(
+    deployment: Deployment,
+    params: OpticsParams,
+    config: ProtocolConfig | None,
+    rounds: int,
+) -> Iterator[tuple[RoundState, RoundReport]]:
     table = build_neighbor_table(deployment)
     state = initial_round_state()
     for _ in range(rounds):
         state, report = run_round(state, deployment, params, config, table)
         yield state, report
-
-
-def run_simulation(
-    deployment: Deployment,
-    params: OpticsParams,
-    config: ProtocolConfig | None = None,
-    rounds: int = 1,
-) -> list[RoundReport]:
-    """Reports for ``rounds`` consecutive rounds on one deployment."""
-    return [report for _, report in iterate_rounds(deployment, params, config, rounds)]
 
 
 def write_trace(

@@ -126,7 +126,7 @@ class TestNeighborTable:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, count, width, height, radius, seed, twins):
-        nodes = generate_deployment(count, width, height, radius, seed).nodes
+        nodes = list(generate_deployment(count, width, height, radius, seed).nodes)
         # extra nodes on the positions of drawn nodes, some drawn twice
         nodes += [
             SensorNode(count + k, nodes[i % count].position, 1.0, radius)
@@ -263,3 +263,14 @@ class TestNodeInvariants:
         ]
         with pytest.raises(ValueError):
             Deployment(nodes, 10, 10, 5.0)
+
+    def test_nodes_fixed_at_construction(self):
+        # the id index is built once, so a node added later would be in
+        # the neighbor table but unknown to deployment.node inside a round
+        nodes = [SensorNode(i, Point2D(i, 0), 1.0, 5.0) for i in range(3)]
+        dep = Deployment(nodes, 10, 10, 5.0)
+        nodes.append(SensorNode(3, Point2D(3, 0), 1.0, 5.0))
+        assert len(dep.nodes) == 3
+        with pytest.raises(AttributeError):
+            dep.nodes.append(SensorNode(3, Point2D(3, 0), 1.0, 5.0))
+        assert 3 not in dep and [n.id for n in dep.nodes] == [0, 1, 2]

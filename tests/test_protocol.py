@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from protocol_reference import reference_cover_cluster
 
+from optics_coverage import protocol
 from optics_coverage.geometry import CoLocatedSensorsError, Point2D
 from optics_coverage.network import (
     ACTIVE,
@@ -26,7 +27,6 @@ from optics_coverage.protocol import (
     iterate_rounds,
     read_trace,
     run_round,
-    run_simulation,
     select_next,
     write_trace,
 )
@@ -87,7 +87,8 @@ class TestAcceptanceLevel:
         assert weak_battery > strong_battery
 
     def test_custom_weights(self):
-        assert acceptance_level(0.8, 5, 2, 1.0, 0.0, 1.0) == pytest.approx(0.4)
+        weights = ProtocolConfig(w_battery=1.0, w_neighbors=0.0, w_distance=1.0)
+        assert acceptance_level(0.8, 5, 2, weights) == pytest.approx(0.4)
 
 
 class TestProtocolConfig:
@@ -137,7 +138,7 @@ class TestChooseInitialSensor:
 
 
 class TestSelectNext:
-    def test_argmax_by_level(self):
+    def test_ranked_by_level(self):
         # radius 1 keeps neighborhoods small: candidate 2 has an extra
         # neighbor (the sleeping node 3), so its level wins despite the
         # weaker battery
@@ -150,35 +151,68 @@ class TestSelectNext:
         table = build_neighbor_table(dep)
         assert table.degree(1) == 1
         assert table.degree(2) == 2
-        assert select_next(0, table, dep) == 2
+        assert select_next(0, table, dep) == [2, 1]
+
+    def test_full_ranking_order(self):
+        positions = [(0, 0), (6, 0), (0, 2), (-4, 1), (3, 3), (1, -7), (-2, -2)]
+        batteries = {1: 0.9, 2: 0.55, 3: 0.7, 4: 1.0, 5: 0.8, 6: 0.6}
+        dep = make_deployment(positions, batteries=batteries, states={0: ACTIVE})
+        table = build_neighbor_table(dep)
+        levels = {
+            nid: acceptance_level(batteries[nid], table.degree(nid), d)
+            for nid, d in table[0]
+        }
+        assert len(set(levels.values())) == 6
+        assert select_next(0, table, dep) == sorted(levels, key=levels.get, reverse=True)
+
+    def test_ties_go_to_lower_id(self):
+        # 1, 2 and 3 are exactly 3 m out with equal battery and degree;
+        # 4 is closer and outranks them
+        dep = make_deployment(
+            [(0, 0), (3, 0), (0, 3), (-3, 0), (0, -2)], states={0: ACTIVE}
+        )
+        table = build_neighbor_table(dep)
+        assert {table.degree(nid) for nid in (1, 2, 3)} == {4}
+        assert select_next(0, table, dep) == [4, 1, 2, 3]
 
     def test_no_idle_neighbors(self):
         dep = make_deployment([(0, 0), (3, 0)], states={0: ACTIVE, 1: SLEEPING})
         table = build_neighbor_table(dep)
-        assert select_next(0, table, dep) is None
+        assert select_next(0, table, dep) == []
 
-    def test_exclude_and_allowed_filters(self):
+    def test_allowed_filter(self):
         dep = make_deployment([(0, 0), (3, 0), (0, 3)], states={0: ACTIVE})
         table = build_neighbor_table(dep)
-        assert select_next(0, table, dep, allowed={1}) == 1
-        assert select_next(0, table, dep, exclude={1, 2}) is None
+        assert select_next(0, table, dep, allowed={1}) == [1]
+        assert select_next(0, table, dep, allowed=set()) == []
 
-    def test_never_returns_non_idle(self):
+    def test_minus_inf_reply_never_offered(self):
+        # a negative battery weight over a subnormal distance scores -inf
+        dep = make_deployment([(0, 0), (1e-310, 0), (3, 0)], states={0: ACTIVE})
+        table = build_neighbor_table(dep)
+        config = ProtocolConfig(w_battery=-1.0, w_neighbors=0.0)
+        assert acceptance_level(1.0, 2, 1e-310, config) == -math.inf
+        assert select_next(0, table, dep, config=config) == [2]
+        assert select_next(0, table, dep, allowed={1}, config=config) == []
+        # +inf, from the default weights, ranks first
+        assert select_next(0, table, dep) == [1, 2]
+
+    def test_only_idle_neighbors_answer(self):
         dep = generate_deployment(40, 30, 30, 5, seed=3)
         table = build_neighbor_table(dep)
         dep.nodes[0].state = ACTIVE
         for n in dep.nodes[1:20]:
             n.state = SLEEPING
-        chosen = select_next(0, table, dep)
-        if chosen is not None:
-            assert dep.node(chosen).state == IDLE
+        replies = select_next(0, table, dep)
+        assert replies
+        assert sorted(replies) == [nid for nid, _ in table[0] if dep.node(nid).state == IDLE]
 
-    def test_distance_rescaling_preserves_argmax(self):
+    def test_distance_rescaling_preserves_ranking(self):
         # scaling all geometry by a common factor scales every level by
-        # the same 1/c, so the winner cannot change
+        # the same 1/c, so the ranking cannot change
         positions = [(0, 0), (4, 1), (1, 4), (3, 3)]
         batteries = {1: 0.9, 2: 0.7, 3: 0.8}
-        winners = []
+        rankings = []
         for c in (1.0, 2.0, 7.5):
             dep = make_deployment(
                 [(x * c, y * c) for x, y in positions],
@@ -187,9 +221,9 @@ class TestSelectNext:
                 states={0: ACTIVE},
             )
             table = build_neighbor_table(dep)
-            winners.append(select_next(0, table, dep))
-        assert winners[0] is not None
-        assert len(set(winners)) == 1
+            rankings.append(select_next(0, table, dep))
+        assert len(rankings[0]) == 3
+        assert rankings[0] == rankings[1] == rankings[2]
 
     def test_co_located_candidate_raises(self):
         dep = make_deployment([(0, 0), (0, 0)], states={0: ACTIVE})
@@ -212,7 +246,7 @@ class TestSelectNext:
     def test_isolated_selector(self):
         dep = make_deployment([(0, 0), (50, 50)], states={0: ACTIVE})
         table = build_neighbor_table(dep)
-        assert select_next(0, table, dep) is None
+        assert select_next(0, table, dep) == []
 
 
 class TestCoverCluster:
@@ -293,6 +327,22 @@ class TestCoverCluster:
                 # exit at the full circle can skip the d = 0 term; the arc sums
                 # raise once a sensor with a co-located member twin activates
                 assert ours == "co-located"
+
+    def test_one_request_per_visit(self, monkeypatch):
+        # each activation puts the child and its parent back on the
+        # frontier, and the root starts it: 1 + 2 * edges visits
+        requests = []
+
+        def counted(current, *args, **kwargs):
+            requests.append(current)
+            return select_next(current, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "select_next", counted)
+        dep = generate_deployment(80, 40, 40, 5, seed=21)
+        table = build_neighbor_table(dep)
+        tree = cover_cluster(Cluster(0, tuple(n.id for n in dep.nodes)), dep, table)
+        assert tree.edges
+        assert len(requests) == 1 + 2 * len(tree.edges)
 
     def test_tree_property(self):
         dep = generate_deployment(80, 40, 40, 5, seed=21)
@@ -400,14 +450,15 @@ class TestRunRound:
         params = OpticsParams(eps=10, min_pts=1)
         config = ProtocolConfig(battery_drain=1.0, grid_resolution=10)
         with pytest.raises(AllNodesDeadError) as err:
-            run_simulation(dep, params, config, rounds=5)
+            list(iterate_rounds(dep, params, config, rounds=5))
         assert err.value.round_index >= 2
 
 
-class TestRunSimulation:
+class TestIterateRounds:
     def test_single_round(self):
         dep = generate_deployment(50, 50, 50, 5, seed=2)
-        reports = run_simulation(dep, OpticsParams(eps=10, min_pts=4), rounds=1)
+        rounds = iterate_rounds(dep, OpticsParams(eps=10, min_pts=4), rounds=1)
+        reports = [report for _, report in rounds]
         assert len(reports) == 1
 
     def test_rotation_disjoint_and_battery_decreasing(self):
@@ -432,7 +483,25 @@ class TestRunSimulation:
     def test_bad_round_count(self):
         dep = generate_deployment(10, 50, 50, 5, seed=5)
         with pytest.raises(ValueError):
-            run_simulation(dep, OpticsParams(eps=10, min_pts=4), rounds=0)
+            iterate_rounds(dep, OpticsParams(eps=10, min_pts=4), rounds=0)
+
+    def test_rounds_checked_at_call_table_built_at_first_next(self, monkeypatch):
+        builds = []
+
+        def counted(deployment):
+            builds.append(deployment)
+            return build_neighbor_table(deployment)
+
+        monkeypatch.setattr(protocol, "build_neighbor_table", counted)
+        dep = generate_deployment(30, 50, 50, 5, seed=5)
+        params = OpticsParams(eps=10, min_pts=4)
+        with pytest.raises(ValueError, match="rounds"):
+            zip(range(0), iterate_rounds(dep, params, rounds=-1))
+        rounds = iterate_rounds(dep, params, rounds=2)
+        assert builds == []
+        next(rounds)
+        next(rounds)
+        assert builds == [dep]
 
 
 class TestTrace:
