@@ -8,10 +8,8 @@ active-node ratios and coverage estimates over sleep/wake rounds.
 
 from .geometry import (
     CoLocatedSensorsError,
-    Disc,
     OverlapResult,
     Point2D,
-    disc_contains,
     euclidean_distance,
     non_overlapped_perimeter,
     overlap,
@@ -50,7 +48,6 @@ from .protocol import (
     acceptance_level,
     choose_initial_sensor,
     cover_cluster,
-    initial_round_state,
     iterate_rounds,
     run_round,
     select_next,
@@ -62,7 +59,6 @@ __all__ = [
     "ClusterAssignment",
     "CoLocatedSensorsError",
     "Deployment",
-    "Disc",
     "ExperimentSummary",
     "NeighborTable",
     "OpticsParams",
@@ -81,13 +77,11 @@ __all__ = [
     "choose_initial_sensor",
     "cover_cluster",
     "coverage_grid",
-    "disc_contains",
     "drain_battery",
     "euclidean_distance",
     "extract_clusters",
     "generate_deployment",
     "grid_cr",
-    "initial_round_state",
     "iterate_rounds",
     "non_overlapped_perimeter",
     "optics_order",

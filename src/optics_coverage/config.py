@@ -45,7 +45,7 @@ class RunConfig:
     eps: float | None = _ini("optics", None, note="blank eps means 2 * radius")
     min_pts: int = _ini("optics", 4)
     eps_prime: float | None = _ini(
-        "optics", _PROTOCOL.eps_prime, note="blank eps_prime means eps / 2"
+        "optics", None, note="blank eps_prime means eps / 2"
     )
     theta: float = _ini("protocol", _PROTOCOL.theta)
     battery_drain: float = _ini("protocol", _PROTOCOL.battery_drain)
@@ -66,7 +66,7 @@ class RunConfig:
         return self.eps if self.eps is not None else 2 * self.radius
 
     def optics_params(self) -> OpticsParams:
-        return OpticsParams(eps=self.resolved_eps, min_pts=self.min_pts)
+        return OpticsParams(self.resolved_eps, self.min_pts, self.eps_prime)
 
     def protocol_config(self) -> ProtocolConfig:
         return ProtocolConfig(
@@ -94,10 +94,6 @@ class RunConfig:
                 f"optics.eps = {self.resolved_eps} is below the coverage radius "
                 f"{self.radius}: the request range 2r must fit inside the "
                 f"clustering neighborhood (2r <= 2*eps requires eps >= r)"
-            )
-        if self.eps_prime is not None and self.eps_prime > self.resolved_eps:
-            raise ConfigError(
-                f"optics.eps_prime = {self.eps_prime} exceeds eps = {self.resolved_eps}"
             )
         if not self.d_list or any(d < 1 for d in self.d_list):
             raise ConfigError("experiment.d_list must list deployment sizes >= 1")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import RunConfig
-from .geometry import Disc, Point2D
+from .geometry import Point2D
 from .metrics import (
     ExperimentSummary,
     RoundReport,
@@ -154,29 +154,24 @@ class BaselineResult:
         return sum(p.rand_grid_cr for p in self.pairs) / len(self.pairs)
 
 
-def run_rand_baseline(
-    config: RunConfig,
-    deployed: int | None = None,
-    trials: int | None = None,
-) -> BaselineResult:
+def run_rand_baseline(config: RunConfig) -> BaselineResult:
     """Paired protocol-vs-random coverage comparison at equal active counts.
 
-    For each trial the protocol picks its active set; a uniformly random
+    ``config.trials`` deployments of ``config.count`` sensors each; for
+    each one the protocol picks its active set, and a uniformly random
     subset of the same size from the same deployment is scored with the
     same grid estimator. Raises ``ConfigError`` for an invalid config
     before any deployment is generated.
     """
     config.validate()
-    deployed = deployed if deployed is not None else config.count
-    trials = trials if trials is not None else config.trials
     params = config.optics_params()
     proto = config.protocol_config()
     region = (config.width, config.height)
     pairs: list[BaselinePair] = []
-    for trial in range(trials):
+    for trial in range(config.trials):
         seed = trial_seed(config.seed, trial)
         deployment = generate_deployment(
-            deployed,
+            config.count,
             config.width,
             config.height,
             config.radius,
@@ -188,19 +183,18 @@ def run_rand_baseline(
         except AllNodesDeadError:
             continue
         k = report.active_count
-        if k == 0:
-            pairs.append(BaselinePair(trial, seed, 0, 0.0, 0.0))
-            continue
         # separate deterministic stream so the random pick cannot be
         # correlated with the deployment draw
         rng = random.Random(seed * 1_000_003 + 17)
         rand_ids = rng.sample([n.id for n in deployment.nodes], k)
-        rand_discs = [
-            Disc(deployment.node(nid).position, config.radius) for nid in rand_ids
-        ]
-        rand_cr = grid_cr(rand_discs, region, config.grid_resolution)
+        rand_cr = grid_cr(
+            [deployment.node(nid).position for nid in rand_ids],
+            config.radius,
+            region,
+            config.grid_resolution,
+        )
         pairs.append(BaselinePair(trial, seed, k, report.grid_cr, rand_cr))
-    return BaselineResult(deployed, pairs)
+    return BaselineResult(config.count, pairs)
 
 
 def write_baseline_csv(result: BaselineResult, out) -> None:
@@ -257,8 +251,8 @@ def export_plot_data(
         with open(reach_file, "w", newline="") as fh:
             write_reachability_csv(ordering, fh)
         written.append(reach_file)
-        discs = [Disc(positions[nid], radius) for nid in record["active"]]
-        grid = coverage_grid(discs, region, resolution)
+        active = [positions[nid] for nid in record["active"]]
+        grid = coverage_grid(active, radius, region, resolution)
         grid_file = out_path / f"coverage_round{k}.csv"
         with open(grid_file, "w", newline="") as fh:
             write_coverage_grid_csv(grid, fh)

@@ -1,9 +1,10 @@
-"""Planar geometry for sensor discs: distances, containment, boundary overlap.
+"""Planar geometry for sensor discs: points, distances, boundary overlap.
 
 All lengths are in meters and all angles in radians. Sensor coverage areas
-are modeled as closed discs of equal radius; the overlap between two discs
-is quantified by the half-angle of the boundary arc of one disc that lies
-inside the other.
+are modeled as closed discs of one common radius, so a disc is just its
+center; functions that need the radius take it as an argument. The overlap
+between two discs is quantified by the half-angle of the boundary arc of
+one disc that lies inside the other.
 """
 
 from __future__ import annotations
@@ -28,16 +29,6 @@ class Point2D:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
-class Disc:
-    center: Point2D
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +84,3 @@ def overlap(d: float, r: float) -> OverlapResult:
         overlapped_perimeter=2 * r * alpha,
         non_overlapped_perimeter=2 * r * (math.pi - alpha),
     )
-
-
-def disc_contains(disc: Disc, p: Point2D) -> bool:
-    """True iff ``p`` lies in the closed disc (boundary inclusive)."""
-    return euclidean_distance(disc.center, p) <= disc.radius

@@ -3,7 +3,9 @@
 Two coverage figures are reported side by side. The analytic one
 multiplies disc area by the active count and so ignores overlap and
 border clipping (it can exceed 100%); the grid one rasterizes the actual
-union of discs over the region and is the honest estimate.
+union of discs over the region and is the honest estimate. Both take the
+one coverage radius the sensors share, next to the active count or the
+active positions.
 
 Integer display values follow the ceiling convention: the summary table's
 N (average actives) and R (percent ratio) round up to whole numbers.
@@ -18,7 +20,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Disc
+from .geometry import Point2D
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,6 @@ class TableRow:
 
     deployed: int
     trials: tuple[int, ...]
-    mean_active: float
     n_display: int
     r_display: int
 
@@ -71,38 +72,47 @@ def analytic_cr(active: int, radius: float, area: float) -> float:
 
 
 def coverage_grid(
-    discs: Iterable[Disc], region: tuple[float, float], resolution: int = 500
+    positions: Iterable[Point2D],
+    radius: float,
+    region: tuple[float, float],
+    resolution: int = 500,
 ) -> np.ndarray:
-    """Boolean raster of cell centers covered by at least one disc.
+    """Boolean raster of cell centers covered by at least one disc of
+    ``radius`` centered at one of ``positions``.
 
     The region splits into ``resolution`` cells per side; element [i, j]
     is the cell at x index i, y index j.
     """
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
     width, height = region
     xs = (np.arange(resolution) + 0.5) * (width / resolution)
     ys = (np.arange(resolution) + 0.5) * (height / resolution)
     covered = np.zeros((resolution, resolution), dtype=bool)
-    for disc in discs:
-        cx, cy, r = disc.center.x, disc.center.y, disc.radius
-        i0 = int(np.searchsorted(xs, cx - r))
-        i1 = int(np.searchsorted(xs, cx + r, side="right"))
-        j0 = int(np.searchsorted(ys, cy - r))
-        j1 = int(np.searchsorted(ys, cy + r, side="right"))
+    for p in positions:
+        i0 = int(np.searchsorted(xs, p.x - radius))
+        i1 = int(np.searchsorted(xs, p.x + radius, side="right"))
+        j0 = int(np.searchsorted(ys, p.y - radius))
+        j1 = int(np.searchsorted(ys, p.y + radius, side="right"))
         if i0 >= i1 or j0 >= j1:
             continue
-        dx = xs[i0:i1, None] - cx
-        dy = ys[None, j0:j1] - cy
-        covered[i0:i1, j0:j1] |= dx * dx + dy * dy <= r * r
+        dx = xs[i0:i1, None] - p.x
+        dy = ys[None, j0:j1] - p.y
+        covered[i0:i1, j0:j1] |= dx * dx + dy * dy <= radius * radius
     return covered
 
 
 def grid_cr(
-    discs: Iterable[Disc], region: tuple[float, float], resolution: int = 500
+    positions: Iterable[Point2D],
+    radius: float,
+    region: tuple[float, float],
+    resolution: int = 500,
 ) -> float:
-    """Percentage of grid cell centers covered by the active discs."""
-    return 100.0 * float(coverage_grid(discs, region, resolution).mean())
+    """Percentage of grid cell centers covered by discs of ``radius`` at
+    the active ``positions``."""
+    return 100.0 * float(coverage_grid(positions, radius, region, resolution).mean())
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:
@@ -129,7 +139,6 @@ def summarize_experiment(trials: Mapping[int, Sequence[int]]) -> ExperimentSumma
             TableRow(
                 deployed=deployed,
                 trials=counts,
-                mean_active=sum(counts) / len(counts),
                 n_display=n_display,
                 r_display=r_display,
             )

@@ -1,10 +1,10 @@
 """Sensor field model: deployment, node lifecycle, neighbor relations.
 
 A deployment is a set of sensors dropped uniformly at random in a
-rectangle, each with a normalized battery level and a common coverage
-radius. Two sensors are direct neighbors when their centers are at most
-twice the coverage radius apart, which is also the request broadcast
-range. Positions never change after deployment.
+rectangle, each with a normalized battery level; the deployment holds the
+one coverage radius r they all share. Two sensors are direct neighbors
+when their centers are at most 2r apart, which is also the request
+broadcast range. Positions never change after deployment.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class SensorNode:
     id: int
     position: Point2D
     battery: float
-    radius: float
     state: str = IDLE
 
     def __post_init__(self):
@@ -49,7 +48,8 @@ class SensorNode:
 @dataclass
 class Deployment:
     """Sensors of one field. ``nodes`` is stored as a tuple, since the id
-    index is built once, at construction."""
+    index is built once, at construction. ``radius`` is the coverage
+    radius r of every sensor; nothing else stores a copy of it."""
 
     nodes: Sequence[SensorNode]
     region_width: float
@@ -59,6 +59,8 @@ class Deployment:
     _by_id: dict[int, SensorNode] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         self.nodes = tuple(self.nodes)
         self._by_id = {n.id: n for n in self.nodes}
         if len(self._by_id) != len(self.nodes):
@@ -112,9 +114,7 @@ def generate_deployment(
     nodes = []
     for i in range(count):
         pos = Point2D(rng.uniform(0, width), rng.uniform(0, height))
-        nodes.append(
-            SensorNode(id=i, position=pos, battery=rng.uniform(lo, hi), radius=radius)
-        )
+        nodes.append(SensorNode(id=i, position=pos, battery=rng.uniform(lo, hi)))
     return Deployment(nodes, width, height, radius, seed)
 
 

@@ -4,7 +4,9 @@ The ordering algorithm walks the point set expanding from core points,
 always taking the unprocessed point with the smallest current reachability
 distance. The resulting linear order, annotated with reachability and core
 distances, encodes the density structure; clusters are read off it with a
-single horizontal reachability threshold.
+single horizontal reachability threshold, the cut eps_prime. As in Ankerst
+et al. (1999), the cut is a parameter of the clustering next to eps and
+min_pts, so ``OpticsParams`` holds all three.
 
 Determinism rules (needed for reproducible runs and reference comparison):
 the next start point is the lowest unprocessed id, and equal reachabilities
@@ -27,20 +29,29 @@ from .spatial import brute_force_query  # noqa: F401 - perfbench/tracing.py wrap
 
 @dataclass(frozen=True)
 class OpticsParams:
-    """Neighborhood radius and the core-point population threshold.
+    """Neighborhood radius, core-point population threshold and cluster cut.
 
     ``min_pts`` counts the point itself as part of its own neighborhood,
     so ``min_pts=1`` makes every point a core point with core distance 0.
+    ``eps_prime`` is the reachability cut of ``extract_clusters``; None
+    resolves to ``eps / 2`` here, and any other value must lie in (0, eps].
     """
 
     eps: float
     min_pts: int
+    eps_prime: float | None = None
 
     def __post_init__(self):
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.min_pts < 1:
             raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
+        if self.eps_prime is None:
+            object.__setattr__(self, "eps_prime", self.eps / 2)
+        elif not 0 < self.eps_prime <= self.eps:
+            raise ValueError(
+                f"eps_prime must be in (0, eps = {self.eps}], got {self.eps_prime}"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Per-cluster node activation and the round-based active/sleep rotation.
 
-Each round the eligible sensors are clustered, every cluster grows a
-selection tree from a seed node, and the union of tree nodes becomes the
-round's active set. A tree node sends one request per visit; its idle
-neighbors in the cluster reply, ranked by the acceptance level
+Each round the eligible sensors are clustered (an OPTICS ordering cut at
+``OpticsParams.eps_prime``), every cluster grows a selection tree from a
+seed node, and the union of tree nodes becomes the round's active set. A
+tree node sends one request per visit; its idle neighbors in the cluster
+reply, ranked by the acceptance level
 
     L = (w_b * battery + w_n * neighbor_count) / (w_d * distance)
 
@@ -28,7 +29,6 @@ from typing import IO, Container, Iterable, Iterator
 
 from .geometry import (
     CoLocatedSensorsError,
-    Disc,
     Point2D,
     euclidean_distance,
     overlap_angle,
@@ -63,8 +63,6 @@ class ProtocolConfig:
     ``theta`` is the minimum fraction of a candidate's boundary that must
     stay free of the summed overlap arcs of already-active discs for it to
     be worth activating.
-    ``eps_prime`` is the reachability cut used for cluster extraction
-    (defaults to half the clustering eps when None).
     """
 
     theta: float = 0.1
@@ -73,12 +71,11 @@ class ProtocolConfig:
     w_battery: float = 0.4
     w_neighbors: float = 0.3
     w_distance: float = 0.2
-    eps_prime: float | None = None
     grid_resolution: int = 500
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not 0 <= self.theta <= 1:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
@@ -92,8 +89,6 @@ class ProtocolConfig:
             raise ValueError(
                 f"grid_resolution must be >= 10, got {self.grid_resolution}"
             )
-        if self.eps_prime is not None and self.eps_prime <= 0:
-            raise ValueError(f"eps_prime must be positive, got {self.eps_prime}")
 
 
 @dataclass
@@ -116,10 +111,6 @@ class RoundState:
     sleeping: dict[int, int] = field(default_factory=dict)
     trees: list[SelectionTree] = field(default_factory=list)
     ordering: list[OrderedPoint] = field(default_factory=list)
-
-
-def initial_round_state() -> RoundState:
-    return RoundState(round_index=0)
 
 
 def acceptance_level(
@@ -240,10 +231,6 @@ def cover_cluster(
     return tree
 
 
-def _resolve_eps_prime(params: OpticsParams, config: ProtocolConfig) -> float:
-    return config.eps_prime if config.eps_prime is not None else params.eps / 2
-
-
 def run_round(
     state: RoundState,
     deployment: Deployment,
@@ -294,10 +281,8 @@ def run_round(
     ordering: list[OrderedPoint] = []
     if eligible:
         ordering = optics_order(eligible, params, table)
-        assignment = extract_clusters(ordering, _resolve_eps_prime(params, cfg))
-        # clusters are node-disjoint, so covering order cannot matter;
-        # sort only to fix the trace layout
-        for cluster in sorted(assignment.clusters, key=lambda c: c.cluster_id):
+        assignment = extract_clusters(ordering, params.eps_prime)
+        for cluster in assignment.clusters:
             trees.append(cover_cluster(cluster, deployment, table, cfg))
 
     active = set()
@@ -310,7 +295,8 @@ def run_round(
         ratio_r=active_ratio(len(active), len(deployment.nodes)),
         analytic_cr=analytic_cr(len(active), deployment.radius, area),
         grid_cr=grid_cr(
-            [Disc(deployment.node(nid).position, deployment.radius) for nid in active],
+            [deployment.node(nid).position for nid in active],
+            deployment.radius,
             (deployment.region_width, deployment.region_height),
             cfg.grid_resolution,
         ),
@@ -331,11 +317,19 @@ def iterate_rounds(
 ) -> Iterator[tuple[RoundState, RoundReport]]:
     """Yield (state, report) for each round of a fresh simulation.
 
-    ``rounds`` is checked here; the neighbor table is built at the first
-    ``next()``.
+    ``rounds`` and the deployment are checked here: every alive node must
+    be idle, since a deployment that has already run keeps its actives and
+    sleepers, which a fresh round state does not know of. The neighbor
+    table is built at the first ``next()``.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
+    for node in deployment.nodes:
+        if node.alive and node.state != IDLE:
+            raise ValueError(
+                f"node {node.id} is {node.state}: iterate_rounds needs a "
+                f"deployment whose alive nodes are all idle"
+            )
     return _rounds(deployment, params, config, rounds)
 
 
@@ -346,7 +340,7 @@ def _rounds(
     rounds: int,
 ) -> Iterator[tuple[RoundState, RoundReport]]:
     table = build_neighbor_table(deployment)
-    state = initial_round_state()
+    state = RoundState(0)
     for _ in range(rounds):
         state, report = run_round(state, deployment, params, config, table)
         yield state, report

@@ -16,7 +16,7 @@ import pytest
 
 from optics_coverage.config import RunConfig
 from optics_coverage.experiments import run_rand_baseline
-from optics_coverage.geometry import Disc, Point2D, non_overlapped_perimeter, overlap
+from optics_coverage.geometry import Point2D, non_overlapped_perimeter, overlap
 from optics_coverage.metrics import RoundReport, analytic_cr, grid_cr, summarize_experiment
 from optics_coverage.network import Deployment, generate_deployment
 from optics_coverage.optics import OpticsParams, extract_clusters, optics_order
@@ -91,8 +91,10 @@ def _random_floor_grid_cr(config: RunConfig, run: BandRun) -> float:
     ids = [n.id for n in run.deployment.nodes]
     k = -(-FRACTION_FLOOR * len(ids) // 100)
     picked = random.Random(run.seed * 1_000_003 + 17).sample(ids, k)
-    discs = [Disc(run.deployment.node(nid).position, config.radius) for nid in picked]
-    return grid_cr(discs, (config.width, config.height), config.grid_resolution)
+    positions = [run.deployment.node(nid).position for nid in picked]
+    return grid_cr(
+        positions, config.radius, (config.width, config.height), config.grid_resolution
+    )
 
 
 @dataclass(frozen=True)
@@ -373,7 +375,7 @@ def test_criterion_8_rotation_disjoint_and_battery_drops():
 
 def test_criterion_9_protocol_vs_random_baseline():
     config = RunConfig()
-    result = run_rand_baseline(config, deployed=300, trials=20)
+    result = run_rand_baseline(replace(config, count=300, trials=20))
     print("    paired grid coverage (protocol vs random, equal active counts):")
     for pair in result.pairs:
         print(

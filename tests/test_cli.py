@@ -39,6 +39,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="2r <= 2\\*eps"):
             config.validate()
 
+    def test_eps_prime_above_eps_rejected(self):
+        config = load_config(overrides=["optics.eps=10", "optics.eps_prime=12"])
+        with pytest.raises(ConfigError, match="eps_prime"):
+            config.validate()
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config(overrides=["optics.bogus=1"])
@@ -328,10 +333,20 @@ class TestExperimentHelpers:
         config = load_config(
             overrides=["deployment.count=40", "experiment.grid_resolution=50"]
         )
-        result = run_rand_baseline(config, trials=2)
+        result = run_rand_baseline(replace(config, trials=2))
         assert len(result.pairs) == 2
         for pair in result.pairs:
             assert pair.active_count > 0
+
+    def test_baseline_trial_that_activates_nothing(self):
+        # min_pts above D: no core point, so no cluster and no active node
+        config = replace(RunConfig(), count=5, min_pts=6, trials=2, grid_resolution=50)
+        result = run_rand_baseline(config)
+        assert result.deployed == 5
+        assert result.pairs == [
+            experiments.BaselinePair(0, 42, 0, 0.0, 0.0),
+            experiments.BaselinePair(1, 43, 0, 0.0, 0.0),
+        ]
 
     @pytest.mark.parametrize(
         "config",

@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 
 from optics_coverage.geometry import (
     CoLocatedSensorsError,
-    Disc,
     Point2D,
-    disc_contains,
     euclidean_distance,
     non_overlapped_perimeter,
     overlap,
@@ -126,27 +124,12 @@ class TestNonOverlappedPerimeter:
         assert non_overlapped_perimeter(d, r) == pytest.approx(mc_perimeter, rel=0.01)
 
 
-class TestDiscContains:
-    def test_center(self):
-        assert disc_contains(Disc(Point2D(0, 0), 5), Point2D(0, 0))
-
-    def test_boundary_inclusive(self):
-        assert disc_contains(Disc(Point2D(0, 0), 5), Point2D(5, 0))
-
-    def test_just_outside(self):
-        assert not disc_contains(Disc(Point2D(0, 0), 5), Point2D(3.6, 3.6))
-
-
 class TestTypes:
     def test_point_must_be_finite(self):
         with pytest.raises(ValueError):
             Point2D(math.nan, 0)
         with pytest.raises(ValueError):
             Point2D(0, math.inf)
-
-    def test_disc_radius_positive(self):
-        with pytest.raises(ValueError):
-            Disc(Point2D(0, 0), 0)
 
     def test_overlap_result_fields(self):
         res = overlap(5, 5)

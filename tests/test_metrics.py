@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from optics_coverage.geometry import Disc, Point2D
+from optics_coverage.geometry import Point2D
 from optics_coverage.metrics import (
     active_ratio,
     analytic_cr,
@@ -17,11 +17,8 @@ from optics_coverage.metrics import (
 )
 
 
-def random_discs(n, rng, span=50.0, radius=5.0):
-    return [
-        Disc(Point2D(rng.uniform(0, span), rng.uniform(0, span)), radius)
-        for _ in range(n)
-    ]
+def random_positions(n, rng, span=50.0):
+    return [Point2D(rng.uniform(0, span), rng.uniform(0, span)) for _ in range(n)]
 
 
 class TestActiveRatio:
@@ -57,50 +54,58 @@ class TestAnalyticCr:
 
 class TestGridCr:
     def test_full_cover(self):
-        disc = Disc(Point2D(25, 25), 40)
-        assert grid_cr([disc], (50, 50), 200) == 100
+        assert grid_cr([Point2D(25, 25)], 40, (50, 50), 200) == 100
 
     def test_no_discs(self):
-        assert grid_cr([], (50, 50), 200) == 0
+        assert grid_cr([], 5, (50, 50), 200) == 0
 
     def test_single_interior_disc(self):
-        disc = Disc(Point2D(25, 25), 5)
-        estimate = grid_cr([disc], (50, 50), 500)
+        estimate = grid_cr([Point2D(25, 25)], 5, (50, 50), 500)
         assert estimate == pytest.approx(100 * math.pi * 25 / 2500, abs=0.1)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
-            grid_cr([], (50, 50), 9)
+            grid_cr([], 5, (50, 50), 9)
 
     def test_convergence_with_resolution(self):
         rng = random.Random(31)
-        discs = random_discs(30, rng)
-        coarse = grid_cr(discs, (50, 50), 500)
-        fine = grid_cr(discs, (50, 50), 1000)
+        positions = random_positions(30, rng)
+        coarse = grid_cr(positions, 5, (50, 50), 500)
+        fine = grid_cr(positions, 5, (50, 50), 1000)
         assert abs(coarse - fine) < 0.5
 
     def test_disc_outside_region_ignored(self):
-        disc = Disc(Point2D(200, 200), 5)
-        assert grid_cr([disc], (50, 50), 100) == 0
+        assert grid_cr([Point2D(200, 200)], 5, (50, 50), 100) == 0
 
     def test_never_exceeds_capped_analytic(self):
         rng = random.Random(77)
         for trial in range(5):
             n = rng.randint(20, 60)
-            discs = random_discs(n, rng)
-            g = grid_cr(discs, (50, 50), 500)
+            g = grid_cr(random_positions(n, rng), 5, (50, 50), 500)
             a = analytic_cr(n, 5, 2500)
             assert g <= min(100.0, a)
 
 
 class TestCoverageGrid:
     def test_shape_and_dtype(self):
-        grid = coverage_grid([], (50, 50), 64)
+        grid = coverage_grid([], 5, (50, 50), 64)
         assert grid.shape == (64, 64)
         assert grid.dtype == bool
 
+    def test_boundary_inclusive(self):
+        # cell centers sit at 0.5, 1.5, ...: (1.5, 0.5) is exactly r = 1 away
+        grid = coverage_grid([Point2D(0.5, 0.5)], 1.0, (10, 10), 10)
+        assert grid[0, 0] and grid[1, 0] and grid[0, 1]
+        assert not grid[1, 1]
+        assert grid.sum() == 3
+
+    @pytest.mark.parametrize("radius", [0, -5, math.nan, math.inf])
+    def test_radius_positive(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            coverage_grid([Point2D(25, 25)], radius, (50, 50), 64)
+
     def test_csv_export(self):
-        grid = coverage_grid([Disc(Point2D(5, 5), 4)], (10, 10), 10)
+        grid = coverage_grid([Point2D(5, 5)], 4, (10, 10), 10)
         buf = io.StringIO()
         write_coverage_grid_csv(grid, buf)
         rows = buf.getvalue().strip().splitlines()

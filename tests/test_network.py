@@ -20,7 +20,7 @@ from optics_coverage.spatial import brute_force_query
 
 def make_deployment(positions, radius=5.0, battery=1.0, states=None):
     nodes = [
-        SensorNode(i, Point2D(x, y), battery, radius, (states or {}).get(i, IDLE))
+        SensorNode(i, Point2D(x, y), battery, (states or {}).get(i, IDLE))
         for i, (x, y) in enumerate(positions)
     ]
     return Deployment(nodes, 100.0, 100.0, radius)
@@ -129,7 +129,7 @@ class TestNeighborTable:
         nodes = list(generate_deployment(count, width, height, radius, seed).nodes)
         # extra nodes on the positions of drawn nodes, some drawn twice
         nodes += [
-            SensorNode(count + k, nodes[i % count].position, 1.0, radius)
+            SensorNode(count + k, nodes[i % count].position, 1.0)
             for k, i in enumerate(twins)
         ]
         dep = Deployment(nodes, width, height, radius)
@@ -176,7 +176,7 @@ class TestNeighborTable:
             next(iterate_rounds(dep, OpticsParams(eps=10, min_pts=4)))
 
     def test_unsorted_sparse_ids(self):
-        nodes = [SensorNode(nid, Point2D(x, 0.0), 1.0, 5.0) for nid, x in ((7, 0.0), (3, 4.0), (100, 8.0))]
+        nodes = [SensorNode(nid, Point2D(x, 0.0), 1.0) for nid, x in ((7, 0.0), (3, 4.0), (100, 8.0))]
         table = build_neighbor_table(Deployment(nodes, 50.0, 50.0, 5.0))
         assert list(table.neighbors) == [7, 3, 100]
         assert table[7] == [(3, 4.0), (100, 8.0)]
@@ -192,7 +192,7 @@ class TestNeighborTable:
     def test_far_offset_field(self):
         base = generate_deployment(300, 50, 50, 5, seed=3)
         nodes = [
-            SensorNode(n.id, Point2D(n.position.x + 1e6, n.position.y + 1e6), 1.0, 5.0)
+            SensorNode(n.id, Point2D(n.position.x + 1e6, n.position.y + 1e6), 1.0)
             for n in base.nodes
         ]
         dep = Deployment(nodes, 50.0, 50.0, 5.0)
@@ -203,7 +203,7 @@ class TestNeighborTable:
         # break json.dumps of traces. Rows hold the nodes' own id objects
         # (ids past the small-int cache) and one distance object per pair.
         base = generate_deployment(200, 50, 50, 5, seed=4)
-        nodes = [SensorNode(n.id + 10**6, n.position, 1.0, 5.0) for n in base.nodes]
+        nodes = [SensorNode(n.id + 10**6, n.position, 1.0) for n in base.nodes]
         dep = Deployment(nodes, 50.0, 50.0, 5.0)
         table = build_neighbor_table(dep)
         by_id = {n.id: n.id for n in nodes}
@@ -216,31 +216,31 @@ class TestNeighborTable:
 
 class TestDrainBattery:
     def test_normal_drain(self):
-        node = SensorNode(0, Point2D(0, 0), 1.0, 5.0)
+        node = SensorNode(0, Point2D(0, 0), 1.0)
         drain_battery(node, 0.1)
         assert node.battery == pytest.approx(0.9)
         assert node.state == IDLE
 
     def test_clamps_to_zero_and_dies(self):
-        node = SensorNode(0, Point2D(0, 0), 0.05, 5.0)
+        node = SensorNode(0, Point2D(0, 0), 0.05)
         drain_battery(node, 0.1)
         assert node.battery == 0.0
         assert node.state == DEAD
 
     def test_zero_amount_is_identity(self):
-        node = SensorNode(0, Point2D(0, 0), 0.7, 5.0)
+        node = SensorNode(0, Point2D(0, 0), 0.7)
         drain_battery(node, 0.0)
         assert node.battery == 0.7
 
     def test_negative_amount_rejected(self):
-        node = SensorNode(0, Point2D(0, 0), 0.7, 5.0)
+        node = SensorNode(0, Point2D(0, 0), 0.7)
         with pytest.raises(ValueError):
             drain_battery(node, -0.1)
 
     @given(st.floats(0, 1), st.floats(0, 2, allow_nan=False))
     def test_battery_stays_normalized(self, start, amount):
         state = DEAD if start == 0 else IDLE
-        node = SensorNode(0, Point2D(0, 0), start, 5.0, state)
+        node = SensorNode(0, Point2D(0, 0), start, state)
         drain_battery(node, amount)
         assert 0.0 <= node.battery <= 1.0
 
@@ -248,29 +248,34 @@ class TestDrainBattery:
 class TestNodeInvariants:
     def test_battery_range_enforced(self):
         with pytest.raises(ValueError):
-            SensorNode(0, Point2D(0, 0), 1.5, 5.0)
+            SensorNode(0, Point2D(0, 0), 1.5)
 
     def test_dead_iff_empty(self):
         with pytest.raises(ValueError):
-            SensorNode(0, Point2D(0, 0), 0.0, 5.0, IDLE)
+            SensorNode(0, Point2D(0, 0), 0.0, IDLE)
         with pytest.raises(ValueError):
-            SensorNode(0, Point2D(0, 0), 0.5, 5.0, DEAD)
+            SensorNode(0, Point2D(0, 0), 0.5, DEAD)
 
     def test_duplicate_ids_rejected(self):
         nodes = [
-            SensorNode(0, Point2D(0, 0), 1.0, 5.0),
-            SensorNode(0, Point2D(1, 1), 1.0, 5.0),
+            SensorNode(0, Point2D(0, 0), 1.0),
+            SensorNode(0, Point2D(1, 1), 1.0),
         ]
         with pytest.raises(ValueError):
             Deployment(nodes, 10, 10, 5.0)
 
+    @pytest.mark.parametrize("radius", [0, -1, math.nan, math.inf])
+    def test_radius_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            Deployment([SensorNode(0, Point2D(0, 0), 1.0)], 10, 10, radius)
+
     def test_nodes_fixed_at_construction(self):
         # the id index is built once, so a node added later would be in
         # the neighbor table but unknown to deployment.node inside a round
-        nodes = [SensorNode(i, Point2D(i, 0), 1.0, 5.0) for i in range(3)]
+        nodes = [SensorNode(i, Point2D(i, 0), 1.0) for i in range(3)]
         dep = Deployment(nodes, 10, 10, 5.0)
-        nodes.append(SensorNode(3, Point2D(3, 0), 1.0, 5.0))
+        nodes.append(SensorNode(3, Point2D(3, 0), 1.0))
         assert len(dep.nodes) == 3
         with pytest.raises(AttributeError):
-            dep.nodes.append(SensorNode(3, Point2D(3, 0), 1.0, 5.0))
+            dep.nodes.append(SensorNode(3, Point2D(3, 0), 1.0))
         assert 3 not in dep and [n.id for n in dep.nodes] == [0, 1, 2]

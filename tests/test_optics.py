@@ -52,7 +52,7 @@ def table_layouts(draw):
     positions += [positions[i] for i in twins]
     radius = draw(st.sampled_from([2.0, 3.5, 5.0]))
     nodes = [
-        SensorNode(i, Point2D(x, y), 1.0, radius) for i, (x, y) in enumerate(positions)
+        SensorNode(i, Point2D(x, y), 1.0) for i, (x, y) in enumerate(positions)
     ]
     dep = Deployment(nodes, 30.0, 30.0, radius)
     ids = draw(st.sets(st.sampled_from(range(len(nodes))), min_size=1))
@@ -135,6 +135,15 @@ class TestOpticsOrder:
     def test_eps_must_be_positive_and_finite(self, eps):
         with pytest.raises(ValueError, match="eps"):
             OpticsParams(eps=eps, min_pts=1)
+
+    @pytest.mark.parametrize("eps_prime", [0, -1, math.nan, math.inf, 12])
+    def test_eps_prime_must_lie_in_zero_to_eps(self, eps_prime):
+        with pytest.raises(ValueError, match="eps_prime"):
+            OpticsParams(eps=10, min_pts=4, eps_prime=eps_prime)
+
+    def test_eps_prime_defaults_to_half_eps(self):
+        assert OpticsParams(eps=10, min_pts=4).eps_prime == 5.0
+        assert OpticsParams(eps=10, min_pts=4, eps_prime=10).eps_prime == 10
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_reference_small(self, seed):

@@ -9,6 +9,7 @@ from optics_coverage import protocol
 from optics_coverage.geometry import CoLocatedSensorsError, Point2D
 from optics_coverage.network import (
     ACTIVE,
+    DEAD,
     IDLE,
     SLEEPING,
     Deployment,
@@ -20,10 +21,10 @@ from optics_coverage.optics import Cluster, OpticsParams
 from optics_coverage.protocol import (
     AllNodesDeadError,
     ProtocolConfig,
+    RoundState,
     acceptance_level,
     choose_initial_sensor,
     cover_cluster,
-    initial_round_state,
     iterate_rounds,
     read_trace,
     run_round,
@@ -38,7 +39,6 @@ def make_deployment(positions, radius=5.0, batteries=None, states=None, width=10
             i,
             Point2D(x, y),
             (batteries or {}).get(i, 1.0),
-            radius,
             (states or {}).get(i, IDLE),
         )
         for i, (x, y) in enumerate(positions)
@@ -101,13 +101,11 @@ class TestProtocolConfig:
             {"sleep_rounds": 0},
             {"w_distance": 0},
             {"grid_resolution": 9},
-            {"eps_prime": 0},
             {"theta": math.nan},
             {"battery_drain": math.inf},
             {"w_battery": math.nan},
             {"w_neighbors": -math.inf},
             {"w_distance": math.inf},
-            {"eps_prime": math.nan},
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -389,7 +387,7 @@ class TestRunRound:
         # own cluster and activates without any acknowledgment exchange
         dep = make_deployment([(0, 0), (30, 0), (0, 30), (30, 30)])
         params = OpticsParams(eps=10, min_pts=1)
-        state, report = run_round(initial_round_state(), dep, params)
+        state, report = run_round(RoundState(0), dep, params)
         assert state.active == {0, 1, 2, 3}
         assert all(not t.edges for t in state.trees)
         assert report.active_count == 4
@@ -398,14 +396,14 @@ class TestRunRound:
         # three-node clump plus one distant straggler
         dep = make_deployment([(0, 0), (2, 0), (0, 2), (60, 60)])
         params = OpticsParams(eps=10, min_pts=2)
-        state, _ = run_round(initial_round_state(), dep, params)
+        state, _ = run_round(RoundState(0), dep, params)
         assert 3 not in state.active
         assert dep.node(3).state == IDLE
 
     def test_report_fields_consistent(self):
         dep = generate_deployment(100, 50, 50, 5, seed=1)
         params = OpticsParams(eps=10, min_pts=4)
-        state, report = run_round(initial_round_state(), dep, params)
+        state, report = run_round(RoundState(0), dep, params)
         assert report.deployed_count == 100
         assert report.active_count == len(state.active)
         assert report.ratio_r == pytest.approx(100 * report.active_count / 100)
@@ -414,7 +412,7 @@ class TestRunRound:
     def test_previous_actives_sleep_then_wake(self):
         dep = generate_deployment(120, 50, 50, 5, seed=6)
         params = OpticsParams(eps=10, min_pts=4)
-        s1, _ = run_round(initial_round_state(), dep, params)
+        s1, _ = run_round(RoundState(0), dep, params)
         s2, _ = run_round(s1, dep, params)
         assert s1.active.isdisjoint(s2.active)
         for nid in s1.active:
@@ -431,7 +429,7 @@ class TestRunRound:
         other = make_deployment([(0, 0), (8, 0), (16, 0)], radius=5.0)
         with pytest.raises(ValueError, match="radius"):
             run_round(
-                initial_round_state(), dep, OpticsParams(eps=6, min_pts=1),
+                RoundState(0), dep, OpticsParams(eps=6, min_pts=1),
                 table=build_neighbor_table(other),
             )
         assert all(n.state == IDLE for n in dep.nodes)
@@ -439,7 +437,7 @@ class TestRunRound:
     def test_table_of_other_nodes_rejected(self):
         dep = generate_deployment(60, 30, 30, 5, seed=2)
         table = build_neighbor_table(generate_deployment(50, 30, 30, 5, seed=2))
-        s1, _ = run_round(initial_round_state(), dep, OpticsParams(eps=10, min_pts=4))
+        s1, _ = run_round(RoundState(0), dep, OpticsParams(eps=10, min_pts=4))
         states = [n.state for n in dep.nodes]
         with pytest.raises(ValueError, match="node ids"):
             run_round(s1, dep, OpticsParams(eps=10, min_pts=4), table=table)
@@ -479,6 +477,25 @@ class TestIterateRounds:
             next(table_rounds)
             totals.append(sum(n.battery for n in dep.nodes))
         assert totals[0] > totals[1] > totals[2]
+
+    def test_fresh_deployment_required(self):
+        # a second simulation on a field that has run would start from the
+        # first one's actives and sleepers, not from a fresh field
+        dep = generate_deployment(200, 50, 50, 5, seed=42)
+        params = OpticsParams(eps=10, min_pts=4)
+        fresh = [r.active_count for _, r in iterate_rounds(dep, params, rounds=3)]
+        assert fresh == [75, 52, 67]
+        states = [n.state for n in dep.nodes]
+        with pytest.raises(ValueError, match="idle"):
+            iterate_rounds(dep, params, rounds=3)
+        assert [n.state for n in dep.nodes] == states
+
+    def test_dead_nodes_allowed(self):
+        dep = make_deployment(
+            [(0, 0), (3, 0), (6, 0)], batteries={1: 0.0}, states={1: DEAD}
+        )
+        ((state, _),) = iterate_rounds(dep, OpticsParams(eps=10, min_pts=1))
+        assert state.active and 1 not in state.active
 
     def test_bad_round_count(self):
         dep = generate_deployment(10, 50, 50, 5, seed=5)
