@@ -4,7 +4,8 @@ A deployment is a set of sensors dropped uniformly at random in a
 rectangle, each with a normalized battery level; the deployment holds the
 one coverage radius r they all share. Two sensors are direct neighbors
 when their centers are at most 2r apart, which is also the request
-broadcast range. Positions never change after deployment.
+broadcast range. Positions never change after deployment, so one
+neighbor table, held as CSR arrays, serves every round of a deployment.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .geometry import Point2D
 from .spatial import neighbor_rows
@@ -73,23 +77,45 @@ class Deployment:
         return node_id in self._by_id
 
 
-@dataclass
+@dataclass(eq=False)
 class NeighborTable:
-    """Distance-annotated adjacency at the 2r communication threshold.
+    """Distance-annotated adjacency, at the 2r communication threshold for
+    a deployment's table.
 
-    ``neighbors[j]`` lists (neighbor id, distance) pairs sorted by id;
-    its length is the direct-neighbor count of node j. ``radius`` is the
-    2r the rows hold, so they also serve any eps <= radius neighborhood.
+    CSR arrays over the sorted node ``ids``: the row of ``ids[i]`` is
+    ``index[indptr[i]:indptr[i + 1]]`` (neighbor positions into ``ids``)
+    with the matching ``distance`` entries, sorted by (distance, id); its
+    length is the direct-neighbor count of the node. ``radius`` is the
+    reach the rows hold, so they also serve any eps <= radius neighborhood.
+    ``table[node_id]`` and ``degree`` read one row as Python ints and
+    floats; ``neighbors`` builds every row, and no package code reads it.
     """
 
-    neighbors: dict[int, list[tuple[int, float]]]
+    ids: np.ndarray
+    indptr: np.ndarray
+    index: np.ndarray
+    distance: np.ndarray
     radius: float
+    _position: dict[int, int] = field(init=False, repr=False)
+    _bounds: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._position = {pid: i for i, pid in enumerate(self.ids.tolist())}
+        self._bounds = self.indptr.tolist()
 
     def degree(self, node_id: int) -> int:
-        return len(self.neighbors[node_id])
+        i = self._position[node_id]
+        return self._bounds[i + 1] - self._bounds[i]
 
     def __getitem__(self, node_id: int) -> list[tuple[int, float]]:
-        return self.neighbors[node_id]
+        i = self._position[node_id]
+        row = slice(self._bounds[i], self._bounds[i + 1])
+        return list(zip(self.ids[self.index[row]].tolist(), self.distance[row].tolist()))
+
+    @property
+    def neighbors(self) -> Mapping[int, list[tuple[int, float]]]:
+        """Read-only ``{id: row}`` of every row, built on each access."""
+        return MappingProxyType({pid: self[pid] for pid in self._position})
 
 
 def generate_deployment(
@@ -121,13 +147,14 @@ def generate_deployment(
 def build_neighbor_table(deployment: Deployment) -> NeighborTable:
     """Connect every pair of nodes within 2r of each other (inclusive).
 
-    ``spatial.neighbor_rows`` finds the pairs: a numpy prefilter over cell
-    blocks proposes candidates, 64 nodes at a time, and each kept distance
-    is ``math.hypot`` of the pair's coordinate differences.
+    ``spatial.neighbor_rows`` finds the pairs and lays them out as CSR
+    rows: a numpy prefilter over cell blocks proposes candidates, 64 nodes
+    at a time, and each kept distance is ``math.hypot`` of the pair's
+    coordinate differences.
     """
     radius = 2 * deployment.radius
     positions = {n.id: n.position for n in deployment.nodes}
-    return NeighborTable(neighbor_rows(positions, radius), radius)
+    return NeighborTable(*neighbor_rows(positions, radius), radius)
 
 
 def drain_battery(node: SensorNode, amount: float) -> SensorNode:

@@ -8,6 +8,8 @@ single horizontal reachability threshold, the cut eps_prime. As in Ankerst
 et al. (1999), the cut is a parameter of the clustering next to eps and
 min_pts, so ``OpticsParams`` holds all three.
 
+Neighborhoods are the distance-sorted CSR rows of a ``NeighborTable``:
+numpy finds all core distances in one pass and relaxes each row at once.
 Determinism rules (needed for reproducible runs and reference comparison):
 the next start point is the lowest unprocessed id, and equal reachabilities
 in the seed queue break toward the lower id.
@@ -21,10 +23,12 @@ import math
 from dataclasses import dataclass, field
 from typing import IO, Mapping
 
+import numpy as np
+
 from .geometry import Point2D
 from .network import NeighborTable
-from .spatial import GridIndex
-from .spatial import brute_force_query  # noqa: F401 - perfbench/tracing.py wraps it here
+# perfbench/tracing.py wraps brute_force_query here
+from .spatial import brute_force_query, neighbor_rows  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -80,18 +84,6 @@ class ClusterAssignment:
     outliers: set[int] = field(default_factory=set)
 
 
-def _core_distance_from(
-    neighborhood: list[tuple[int, float]], min_pts: int
-) -> float | None:
-    """Distance to the min_pts-th closest point of an eps-neighborhood, or
-    None when the neighborhood (the point itself included) holds fewer
-    than ``min_pts`` points, i.e. the point is not a core point."""
-    if len(neighborhood) < min_pts:
-        return None
-    dists = sorted(d for _, d in neighborhood)
-    return dists[min_pts - 1]
-
-
 def optics_order(
     points: Mapping[int, Point2D], params: OpticsParams, table: NeighborTable | None = None
 ) -> list[OrderedPoint]:
@@ -100,57 +92,65 @@ def optics_order(
     Each emitted point carries the smallest reachability distance seen from
     any core point processed before it; group starters carry None.
 
-    Given a neighbor table over the same positions with ``eps <=
-    table.radius``, a point's eps-neighborhood is itself at 0.0 plus its
-    table row's entries in ``points`` within eps; otherwise a ``GridIndex``
-    over ``points`` answers it, with the same pairs and distances.
+    A point's eps-neighborhood is itself at 0.0 plus its row entries that
+    are in ``points`` and within eps. The rows are ``table``'s, which must
+    hold every key of ``points``, when ``eps <= table.radius``, and
+    otherwise those of ``neighbor_rows(points, eps)``.
     """
     if not points:
         raise ValueError("point set must be non-empty")
     eps = params.eps
-    if table is not None and eps <= table.radius:
-
-        def neighborhood_of(pid: int) -> list[tuple[int, float]]:
-            hits = [(q, d) for q, d in table[pid] if d <= eps and q in points]
-            return [(pid, 0.0), *hits]
-
+    keys = np.array(sorted(points), dtype=np.int64)
+    if table is not None:
+        missing = keys[~np.isin(keys, table.ids)]
+        if missing.size:
+            raise ValueError(f"point {missing[0]} is not a node of the neighbor table")
+    if table is None or eps > table.radius:
+        table = NeighborTable(*neighbor_rows(points, eps), eps)
+    ids, indptr, index, distance = table.ids, table.indptr, table.index, table.distance
+    members = np.searchsorted(ids, keys)  # the points' positions, in id order
+    eligible = np.isin(ids, keys)
+    near = distance <= eps
+    # core distance: the (min_pts - 1)-th eligible entry within eps of the
+    # distance-sorted row, the point itself at 0.0 being the first
+    core = np.full(len(ids), math.nan)
+    if params.min_pts == 1:
+        core[members] = 0.0
     else:
-        index = GridIndex(points, eps)
-
-        def neighborhood_of(pid: int) -> list[tuple[int, float]]:
-            return index.query(points[pid])
-
-    reach: dict[int, float] = {}
-    processed: set[int] = set()
+        counted = np.concatenate(([0], np.cumsum(eligible[index] & near)))
+        at = np.searchsorted(counted, counted[indptr[members]] + params.min_pts - 1) - 1
+        core_point = at < indptr[members + 1]
+        core[members[core_point]] = distance[at[core_point]]
+    core_of = [None if math.isnan(cd) else cd for cd in core.tolist()]
+    id_of, bounds = ids.tolist(), indptr.tolist()
+    # +inf while a point is eligible and unreached, -inf once it is emitted or
+    # if it is not eligible: a new reachability below it is open and improving
+    reach = np.where(eligible, math.inf, -math.inf)
     order: list[OrderedPoint] = []
-    # seed queue with lazy deletion: stale heap entries are skipped when
-    # their priority no longer matches the current reachability
+    # seed queue with lazy deletion: an entry whose priority is not the current
+    # reachability is stale. Positions follow id order, so ties pop the lower id.
     heap: list[tuple[float, int]] = []
 
-    def emit(pid: int, reachability: float | None) -> None:
-        processed.add(pid)
-        neighborhood = neighborhood_of(pid)
-        cd = _core_distance_from(neighborhood, params.min_pts)
-        order.append(OrderedPoint(pid, len(order), reachability, cd))
-        if cd is None:
-            return
-        for q, d in neighborhood:
-            if q == pid or q in processed:
-                continue
-            new_reach = max(cd, d)
-            if q not in reach or new_reach < reach[q]:
-                reach[q] = new_reach
-                heapq.heappush(heap, (new_reach, q))
+    def emit(i: int, reachability: float | None) -> None:
+        reach[i] = -math.inf
+        cd = core_of[i]
+        order.append(OrderedPoint(id_of[i], len(order), reachability, cd))
+        if cd is not None:
+            row = slice(bounds[i], bounds[i + 1])
+            q, new_reach = index[row], np.maximum(distance[row], cd)
+            improved = near[row] & (new_reach < reach[q])
+            q, new_reach = q[improved], new_reach[improved]
+            reach[q] = new_reach
+            for entry in zip(new_reach.tolist(), q.tolist()):
+                heapq.heappush(heap, entry)
 
-    for start in sorted(points):
-        if start in processed:
-            continue
-        emit(start, None)
-        while heap:
-            r, q = heapq.heappop(heap)
-            if q in processed or r != reach[q]:
-                continue
-            emit(q, r)
+    for start in members.tolist():
+        if reach[start] == math.inf:  # no earlier group reached it
+            emit(start, None)
+            while heap:
+                r, q = heapq.heappop(heap)
+                if r == reach[q]:
+                    emit(q, r)
     return order
 
 

@@ -256,7 +256,7 @@ def run_round(
         raise ValueError(
             f"table radius {table.radius} is not 2r = {2 * deployment.radius}"
         )
-    elif table.neighbors.keys() != {n.id for n in deployment.nodes}:
+    elif table.ids.tolist() != sorted(n.id for n in deployment.nodes):
         raise ValueError("table rows are not the deployment's node ids")
 
     sleeping: dict[int, int] = {}

@@ -1,12 +1,14 @@
-"""Fixed-radius neighbor search: the round's pair rows and a grid index.
+"""Fixed-radius neighbor search: CSR pair rows, and a grid index.
 
-``neighbor_rows`` builds the 2r neighbor table in one pass over cell
-blocks: numpy proposes each point's higher-id candidates from its 3x3
-block and drops those clearly out of reach, and every kept distance is
-``math.hypot`` on the same operands as ``brute_force_query``, the reference
-the tests compare both with. ``GridIndex`` answers the ordering's
-eps-neighborhoods when eps exceeds 2r (or a library caller orders points
-without a table), scanning the 3x3 block around each query center.
+``neighbor_rows`` builds the rows of a neighbor table (the round's at 2r,
+or the ordering's own at a wider eps) in one pass over cell blocks: numpy
+proposes each point's higher-id candidates from its 3x3 block and drops
+those clearly out of reach, every kept distance is ``math.hypot`` on the
+same operands as ``brute_force_query``, the reference the tests compare
+it with, and one ``lexsort`` over both directions of the kept pairs lays
+them out as CSR arrays. ``GridIndex``, which scans the 3x3 block around
+each query center, has no caller in the package; it stays because the
+benchmark's tracer wraps its ``query``.
 
 Both count cells from the lower corner of the points' bounding box, so no
 offset is negative and a pair straddling 0 cannot skip a cell, and both
@@ -69,27 +71,27 @@ def _cell_ranks(values: list[float], side: float) -> np.ndarray:
 
 def neighbor_rows(
     points: Mapping[int, Point2D], radius: float
-) -> dict[int, list[tuple[int, float]]]:
-    """Each point's (id, distance) row of the other points within ``radius``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs within ``radius`` as CSR rows: ``(ids, indptr, index, distance)``.
 
-    Keys follow ``points``; rows are sorted by id. A pair's distance is one
-    float, ``math.hypot(x_b - x_a, y_b - y_a)`` with a the lower id, shared
-    by both rows, and the pair is kept iff it is <= radius. numpy only
-    proposes candidates, ROW_CHUNK query points at a time: from each
-    point's 3x3 cell block, those with a higher id whose squared distance
-    is within the cell side squared (a superset of the kept pairs).
+    ``ids`` are the points' ids, sorted; row i, of ``ids[i]``, is
+    ``index[indptr[i]:indptr[i + 1]]`` (positions into ``ids``) with the
+    matching ``distance`` entries, sorted by (distance, id). A pair's
+    distance is one float, ``math.hypot(x_b - x_a, y_b - y_a)`` with a the
+    lower id, held by both rows, and the pair is kept iff it is <= radius.
+    numpy only proposes candidates, ROW_CHUNK query points at a time: from
+    each point's 3x3 cell block, those with a higher id whose squared
+    distance is within the cell side squared (a superset of the kept pairs).
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    rows: dict[int, list[tuple[int, float]]] = {pid: [] for pid in points}
-    if not rows:
-        return rows
-    # work in id order: index i is the i-th smallest id, so "higher id" is
-    # "higher index" and each row fills in id order
-    ids = sorted(rows)
-    row_of = [rows[pid] for pid in ids]
-    xs = [points[pid].x for pid in ids]
-    ys = [points[pid].y for pid in ids]
+    ids = np.array(sorted(points), dtype=np.int64)
+    n = len(ids)
+    if n == 0:
+        return ids, np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+    # index i is the i-th smallest id, so "higher id" is "higher index"
+    positions = [points[pid] for pid in ids.tolist()]
+    xs, ys = [p.x for p in positions], [p.y for p in positions]
     x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
     cell = cell_side(radius)
     cx, cy = _cell_ranks(xs, cell), _cell_ranks(ys, cell)
@@ -100,8 +102,9 @@ def neighbor_rows(
     by_cell = np.argsort(key, kind="stable")
     sorted_key = key[by_cell]
     reach2 = cell * cell
-    for start in range(0, len(ids), ROW_CHUNK):
-        q = np.arange(start, min(start + ROW_CHUNK, len(ids)))
+    pairs = []
+    for start in range(0, n, ROW_CHUNK):
+        q = np.arange(start, min(start + ROW_CHUNK, n))
         # one contiguous run of the cell order per neighboring column
         base = (cx[q, None] + np.array([-1, 0, 1])) * span + cy[q, None]
         lo = np.searchsorted(sorted_key, base - 1, side="left").ravel()
@@ -116,14 +119,18 @@ def neighbor_rows(
         dx, dy = x[b] - x[a], y[b] - y[a]
         keep = dx * dx + dy * dy <= reach2
         a, b = a[keep], b[keep]
-        order = np.lexsort((b, a))
         # a float64 difference is the same float in numpy as in Python
-        dists = map(math.hypot, dx[keep][order].tolist(), dy[keep][order].tolist())
-        for i, j, d in zip(a[order].tolist(), b[order].tolist(), dists):
-            if d <= radius:
-                row_of[i].append((ids[j], d))
-                row_of[j].append((ids[i], d))
-    return rows
+        dists = map(math.hypot, dx[keep].tolist(), dy[keep].tolist())
+        d = np.fromiter(dists, dtype=float, count=len(a))
+        within = d <= radius
+        pairs.append((a[within], b[within], d[within]))
+    a, b, d = (np.concatenate(column) for column in zip(*pairs))
+    # both directions of every pair, ordered by row, then distance, then id
+    rows, index, distance = np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((d, d))
+    order = np.lexsort((index, distance, rows))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return ids, indptr, index[order], distance[order]
 
 
 class GridIndex:

@@ -3,8 +3,8 @@ disc rescanned for every candidate.
 
 Grows a selection tree the way ``protocol.cover_cluster`` did before its
 requests returned ranked replies: each request returns only the idle
-neighbor with the highest acceptance level (the first in id order on
-ties, never one scoring -inf), and a redundant one is excluded before the
+neighbor with the highest acceptance level (the lowest id on ties,
+never one scoring -inf), and a redundant one is excluded before the
 next request. Seed choice and candidate scoring are the library's. Each
 candidate is tested for redundancy by summing the overlap arcs (2*alpha
 each) of all active discs of its cluster, from distances computed afresh,
@@ -44,14 +44,14 @@ def best_reply(current, table, deployment, allowed, exclude, config):
     """Idle allowed neighbor of ``current`` with the highest level, or None."""
     best = None
     best_score = -math.inf
-    for nid, dist in table[current]:  # sorted by id: first max wins ties
+    for nid, dist in table[current]:
         if nid in exclude or nid not in allowed:
             continue
         node = deployment.node(nid)
         if node.state != IDLE:
             continue
         score = acceptance_level(node.battery, table.degree(nid), dist, config)
-        if score > best_score:
+        if score > best_score or (score == best_score > -math.inf and nid < best):
             best, best_score = nid, score
     return best
 

@@ -27,14 +27,15 @@ def make_deployment(positions, radius=5.0, battery=1.0, states=None):
 
 
 def reference_table(dep):
-    """Neighbor rows by the brute-force scan at 2r, minus each node itself."""
+    """Neighbor rows by the brute-force scan at 2r, minus each node itself,
+    sorted by (distance, id)."""
     points = {n.id: n.position for n in dep.nodes}
+    reach = 2 * dep.radius
     return {
-        n.id: [
-            (q, d)
-            for q, d in brute_force_query(points, n.position, 2 * dep.radius)
-            if q != n.id
-        ]
+        n.id: sorted(
+            [(q, d) for q, d in brute_force_query(points, n.position, reach) if q != n.id],
+            key=lambda entry: (entry[1], entry[0]),
+        )
         for n in dep.nodes
     }
 
@@ -178,7 +179,7 @@ class TestNeighborTable:
     def test_unsorted_sparse_ids(self):
         nodes = [SensorNode(nid, Point2D(x, 0.0), 1.0) for nid, x in ((7, 0.0), (3, 4.0), (100, 8.0))]
         table = build_neighbor_table(Deployment(nodes, 50.0, 50.0, 5.0))
-        assert list(table.neighbors) == [7, 3, 100]
+        assert table.ids.tolist() == list(table.neighbors) == [3, 7, 100]
         assert table[7] == [(3, 4.0), (100, 8.0)]
         assert table[3] == [(7, 4.0), (100, 4.0)]
         assert table[100] == [(3, 4.0), (7, 8.0)]
@@ -200,18 +201,37 @@ class TestNeighborTable:
 
     def test_entries_are_plain_python_shared_objects(self):
         # numpy scalars would change the reachability CSV's float reprs and
-        # break json.dumps of traces. Rows hold the nodes' own id objects
-        # (ids past the small-int cache) and one distance object per pair.
+        # break json.dumps of traces. Rows hold node ids (past the
+        # small-int cache here) and one distance value per pair.
         base = generate_deployment(200, 50, 50, 5, seed=4)
         nodes = [SensorNode(n.id + 10**6, n.position, 1.0) for n in base.nodes]
         dep = Deployment(nodes, 50.0, 50.0, 5.0)
         table = build_neighbor_table(dep)
-        by_id = {n.id: n.id for n in nodes}
         for nid, row in table.neighbors.items():
+            assert type(nid) is int and nid in dep
             for other, d in row:
                 assert type(other) is int and type(d) is float
-                assert other is by_id[other]
-                assert next(e for o, e in table[other] if o == nid) is d
+                assert other in dep
+                back = next(e for o, e in table[other] if o == nid)
+                assert type(back) is float and back == d
+
+    @given(st.integers(0, 10_000), st.integers(1, 150))
+    @settings(max_examples=30, deadline=None)
+    def test_csr_arrays(self, seed, count):
+        dep = generate_deployment(count, 40, 40, 5, seed=seed)
+        table = build_neighbor_table(dep)
+        ids, indptr = table.ids.tolist(), table.indptr.tolist()
+        assert ids == sorted(n.id for n in dep.nodes)
+        assert indptr[0] == 0 and indptr[-1] == len(table.index) == len(table.distance)
+        assert all(a <= b for a, b in zip(indptr, indptr[1:]))
+        edges = sum(map(len, reference_table(dep).values())) // 2
+        assert len(table.index) == 2 * edges
+        for i, pid in enumerate(ids):
+            row = slice(indptr[i], indptr[i + 1])
+            entries = list(zip(table.distance[row].tolist(), table.index[row].tolist()))
+            assert entries == sorted(entries)
+            assert i not in table.index[row]
+            assert table.degree(pid) == len(entries)
 
 
 class TestDrainBattery:

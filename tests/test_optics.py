@@ -44,19 +44,21 @@ def as_tuples(points):
 
 @st.composite
 def table_layouts(draw):
-    """A deployment with some co-located pairs, and the idle subset a
-    rotation round would order."""
+    """A deployment with co-located twins, pairs exactly 2r apart and
+    sparse, unsorted ids, and the idle subset a rotation round would
+    order, in draw order."""
     coord = st.floats(0, 30)
     positions = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
     twins = draw(st.lists(st.integers(0, len(positions) - 1), max_size=4))
     positions += [positions[i] for i in twins]
     radius = draw(st.sampled_from([2.0, 3.5, 5.0]))
-    nodes = [
-        SensorNode(i, Point2D(x, y), 1.0) for i, (x, y) in enumerate(positions)
-    ]
-    dep = Deployment(nodes, 30.0, 30.0, radius)
-    ids = draw(st.sets(st.sampled_from(range(len(nodes))), min_size=1))
-    return dep, {i: nodes[i].position for i in sorted(ids)}
+    for x, y in draw(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=4)):
+        positions += [(float(x), float(y)), (x + 2 * radius, float(y))]
+    n = len(positions)
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    nodes = [SensorNode(nid, Point2D(x, y), 1.0) for nid, (x, y) in zip(ids, positions)]
+    picked = draw(st.lists(st.sampled_from(nodes), min_size=1, unique_by=lambda n: n.id))
+    return Deployment(nodes, 30.0, 30.0, radius), {n.id: n.position for n in picked}
 
 
 def by_id(points, params):
@@ -211,6 +213,33 @@ class TestOpticsOrder:
             assert optics_order(eligible, params, table) == optics_order(
                 eligible, params
             )
+
+    @given(table_layouts(), st.sampled_from([1, 2, 4, 9]))
+    @settings(max_examples=120, deadline=None)
+    def test_table_ordering_matches_reference(self, layout, min_pts):
+        dep, eligible = layout
+        table = build_neighbor_table(dep)
+        r = dep.radius
+        for eps in (r, 1.5 * r, 2 * r, 3 * r):  # 3r rebuilds rows without the table
+            got = optics_order(eligible, OpticsParams(eps=eps, min_pts=min_pts), table)
+            expected = reference_optics(as_tuples(eligible), eps, min_pts)
+            assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
+            # an np.float64 would reach the reachability CSV through repr
+            for o in got:
+                assert type(o.point_id) is int
+                assert o.reachability is None or type(o.reachability) is float
+                assert o.core_distance is None or type(o.core_distance) is float
+
+    @pytest.mark.parametrize("eps", [5.0, 30.0])  # within the table's 2r, and past it
+    def test_point_outside_table_rejected(self, eps):
+        rng = random.Random(3)
+        dep = Deployment(
+            [SensorNode(i, p, 1.0) for i, p in random_points(30, rng).items()], 20.0, 20.0, 5.0
+        )
+        table = build_neighbor_table(dep)
+        points = {99: Point2D(1.0, 1.0), 0: dep.node(0).position}
+        with pytest.raises(ValueError, match="point 99 is not a node of the neighbor table"):
+            optics_order(points, OpticsParams(eps=eps, min_pts=2), table)
 
 
 class TestExtractClusters:

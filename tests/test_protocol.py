@@ -203,7 +203,7 @@ class TestSelectNext:
             n.state = SLEEPING
         replies = select_next(0, table, dep)
         assert replies
-        assert sorted(replies) == [nid for nid, _ in table[0] if dep.node(nid).state == IDLE]
+        assert sorted(replies) == sorted(nid for nid, _ in table[0] if dep.node(nid).state == IDLE)
 
     def test_distance_rescaling_preserves_ranking(self):
         # scaling all geometry by a common factor scales every level by
