@@ -80,9 +80,9 @@ class RunConfig:
             raise ConfigError(
                 "deployment width, height and radius must be positive and finite"
             )
-        if not 0 <= self.battery_min <= self.battery_max <= 1:
+        if not (0 <= self.battery_min <= self.battery_max <= 1 and self.battery_max > 0):
             raise ConfigError(
-                "deployment battery range must satisfy 0 <= min <= max <= 1"
+                "deployment battery range must satisfy 0 <= min <= max <= 1 and max > 0"
             )
         try:
             self.optics_params()
@@ -148,8 +148,12 @@ def load_config(path: str | None = None, overrides: Sequence[str] = ()) -> RunCo
     """
     config = RunConfig()
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        # values are read literally: no key is built by % interpolation
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
         for section in parser.sections():

@@ -25,7 +25,7 @@ from .metrics import (
     write_coverage_grid_csv,
     write_table_csv,
 )
-from .network import generate_deployment
+from .network import Deployment, generate_deployment
 from .optics import OrderedPoint, write_reachability_csv
 from .protocol import (
     AllNodesDeadError,
@@ -61,6 +61,33 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return master_seed + trial
 
 
+def _run_trial(
+    config: RunConfig, deployed: int, trial: int, rounds: int
+) -> tuple[Deployment, list[tuple[RoundState, RoundReport]], TrialOutcome]:
+    """Seed, generate and simulate one trial of ``deployed`` sensors; the
+    rounds stop early, as the outcome records, if every node dies."""
+    seed = trial_seed(config.seed, trial)
+    outcome = TrialOutcome(deployed, trial, seed)
+    deployment = generate_deployment(
+        deployed,
+        config.width,
+        config.height,
+        config.radius,
+        seed,
+        battery_range=(config.battery_min, config.battery_max),
+    )
+    history: list[tuple[RoundState, RoundReport]] = []
+    try:
+        for state, report in iterate_rounds(
+            deployment, config.optics_params(), config.protocol_config(), rounds
+        ):
+            history.append((state, report))
+            outcome.active_counts.append(report.active_count)
+    except AllNodesDeadError as exc:
+        outcome.failed_round = exc.round_index
+    return deployment, history, outcome
+
+
 def run_table_experiment(
     config: RunConfig, out_dir: str | Path | None = None
 ) -> TableExperimentResult:
@@ -73,8 +100,6 @@ def run_table_experiment(
     invalid config before any deployment is generated.
     """
     config.validate()
-    params = config.optics_params()
-    proto = config.protocol_config()
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -82,25 +107,7 @@ def run_table_experiment(
     per_d: dict[int, list[int]] = {}
     for deployed in config.d_list:
         for trial in range(config.trials):
-            seed = trial_seed(config.seed, trial)
-            outcome = TrialOutcome(deployed, trial, seed)
-            deployment = generate_deployment(
-                deployed,
-                config.width,
-                config.height,
-                config.radius,
-                seed,
-                battery_range=(config.battery_min, config.battery_max),
-            )
-            rounds: list[tuple[RoundState, RoundReport]] = []
-            try:
-                for state, report in iterate_rounds(
-                    deployment, params, proto, config.rounds
-                ):
-                    rounds.append((state, report))
-                    outcome.active_counts.append(report.active_count)
-            except AllNodesDeadError as exc:
-                outcome.failed_round = exc.round_index
+            deployment, rounds, outcome = _run_trial(config, deployed, trial, config.rounds)
             outcomes.append(outcome)
             if outcome.succeeded:
                 per_d.setdefault(deployed, []).append(outcome.active_counts[0])
@@ -115,7 +122,7 @@ def run_table_experiment(
 
 def _write_trial_artifacts(
     out_path: Path,
-    deployment,
+    deployment: Deployment,
     deployed: int,
     trial: int,
     rounds: list[tuple[RoundState, RoundReport]],
@@ -164,28 +171,17 @@ def run_rand_baseline(config: RunConfig) -> BaselineResult:
     before any deployment is generated.
     """
     config.validate()
-    params = config.optics_params()
-    proto = config.protocol_config()
     region = (config.width, config.height)
     pairs: list[BaselinePair] = []
     for trial in range(config.trials):
-        seed = trial_seed(config.seed, trial)
-        deployment = generate_deployment(
-            config.count,
-            config.width,
-            config.height,
-            config.radius,
-            seed,
-            battery_range=(config.battery_min, config.battery_max),
-        )
-        try:
-            state, report = next(iter(iterate_rounds(deployment, params, proto, 1)))
-        except AllNodesDeadError:
+        deployment, rounds, outcome = _run_trial(config, config.count, trial, 1)
+        if not outcome.succeeded:
             continue
+        _, report = rounds[0]
         k = report.active_count
         # separate deterministic stream so the random pick cannot be
         # correlated with the deployment draw
-        rng = random.Random(seed * 1_000_003 + 17)
+        rng = random.Random(outcome.seed * 1_000_003 + 17)
         rand_ids = rng.sample([n.id for n in deployment.nodes], k)
         rand_cr = grid_cr(
             [deployment.node(nid).position for nid in rand_ids],
@@ -193,7 +189,7 @@ def run_rand_baseline(config: RunConfig) -> BaselineResult:
             region,
             config.grid_resolution,
         )
-        pairs.append(BaselinePair(trial, seed, k, report.grid_cr, rand_cr))
+        pairs.append(BaselinePair(trial, outcome.seed, k, report.grid_cr, rand_cr))
     return BaselineResult(config.count, pairs)
 
 
@@ -219,7 +215,8 @@ def export_plot_data(
 
     Emits one reachability CSV per round plus one coverage 0/1 grid per
     round, reconstructed from the trace's node snapshot. A resolution
-    below 10 raises ``ValueError`` before anything is written.
+    below 10, or a trace field missing or of the wrong type, raises
+    ``ValueError`` before anything is written.
     """
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
@@ -228,30 +225,38 @@ def export_plot_data(
         header, rounds = read_trace(fh)
     if not rounds:
         raise ValueError(f"trace {trace_path} contains no rounds")
+    try:
+        positions = {
+            int(nid): Point2D(float(x), float(y)) for nid, x, y in header["nodes"]
+        }
+        radius = float(header["radius"])
+        region = (float(header["region"][0]), float(header["region"][1]))
+        frames = [
+            (
+                int(record["round_index"]),
+                [
+                    OrderedPoint(
+                        point_id=int(pid),
+                        order_index=idx,
+                        reachability=None if reach is None else float(reach),
+                        core_distance=None if core is None else float(core),
+                    )
+                    for idx, (pid, reach, core) in enumerate(record["ordering"])
+                ],
+                [positions[nid] for nid in record["active"]],
+            )
+            for record in rounds
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed trace field: {exc!r}") from exc
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    positions = {
-        int(nid): Point2D(float(x), float(y)) for nid, x, y in header["nodes"]
-    }
-    radius = float(header["radius"])
-    region = (float(header["region"][0]), float(header["region"][1]))
     written = []
-    for record in rounds:
-        k = record["round_index"]
-        ordering = [
-            OrderedPoint(
-                point_id=int(pid),
-                order_index=idx,
-                reachability=None if reach is None else float(reach),
-                core_distance=None if core is None else float(core),
-            )
-            for idx, (pid, reach, core) in enumerate(record["ordering"])
-        ]
+    for k, ordering, active in frames:
         reach_file = out_path / f"reachability_round{k}.csv"
         with open(reach_file, "w", newline="") as fh:
             write_reachability_csv(ordering, fh)
         written.append(reach_file)
-        active = [positions[nid] for nid in record["active"]]
         grid = coverage_grid(active, radius, region, resolution)
         grid_file = out_path / f"coverage_round{k}.csv"
         with open(grid_file, "w", newline="") as fh:

@@ -6,6 +6,9 @@ one coverage radius r they all share. Two sensors are direct neighbors
 when their centers are at most 2r apart, which is also the request
 broadcast range. Positions never change after deployment, so one
 neighbor table, held as CSR arrays, serves every round of a deployment.
+
+``neighbor_rows`` builds every ``NeighborTable``, the deployment's at 2r
+and the ordering's own at a wider eps, in one numpy pass over grid cells.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import Point2D
-from .spatial import neighbor_rows
+from .spatial import cell_side
 
 IDLE = "idle"
 ACTIVE = "active"
@@ -27,6 +30,11 @@ SLEEPING = "sleeping"
 DEAD = "dead"
 
 STATES = frozenset({IDLE, ACTIVE, SLEEPING, DEAD})
+
+# query points per numpy pass of ``neighbor_rows``: each pass's arrays stay
+# ~100 kB at the default density; passes of 256 points raised the peak
+# resident memory of a 5k-node round by ~2.5 MB
+ROW_CHUNK = 64
 
 
 @dataclass
@@ -87,8 +95,9 @@ class NeighborTable:
     with the matching ``distance`` entries, sorted by (distance, id); its
     length is the direct-neighbor count of the node. ``radius`` is the
     reach the rows hold, so they also serve any eps <= radius neighborhood.
-    ``table[node_id]`` and ``degree`` read one row as Python ints and
-    floats; ``neighbors`` builds every row, and no package code reads it.
+    ``neighbor_rows`` builds every table. ``table[node_id]`` and ``degree``
+    read one row as Python ints and floats; ``neighbors`` builds every row,
+    and no package code reads it.
     """
 
     ids: np.ndarray
@@ -118,6 +127,78 @@ class NeighborTable:
         return MappingProxyType({pid: self[pid] for pid in self._position})
 
 
+def _cell_ranks(values: np.ndarray, side: float) -> np.ndarray:
+    """Rank of each value's cell along one axis among the occupied cells.
+
+    Cells count from the smallest value, as in ``spatial.GridIndex``.
+    Adjacent cells get adjacent ranks, so a block of ranks holds at least
+    the block of cells, and keys built from ranks stay small however far
+    apart the points are.
+    """
+    return np.unique(np.floor((values - values.min()) / side), return_inverse=True)[1]
+
+
+def neighbor_rows(points: Mapping[int, Point2D], radius: float) -> NeighborTable:
+    """The ``NeighborTable`` of the points' pairs within ``radius``, at that radius.
+
+    A pair's distance is one float, ``math.hypot(x_b - x_a, y_b - y_a)``
+    with a the lower id, held by both rows, and the pair is kept iff it is
+    <= radius. numpy only proposes candidates, ROW_CHUNK query points at a
+    time: from each point's 3x3 cell block, those with a higher id whose
+    squared distance is within the cell side squared (a superset of the
+    kept pairs).
+    """
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    ids = np.array(sorted(points), dtype=np.int64)
+    n = len(ids)
+    if n == 0:
+        no_pairs = np.empty(0, dtype=np.intp)
+        return NeighborTable(ids, np.zeros(1, dtype=np.intp), no_pairs, np.empty(0), radius)
+    # index i is the i-th smallest id, so "higher id" is "higher index"
+    positions = [points[pid] for pid in ids.tolist()]
+    x = np.array([p.x for p in positions], dtype=float)
+    y = np.array([p.y for p in positions], dtype=float)
+    cell = cell_side(radius)
+    cx, cy = _cell_ranks(x, cell), _cell_ranks(y, cell)
+    # key (column, row) -> column * span + row; rows run 0..span - 2, so a
+    # query's row range [cy - 1, cy + 1] never reaches another column
+    span = int(cy.max()) + 2
+    key = cx * span + cy
+    by_cell = np.argsort(key, kind="stable")
+    sorted_key = key[by_cell]
+    reach2 = cell * cell
+    pairs = []
+    for start in range(0, n, ROW_CHUNK):
+        q = np.arange(start, min(start + ROW_CHUNK, n))
+        # one contiguous run of the cell order per neighboring column
+        base = (cx[q, None] + np.array([-1, 0, 1])) * span + cy[q, None]
+        lo = np.searchsorted(sorted_key, base - 1, side="left").ravel()
+        hi = np.searchsorted(sorted_key, base + 1, side="right").ravel()
+        counts = hi - lo
+        offsets = np.cumsum(counts) - counts
+        pos = np.arange(counts.sum()) + np.repeat(lo - offsets, counts)
+        a = np.repeat(np.repeat(q, 3), counts)
+        b = by_cell[pos]
+        keep = b > a
+        a, b = a[keep], b[keep]
+        dx, dy = x[b] - x[a], y[b] - y[a]
+        keep = dx * dx + dy * dy <= reach2
+        a, b = a[keep], b[keep]
+        # a float64 difference is the same float in numpy as in Python
+        dists = map(math.hypot, dx[keep].tolist(), dy[keep].tolist())
+        d = np.fromiter(dists, dtype=float, count=len(a))
+        within = d <= radius
+        pairs.append((a[within], b[within], d[within]))
+    a, b, d = (np.concatenate(column) for column in zip(*pairs))
+    # both directions of every pair, ordered by row, then distance, then id
+    rows, index, distance = np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((d, d))
+    order = np.lexsort((index, distance, rows))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return NeighborTable(ids, indptr, index[order], distance[order], radius)
+
+
 def generate_deployment(
     count: int,
     width: float,
@@ -128,14 +209,19 @@ def generate_deployment(
 ) -> Deployment:
     """Drop ``count`` idle sensors uniformly at random in the rectangle.
 
-    Batteries are drawn uniformly from ``battery_range``. The same seed
-    reproduces the exact same deployment.
+    Batteries are drawn uniformly from ``battery_range``, within [0, 1]
+    and not both 0 (an empty node is dead). The same seed reproduces the
+    exact same deployment.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not all(0 < v < math.inf for v in (width, height, radius)):
         raise ValueError("width, height and radius must be positive and finite")
     lo, hi = battery_range
+    if not (0 <= lo <= hi <= 1 and hi > 0):
+        raise ValueError(
+            f"battery_range must satisfy 0 <= lo <= hi <= 1 and hi > 0, got {battery_range}"
+        )
     rng = random.Random(seed)
     nodes = []
     for i in range(count):
@@ -145,16 +231,8 @@ def generate_deployment(
 
 
 def build_neighbor_table(deployment: Deployment) -> NeighborTable:
-    """Connect every pair of nodes within 2r of each other (inclusive).
-
-    ``spatial.neighbor_rows`` finds the pairs and lays them out as CSR
-    rows: a numpy prefilter over cell blocks proposes candidates, 64 nodes
-    at a time, and each kept distance is ``math.hypot`` of the pair's
-    coordinate differences.
-    """
-    radius = 2 * deployment.radius
-    positions = {n.id: n.position for n in deployment.nodes}
-    return NeighborTable(*neighbor_rows(positions, radius), radius)
+    """Connect every pair of nodes within 2r of each other (inclusive)."""
+    return neighbor_rows({n.id: n.position for n in deployment.nodes}, 2 * deployment.radius)
 
 
 def drain_battery(node: SensorNode, amount: float) -> SensorNode:

@@ -26,9 +26,9 @@ from typing import IO, Mapping
 import numpy as np
 
 from .geometry import Point2D
-from .network import NeighborTable
+from .network import NeighborTable, neighbor_rows
 # perfbench/tracing.py wraps brute_force_query here
-from .spatial import brute_force_query, neighbor_rows  # noqa: F401
+from .spatial import brute_force_query  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def optics_order(
         if missing.size:
             raise ValueError(f"point {missing[0]} is not a node of the neighbor table")
     if table is None or eps > table.radius:
-        table = NeighborTable(*neighbor_rows(points, eps), eps)
+        table = neighbor_rows(points, eps)
     ids, indptr, index, distance = table.ids, table.indptr, table.index, table.distance
     members = np.searchsorted(ids, keys)  # the points' positions, in id order
     eligible = np.isin(ids, keys)

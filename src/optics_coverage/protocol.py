@@ -393,17 +393,14 @@ def write_trace(
 
 
 def read_trace(src: IO[str]) -> tuple[dict, list[dict]]:
-    """Parse a trace file into its header and round records."""
+    """Parse a trace file into its header and round records, JSON objects each."""
     lines = [line for line in src.read().splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty trace")
-    header = json.loads(lines[0])
-    if header.get("type") != "header":
+    header, *rounds = map(json.loads, lines)
+    if not isinstance(header, dict) or header.get("type") != "header":
         raise ValueError("trace does not start with a header record")
-    rounds = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        if record.get("type") != "round":
+    for record in rounds:
+        if not isinstance(record, dict) or record.get("type") != "round":
             raise ValueError("unexpected record type in trace")
-        rounds.append(record)
     return header, rounds

@@ -73,6 +73,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")
 
+    def test_empty_battery_range_rejected(self):
+        # batteries drawn from [0, 0] are empty, so every node would be dead
+        config = load_config(
+            overrides=["deployment.battery_min=0", "deployment.battery_max=0"]
+        )
+        with pytest.raises(ConfigError, match="max > 0"):
+            config.validate()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"count = 5\n",
+            b"[deployment]\ncount = 5\ncount = 6\n",
+            b"[deployment]\ncount = 5\n[deployment]\nseed = 3\n",
+            b"[deployment]\ncount = \xff5\n",
+        ],
+        ids=["no-section", "repeated-key", "repeated-section", "invalid-utf8"],
+    )
+    def test_malformed_file_exits_2_without_traceback(self, text, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="cannot parse"):
+            load_config(str(path))
+        assert run_cli("validate-config", "--config", str(path)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["runs%1", "%(foo)s", "100%"])
+    def test_percent_signs_read_literally(self, value, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[output]\ndir = {value}\n")
+        assert load_config(str(path)).output_dir == value
+
     def test_protocol_value_rejected_as_config_error(self):
         config = load_config(overrides=["protocol.theta=5"])
         with pytest.raises(ConfigError, match="theta"):
@@ -228,6 +260,16 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_empty_battery_range_exits_2_without_traceback(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "--out", str(tmp_path / "o"), "--d-list", "3", "--trials", "1",
+            "--set", "deployment.battery_min=0", "--set", "deployment.battery_max=0",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "battery" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_flags_override_set(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli(
@@ -314,6 +356,26 @@ class TestPlotDataCommand:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"type": "round"}\n')
         assert run_cli("plot-data", "--trace", str(bad)) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, null, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, null]]}\n',
+            "[1, 2]\n",
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": "../1", "active": [0], "ordering": []}\n',
+        ],
+        ids=["null-coordinate", "array-header", "path-round-index"],
+    )
+    def test_malformed_trace_exits_2_as_bad_trace(self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        assert run_cli("plot-data", "--trace", str(bad), "--out", str(tmp_path / "p")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad trace {bad}:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "p").exists()
 
 
 class TestExperimentHelpers:

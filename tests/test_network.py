@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,10 +9,13 @@ from optics_coverage.network import (
     DEAD,
     IDLE,
     Deployment,
+    NeighborTable,
     SensorNode,
+    _cell_ranks,
     build_neighbor_table,
     drain_battery,
     generate_deployment,
+    neighbor_rows,
 )
 from optics_coverage.optics import OpticsParams
 from optics_coverage.protocol import AllNodesDeadError, iterate_rounds
@@ -26,18 +30,21 @@ def make_deployment(positions, radius=5.0, battery=1.0, states=None):
     return Deployment(nodes, 100.0, 100.0, radius)
 
 
-def reference_table(dep):
-    """Neighbor rows by the brute-force scan at 2r, minus each node itself,
+def reference_rows(points, reach):
+    """Rows by the brute-force scan at ``reach``, minus each point itself,
     sorted by (distance, id)."""
-    points = {n.id: n.position for n in dep.nodes}
-    reach = 2 * dep.radius
     return {
-        n.id: sorted(
-            [(q, d) for q, d in brute_force_query(points, n.position, reach) if q != n.id],
+        pid: sorted(
+            [(q, d) for q, d in brute_force_query(points, p, reach) if q != pid],
             key=lambda entry: (entry[1], entry[0]),
         )
-        for n in dep.nodes
+        for pid, p in points.items()
     }
+
+
+def reference_table(dep):
+    """Neighbor rows by the brute-force scan at 2r."""
+    return reference_rows({n.id: n.position for n in dep.nodes}, 2 * dep.radius)
 
 
 class TestGenerateDeployment:
@@ -80,6 +87,19 @@ class TestGenerateDeployment:
         args[arg] = bad
         with pytest.raises(ValueError, match="positive and finite"):
             generate_deployment(*args, seed=0)
+
+    @pytest.mark.parametrize(
+        "battery_range", [(0.0, 0.0), (-0.1, 0.5), (0.6, 0.5), (0.5, 1.1), (math.nan, 1.0)]
+    )
+    def test_battery_range_checked(self, battery_range):
+        # (0, 0) would draw only empty, so dead, nodes
+        with pytest.raises(ValueError, match="battery_range"):
+            generate_deployment(5, 50, 50, 5, seed=0, battery_range=battery_range)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (0.0, 0.5), (0.25, 0.25)])
+    def test_battery_range_edges_accepted(self, lo, hi):
+        d = generate_deployment(50, 50, 50, 5, seed=0, battery_range=(lo, hi))
+        assert all(lo <= n.battery <= hi and n.state == IDLE for n in d.nodes)
 
 
 class TestNeighborTable:
@@ -214,6 +234,25 @@ class TestNeighborTable:
                 assert other in dep
                 back = next(e for o, e in table[other] if o == nid)
                 assert type(back) is float and back == d
+
+    @pytest.mark.parametrize("radius", [0.5, 3.0, 10.0, 17.5])
+    def test_neighbor_rows_builds_a_table_at_its_radius(self, radius):
+        dep = generate_deployment(150, 40, 40, 5, seed=8)
+        points = {n.id: n.position for n in dep.nodes}
+        table = neighbor_rows(points, radius)
+        assert isinstance(table, NeighborTable) and table.radius == radius
+        assert table.neighbors == reference_rows(points, radius)
+
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+        st.floats(1e-3, 100.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cell_ranks_are_dense_ranks_of_floor_cells(self, values, side):
+        v0 = min(values)
+        cells = [math.floor((v - v0) / side) for v in values]
+        rank = {c: i for i, c in enumerate(sorted(set(cells)))}
+        assert _cell_ranks(np.array(values), side).tolist() == [rank[c] for c in cells]
 
     @given(st.integers(0, 10_000), st.integers(1, 150))
     @settings(max_examples=30, deadline=None)

@@ -490,6 +490,26 @@ class TestIterateRounds:
             iterate_rounds(dep, params, rounds=3)
         assert [n.state for n in dep.nodes] == states
 
+    def test_two_round_sleep(self):
+        # sleep_rounds = 2: each round's actives sit out the next two rounds,
+        # counting down 2 then 1, and are eligible again in the third
+        dep = generate_deployment(200, 50, 50, 5, seed=3)
+        config = ProtocolConfig(sleep_rounds=2)
+        rounds = iterate_rounds(dep, OpticsParams(eps=10, min_pts=4), config, rounds=4)
+        s1, _ = next(rounds)
+        assert s1.active and s1.sleeping == {}
+        s2, _ = next(rounds)
+        assert s2.sleeping == dict.fromkeys(s1.active, 2)
+        assert all(dep.node(nid).state == SLEEPING for nid in s1.active)
+        s3, _ = next(rounds)
+        assert s3.sleeping == {**dict.fromkeys(s1.active, 1), **dict.fromkeys(s2.active, 2)}
+        assert all(dep.node(nid).state == SLEEPING for nid in s1.active | s2.active)
+        assert s3.active.isdisjoint(s1.active | s2.active)
+        s4, _ = next(rounds)
+        assert s4.sleeping == {**dict.fromkeys(s2.active, 1), **dict.fromkeys(s3.active, 2)}
+        assert all(dep.node(nid).state in (IDLE, ACTIVE) for nid in s1.active)
+        assert len(s1.active & s4.active) == 27
+
     def test_dead_nodes_allowed(self):
         dep = make_deployment(
             [(0, 0), (3, 0), (6, 0)], batteries={1: 0.0}, states={1: DEAD}
@@ -544,3 +564,11 @@ class TestTrace:
     def test_headerless_trace_rejected(self):
         with pytest.raises(ValueError):
             read_trace(io.StringIO('{"type": "round"}\n'))
+
+    @pytest.mark.parametrize(
+        "text",
+        ['[1, 2]\n', '"header"\n', '{"type": "header"}\n[3]\n', '{"type": "header"}\nnull\n'],
+    )
+    def test_records_must_be_json_objects(self, text):
+        with pytest.raises(ValueError, match="record"):
+            read_trace(io.StringIO(text))
