@@ -14,8 +14,10 @@ and the ordering's own at a wider eps, in one numpy pass over grid cells.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -29,7 +31,8 @@ ACTIVE = "active"
 SLEEPING = "sleeping"
 DEAD = "dead"
 
-STATES = frozenset({IDLE, ACTIVE, SLEEPING, DEAD})
+# state -> the int8 code a Deployment's ``state_code`` array holds
+STATE_CODE = {IDLE: 0, ACTIVE: 1, SLEEPING: 2, DEAD: 3}
 
 # query points per numpy pass of ``neighbor_rows``: each pass's arrays stay
 # ~100 kB at the default density; passes of 256 points raised the peak
@@ -37,31 +40,80 @@ STATES = frozenset({IDLE, ACTIVE, SLEEPING, DEAD})
 ROW_CHUNK = 64
 
 
-@dataclass
 class SensorNode:
-    id: int
-    position: Point2D
-    battery: float
-    state: str = IDLE
+    """One sensor. ``state`` and ``battery`` are properties: a write also
+    goes to the arrays of every ``Deployment`` that holds the node."""
 
-    def __post_init__(self):
-        if not 0.0 <= self.battery <= 1.0:
-            raise ValueError(f"battery must be in [0, 1], got {self.battery}")
-        if self.state not in STATES:
-            raise ValueError(f"unknown state {self.state!r}")
-        if (self.battery == 0.0) != (self.state == DEAD):
+    __slots__ = ("id", "position", "_battery", "_state", "_homes")
+
+    def __init__(self, id: int, position: Point2D, battery: float, state: str = IDLE):
+        if not 0.0 <= battery <= 1.0:
+            raise ValueError(f"battery must be in [0, 1], got {battery}")
+        if state not in STATE_CODE:
+            raise ValueError(f"unknown state {state!r}")
+        if (battery == 0.0) != (state == DEAD):
             raise ValueError("a node is dead exactly when its battery is empty")
+        self.id = id
+        self.position = position
+        self._battery = battery
+        self._state = state
+        # (state codes, batteries, slot) of each deployment holding the node
+        self._homes: tuple[tuple[np.ndarray, np.ndarray, int], ...] = ()
+
+    @property
+    def state(self) -> str:
+        return self._state
+
+    @state.setter
+    def state(self, value: str) -> None:
+        code = STATE_CODE.get(value)
+        if code is None:
+            raise ValueError(f"unknown state {value!r}")
+        self._state = value
+        for codes, _, slot in self._homes:
+            codes[slot] = code
+
+    @property
+    def battery(self) -> float:
+        return self._battery
+
+    @battery.setter
+    def battery(self, value: float) -> None:
+        for _, batteries, slot in self._homes:
+            batteries[slot] = value
+        self._battery = value
 
     @property
     def alive(self) -> bool:
-        return self.state != DEAD
+        return self._state != DEAD
+
+    def __repr__(self) -> str:
+        return (
+            f"SensorNode(id={self.id!r}, position={self.position!r}, "
+            f"battery={self._battery!r}, state={self._state!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SensorNode):
+            return NotImplemented
+        return (self.id, self.position, self._battery, self._state) == (
+            other.id, other.position, other._battery, other._state
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass
 class Deployment:
     """Sensors of one field. ``nodes`` is stored as a tuple, since the id
     index is built once, at construction. ``radius`` is the coverage
-    radius r of every sensor; nothing else stores a copy of it."""
+    radius r of every sensor; nothing else stores a copy of it.
+
+    ``ids`` holds the node ids sorted, as a deployment's ``NeighborTable``
+    does, and ``state_code`` (``STATE_CODE`` of each node's state) and
+    ``battery`` are indexed like it. The nodes' property setters keep both
+    arrays equal to their attributes.
+    """
 
     nodes: Sequence[SensorNode]
     region_width: float
@@ -69,6 +121,9 @@ class Deployment:
     radius: float
     seed: int | None = None
     _by_id: dict[int, SensorNode] = field(init=False, repr=False)
+    ids: np.ndarray = field(init=False, repr=False, compare=False)
+    state_code: np.ndarray = field(init=False, repr=False, compare=False)
+    battery: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
@@ -77,6 +132,13 @@ class Deployment:
         self._by_id = {n.id: n for n in self.nodes}
         if len(self._by_id) != len(self.nodes):
             raise ValueError("node ids must be unique")
+        ordered = sorted(self.nodes, key=attrgetter("id"))
+        self.ids = np.array([n.id for n in ordered], dtype=np.int64)
+        # the private fields: property calls would slow down set-up
+        self.state_code = np.array([STATE_CODE[n._state] for n in ordered], dtype=np.int8)
+        self.battery = np.array([n._battery for n in ordered], dtype=float)
+        for slot, node in enumerate(ordered):
+            node._homes += ((self.state_code, self.battery, slot),)
 
     def node(self, node_id: int) -> SensorNode:
         return self._by_id[node_id]
@@ -95,8 +157,10 @@ class NeighborTable:
     with the matching ``distance`` entries, sorted by (distance, id); its
     length is the direct-neighbor count of the node. ``radius`` is the
     reach the rows hold, so they also serve any eps <= radius neighborhood.
-    ``neighbor_rows`` builds every table. ``table[node_id]`` and ``degree``
-    read one row as Python ints and floats; ``neighbors`` builds every row,
+    ``neighbor_rows`` builds every table. ``degrees`` holds every row's
+    length and ``row`` gives one row as array views, which the protocol
+    reads; ``table[node_id]`` and ``degree`` read one row as Python ints and
+    floats, as the tests' references do; ``neighbors`` builds every row,
     and no package code reads it.
     """
 
@@ -105,26 +169,43 @@ class NeighborTable:
     index: np.ndarray
     distance: np.ndarray
     radius: float
+    degrees: np.ndarray = field(init=False, repr=False)
     _position: dict[int, int] = field(init=False, repr=False)
     _bounds: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.degrees = np.diff(self.indptr)
         self._position = {pid: i for i, pid in enumerate(self.ids.tolist())}
         self._bounds = self.indptr.tolist()
+
+    def position(self, node_id: int) -> int:
+        """Index of ``node_id`` in ``ids``; ``KeyError`` for an unknown id."""
+        return self._position[node_id]
 
     def degree(self, node_id: int) -> int:
         i = self._position[node_id]
         return self._bounds[i + 1] - self._bounds[i]
 
-    def __getitem__(self, node_id: int) -> list[tuple[int, float]]:
+    def row(self, node_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of one row: neighbor positions into ``ids``, and distances."""
         i = self._position[node_id]
         row = slice(self._bounds[i], self._bounds[i + 1])
-        return list(zip(self.ids[self.index[row]].tolist(), self.distance[row].tolist()))
+        return self.index[row], self.distance[row]
+
+    def __getitem__(self, node_id: int) -> list[tuple[int, float]]:
+        index, distance = self.row(node_id)
+        return list(zip(self.ids[index].tolist(), distance.tolist()))
 
     @property
     def neighbors(self) -> Mapping[int, list[tuple[int, float]]]:
         """Read-only ``{id: row}`` of every row, built on each access."""
         return MappingProxyType({pid: self[pid] for pid in self._position})
+
+
+def require_int(name: str, value: object) -> None:
+    """Reject a count that is not an integer; ``True`` is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _cell_ranks(values: np.ndarray, side: float) -> np.ndarray:
@@ -213,6 +294,7 @@ def generate_deployment(
     and not both 0 (an empty node is dead). The same seed reproduces the
     exact same deployment.
     """
+    require_int("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not all(0 < v < math.inf for v in (width, height, radius)):

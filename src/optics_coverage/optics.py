@@ -26,7 +26,7 @@ from typing import IO, Mapping
 import numpy as np
 
 from .geometry import Point2D
-from .network import NeighborTable, neighbor_rows
+from .network import NeighborTable, neighbor_rows, require_int
 # perfbench/tracing.py wraps brute_force_query here
 from .spatial import brute_force_query  # noqa: F401
 
@@ -48,6 +48,7 @@ class OpticsParams:
     def __post_init__(self):
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        require_int("min_pts", self.min_pts)
         if self.min_pts < 1:
             raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
         if self.eps_prime is None:

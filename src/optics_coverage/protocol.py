@@ -25,27 +25,29 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Container, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
-from .geometry import (
-    CoLocatedSensorsError,
-    Point2D,
-    euclidean_distance,
-    overlap_angle,
-)
+import numpy as np
+
+from .geometry import CoLocatedSensorsError
+# perfbench/tracing.py wraps overlap_angle here; the protocol sums arcs in numpy
+from .geometry import overlap_angle  # noqa: F401
 from .metrics import RoundReport, active_ratio, analytic_cr, grid_cr
 from .network import (
     ACTIVE,
     IDLE,
     SLEEPING,
+    STATE_CODE,
     Deployment,
     NeighborTable,
     build_neighbor_table,
     drain_battery,
+    require_int,
 )
 from .optics import Cluster, OpticsParams, OrderedPoint, extract_clusters, optics_order
 
 TWO_PI = 2 * math.pi
+IDLE_CODE = STATE_CODE[IDLE]
 
 
 class AllNodesDeadError(RuntimeError):
@@ -77,6 +79,8 @@ class ProtocolConfig:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        require_int("sleep_rounds", self.sleep_rounds)
+        require_int("grid_resolution", self.grid_resolution)
         if not 0 <= self.theta <= 1:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
         if self.battery_drain < 0:
@@ -119,9 +123,10 @@ def acceptance_level(
     distance: float,
     config: ProtocolConfig | None = None,
 ) -> float:
-    """Candidate score under ``config``'s weights; higher is better.
+    """One candidate's score under ``config``'s weights; higher is better.
 
-    A distance weighting to 0 is co-location.
+    A distance weighting to 0 is co-location. ``select_next`` scores a
+    whole row with the same expression.
     """
     cfg = config or ProtocolConfig()
     if distance < 0:
@@ -138,30 +143,30 @@ def choose_initial_sensor(cluster: Cluster, deployment: Deployment) -> int:
     if not cluster.members:
         raise ValueError("cannot seed an empty cluster")
     positions = [deployment.node(m).position for m in cluster.members]
-    centroid = Point2D(
-        sum(p.x for p in positions) / len(positions),
-        sum(p.y for p in positions) / len(positions),
-    )
-    return min(
-        cluster.members,
-        key=lambda m: (euclidean_distance(deployment.node(m).position, centroid), m),
-    )
+    x = np.array([p.x for p in positions])
+    y = np.array([p.y for p in positions])
+    # Python's sum adds in member order; numpy's pairwise sum would round differently
+    cx, cy = sum(x.tolist()) / len(x), sum(y.tolist()) / len(y)
+    distance = np.fromiter(map(math.hypot, (x - cx).tolist(), (y - cy).tolist()), float, len(x))
+    return cluster.members[np.lexsort((cluster.members, distance))[0]]
 
 
 def select_next(
     current: int,
     table: NeighborTable,
     deployment: Deployment,
-    allowed: Container[int] | None = None,
+    allowed: np.ndarray | None = None,
     config: ProtocolConfig | None = None,
 ) -> list[int]:
     """Replies to one request from ``current``, best first.
 
     The sender must be active; only idle neighbors answer (sleeping,
-    active and dead ones stay silent). ``allowed`` restricts who answers
-    (e.g. to one cluster's members). Replies are ranked by acceptance
-    level, highest first, ties going to the lower id; a reply scoring
-    -inf is never offered. Empty when no idle neighbor answers.
+    active and dead ones stay silent). ``allowed``, a boolean mask over
+    ``table.ids``, restricts who answers (e.g. to one cluster's members).
+    Replies are ranked by acceptance level, highest first, ties going to
+    the lower id; a reply scoring -inf is never offered. Empty when no idle
+    neighbor answers. ``table`` must be the deployment's: its row positions
+    index the deployment's state and battery arrays.
     """
     cfg = config or ProtocolConfig()
     if current not in deployment:
@@ -169,17 +174,25 @@ def select_next(
     sender = deployment.node(current)
     if sender.state != ACTIVE:
         raise ValueError(f"node {current} is {sender.state}, not active")
-    replies = []
-    for nid, dist in table[current]:
-        if allowed is not None and nid not in allowed:
-            continue
-        node = deployment.node(nid)
-        if node.state != IDLE:
-            continue
-        score = acceptance_level(node.battery, table.degree(nid), dist, cfg)
-        if score > -math.inf:
-            replies.append((-score, nid))  # sorts best first, lower id on ties
-    return [nid for _, nid in sorted(replies)]
+    index, distance = table.row(current)
+    answers = deployment.state_code[index] == IDLE_CODE
+    if allowed is not None:
+        answers &= allowed[index]
+    index, distance = index[answers], distance[answers]
+    if not len(index):
+        return []
+    # rows run by distance, so the first is the nearest: zero, or too small to divide by
+    if cfg.w_distance * distance[0] == 0:
+        raise CoLocatedSensorsError(f"candidate at distance {distance[0]} from selector")
+    # acceptance_level's expression; a subnormal distance can score +-inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = (
+            cfg.w_battery * deployment.battery[index] + cfg.w_neighbors * table.degrees[index]
+        ) / (cfg.w_distance * distance)
+    ranked = np.lexsort((index, -score))  # positions sort like ids
+    if not score[ranked[-1]] > -np.inf:  # -inf and NaN sort last
+        ranked = ranked[: np.count_nonzero(score > -np.inf)]
+    return table.ids[index[ranked]].tolist()
 
 
 def cover_cluster(
@@ -200,28 +213,38 @@ def cover_cluster(
     row, so a sensor co-located with a member raises as soon as it activates.
     """
     cfg = config or ProtocolConfig()
+    _check_table(table, deployment)
     root = choose_initial_sensor(cluster, deployment)
     tree = SelectionTree(cluster.cluster_id, root)
-    # candidate pool: member -> summed arc (2*alpha each) the cluster's
-    # actives cut from it. A discarded member's sum can only grow, so it
-    # would stay redundant and is dropped.
-    covered = dict.fromkeys(cluster.members, 0.0)
+    # candidate pool over table positions, and the summed arc (2*alpha
+    # each) the cluster's actives cut from each member. A discarded
+    # member's sum can only grow, so it would stay redundant and is dropped.
+    pool = np.zeros(len(table.ids), dtype=bool)
+    pool[[table.position(m) for m in cluster.members]] = True
+    covered = np.zeros(len(table.ids))
+    reach = 2 * deployment.radius
 
     def activate(nid: int) -> None:
         deployment.node(nid).state = ACTIVE
-        for m, d in table[nid]:
-            if m in covered:
-                covered[m] += 2 * overlap_angle(d, deployment.radius)
+        index, distance = table.row(nid)
+        if len(distance) and distance[0] == 0 and pool[index[distance == 0]].any():
+            raise CoLocatedSensorsError(f"node {nid} shares its position with a member")
+        # the table holds d <= 2r, so every acos lies in [0, pi/2]: the
+        # scalar overlap_angle's clamps never bind. math.acos, as there:
+        # np.arccos can differ in the last bit.
+        alpha = map(math.acos, (distance / reach).tolist())
+        covered[index] += 2 * np.fromiter(alpha, float, len(distance))
 
     activate(root)
     frontier = deque([root])
     while frontier:
         u = frontier.popleft()
-        for candidate in select_next(u, table, deployment, allowed=covered, config=cfg):
-            free = (TWO_PI - covered[candidate]) / TWO_PI
+        for candidate in select_next(u, table, deployment, allowed=pool, config=cfg):
+            i = table.position(candidate)
+            free = (TWO_PI - covered.item(i)) / TWO_PI
             # nothing free: redundant unless theta = 0, however far the sum overshoots
             if (cfg.theta > 0) if free <= 0 else free < cfg.theta:
-                del covered[candidate]
+                pool[i] = False
                 continue
             activate(candidate)
             tree.edges.append((u, candidate))
@@ -229,6 +252,16 @@ def cover_cluster(
             frontier.append(u)
             break
     return tree
+
+
+def _check_table(table: NeighborTable, deployment: Deployment) -> None:
+    """A table passed in must be the deployment's: at its 2r, one row per node."""
+    if table.radius != 2 * deployment.radius:
+        raise ValueError(
+            f"table radius {table.radius} is not 2r = {2 * deployment.radius}"
+        )
+    if not np.array_equal(table.ids, deployment.ids):
+        raise ValueError("table rows are not the deployment's node ids")
 
 
 def run_round(
@@ -252,12 +285,8 @@ def run_round(
         raise AllNodesDeadError(round_index)
     if table is None:
         table = build_neighbor_table(deployment)
-    elif table.radius != 2 * deployment.radius:
-        raise ValueError(
-            f"table radius {table.radius} is not 2r = {2 * deployment.radius}"
-        )
-    elif table.ids.tolist() != sorted(n.id for n in deployment.nodes):
-        raise ValueError("table rows are not the deployment's node ids")
+    else:
+        _check_table(table, deployment)
 
     sleeping: dict[int, int] = {}
     for nid, remaining in state.sleeping.items():
@@ -322,6 +351,7 @@ def iterate_rounds(
     sleepers, which a fresh round state does not know of. The neighbor
     table is built at the first ``next()``.
     """
+    require_int("rounds", rounds)
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     for node in deployment.nodes:

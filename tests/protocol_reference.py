@@ -1,5 +1,5 @@
 """Reference selection loop: one request per candidate, and every active
-disc rescanned for every candidate.
+disc rescanned for every candidate; and the per-entry request walk.
 
 Grows a selection tree the way ``protocol.cover_cluster`` did before its
 requests returned ranked replies: each request returns only the idle
@@ -11,6 +11,10 @@ each) of all active discs of its cluster, from distances computed afresh,
 and the sum stops once the full circle is reached. It is the oracle for
 the ranked replies and for the per-member arc sums that ``cover_cluster``
 keeps from the neighbor table's distances.
+
+``reference_select_next`` answers one request entry by entry, reading each
+neighbor's node and scoring it with ``acceptance_level``; it is the oracle
+for ``select_next``'s numpy ranking over the deployment's arrays.
 """
 
 from __future__ import annotations
@@ -38,6 +42,29 @@ def mostly_overlapped(pos, active_positions, radius, theta):
         if covered >= TWO_PI:
             return theta > 0
     return (TWO_PI - covered) / TWO_PI < theta
+
+
+def reference_select_next(current, table, deployment, allowed=None, config=None):
+    """Idle neighbors of ``current`` whose id is in ``allowed`` (any
+    container, None for all), ranked by level, lower id on ties, none
+    scoring -inf."""
+    cfg = config or ProtocolConfig()
+    if current not in deployment:
+        raise KeyError(f"unknown node id {current}")
+    sender = deployment.node(current)
+    if sender.state != ACTIVE:
+        raise ValueError(f"node {current} is {sender.state}, not active")
+    replies = []
+    for nid, dist in table[current]:
+        if allowed is not None and nid not in allowed:
+            continue
+        node = deployment.node(nid)
+        if node.state != IDLE:
+            continue
+        score = acceptance_level(node.battery, table.degree(nid), dist, cfg)
+        if score > -math.inf:
+            replies.append((-score, nid))  # sorts best first, lower id on ties
+    return [nid for _, nid in sorted(replies)]
 
 
 def best_reply(current, table, deployment, allowed, exclude, config):

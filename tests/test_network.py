@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from optics_coverage.geometry import Point2D
 from optics_coverage.network import (
+    ACTIVE,
     DEAD,
     IDLE,
+    SLEEPING,
+    STATE_CODE,
     Deployment,
     NeighborTable,
     SensorNode,
@@ -18,7 +21,7 @@ from optics_coverage.network import (
     neighbor_rows,
 )
 from optics_coverage.optics import OpticsParams
-from optics_coverage.protocol import AllNodesDeadError, iterate_rounds
+from optics_coverage.protocol import AllNodesDeadError, ProtocolConfig, iterate_rounds
 from optics_coverage.spatial import brute_force_query
 
 
@@ -76,9 +79,10 @@ class TestGenerateDeployment:
             assert 0 <= n.position.y <= 50
             assert 0.5 <= n.battery <= 1.0
 
-    def test_bad_count(self):
-        with pytest.raises(ValueError):
-            generate_deployment(0, 50, 50, 5, seed=0)
+    @pytest.mark.parametrize("count", [0, 2.5, 30.0, True])
+    def test_bad_count(self, count):
+        with pytest.raises(ValueError, match="count"):
+            generate_deployment(count, 50, 50, 5, seed=0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("arg", [1, 2, 3], ids=["width", "height", "radius"])
@@ -338,3 +342,61 @@ class TestNodeInvariants:
         with pytest.raises(AttributeError):
             dep.nodes.append(SensorNode(3, Point2D(3, 0), 1.0))
         assert 3 not in dep and [n.id for n in dep.nodes] == [0, 1, 2]
+
+
+def assert_arrays_match(dep):
+    """The deployment's arrays, slot by slot in id order, equal its nodes'."""
+    nodes = sorted(dep.nodes, key=lambda n: n.id)
+    assert dep.ids.tolist() == [n.id for n in nodes]
+    assert dep.state_code.tolist() == [STATE_CODE[n.state] for n in nodes]
+    assert dep.battery.tolist() == [n.battery for n in nodes]
+
+
+class TestDeploymentArrays:
+    def test_after_a_run(self):
+        # 12 rounds at a 0.3 drain: actives sleep, wake and some die
+        dep = generate_deployment(200, 50, 50, 5, seed=3)
+        config = ProtocolConfig(battery_drain=0.3)
+        for _ in iterate_rounds(dep, OpticsParams(eps=10, min_pts=4), config, rounds=12):
+            assert_arrays_match(dep)
+        assert {n.state for n in dep.nodes} == {IDLE, ACTIVE, SLEEPING, DEAD}
+
+    def test_direct_writes(self):
+        nodes = [SensorNode(nid, Point2D(nid, 0), 1.0) for nid in (7, 3, 100)]
+        dep = Deployment(nodes, 50.0, 50.0, 5.0)
+        assert dep.ids.tolist() == [3, 7, 100]
+        nodes[0].state = ACTIVE
+        nodes[2].state = SLEEPING
+        nodes[1].battery = 0.25
+        assert_arrays_match(dep)
+        assert dep.state_code.tolist() == [STATE_CODE[IDLE], STATE_CODE[ACTIVE], STATE_CODE[SLEEPING]]
+        with pytest.raises(ValueError, match="unknown state"):
+            nodes[0].state = "asleep"
+        assert nodes[0].state == ACTIVE
+        assert_arrays_match(dep)
+
+    def test_drained_to_dead(self):
+        dep = make_deployment([(0, 0), (3, 0)], battery=0.5)
+        drain_battery(dep.node(1), 0.75)
+        assert dep.node(1).state == DEAD
+        assert_arrays_match(dep)
+        assert dep.battery.tolist() == [0.5, 0.0]
+
+    def test_nodes_wrapped_in_a_second_deployment(self):
+        # as the brute-force table test does: a field's nodes plus extra ones;
+        # a write reaches both deployments' arrays
+        first = generate_deployment(40, 30, 30, 5, seed=5)
+        extra = [
+            SensorNode(40 + k, Point2D(first.nodes[k].position.x + 0.5, 0.0), 1.0)
+            for k in range(3)
+        ]
+        second = Deployment(list(first.nodes) + extra, 30.0, 30.0, 5.0)
+        assert_arrays_match(second)
+        first.nodes[4].battery = 0.125
+        drain_battery(first.nodes[5], 1.0)
+        drain_battery(extra[0], 1.0)
+        assert_arrays_match(first)
+        assert_arrays_match(second)
+        for _ in iterate_rounds(second, OpticsParams(eps=10, min_pts=2), rounds=2):
+            assert_arrays_match(second)
+        assert_arrays_match(first)

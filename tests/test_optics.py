@@ -133,6 +133,11 @@ class TestOpticsOrder:
         with pytest.raises(ValueError):
             optics_order({}, OpticsParams(eps=1, min_pts=1))
 
+    @pytest.mark.parametrize("min_pts", [0, 2.5, 4.0, True])
+    def test_min_pts_must_be_a_positive_int(self, min_pts):
+        with pytest.raises(ValueError, match="min_pts"):
+            OpticsParams(eps=10, min_pts=min_pts)
+
     @pytest.mark.parametrize("eps", [0, -1, math.nan, math.inf])
     def test_eps_must_be_positive_and_finite(self, eps):
         with pytest.raises(ValueError, match="eps"):

@@ -1,9 +1,10 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from protocol_reference import reference_cover_cluster
+from protocol_reference import reference_cover_cluster, reference_select_next
 
 from optics_coverage import protocol
 from optics_coverage.geometry import CoLocatedSensorsError, Point2D
@@ -63,6 +64,41 @@ def clumped_layouts(draw):
     return positions, dict(enumerate(batteries)), members
 
 
+@st.composite
+def request_layouts(draw):
+    """One request's inputs: lattice positions (equal distances, so tied
+    levels), co-located twins, points a subnormal distance from the origin
+    (often the sender), sparse unsorted ids, mixed states around an active
+    sender, an allowed set, and weights that can score -inf and +inf."""
+    cell = st.integers(0, 4)
+    positions = draw(st.lists(st.tuples(cell, cell), max_size=14))
+    positions = [(0.0, 0.0)] + [(float(x), float(y)) for x, y in positions]
+    positions += draw(st.lists(st.sampled_from(positions), max_size=3))
+    tiny = st.sampled_from([5e-324, 1e-320, 1e-310, 2.5e-308])
+    positions += [(t, 0.0) for t in draw(st.lists(tiny, max_size=2))]
+    n = len(positions)
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    state = st.sampled_from([IDLE, IDLE, ACTIVE, SLEEPING, DEAD])
+    states = draw(st.lists(state, min_size=n, max_size=n))
+    batteries = draw(st.lists(st.sampled_from([0.5, 0.75, 1.0]), min_size=n, max_size=n))
+    sender = draw(st.just(0) | st.integers(0, n - 1))
+    states[sender] = ACTIVE
+    nodes = [
+        SensorNode(nid, Point2D(*pos), 0.0 if state == DEAD else battery, state)
+        for nid, pos, state, battery in zip(ids, positions, states, batteries)
+    ]
+    allowed = draw(st.none() | st.sets(st.sampled_from(ids)))
+    config = ProtocolConfig(
+        w_battery=draw(st.sampled_from([0.4, 0.0, -1.0])),
+        w_neighbors=draw(st.sampled_from([0.3, 0.0])),
+    )
+    return Deployment(nodes, 10.0, 10.0, 1.0), ids[sender], allowed, config
+
+
+def allowed_mask(table, allowed_ids):
+    return np.isin(table.ids, list(allowed_ids))
+
+
 class TestAcceptanceLevel:
     def test_formula_simple(self):
         assert acceptance_level(1.0, 2, 5) == pytest.approx(1.0)
@@ -101,6 +137,10 @@ class TestProtocolConfig:
             {"sleep_rounds": 0},
             {"w_distance": 0},
             {"grid_resolution": 9},
+            {"sleep_rounds": 1.5},
+            {"sleep_rounds": True},
+            {"grid_resolution": 50.5},
+            {"grid_resolution": 500.0},
             {"theta": math.nan},
             {"battery_drain": math.inf},
             {"w_battery": math.nan},
@@ -181,8 +221,8 @@ class TestSelectNext:
     def test_allowed_filter(self):
         dep = make_deployment([(0, 0), (3, 0), (0, 3)], states={0: ACTIVE})
         table = build_neighbor_table(dep)
-        assert select_next(0, table, dep, allowed={1}) == [1]
-        assert select_next(0, table, dep, allowed=set()) == []
+        assert select_next(0, table, dep, allowed=allowed_mask(table, {1})) == [1]
+        assert select_next(0, table, dep, allowed=allowed_mask(table, set())) == []
 
     def test_minus_inf_reply_never_offered(self):
         # a negative battery weight over a subnormal distance scores -inf
@@ -191,7 +231,7 @@ class TestSelectNext:
         config = ProtocolConfig(w_battery=-1.0, w_neighbors=0.0)
         assert acceptance_level(1.0, 2, 1e-310, config) == -math.inf
         assert select_next(0, table, dep, config=config) == [2]
-        assert select_next(0, table, dep, allowed={1}, config=config) == []
+        assert select_next(0, table, dep, allowed=allowed_mask(table, {1}), config=config) == []
         # +inf, from the default weights, ranks first
         assert select_next(0, table, dep) == [1, 2]
 
@@ -222,6 +262,21 @@ class TestSelectNext:
             rankings.append(select_next(0, table, dep))
         assert len(rankings[0]) == 3
         assert rankings[0] == rankings[1] == rankings[2]
+
+    @given(request_layouts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_entry_walk(self, layout):
+        dep, sender, allowed, config = layout
+        table = build_neighbor_table(dep)
+        mask = None if allowed is None else allowed_mask(table, allowed)
+
+        def outcome(request, allowed):
+            try:
+                return request(sender, table, dep, allowed, config)
+            except CoLocatedSensorsError:
+                return "co-located"
+
+        assert outcome(select_next, mask) == outcome(reference_select_next, allowed)
 
     def test_co_located_candidate_raises(self):
         dep = make_deployment([(0, 0), (0, 0)], states={0: ACTIVE})
@@ -517,10 +572,11 @@ class TestIterateRounds:
         ((state, _),) = iterate_rounds(dep, OpticsParams(eps=10, min_pts=1))
         assert state.active and 1 not in state.active
 
-    def test_bad_round_count(self):
+    @pytest.mark.parametrize("rounds", [0, 2.5, 3.0, True])
+    def test_bad_round_count(self, rounds):
         dep = generate_deployment(10, 50, 50, 5, seed=5)
-        with pytest.raises(ValueError):
-            iterate_rounds(dep, OpticsParams(eps=10, min_pts=4), rounds=0)
+        with pytest.raises(ValueError, match="rounds"):
+            iterate_rounds(dep, OpticsParams(eps=10, min_pts=4), rounds=rounds)
 
     def test_rounds_checked_at_call_table_built_at_first_next(self, monkeypatch):
         builds = []
