@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -91,16 +92,20 @@ def coverage_grid(
     xs = (np.arange(resolution) + 0.5) * (width / resolution)
     ys = (np.arange(resolution) + 0.5) * (height / resolution)
     covered = np.zeros((resolution, resolution), dtype=bool)
+    # each disc's window by bisection over the same floats as Python lists:
+    # the indices numpy's searchsorted gives, without its per-call overhead
+    x_list, y_list = xs.tolist(), ys.tolist()
+    reach2 = radius * radius
     for p in positions:
-        i0 = int(np.searchsorted(xs, p.x - radius))
-        i1 = int(np.searchsorted(xs, p.x + radius, side="right"))
-        j0 = int(np.searchsorted(ys, p.y - radius))
-        j1 = int(np.searchsorted(ys, p.y + radius, side="right"))
+        i0 = bisect_left(x_list, p.x - radius)
+        i1 = bisect_right(x_list, p.x + radius)
+        j0 = bisect_left(y_list, p.y - radius)
+        j1 = bisect_right(y_list, p.y + radius)
         if i0 >= i1 or j0 >= j1:
             continue
         dx = xs[i0:i1, None] - p.x
         dy = ys[None, j0:j1] - p.y
-        covered[i0:i1, j0:j1] |= dx * dx + dy * dy <= radius * radius
+        covered[i0:i1, j0:j1] |= dx * dx + dy * dy <= reach2
     return covered
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+import weakref
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
@@ -42,7 +43,8 @@ ROW_CHUNK = 64
 
 class SensorNode:
     """One sensor. ``state`` and ``battery`` are properties: a write also
-    goes to the arrays of every ``Deployment`` that holds the node."""
+    goes to the arrays of every live ``Deployment`` that holds the node.
+    The node refers to those deployments weakly, so it keeps none alive."""
 
     __slots__ = ("id", "position", "_battery", "_state", "_homes")
 
@@ -57,8 +59,8 @@ class SensorNode:
         self.position = position
         self._battery = battery
         self._state = state
-        # (state codes, batteries, slot) of each deployment holding the node
-        self._homes: tuple[tuple[np.ndarray, np.ndarray, int], ...] = ()
+        # (weak reference to a deployment holding the node, the node's slot)
+        self._homes: tuple[tuple[weakref.ref, int], ...] = ()
 
     @property
     def state(self) -> str:
@@ -70,8 +72,10 @@ class SensorNode:
         if code is None:
             raise ValueError(f"unknown state {value!r}")
         self._state = value
-        for codes, _, slot in self._homes:
-            codes[slot] = code
+        for home, slot in self._homes:
+            deployment = home()
+            if deployment is not None:
+                deployment.state_code[slot] = code
 
     @property
     def battery(self) -> float:
@@ -79,8 +83,10 @@ class SensorNode:
 
     @battery.setter
     def battery(self, value: float) -> None:
-        for _, batteries, slot in self._homes:
-            batteries[slot] = value
+        for home, slot in self._homes:
+            deployment = home()
+            if deployment is not None:
+                deployment.battery[slot] = value
         self._battery = value
 
     @property
@@ -109,10 +115,11 @@ class Deployment:
     index is built once, at construction. ``radius`` is the coverage
     radius r of every sensor; nothing else stores a copy of it.
 
-    ``ids`` holds the node ids sorted, as a deployment's ``NeighborTable``
-    does, and ``state_code`` (``STATE_CODE`` of each node's state) and
-    ``battery`` are indexed like it. The nodes' property setters keep both
-    arrays equal to their attributes.
+    ``ids`` holds the node ids sorted, and the ``NeighborTable`` that
+    ``build_neighbor_table`` builds for the deployment shares that array;
+    ``state_code`` (``STATE_CODE`` of each node's state) and ``battery``
+    are indexed like it. The nodes' property setters keep both arrays equal
+    to their attributes.
     """
 
     nodes: Sequence[SensorNode]
@@ -137,8 +144,12 @@ class Deployment:
         # the private fields: property calls would slow down set-up
         self.state_code = np.array([STATE_CODE[n._state] for n in ordered], dtype=np.int8)
         self.battery = np.array([n._battery for n in ordered], dtype=float)
+        home = weakref.ref(self)
         for slot, node in enumerate(ordered):
-            node._homes += ((self.state_code, self.battery, slot),)
+            homes = node._homes
+            if homes:  # drop the homes of collected deployments
+                homes = tuple(h for h in homes if h[0]() is not None)
+            node._homes = homes + ((home, slot),)
 
     def node(self, node_id: int) -> SensorNode:
         return self._by_id[node_id]
@@ -313,8 +324,14 @@ def generate_deployment(
 
 
 def build_neighbor_table(deployment: Deployment) -> NeighborTable:
-    """Connect every pair of nodes within 2r of each other (inclusive)."""
-    return neighbor_rows({n.id: n.position for n in deployment.nodes}, 2 * deployment.radius)
+    """Connect every pair of nodes within 2r of each other (inclusive).
+
+    The table's ``ids`` is the deployment's own array (equal to the one
+    ``neighbor_rows`` builds), which marks the table as this deployment's.
+    """
+    table = neighbor_rows({n.id: n.position for n in deployment.nodes}, 2 * deployment.radius)
+    table.ids = deployment.ids
+    return table
 
 
 def drain_battery(node: SensorNode, amount: float) -> SensorNode:

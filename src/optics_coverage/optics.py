@@ -10,15 +10,15 @@ min_pts, so ``OpticsParams`` holds all three.
 
 Neighborhoods are the distance-sorted CSR rows of a ``NeighborTable``:
 numpy finds all core distances in one pass and relaxes each row at once.
-Determinism rules (needed for reproducible runs and reference comparison):
-the next start point is the lowest unprocessed id, and equal reachabilities
-in the seed queue break toward the lower id.
+The seed queue is a float array over the table's nodes, and one ``argmin``
+takes the next point. Determinism rules (needed for reproducible runs and
+reference comparison): the next start point is the lowest unprocessed id,
+and equal reachabilities in the seed queue break toward the lower id.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import IO, Mapping
@@ -127,13 +127,15 @@ def optics_order(
     # +inf while a point is eligible and unreached, -inf once it is emitted or
     # if it is not eligible: a new reachability below it is open and improving
     reach = np.where(eligible, math.inf, -math.inf)
+    # seed queue: the reachability of each reached, unemitted point, +inf for
+    # every other. argmin takes the first of equal minima and positions follow
+    # id order, so ties go to the lower id.
+    seeds = np.full(len(ids), math.inf)
     order: list[OrderedPoint] = []
-    # seed queue with lazy deletion: an entry whose priority is not the current
-    # reachability is stale. Positions follow id order, so ties pop the lower id.
-    heap: list[tuple[float, int]] = []
 
     def emit(i: int, reachability: float | None) -> None:
         reach[i] = -math.inf
+        seeds[i] = math.inf
         cd = core_of[i]
         order.append(OrderedPoint(id_of[i], len(order), reachability, cd))
         if cd is not None:
@@ -142,16 +144,17 @@ def optics_order(
             improved = near[row] & (new_reach < reach[q])
             q, new_reach = q[improved], new_reach[improved]
             reach[q] = new_reach
-            for entry in zip(new_reach.tolist(), q.tolist()):
-                heapq.heappush(heap, entry)
+            seeds[q] = new_reach
 
     for start in members.tolist():
         if reach[start] == math.inf:  # no earlier group reached it
             emit(start, None)
-            while heap:
-                r, q = heapq.heappop(heap)
-                if r == reach[q]:
-                    emit(q, r)
+            while True:
+                q = int(seeds.argmin())
+                r = seeds.item(q)
+                if r == math.inf:
+                    break
+                emit(q, r)
     return order
 
 

@@ -165,10 +165,12 @@ def select_next(
     ``table.ids``, restricts who answers (e.g. to one cluster's members).
     Replies are ranked by acceptance level, highest first, ties going to
     the lower id; a reply scoring -inf is never offered. Empty when no idle
-    neighbor answers. ``table`` must be the deployment's: its row positions
-    index the deployment's state and battery arrays.
+    neighbor answers. ``table`` must be the deployment's (``ValueError``
+    otherwise): its row positions index the deployment's state and battery
+    arrays.
     """
     cfg = config or ProtocolConfig()
+    _check_table(table, deployment)
     if current not in deployment:
         raise KeyError(f"unknown node id {current}")
     sender = deployment.node(current)
@@ -255,13 +257,19 @@ def cover_cluster(
 
 
 def _check_table(table: NeighborTable, deployment: Deployment) -> None:
-    """A table passed in must be the deployment's: at its 2r, one row per node."""
+    """A table passed in must be the deployment's: at its 2r, and built by
+    ``build_neighbor_table`` over it, so that it shares the deployment's
+    ``ids`` array. Equal ids are not enough: two fields of 60 nodes both
+    have ids 0..59. Both tests are O(1), so every request can make them."""
     if table.radius != 2 * deployment.radius:
         raise ValueError(
             f"table radius {table.radius} is not 2r = {2 * deployment.radius}"
         )
-    if not np.array_equal(table.ids, deployment.ids):
-        raise ValueError("table rows are not the deployment's node ids")
+    if table.ids is not deployment.ids:
+        raise ValueError(
+            "table rows are not the deployment's node ids: "
+            "build the table with build_neighbor_table(deployment)"
+        )
 
 
 def run_round(
@@ -276,8 +284,8 @@ def run_round(
     Last round's actives go to sleep, expired sleepers rejoin the idle
     pool, the idle pool is re-clustered and covered cluster by cluster,
     and the new actives pay the round's battery cost. Outliers of the
-    clustering stay idle. A ``table`` passed in must be this deployment's:
-    built at its 2r, with a row for each of its nodes and no other.
+    clustering stay idle. A ``table`` passed in must be this deployment's,
+    as ``build_neighbor_table(deployment)`` returns it.
     """
     cfg = config or ProtocolConfig()
     round_index = state.round_index + 1

@@ -1,9 +1,10 @@
 """Brute-force reference implementation of the density ordering.
 
 Used as the oracle for the ordering algorithm: plain O(n^2) scans, a
-linear seed list instead of a heap, tuples instead of domain types. It
-shares only the IEEE hypot primitive with the library so that float
-results can be compared exactly.
+seed dict scanned in id order for its smallest reachability (the rule the
+library's argmin over its seed array applies), tuples instead of domain
+types. It shares only the IEEE hypot primitive with the library so that
+float results can be compared exactly.
 
 Tie rules mirror the library's contract: the next group start is the
 lowest unprocessed id, and equal seed reachabilities resolve to the

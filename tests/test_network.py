@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -400,3 +402,27 @@ class TestDeploymentArrays:
         for _ in iterate_rounds(second, OpticsParams(eps=10, min_pts=2), rounds=2):
             assert_arrays_match(second)
         assert_arrays_match(first)
+
+    def test_dropped_deployments_are_released(self):
+        # 200 deployments wrapped over one node list and dropped: a write
+        # reaches only the live deployment's arrays, the dropped ones are
+        # freed, and a node keeps no home of a collected deployment once
+        # another deployment registers it
+        live = generate_deployment(30, 30, 30, 5, seed=4)
+        dropped = [Deployment(live.nodes, 30.0, 30.0, 5.0) for _ in range(200)]
+        kept = dropped[-1].battery  # an array outliving its deployment
+        freed = [weakref.ref(a) for d in dropped[:-1] for a in (d.battery, d.state_code)]
+        del dropped
+        gc.collect()
+        assert all(ref() is None for ref in freed)
+        node = live.nodes[7]
+        before = kept.copy()
+        node.battery = 0.25
+        drain_battery(live.nodes[3], 1.0)
+        assert_arrays_match(live)
+        assert kept.tolist() == before.tolist()
+        second = Deployment(live.nodes, 30.0, 30.0, 5.0)
+        assert len(node._homes) == 2
+        node.state = ACTIVE
+        assert_arrays_match(live)
+        assert_arrays_match(second)

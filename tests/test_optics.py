@@ -61,6 +61,23 @@ def table_layouts(draw):
     return Deployment(nodes, 30.0, 30.0, radius), {n.id: n.position for n in picked}
 
 
+@st.composite
+def lattice_layouts(draw):
+    """Distinct integer lattice points, so that many distances and
+    reachabilities tie exactly, under shuffled sparse ids, and the subset
+    to order: the others stay in the table between eligible ids."""
+    cell = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    cells = draw(st.lists(cell, min_size=1, max_size=40, unique=True))
+    n = len(cells)
+    ids = draw(st.permutations(range(0, 3 * n, 3)))
+    radius = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    nodes = [SensorNode(nid, Point2D(float(x), float(y)), 1.0) for nid, (x, y) in zip(ids, cells)]
+    picked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    picked[draw(st.integers(0, n - 1))] = True
+    eligible = {node.id: node.position for node, keep in zip(nodes, picked) if keep}
+    return Deployment(nodes, 6.0, 6.0, radius), eligible
+
+
 def by_id(points, params):
     return {op.point_id: op for op in optics_order(points, params)}
 
@@ -230,6 +247,23 @@ class TestOpticsOrder:
             expected = reference_optics(as_tuples(eligible), eps, min_pts)
             assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
             # an np.float64 would reach the reachability CSV through repr
+            for o in got:
+                assert type(o.point_id) is int
+                assert o.reachability is None or type(o.reachability) is float
+                assert o.core_distance is None or type(o.core_distance) is float
+
+    @given(lattice_layouts(), st.sampled_from([1, 2, 4]))
+    @settings(max_examples=150, deadline=None)
+    def test_tied_reachabilities_match_reference(self, layout, min_pts):
+        # the seed queue takes the smallest reachability, the lower id among
+        # equal ones, as the reference's linear scan does
+        dep, eligible = layout
+        table = build_neighbor_table(dep)
+        r = dep.radius
+        for eps in (r, 2 * r, 3 * r):  # 3r rebuilds rows without the table
+            got = optics_order(eligible, OpticsParams(eps=eps, min_pts=min_pts), table)
+            expected = reference_optics(as_tuples(eligible), eps, min_pts)
+            assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
             for o in got:
                 assert type(o.point_id) is int
                 assert o.reachability is None or type(o.reachability) is float

@@ -301,6 +301,25 @@ class TestSelectNext:
         table = build_neighbor_table(dep)
         assert select_next(0, table, dep) == []
 
+    def test_table_of_another_field_rejected(self):
+        # two 60-node fields share ids 0..59 and 2r: seed 3's rows would
+        # index seed 2's arrays and answer with nodes that are not neighbors
+        dep = generate_deployment(60, 30, 30, 5, seed=2)
+        dep.node(0).state = ACTIVE
+        foreign = build_neighbor_table(generate_deployment(60, 30, 30, 5, seed=3))
+        assert np.array_equal(foreign.ids, dep.ids)
+        with pytest.raises(ValueError, match="node ids"):
+            select_next(0, foreign, dep)
+        table = build_neighbor_table(dep)
+        assert table.ids is dep.ids
+        assert sorted(select_next(0, table, dep)) == sorted(nid for nid, _ in table[0])
+
+    def test_table_of_another_radius_rejected(self):
+        dep = make_deployment([(0, 0), (3, 0)], states={0: ACTIVE})
+        wide = make_deployment([(0, 0), (3, 0)], radius=6.0)
+        with pytest.raises(ValueError, match="radius"):
+            select_next(0, build_neighbor_table(wide), dep)
+
 
 class TestCoverCluster:
     def test_singleton_cluster(self):
@@ -497,6 +516,13 @@ class TestRunRound:
         with pytest.raises(ValueError, match="node ids"):
             run_round(s1, dep, OpticsParams(eps=10, min_pts=4), table=table)
         assert [n.state for n in dep.nodes] == states
+
+    def test_table_of_another_field_with_the_same_ids_rejected(self):
+        dep = generate_deployment(60, 30, 30, 5, seed=2)
+        table = build_neighbor_table(generate_deployment(60, 30, 30, 5, seed=3))
+        with pytest.raises(ValueError, match="node ids"):
+            run_round(RoundState(0), dep, OpticsParams(eps=10, min_pts=4), table=table)
+        assert all(n.state == IDLE for n in dep.nodes)
 
     def test_all_dead_raises_with_round_index(self):
         dep = make_deployment([(0, 0), (3, 0)], batteries={0: 0.5, 1: 0.5})
