@@ -78,6 +78,17 @@ def lattice_layouts(draw):
     return Deployment(nodes, 6.0, 6.0, radius), eligible
 
 
+def assert_matches_reference(points, table, eps, min_pts):
+    got = optics_order(points, OpticsParams(eps=eps, min_pts=min_pts), table)
+    expected = reference_optics(as_tuples(points), eps, min_pts)
+    assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
+    # an np.float64 would reach the reachability CSV through repr
+    for o in got:
+        assert type(o.point_id) is int
+        assert o.reachability is None or type(o.reachability) is float
+        assert o.core_distance is None or type(o.core_distance) is float
+
+
 def by_id(points, params):
     return {op.point_id: op for op in optics_order(points, params)}
 
@@ -243,14 +254,7 @@ class TestOpticsOrder:
         table = build_neighbor_table(dep)
         r = dep.radius
         for eps in (r, 1.5 * r, 2 * r, 3 * r):  # 3r rebuilds rows without the table
-            got = optics_order(eligible, OpticsParams(eps=eps, min_pts=min_pts), table)
-            expected = reference_optics(as_tuples(eligible), eps, min_pts)
-            assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
-            # an np.float64 would reach the reachability CSV through repr
-            for o in got:
-                assert type(o.point_id) is int
-                assert o.reachability is None or type(o.reachability) is float
-                assert o.core_distance is None or type(o.core_distance) is float
+            assert_matches_reference(eligible, table, eps, min_pts)
 
     @given(lattice_layouts(), st.sampled_from([1, 2, 4]))
     @settings(max_examples=150, deadline=None)
@@ -261,13 +265,7 @@ class TestOpticsOrder:
         table = build_neighbor_table(dep)
         r = dep.radius
         for eps in (r, 2 * r, 3 * r):  # 3r rebuilds rows without the table
-            got = optics_order(eligible, OpticsParams(eps=eps, min_pts=min_pts), table)
-            expected = reference_optics(as_tuples(eligible), eps, min_pts)
-            assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
-            for o in got:
-                assert type(o.point_id) is int
-                assert o.reachability is None or type(o.reachability) is float
-                assert o.core_distance is None or type(o.core_distance) is float
+            assert_matches_reference(eligible, table, eps, min_pts)
 
     @pytest.mark.parametrize("eps", [5.0, 30.0])  # within the table's 2r, and past it
     def test_point_outside_table_rejected(self, eps):
