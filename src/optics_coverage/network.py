@@ -9,6 +9,9 @@ neighbor table, held as CSR arrays, serves every round of a deployment.
 
 ``neighbor_rows`` builds every ``NeighborTable``, the deployment's at 2r
 and the ordering's own at a wider eps, in one numpy pass over grid cells.
+It orders the rows by one int64 key per entry, (row, distance rank, id),
+sorted once; the key bounds a table to n * n * U < 2**63 for n points and
+U distinct pair distances.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ STATE_CODE = {IDLE: 0, ACTIVE: 1, SLEEPING: 2, DEAD: 3}
 # ~100 kB at the default density; passes of 256 points raised the peak
 # resident memory of a 5k-node round by ~2.5 MB
 ROW_CHUNK = 64
+
+# the int64 key that orders a table's entries holds values below 2**63
+KEY_LIMIT = 2**63
 
 
 class SensorNode:
@@ -239,9 +245,15 @@ def neighbor_rows(points: Mapping[int, Point2D], radius: float) -> NeighborTable
     time: from each point's 3x3 cell block, those with a higher id whose
     squared distance is within the cell side squared (a superset of the
     kept pairs).
+
+    Each directed entry gets one int64 key, (row, distance rank, id) as
+    ``(row * U + rank) * n + id`` with rank the dense rank of its distance
+    among the U distinct pair distances; the keys are unique, so one sort
+    puts every row in (distance, id) order, and the entries are read back
+    from the sorted keys. ``ValueError`` if ``n * n * U`` reaches 2**63.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     ids = np.array(sorted(points), dtype=np.int64)
     n = len(ids)
     if n == 0:
@@ -283,12 +295,31 @@ def neighbor_rows(points: Mapping[int, Point2D], radius: float) -> NeighborTable
         within = d <= radius
         pairs.append((a[within], b[within], d[within]))
     a, b, d = (np.concatenate(column) for column in zip(*pairs))
-    # both directions of every pair, ordered by row, then distance, then id
-    rows, index, distance = np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((d, d))
-    order = np.lexsort((index, distance, rows))
+    distinct, rank = np.unique(d, return_inverse=True)
+    levels = max(len(distinct), 1)
+    if n * n * levels >= KEY_LIMIT:
+        raise ValueError(
+            f"{n} points with {levels} distinct pair distances overflow the int64 "
+            "row key: n * n * distinct distances must be below 2**63"
+        )
+    # both directions of every pair, keyed in place: rows first, for indptr
+    m = len(a)
+    key = np.concatenate((a, b), dtype=np.int64)
     indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return NeighborTable(ids, indptr, index[order], distance[order], radius)
+    np.cumsum(np.bincount(key, minlength=n), out=indptr[1:])
+    key *= levels
+    key[:m] += rank
+    key[m:] += rank
+    key *= n
+    key[:m] += b
+    key[m:] += a
+    del a, b, d, rank
+    # unique keys, so the sort need not be stable
+    key.sort()
+    index = key % n
+    key //= n
+    key %= levels
+    return NeighborTable(ids, indptr, index, distinct[key], radius)
 
 
 def generate_deployment(

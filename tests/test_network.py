@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from optics_coverage import network
 from optics_coverage.geometry import Point2D
 from optics_coverage.network import (
     ACTIVE,
@@ -248,6 +249,47 @@ class TestNeighborTable:
         table = neighbor_rows(points, radius)
         assert isinstance(table, NeighborTable) and table.radius == radius
         assert table.neighbors == reference_rows(points, radius)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_neighbor_rows_rejects_a_bad_radius(self, radius):
+        points = {0: Point2D(0.0, 0.0), 1: Point2D(1.0, 0.0)}
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            neighbor_rows(points, radius)
+
+    def test_row_key_width_is_checked(self, monkeypatch):
+        # 4 points, pair distances 1 (twice), 2, 3, sqrt(2) and sqrt(5):
+        # n * n * U = 80. A key bound of 80 rejects the table; one above it
+        # holds the largest key, n * n * U - 1, and builds the reference rows.
+        xy = [(0.0, 0.0), (1.0, 0.0), (3.0, 0.0), (1.0, 1.0)]
+        points = {i: Point2D(x, y) for i, (x, y) in enumerate(xy)}
+        assert network.KEY_LIMIT == 2**63 == int(np.iinfo(np.int64).max) + 1
+        monkeypatch.setattr(network, "KEY_LIMIT", 80)
+        with pytest.raises(ValueError, match=r"4 points with 5 distinct .* below 2\*\*63"):
+            neighbor_rows(points, 5.0)
+        monkeypatch.setattr(network, "KEY_LIMIT", 81)
+        assert neighbor_rows(points, 5.0).neighbors == reference_rows(points, 5.0)
+
+    @given(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=40),
+        st.lists(st.integers(0, 39), max_size=8),
+        st.sampled_from([1.0, math.hypot(1, 1), 2.0, math.hypot(2, 1)]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tied_distances_keep_the_lexsort_order(self, cells, twins, radius, rng):
+        # lattice points tie on many row distances and radii land on
+        # lattice distances; twins repeat drawn points; ids are sparse and
+        # come in shuffled order
+        positions = [Point2D(float(x), float(y)) for x, y in cells]
+        positions += [positions[i % len(cells)] for i in twins]
+        ids = rng.sample(range(10**6), len(positions))
+        points = dict(zip(ids, positions))
+        table = neighbor_rows(points, radius)
+        assert table.neighbors == reference_rows(points, radius)
+        # oracle: a stable three-key sort by (row, distance, id) moves no entry
+        rows = np.repeat(np.arange(len(table.ids)), table.degrees)
+        order = np.lexsort((table.index, table.distance, rows))
+        assert order.tolist() == list(range(len(order)))
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
