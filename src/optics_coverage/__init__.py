@@ -29,7 +29,6 @@ from .network import (
     NeighborTable,
     SensorNode,
     build_neighbor_table,
-    drain_battery,
     generate_deployment,
 )
 from .optics import (
@@ -77,7 +76,6 @@ __all__ = [
     "choose_initial_sensor",
     "cover_cluster",
     "coverage_grid",
-    "drain_battery",
     "euclidean_distance",
     "extract_clusters",
     "generate_deployment",

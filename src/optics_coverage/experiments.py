@@ -182,7 +182,7 @@ def run_rand_baseline(config: RunConfig) -> BaselineResult:
         # separate deterministic stream so the random pick cannot be
         # correlated with the deployment draw
         rng = random.Random(outcome.seed * 1_000_003 + 17)
-        rand_ids = rng.sample([n.id for n in deployment.nodes], k)
+        rand_ids = rng.sample(deployment.ids.tolist(), k)
         rand_cr = grid_cr(
             [deployment.node(nid).position for nid in rand_ids],
             config.radius,

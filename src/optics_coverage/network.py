@@ -2,7 +2,9 @@
 
 A deployment is a set of sensors dropped uniformly at random in a
 rectangle, each with a normalized battery level; the deployment holds the
-one coverage radius r they all share. Two sensors are direct neighbors
+one coverage radius r they all share, and its ``state_code`` and
+``battery`` arrays are the only store of node state: a ``SensorNode`` is
+a view of one slot, made when asked for. Two sensors are direct neighbors
 when their centers are at most 2r apart, which is also the request
 broadcast range. Positions never change after deployment, so one
 neighbor table, held as CSR arrays, serves every round of a deployment.
@@ -19,9 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
-import weakref
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -35,8 +35,9 @@ ACTIVE = "active"
 SLEEPING = "sleeping"
 DEAD = "dead"
 
-# state -> the int8 code a Deployment's ``state_code`` array holds
+# state -> the int8 code a Deployment's ``state_code`` array holds, and back
 STATE_CODE = {IDLE: 0, ACTIVE: 1, SLEEPING: 2, DEAD: 3}
+STATE_NAME = tuple(STATE_CODE)
 
 # query points per numpy pass of ``neighbor_rows``: each pass's arrays stay
 # ~100 kB at the default density; passes of 256 points raised the peak
@@ -47,121 +48,127 @@ ROW_CHUNK = 64
 KEY_LIMIT = 2**63
 
 
+@dataclass(eq=False, slots=True)
 class SensorNode:
-    """One sensor. ``state`` and ``battery`` are properties: a write also
-    goes to the arrays of every live ``Deployment`` that holds the node.
-    The node refers to those deployments weakly, so it keeps none alive."""
+    """A view of one slot of a ``Deployment``, made when asked for. Its
+    ``state`` and ``battery`` read and write the deployment's arrays under
+    the constructor's rules: emptying the battery kills the node, as a
+    round's drain does, and any other write that breaks a rule raises
+    ``ValueError`` and changes nothing."""
 
-    __slots__ = ("id", "position", "_battery", "_state", "_homes")
+    deployment: Deployment
+    slot: int
 
-    def __init__(self, id: int, position: Point2D, battery: float, state: str = IDLE):
-        if not 0.0 <= battery <= 1.0:
-            raise ValueError(f"battery must be in [0, 1], got {battery}")
-        if state not in STATE_CODE:
-            raise ValueError(f"unknown state {state!r}")
-        if (battery == 0.0) != (state == DEAD):
-            raise ValueError("a node is dead exactly when its battery is empty")
-        self.id = id
-        self.position = position
-        self._battery = battery
-        self._state = state
-        # (weak reference to a deployment holding the node, the node's slot)
-        self._homes: tuple[tuple[weakref.ref, int], ...] = ()
+    @property
+    def id(self) -> int:
+        return int(self.deployment.ids[self.slot])
+
+    @property
+    def position(self) -> Point2D:
+        return self.deployment.positions[self.slot]
 
     @property
     def state(self) -> str:
-        return self._state
+        return STATE_NAME[self.deployment.state_code[self.slot]]
 
     @state.setter
     def state(self, value: str) -> None:
-        code = STATE_CODE.get(value)
-        if code is None:
-            raise ValueError(f"unknown state {value!r}")
-        self._state = value
-        for home, slot in self._homes:
-            deployment = home()
-            if deployment is not None:
-                deployment.state_code[slot] = code
+        self._write(self.battery, value)
 
     @property
     def battery(self) -> float:
-        return self._battery
+        return float(self.deployment.battery[self.slot])
 
     @battery.setter
     def battery(self, value: float) -> None:
-        for home, slot in self._homes:
-            deployment = home()
-            if deployment is not None:
-                deployment.battery[slot] = value
-        self._battery = value
+        self._write(value, DEAD if value == 0.0 else self.state)
 
     @property
     def alive(self) -> bool:
-        return self._state != DEAD
+        return self.state != DEAD
+
+    def _write(self, battery: float, state: str) -> None:
+        charge, code = _checked([battery], [state])
+        self.deployment.battery[self.slot] = charge[0]
+        self.deployment.state_code[self.slot] = code[0]
 
     def __repr__(self) -> str:
         return (
             f"SensorNode(id={self.id!r}, position={self.position!r}, "
-            f"battery={self._battery!r}, state={self._state!r})"
+            f"battery={self.battery!r}, state={self.state!r})"
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SensorNode):
-            return NotImplemented
-        return (self.id, self.position, self._battery, self._state) == (
-            other.id, other.position, other._battery, other._state
-        )
 
-    __hash__ = None  # type: ignore[assignment]
+def _checked(battery: Sequence[float], states: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Battery and state-code arrays; known states, in [0, 1], dead iff empty."""
+    codes = [STATE_CODE.get(state) for state in states]
+    if None in codes:
+        raise ValueError(f"unknown state {states[codes.index(None)]!r}")
+    charge, codes = np.asarray(battery, dtype=float), np.array(codes, dtype=np.int8)
+    outside = ~((charge >= 0.0) & (charge <= 1.0))  # NaN is outside
+    if outside.any():
+        raise ValueError(f"battery must be in [0, 1], got {charge[outside][0]}")
+    if ((charge == 0.0) != (codes == STATE_CODE[DEAD])).any():
+        raise ValueError("a node is dead exactly when its battery is empty")
+    return charge, codes
 
 
-@dataclass
+@dataclass(eq=False)
 class Deployment:
-    """Sensors of one field. ``nodes`` is stored as a tuple, since the id
-    index is built once, at construction. ``radius`` is the coverage
-    radius r of every sensor; nothing else stores a copy of it.
+    """Sensors of one field as columns sorted by id, indexed by slot:
+    ``ids``, ``positions`` (``Point2D``), and the only store of node state,
+    ``state_code`` (``STATE_CODE`` of each state) and ``battery``.
+    ``radius`` is the coverage radius r of every sensor; nothing else
+    stores a copy of it. The columns, and ``states`` (default all idle),
+    may come in any id order. ``ValueError`` unless each has one entry per
+    node, ids are unique ints, states known, batteries in [0, 1], a node
+    dead exactly when empty, and 0 < radius < inf."""
 
-    ``ids`` holds the node ids sorted, and the ``NeighborTable`` that
-    ``build_neighbor_table`` builds for the deployment shares that array;
-    ``state_code`` (``STATE_CODE`` of each node's state) and ``battery``
-    are indexed like it. The nodes' property setters keep both arrays equal
-    to their attributes.
-    """
-
-    nodes: Sequence[SensorNode]
+    ids: np.ndarray = field(repr=False)
+    positions: tuple[Point2D, ...] = field(repr=False)
+    battery: np.ndarray = field(repr=False)
     region_width: float
     region_height: float
     radius: float
     seed: int | None = None
-    _by_id: dict[int, SensorNode] = field(init=False, repr=False)
-    ids: np.ndarray = field(init=False, repr=False, compare=False)
-    state_code: np.ndarray = field(init=False, repr=False, compare=False)
-    battery: np.ndarray = field(init=False, repr=False, compare=False)
+    states: InitVar[Sequence[str] | None] = None
+    state_code: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, states: Sequence[str] | None):
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        self.nodes = tuple(self.nodes)
-        self._by_id = {n.id: n for n in self.nodes}
-        if len(self._by_id) != len(self.nodes):
+        n = len(self.ids)
+        states = [IDLE] * n if states is None else states
+        if not len(self.positions) == len(self.battery) == len(states) == n:
+            raise ValueError("ids, positions, battery and states need one entry per node")
+        ids = np.asarray(self.ids) if n else np.empty(0, dtype=np.int64)
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"node ids must be ints, got {ids.dtype}")
+        order = np.argsort(ids, kind="stable")
+        self.ids = ids[order].astype(np.int64)
+        if (self.ids[1:] == self.ids[:-1]).any():
             raise ValueError("node ids must be unique")
-        ordered = sorted(self.nodes, key=attrgetter("id"))
-        self.ids = np.array([n.id for n in ordered], dtype=np.int64)
-        # the private fields: property calls would slow down set-up
-        self.state_code = np.array([STATE_CODE[n._state] for n in ordered], dtype=np.int8)
-        self.battery = np.array([n._battery for n in ordered], dtype=float)
-        home = weakref.ref(self)
-        for slot, node in enumerate(ordered):
-            homes = node._homes
-            if homes:  # drop the homes of collected deployments
-                homes = tuple(h for h in homes if h[0]() is not None)
-            node._homes = homes + ((home, slot),)
+        battery, codes = _checked(self.battery, states)
+        self.battery, self.state_code = battery[order], codes[order]
+        self.positions = tuple(self.positions[i] for i in order.tolist())
+
+    def slots(self, node_ids: Sequence[int]) -> np.ndarray:
+        """Slots of ``node_ids``; ``KeyError`` for an id that is not a node's."""
+        wanted = np.asarray(node_ids)
+        slot = np.searchsorted(self.ids, wanted)
+        found = slot < len(self.ids)
+        found[found] = self.ids[slot[found]] == wanted[found]
+        if not found.all():
+            raise KeyError(f"unknown node id {wanted[~found][0]}")
+        return slot
 
     def node(self, node_id: int) -> SensorNode:
-        return self._by_id[node_id]
+        return SensorNode(self, int(self.slots([node_id])[0]))
 
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._by_id
+    @property
+    def nodes(self) -> tuple[SensorNode, ...]:
+        """A view of every node, in id order."""
+        return tuple(SensorNode(self, slot) for slot in range(len(self.ids)))
 
 
 @dataclass(eq=False)
@@ -347,11 +354,11 @@ def generate_deployment(
             f"battery_range must satisfy 0 <= lo <= hi <= 1 and hi > 0, got {battery_range}"
         )
     rng = random.Random(seed)
-    nodes = []
-    for i in range(count):
-        pos = Point2D(rng.uniform(0, width), rng.uniform(0, height))
-        nodes.append(SensorNode(id=i, position=pos, battery=rng.uniform(lo, hi)))
-    return Deployment(nodes, width, height, radius, seed)
+    positions, battery = [], []
+    for _ in range(count):
+        positions.append(Point2D(rng.uniform(0, width), rng.uniform(0, height)))
+        battery.append(rng.uniform(lo, hi))
+    return Deployment(range(count), positions, battery, width, height, radius, seed)
 
 
 def build_neighbor_table(deployment: Deployment) -> NeighborTable:
@@ -360,16 +367,8 @@ def build_neighbor_table(deployment: Deployment) -> NeighborTable:
     The table's ``ids`` is the deployment's own array (equal to the one
     ``neighbor_rows`` builds), which marks the table as this deployment's.
     """
-    table = neighbor_rows({n.id: n.position for n in deployment.nodes}, 2 * deployment.radius)
+    points = dict(zip(deployment.ids.tolist(), deployment.positions))
+    table = neighbor_rows(points, 2 * deployment.radius)
     table.ids = deployment.ids
     return table
 
-
-def drain_battery(node: SensorNode, amount: float) -> SensorNode:
-    """Subtract a round's battery cost, clamping at zero (node dies)."""
-    if amount < 0:
-        raise ValueError(f"drain amount must be >= 0, got {amount}")
-    node.battery = max(0.0, node.battery - amount)
-    if node.battery == 0.0:
-        node.state = DEAD
-    return node

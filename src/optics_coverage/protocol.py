@@ -17,6 +17,9 @@ united, so where two active discs cover the same stretch of boundary it
 counts twice; each member keeps a running sum, grown by the discs of its
 neighbor-table row as they activate. Actives retire to sleep at the end
 of their round and rejoin the pool after a configurable number of rounds.
+A round runs on the deployment's ``state_code`` and ``battery`` arrays:
+waking, retiring and draining are masked writes, the eligible pool is
+``state_code == IDLE``, and a selection tree works at the table's slots.
 """
 
 from __future__ import annotations
@@ -34,20 +37,17 @@ from .geometry import CoLocatedSensorsError
 from .geometry import overlap_angle  # noqa: F401
 from .metrics import RoundReport, active_ratio, analytic_cr, grid_cr
 from .network import (
-    ACTIVE,
-    IDLE,
-    SLEEPING,
     STATE_CODE,
+    STATE_NAME,
     Deployment,
     NeighborTable,
     build_neighbor_table,
-    drain_battery,
     require_int,
 )
 from .optics import Cluster, OpticsParams, OrderedPoint, extract_clusters, optics_order
 
 TWO_PI = 2 * math.pi
-IDLE_CODE = STATE_CODE[IDLE]
+IDLE_CODE, ACTIVE_CODE, SLEEPING_CODE, DEAD_CODE = (STATE_CODE[s] for s in STATE_NAME)
 
 
 class AllNodesDeadError(RuntimeError):
@@ -142,7 +142,7 @@ def choose_initial_sensor(cluster: Cluster, deployment: Deployment) -> int:
     """Cluster member closest to the member centroid, lower id on ties."""
     if not cluster.members:
         raise ValueError("cannot seed an empty cluster")
-    positions = [deployment.node(m).position for m in cluster.members]
+    positions = [deployment.positions[i] for i in deployment.slots(cluster.members).tolist()]
     x = np.array([p.x for p in positions])
     y = np.array([p.y for p in positions])
     # Python's sum adds in member order; numpy's pairwise sum would round differently
@@ -171,11 +171,12 @@ def select_next(
     """
     cfg = config or ProtocolConfig()
     _check_table(table, deployment)
-    if current not in deployment:
-        raise KeyError(f"unknown node id {current}")
-    sender = deployment.node(current)
-    if sender.state != ACTIVE:
-        raise ValueError(f"node {current} is {sender.state}, not active")
+    try:
+        sender = deployment.state_code[table.position(current)]
+    except KeyError:
+        raise KeyError(f"unknown node id {current}") from None
+    if sender != ACTIVE_CODE:
+        raise ValueError(f"node {current} is {STATE_NAME[sender]}, not active")
     index, distance = table.row(current)
     answers = deployment.state_code[index] == IDLE_CODE
     if allowed is not None:
@@ -222,12 +223,12 @@ def cover_cluster(
     # each) the cluster's actives cut from each member. A discarded
     # member's sum can only grow, so it would stay redundant and is dropped.
     pool = np.zeros(len(table.ids), dtype=bool)
-    pool[[table.position(m) for m in cluster.members]] = True
+    pool[deployment.slots(cluster.members)] = True
     covered = np.zeros(len(table.ids))
     reach = 2 * deployment.radius
 
     def activate(nid: int) -> None:
-        deployment.node(nid).state = ACTIVE
+        deployment.state_code[table.position(nid)] = ACTIVE_CODE
         index, distance = table.row(nid)
         if len(distance) and distance[0] == 0 and pool[index[distance == 0]].any():
             raise CoLocatedSensorsError(f"node {nid} shares its position with a member")
@@ -285,38 +286,37 @@ def run_round(
     pool, the idle pool is re-clustered and covered cluster by cluster,
     and the new actives pay the round's battery cost. Outliers of the
     clustering stay idle. A ``table`` passed in must be this deployment's,
-    as ``build_neighbor_table(deployment)`` returns it.
+    as ``build_neighbor_table(deployment)`` returns it. ``KeyError`` names
+    an id of ``state`` that is not a node's, before any node changes state.
     """
     cfg = config or ProtocolConfig()
     round_index = state.round_index + 1
-    if not any(n.alive for n in deployment.nodes):
+    ids, codes = deployment.ids, deployment.state_code
+    if not (codes != DEAD_CODE).any():
         raise AllNodesDeadError(round_index)
     if table is None:
         table = build_neighbor_table(deployment)
     else:
         _check_table(table, deployment)
+    asleep = deployment.slots(list(state.sleeping))
+    retiring = deployment.slots(list(state.active))
 
-    sleeping: dict[int, int] = {}
-    for nid, remaining in state.sleeping.items():
-        node = deployment.node(nid)
-        if not node.alive:
-            continue
-        if remaining <= 1:
-            node.state = IDLE
-        else:
-            sleeping[nid] = remaining - 1
-    for nid in state.active:
-        node = deployment.node(nid)
-        if node.alive:
-            node.state = SLEEPING
-            sleeping[nid] = cfg.sleep_rounds
+    left = np.fromiter(state.sleeping.values(), dtype=np.int64, count=len(asleep))
+    alive = codes[asleep] != DEAD_CODE
+    waking = alive & (left <= 1)
+    codes[asleep[waking]] = IDLE_CODE
+    still = alive & ~waking
+    sleeping = dict(zip(ids[asleep[still]].tolist(), (left[still] - 1).tolist()))
+    retiring = retiring[codes[retiring] != DEAD_CODE]
+    codes[retiring] = SLEEPING_CODE
+    sleeping.update(dict.fromkeys(ids[retiring].tolist(), cfg.sleep_rounds))
 
-    eligible = {
-        n.id: n.position for n in deployment.nodes if n.state == IDLE
-    }
+    idle = np.flatnonzero(codes == IDLE_CODE)
     trees: list[SelectionTree] = []
     ordering: list[OrderedPoint] = []
-    if eligible:
+    if idle.size:
+        positions = map(deployment.positions.__getitem__, idle.tolist())
+        eligible = dict(zip(ids[idle].tolist(), positions))
         ordering = optics_order(eligible, params, table)
         assignment = extract_clusters(ordering, params.eps_prime)
         for cluster in assignment.clusters:
@@ -325,24 +325,25 @@ def run_round(
     active = set()
     for tree in trees:
         active |= tree.node_ids()
+    chosen = deployment.slots(sorted(active))
     area = deployment.region_width * deployment.region_height
     report = RoundReport(
-        deployed_count=len(deployment.nodes),
+        deployed_count=len(ids),
         active_count=len(active),
-        ratio_r=active_ratio(len(active), len(deployment.nodes)),
+        ratio_r=active_ratio(len(active), len(ids)),
         analytic_cr=analytic_cr(len(active), deployment.radius, area),
         grid_cr=grid_cr(
-            [deployment.node(nid).position for nid in active],
+            [deployment.positions[i] for i in chosen.tolist()],
             deployment.radius,
             (deployment.region_width, deployment.region_height),
             cfg.grid_resolution,
         ),
     )
-    survivors = set()
-    for nid in sorted(active):
-        node = drain_battery(deployment.node(nid), cfg.battery_drain)
-        if node.alive:
-            survivors.add(nid)
+    # the round's cost, clamped at an empty battery, which is death
+    charge = np.maximum(deployment.battery[chosen] - cfg.battery_drain, 0.0)
+    deployment.battery[chosen] = charge
+    codes[chosen[charge == 0.0]] = DEAD_CODE
+    survivors = set(ids[chosen[charge > 0.0]].tolist())
     return RoundState(round_index, survivors, sleeping, trees, ordering), report
 
 
@@ -362,12 +363,13 @@ def iterate_rounds(
     require_int("rounds", rounds)
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    for node in deployment.nodes:
-        if node.alive and node.state != IDLE:
-            raise ValueError(
-                f"node {node.id} is {node.state}: iterate_rounds needs a "
-                f"deployment whose alive nodes are all idle"
-            )
+    busy = np.flatnonzero(~np.isin(deployment.state_code, (IDLE_CODE, DEAD_CODE)))
+    if busy.size:
+        node = deployment.nodes[busy[0]]
+        raise ValueError(
+            f"node {node.id} is {node.state}: iterate_rounds needs a "
+            f"deployment whose alive nodes are all idle"
+        )
     return _rounds(deployment, params, config, rounds)
 
 
@@ -399,7 +401,7 @@ def write_trace(
         "region": [deployment.region_width, deployment.region_height],
         "radius": deployment.radius,
         "seed": deployment.seed,
-        "nodes": [[n.id, n.position.x, n.position.y] for n in deployment.nodes],
+        "nodes": [[i, p.x, p.y] for i, p in zip(deployment.ids.tolist(), deployment.positions)],
     }
     out.write(json.dumps(header) + "\n")
     for state, report in rounds:

@@ -15,6 +15,12 @@ keeps from the neighbor table's distances.
 ``reference_select_next`` answers one request entry by entry, reading each
 neighbor's node and scoring it with ``acceptance_level``; it is the oracle
 for ``select_next``'s numpy ranking over the deployment's arrays.
+
+``reference_run_round`` runs a round node by node through the
+deployment's views: it wakes and retires sleepers and actives one at a
+time, collects the idle nodes into the eligible dict, and drains each
+new active's battery, clamped at zero, which kills it. It is the oracle
+for ``run_round``'s masked writes over the arrays.
 """
 
 from __future__ import annotations
@@ -23,12 +29,17 @@ import math
 from collections import deque
 
 from optics_coverage.geometry import euclidean_distance, overlap_angle
-from optics_coverage.network import ACTIVE, IDLE
+from optics_coverage.metrics import RoundReport, active_ratio, analytic_cr, grid_cr
+from optics_coverage.network import ACTIVE, IDLE, SLEEPING
+from optics_coverage.optics import extract_clusters, optics_order
 from optics_coverage.protocol import (
+    AllNodesDeadError,
     ProtocolConfig,
+    RoundState,
     SelectionTree,
     acceptance_level,
     choose_initial_sensor,
+    cover_cluster,
 )
 
 TWO_PI = 2 * math.pi
@@ -49,9 +60,7 @@ def reference_select_next(current, table, deployment, allowed=None, config=None)
     container, None for all), ranked by level, lower id on ties, none
     scoring -inf."""
     cfg = config or ProtocolConfig()
-    if current not in deployment:
-        raise KeyError(f"unknown node id {current}")
-    sender = deployment.node(current)
+    sender = deployment.node(current)  # KeyError for an unknown id
     if sender.state != ACTIVE:
         raise ValueError(f"node {current} is {sender.state}, not active")
     replies = []
@@ -108,3 +117,56 @@ def reference_cover_cluster(cluster, deployment, table, config: ProtocolConfig):
             frontier.append(u)
             break
     return tree
+
+
+def reference_run_round(state, deployment, params, config, table):
+    """One round of ``table``'s deployment, walking node views."""
+    round_index = state.round_index + 1
+    if not any(n.alive for n in deployment.nodes):
+        raise AllNodesDeadError(round_index)
+    sleeping = {}
+    for nid, remaining in state.sleeping.items():
+        node = deployment.node(nid)
+        if not node.alive:
+            continue
+        if remaining <= 1:
+            node.state = IDLE
+        else:
+            sleeping[nid] = remaining - 1
+    for nid in state.active:
+        node = deployment.node(nid)
+        if node.alive:
+            node.state = SLEEPING
+            sleeping[nid] = config.sleep_rounds
+
+    eligible = {n.id: n.position for n in deployment.nodes if n.state == IDLE}
+    trees, ordering = [], []
+    if eligible:
+        ordering = optics_order(eligible, params, table)
+        for cluster in extract_clusters(ordering, params.eps_prime).clusters:
+            trees.append(cover_cluster(cluster, deployment, table, config))
+
+    active = set()
+    for tree in trees:
+        active |= tree.node_ids()
+    deployed = len(deployment.nodes)
+    region = (deployment.region_width, deployment.region_height)
+    report = RoundReport(
+        deployed_count=deployed,
+        active_count=len(active),
+        ratio_r=active_ratio(len(active), deployed),
+        analytic_cr=analytic_cr(len(active), deployment.radius, region[0] * region[1]),
+        grid_cr=grid_cr(
+            [deployment.node(nid).position for nid in active],
+            deployment.radius,
+            region,
+            config.grid_resolution,
+        ),
+    )
+    survivors = set()
+    for nid in sorted(active):
+        node = deployment.node(nid)
+        node.battery = max(0.0, node.battery - config.battery_drain)
+        if node.alive:
+            survivors.add(nid)
+    return RoundState(round_index, survivors, sleeping, trees, ordering), report

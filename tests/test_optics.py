@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optics_coverage.geometry import Point2D
-from optics_coverage.network import Deployment, SensorNode, build_neighbor_table
+from optics_coverage.network import Deployment, build_neighbor_table
 from optics_coverage.optics import (
     OpticsParams,
     extract_clusters,
@@ -56,9 +56,10 @@ def table_layouts(draw):
         positions += [(float(x), float(y)), (x + 2 * radius, float(y))]
     n = len(positions)
     ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
-    nodes = [SensorNode(nid, Point2D(x, y), 1.0) for nid, (x, y) in zip(ids, positions)]
-    picked = draw(st.lists(st.sampled_from(nodes), min_size=1, unique_by=lambda n: n.id))
-    return Deployment(nodes, 30.0, 30.0, radius), {n.id: n.position for n in picked}
+    points = [Point2D(x, y) for x, y in positions]
+    picked = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    dep = Deployment(ids, points, [1.0] * n, 30.0, 30.0, radius)
+    return dep, {ids[i]: points[i] for i in picked}
 
 
 @st.composite
@@ -71,11 +72,11 @@ def lattice_layouts(draw):
     n = len(cells)
     ids = draw(st.permutations(range(0, 3 * n, 3)))
     radius = draw(st.sampled_from([1.0, 1.5, 2.0]))
-    nodes = [SensorNode(nid, Point2D(float(x), float(y)), 1.0) for nid, (x, y) in zip(ids, cells)]
+    points = [Point2D(float(x), float(y)) for x, y in cells]
     picked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     picked[draw(st.integers(0, n - 1))] = True
-    eligible = {node.id: node.position for node, keep in zip(nodes, picked) if keep}
-    return Deployment(nodes, 6.0, 6.0, radius), eligible
+    eligible = {nid: p for nid, p, keep in zip(ids, points, picked) if keep}
+    return Deployment(ids, points, [1.0] * n, 6.0, 6.0, radius), eligible
 
 
 def assert_matches_reference(points, table, eps, min_pts):
@@ -270,9 +271,8 @@ class TestOpticsOrder:
     @pytest.mark.parametrize("eps", [5.0, 30.0])  # within the table's 2r, and past it
     def test_point_outside_table_rejected(self, eps):
         rng = random.Random(3)
-        dep = Deployment(
-            [SensorNode(i, p, 1.0) for i, p in random_points(30, rng).items()], 20.0, 20.0, 5.0
-        )
+        points = random_points(30, rng)
+        dep = Deployment(list(points), list(points.values()), [1.0] * 30, 20.0, 20.0, 5.0)
         table = build_neighbor_table(dep)
         points = {99: Point2D(1.0, 1.0), 0: dep.node(0).position}
         with pytest.raises(ValueError, match="point 99 is not a node of the neighbor table"):

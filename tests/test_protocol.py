@@ -1,10 +1,15 @@
 import io
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from protocol_reference import reference_cover_cluster, reference_select_next
+from protocol_reference import (
+    reference_cover_cluster,
+    reference_run_round,
+    reference_select_next,
+)
 
 from optics_coverage import protocol
 from optics_coverage.geometry import CoLocatedSensorsError, Point2D
@@ -14,7 +19,6 @@ from optics_coverage.network import (
     IDLE,
     SLEEPING,
     Deployment,
-    SensorNode,
     build_neighbor_table,
     generate_deployment,
 )
@@ -35,16 +39,16 @@ from optics_coverage.protocol import (
 
 
 def make_deployment(positions, radius=5.0, batteries=None, states=None, width=100.0):
-    nodes = [
-        SensorNode(
-            i,
-            Point2D(x, y),
-            (batteries or {}).get(i, 1.0),
-            (states or {}).get(i, IDLE),
-        )
-        for i, (x, y) in enumerate(positions)
-    ]
-    return Deployment(nodes, width, width, radius)
+    n = len(positions)
+    return Deployment(
+        range(n),
+        [Point2D(x, y) for x, y in positions],
+        [(batteries or {}).get(i, 1.0) for i in range(n)],
+        width,
+        width,
+        radius,
+        states=[(states or {}).get(i, IDLE) for i in range(n)],
+    )
 
 
 @st.composite
@@ -83,16 +87,32 @@ def request_layouts(draw):
     batteries = draw(st.lists(st.sampled_from([0.5, 0.75, 1.0]), min_size=n, max_size=n))
     sender = draw(st.just(0) | st.integers(0, n - 1))
     states[sender] = ACTIVE
-    nodes = [
-        SensorNode(nid, Point2D(*pos), 0.0 if state == DEAD else battery, state)
-        for nid, pos, state, battery in zip(ids, positions, states, batteries)
-    ]
+    batteries = [0.0 if state == DEAD else b for state, b in zip(states, batteries)]
     allowed = draw(st.none() | st.sets(st.sampled_from(ids)))
     config = ProtocolConfig(
         w_battery=draw(st.sampled_from([0.4, 0.0, -1.0])),
         w_neighbors=draw(st.sampled_from([0.3, 0.0])),
     )
-    return Deployment(nodes, 10.0, 10.0, 1.0), ids[sender], allowed, config
+    points = [Point2D(*pos) for pos in positions]
+    dep = Deployment(ids, points, batteries, 10.0, 10.0, 1.0, states=states)
+    return dep, ids[sender], allowed, config
+
+
+@st.composite
+def rotation_layouts(draw):
+    """Constructor arguments of a field, some of whose nodes are dead from
+    the start, with batteries low enough that a 0.3 or 0.6 drain kills
+    within a few rounds."""
+    n = draw(st.integers(1, 60))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    side = draw(st.sampled_from([15.0, 25.0, 40.0]))
+    positions = [Point2D(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+    batteries = [rng.uniform(0.1, 1.0) for _ in range(n)]
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    states = [DEAD if i in dead else IDLE for i in range(n)]
+    batteries = [0.0 if i in dead else b for i, b in enumerate(batteries)]
+    ids = rng.sample(range(10 * n), n)
+    return ids, positions, batteries, side, side, 5.0, None, states
 
 
 def allowed_mask(table, allowed_ids):
@@ -524,6 +544,53 @@ class TestRunRound:
             run_round(RoundState(0), dep, OpticsParams(eps=10, min_pts=4), table=table)
         assert all(n.state == IDLE for n in dep.nodes)
 
+    @given(
+        rotation_layouts(),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([0.0, 0.3, 0.6]),
+        st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_node_walk(self, layout, sleep_rounds, drain, min_pts):
+        params = OpticsParams(eps=10, min_pts=min_pts)
+        config = ProtocolConfig(
+            sleep_rounds=sleep_rounds, battery_drain=drain, grid_resolution=50
+        )
+        ours, ref = Deployment(*layout), Deployment(*layout)
+        runs = [
+            [run_round, ours, build_neighbor_table(ours), RoundState(0)],
+            [reference_run_round, ref, build_neighbor_table(ref), RoundState(0)],
+        ]
+        for _ in range(8):
+            outcomes = []
+            for run in runs:
+                step, dep, table, state = run
+                try:
+                    run[3], report = step(state, dep, params, config, table)
+                    outcomes.append((run[3], report))
+                except AllNodesDeadError as err:
+                    outcomes.append(err.round_index)
+            assert outcomes[0] == outcomes[1]
+            assert ours.state_code.tolist() == ref.state_code.tolist()
+            assert ours.battery.tolist() == ref.battery.tolist()
+            if isinstance(outcomes[0], int):
+                break
+
+    @pytest.mark.parametrize(
+        "active, sleeping",
+        [({3, 99}, {1: 1}), ({3}, {1: 1, 99: 2}), ({3, -1}, {}), ({3}, {1: 1, 2.5: 1})],
+    )
+    def test_unknown_state_ids_rejected_before_any_write(self, active, sleeping):
+        dep = generate_deployment(20, 20, 20, 5, seed=8)
+        dep.node(3).state = ACTIVE
+        dep.node(1).state = SLEEPING
+        before = dep.state_code.copy(), dep.battery.copy()
+        bad = next(nid for nid in [*active, *sleeping] if nid not in dep.ids)
+        with pytest.raises(KeyError, match=f"unknown node id {bad}"):
+            run_round(RoundState(0, active, sleeping), dep, OpticsParams(eps=10, min_pts=2))
+        assert dep.state_code.tolist() == before[0].tolist()
+        assert dep.battery.tolist() == before[1].tolist()
+
     def test_all_dead_raises_with_round_index(self):
         dep = make_deployment([(0, 0), (3, 0)], batteries={0: 0.5, 1: 0.5})
         params = OpticsParams(eps=10, min_pts=1)
@@ -531,6 +598,36 @@ class TestRunRound:
         with pytest.raises(AllNodesDeadError) as err:
             list(iterate_rounds(dep, params, config, rounds=5))
         assert err.value.round_index >= 2
+
+
+def one_node_round(battery, drain):
+    """An isolated node, which activates, after one round at ``drain``."""
+    dep = make_deployment([(0, 0)], batteries={0: battery})
+    config = ProtocolConfig(battery_drain=drain, grid_resolution=10)
+    state, _ = run_round(RoundState(0), dep, OpticsParams(eps=10, min_pts=1), config)
+    return state, dep.node(0)
+
+
+class TestRoundDrain:
+    def test_normal_drain(self):
+        state, node = one_node_round(1.0, 0.1)
+        assert node.battery == 1.0 - 0.1
+        assert node.state == ACTIVE and state.active == {0}
+
+    def test_clamps_to_zero_and_dies(self):
+        state, node = one_node_round(0.05, 0.1)
+        assert node.battery == 0.0
+        assert node.state == DEAD and state.active == set()
+
+    def test_zero_drain_is_identity(self):
+        _, node = one_node_round(0.7, 0.0)
+        assert node.battery == 0.7 and node.state == ACTIVE
+
+    @given(st.floats(0, 1, exclude_min=True), st.floats(0, 2))
+    def test_battery_stays_normalized(self, start, amount):
+        state, node = one_node_round(start, amount)
+        assert 0.0 <= node.battery <= 1.0
+        assert (node.battery == 0.0) == (node.state == DEAD) == (state.active == set())
 
 
 class TestIterateRounds:
