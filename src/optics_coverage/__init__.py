@@ -44,12 +44,10 @@ from .protocol import (
     ProtocolConfig,
     RoundState,
     SelectionTree,
-    acceptance_level,
     choose_initial_sensor,
     cover_cluster,
     iterate_rounds,
     run_round,
-    select_next,
 )
 
 __all__ = [
@@ -69,7 +67,6 @@ __all__ = [
     "RoundState",
     "SelectionTree",
     "SensorNode",
-    "acceptance_level",
     "active_ratio",
     "analytic_cr",
     "build_neighbor_table",
@@ -86,6 +83,5 @@ __all__ = [
     "overlap",
     "overlap_angle",
     "run_round",
-    "select_next",
     "summarize_experiment",
 ]

@@ -182,10 +182,10 @@ class NeighborTable:
     length is the direct-neighbor count of the node. ``radius`` is the
     reach the rows hold, so they also serve any eps <= radius neighborhood.
     ``neighbor_rows`` builds every table. ``degrees`` holds every row's
-    length and ``row`` gives one row as array views, which the protocol
-    reads; ``table[node_id]`` and ``degree`` read one row as Python ints and
-    floats, as the tests' references do; ``neighbors`` builds every row,
-    and no package code reads it.
+    length and ``row(i)`` gives the row of ``ids[i]`` as array views, which
+    the protocol reads; ``table[node_id]`` and ``degree`` read one row as
+    Python ints and floats, as the tests' references do; ``neighbors``
+    builds every row, and no package code reads it.
     """
 
     ids: np.ndarray
@@ -202,22 +202,18 @@ class NeighborTable:
         self._position = {pid: i for i, pid in enumerate(self.ids.tolist())}
         self._bounds = self.indptr.tolist()
 
-    def position(self, node_id: int) -> int:
-        """Index of ``node_id`` in ``ids``; ``KeyError`` for an unknown id."""
-        return self._position[node_id]
-
     def degree(self, node_id: int) -> int:
         i = self._position[node_id]
         return self._bounds[i + 1] - self._bounds[i]
 
-    def row(self, node_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of one row: neighbor positions into ``ids``, and distances."""
-        i = self._position[node_id]
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the row of ``ids[i]``: neighbor positions into ``ids``,
+        and distances."""
         row = slice(self._bounds[i], self._bounds[i + 1])
         return self.index[row], self.distance[row]
 
     def __getitem__(self, node_id: int) -> list[tuple[int, float]]:
-        index, distance = self.row(node_id)
+        index, distance = self.row(self._position[node_id])
         return list(zip(self.ids[index].tolist(), distance.tolist()))
 
     @property

@@ -18,8 +18,12 @@ counts twice; each member keeps a running sum, grown by the discs of its
 neighbor-table row as they activate. Actives retire to sleep at the end
 of their round and rejoin the pool after a configurable number of rounds.
 A round runs on the deployment's ``state_code`` and ``battery`` arrays:
-waking, retiring and draining are masked writes, the eligible pool is
-``state_code == IDLE``, and a selection tree works at the table's slots.
+waking, retiring and draining are masked writes, and the eligible pool is
+``state_code == IDLE``. A selection tree works at the table's slots. It
+splits L in two: each idle member's offer, the numerator, is computed
+once per cluster into one array over the slots, NaN wherever no reply
+may come, and a request divides the offers in the sender's row by
+``w_d * distance`` and ranks them.
 """
 
 from __future__ import annotations
@@ -117,27 +121,6 @@ class RoundState:
     ordering: list[OrderedPoint] = field(default_factory=list)
 
 
-def acceptance_level(
-    battery: float,
-    neighbor_count: int,
-    distance: float,
-    config: ProtocolConfig | None = None,
-) -> float:
-    """One candidate's score under ``config``'s weights; higher is better.
-
-    A distance weighting to 0 is co-location. ``select_next`` scores a
-    whole row with the same expression.
-    """
-    cfg = config or ProtocolConfig()
-    if distance < 0:
-        raise ValueError(f"distance must be positive, got {distance}")
-    if cfg.w_distance * distance == 0:  # zero, or too small to divide by
-        raise CoLocatedSensorsError(f"candidate at distance {distance} from selector")
-    return (cfg.w_battery * battery + cfg.w_neighbors * neighbor_count) / (
-        cfg.w_distance * distance
-    )
-
-
 def choose_initial_sensor(cluster: Cluster, deployment: Deployment) -> int:
     """Cluster member closest to the member centroid, lower id on ties."""
     if not cluster.members:
@@ -152,50 +135,44 @@ def choose_initial_sensor(cluster: Cluster, deployment: Deployment) -> int:
 
 
 def select_next(
-    current: int,
+    sender: int,
     table: NeighborTable,
     deployment: Deployment,
-    allowed: np.ndarray | None = None,
+    offers: np.ndarray,
     config: ProtocolConfig | None = None,
 ) -> list[int]:
-    """Replies to one request from ``current``, best first.
+    """Reply slots to one request from the node at slot ``sender``, best first.
 
-    The sender must be active; only idle neighbors answer (sleeping,
-    active and dead ones stay silent). ``allowed``, a boolean mask over
-    ``table.ids``, restricts who answers (e.g. to one cluster's members).
-    Replies are ranked by acceptance level, highest first, ties going to
-    the lower id; a reply scoring -inf is never offered. Empty when no idle
-    neighbor answers. ``table`` must be the deployment's (``ValueError``
-    otherwise): its row positions index the deployment's state and battery
-    arrays.
+    ``cover_cluster``'s step for one frontier visit; slots index
+    ``table.ids`` and the deployment's arrays alike. ``offers`` holds, at
+    the slot of each node that answers, the numerator of its acceptance
+    level, ``w_b * battery + w_n * neighbor_count``, and NaN at every other
+    slot. The replies are ranked by that numerator over ``w_d * distance``,
+    highest first, ties going to the lower slot (and so the lower id); a
+    reply scoring -inf is never offered. Empty when no neighbor answers.
+    The sender must be active, and ``table`` must be the deployment's
+    (``ValueError`` otherwise). The caller ignores numpy's overflow and
+    invalid warnings: a subnormal distance can score +-inf.
     """
     cfg = config or ProtocolConfig()
     _check_table(table, deployment)
-    try:
-        sender = deployment.state_code[table.position(current)]
-    except KeyError:
-        raise KeyError(f"unknown node id {current}") from None
-    if sender != ACTIVE_CODE:
-        raise ValueError(f"node {current} is {STATE_NAME[sender]}, not active")
-    index, distance = table.row(current)
-    answers = deployment.state_code[index] == IDLE_CODE
-    if allowed is not None:
-        answers &= allowed[index]
-    index, distance = index[answers], distance[answers]
+    code = deployment.state_code[sender]
+    if code != ACTIVE_CODE:
+        raise ValueError(f"node {table.ids[sender]} is {STATE_NAME[code]}, not active")
+    index, distance = table.row(sender)
+    offer = offers[index]
+    answers = ~np.isnan(offer)
+    index, offer, distance = index[answers], offer[answers], distance[answers]
     if not len(index):
         return []
     # rows run by distance, so the first is the nearest: zero, or too small to divide by
     if cfg.w_distance * distance[0] == 0:
         raise CoLocatedSensorsError(f"candidate at distance {distance[0]} from selector")
-    # acceptance_level's expression; a subnormal distance can score +-inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        score = (
-            cfg.w_battery * deployment.battery[index] + cfg.w_neighbors * table.degrees[index]
-        ) / (cfg.w_distance * distance)
-    ranked = np.lexsort((index, -score))  # positions sort like ids
+    score = offer / (cfg.w_distance * distance)
+    ranked = np.lexsort((index, -score))
     if not score[ranked[-1]] > -np.inf:  # -inf and NaN sort last
         ranked = ranked[: np.count_nonzero(score > -np.inf)]
-    return table.ids[index[ranked]].tolist()
+    return index[ranked].tolist()
 
 
 def cover_cluster(
@@ -207,53 +184,68 @@ def cover_cluster(
     """Grow one cluster's selection tree until no candidate is acceptable.
 
     The frontier rotates breadth-first in activation order. Each visit of
-    a tree node sends one request and walks the ranked replies: a
-    redundant reply leaves the cluster's candidate pool for the rest of
-    the round, and the first acceptable one activates, after which the
-    node re-enters the frontier behind its new child. A node whose
+    a tree node sends one request (``select_next``) and walks the ranked
+    replies: a redundant reply leaves the cluster's candidate pool for the
+    rest of the round, and the first acceptable one activates, after which
+    the node re-enters the frontier behind its new child. A node whose
     replies are all redundant, or that gets none, drops out.
+    The walk runs over table slots. One ``offers`` array, built once,
+    holds each idle member's acceptance-level numerator, which nothing in
+    the walk changes; a member's offer goes to NaN as it activates or is
+    discarded, so only the candidate pool answers.
     Each activation adds its arc to the sums of the members in its table
-    row, so a sensor co-located with a member raises as soon as it activates.
+    row, so a sensor co-located with a candidate member raises as soon as
+    it activates.
     """
     cfg = config or ProtocolConfig()
     _check_table(table, deployment)
     root = choose_initial_sensor(cluster, deployment)
     tree = SelectionTree(cluster.cluster_id, root)
-    # candidate pool over table positions, and the summed arc (2*alpha
-    # each) the cluster's actives cut from each member. A discarded
-    # member's sum can only grow, so it would stay redundant and is dropped.
-    pool = np.zeros(len(table.ids), dtype=bool)
-    pool[deployment.slots(cluster.members)] = True
-    covered = np.zeros(len(table.ids))
+    ids, codes = table.ids, deployment.state_code
+    members = deployment.slots(cluster.members)
+    members = members[codes[members] == IDLE_CODE]
+    # the summed arc (2*alpha each) the cluster's actives cut from each
+    # member. A discarded member's sum can only grow, so it would stay
+    # redundant and is dropped.
+    covered = np.zeros(len(ids))
     reach = 2 * deployment.radius
+    # a subnormal distance can score +-inf, and huge weights overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        offers = np.full(len(ids), np.nan)
+        offers[members] = (
+            cfg.w_battery * deployment.battery[members] + cfg.w_neighbors * table.degrees[members]
+        )
 
-    def activate(nid: int) -> None:
-        deployment.state_code[table.position(nid)] = ACTIVE_CODE
-        index, distance = table.row(nid)
-        if len(distance) and distance[0] == 0 and pool[index[distance == 0]].any():
-            raise CoLocatedSensorsError(f"node {nid} shares its position with a member")
-        # the table holds d <= 2r, so every acos lies in [0, pi/2]: the
-        # scalar overlap_angle's clamps never bind. math.acos, as there:
-        # np.arccos can differ in the last bit.
-        alpha = map(math.acos, (distance / reach).tolist())
-        covered[index] += 2 * np.fromiter(alpha, float, len(distance))
+        def activate(i: int) -> None:
+            codes[i] = ACTIVE_CODE
+            offers[i] = np.nan
+            index, distance = table.row(i)
+            # rows run by distance, so only a zero first entry has twins
+            if len(distance) and distance[0] == 0:
+                if not np.isnan(offers[index[distance == 0]]).all():
+                    raise CoLocatedSensorsError(f"node {ids[i]} shares its position with a member")
+            # the table holds d <= 2r, so every acos lies in [0, pi/2]: the
+            # scalar overlap_angle's clamps never bind. math.acos, as there:
+            # np.arccos can differ in the last bit.
+            alpha = map(math.acos, (distance / reach).tolist())
+            covered[index] += 2 * np.fromiter(alpha, float, len(distance))
 
-    activate(root)
-    frontier = deque([root])
-    while frontier:
-        u = frontier.popleft()
-        for candidate in select_next(u, table, deployment, allowed=pool, config=cfg):
-            i = table.position(candidate)
-            free = (TWO_PI - covered.item(i)) / TWO_PI
-            # nothing free: redundant unless theta = 0, however far the sum overshoots
-            if (cfg.theta > 0) if free <= 0 else free < cfg.theta:
-                pool[i] = False
-                continue
-            activate(candidate)
-            tree.edges.append((u, candidate))
-            frontier.append(candidate)
-            frontier.append(u)
-            break
+        u = int(deployment.slots([root])[0])
+        activate(u)
+        frontier = deque([u])
+        while frontier:
+            u = frontier.popleft()
+            for i in select_next(u, table, deployment, offers, cfg):
+                free = (TWO_PI - covered.item(i)) / TWO_PI
+                # nothing free: redundant unless theta = 0, however far the sum overshoots
+                if (cfg.theta > 0) if free <= 0 else free < cfg.theta:
+                    offers[i] = np.nan
+                    continue
+                activate(i)
+                tree.edges.append((ids.item(u), ids.item(i)))
+                frontier.append(i)
+                frontier.append(u)
+                break
     return tree
 
 
@@ -287,7 +279,9 @@ def run_round(
     and the new actives pay the round's battery cost. Outliers of the
     clustering stay idle. A ``table`` passed in must be this deployment's,
     as ``build_neighbor_table(deployment)`` returns it. ``KeyError`` names
-    an id of ``state`` that is not a node's, before any node changes state.
+    an id of ``state`` that is not a node's, and then ``ValueError`` names
+    an active or sleeping node that ``state`` does not list as such, before
+    any node changes state.
     """
     cfg = config or ProtocolConfig()
     round_index = state.round_index + 1
@@ -300,6 +294,16 @@ def run_round(
         _check_table(table, deployment)
     asleep = deployment.slots(list(state.sleeping))
     retiring = deployment.slots(list(state.active))
+    # a busy node the state does not list would never retire or wake
+    for code, listed in ((ACTIVE_CODE, retiring), (SLEEPING_CODE, asleep)):
+        unlisted = codes == code
+        unlisted[listed] = False
+        if unlisted.any():
+            name = STATE_NAME[code]
+            raise ValueError(
+                f"node {ids[unlisted.argmax()]} is {name}, but the round state "
+                f"does not list it as {name}"
+            )
 
     left = np.fromiter(state.sleeping.values(), dtype=np.int64, count=len(asleep))
     alive = codes[asleep] != DEAD_CODE

@@ -12,9 +12,14 @@ and the sum stops once the full circle is reached. It is the oracle for
 the ranked replies and for the per-member arc sums that ``cover_cluster``
 keeps from the neighbor table's distances.
 
+``acceptance_level`` scores one candidate with the whole expression
+``(w_b * battery + w_n * neighbor_count) / (w_d * distance)``; it is the
+oracle of the score that ``cover_cluster`` splits into a per-cluster
+offer (the numerator) and a per-request division.
+
 ``reference_select_next`` answers one request entry by entry, reading each
 neighbor's node and scoring it with ``acceptance_level``; it is the oracle
-for ``select_next``'s numpy ranking over the deployment's arrays.
+for ``select_next``'s numpy ranking over the offers.
 
 ``reference_run_round`` runs a round node by node through the
 deployment's views: it wakes and retires sleepers and actives one at a
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from optics_coverage.geometry import euclidean_distance, overlap_angle
+from optics_coverage.geometry import CoLocatedSensorsError, euclidean_distance, overlap_angle
 from optics_coverage.metrics import RoundReport, active_ratio, analytic_cr, grid_cr
 from optics_coverage.network import ACTIVE, IDLE, SLEEPING
 from optics_coverage.optics import extract_clusters, optics_order
@@ -37,12 +42,24 @@ from optics_coverage.protocol import (
     ProtocolConfig,
     RoundState,
     SelectionTree,
-    acceptance_level,
     choose_initial_sensor,
     cover_cluster,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def acceptance_level(battery, neighbor_count, distance, config=None):
+    """One candidate's score under ``config``'s weights; higher is better.
+    A distance weighting to 0 is co-location."""
+    cfg = config or ProtocolConfig()
+    if distance < 0:
+        raise ValueError(f"distance must be positive, got {distance}")
+    if cfg.w_distance * distance == 0:  # zero, or too small to divide by
+        raise CoLocatedSensorsError(f"candidate at distance {distance} from selector")
+    return (cfg.w_battery * battery + cfg.w_neighbors * neighbor_count) / (
+        cfg.w_distance * distance
+    )
 
 
 def mostly_overlapped(pos, active_positions, radius, theta):

@@ -1,11 +1,13 @@
 import io
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from protocol_reference import (
+    acceptance_level,
     reference_cover_cluster,
     reference_run_round,
     reference_select_next,
@@ -18,6 +20,7 @@ from optics_coverage.network import (
     DEAD,
     IDLE,
     SLEEPING,
+    STATE_CODE,
     Deployment,
     build_neighbor_table,
     generate_deployment,
@@ -27,7 +30,6 @@ from optics_coverage.protocol import (
     AllNodesDeadError,
     ProtocolConfig,
     RoundState,
-    acceptance_level,
     choose_initial_sensor,
     cover_cluster,
     iterate_rounds,
@@ -115,8 +117,20 @@ def rotation_layouts(draw):
     return ids, positions, batteries, side, side, 5.0, None, states
 
 
-def allowed_mask(table, allowed_ids):
-    return np.isin(table.ids, list(allowed_ids))
+def replies(current, table, dep, allowed=None, config=None):
+    """Reply ids to one request from node ``current``: ``select_next`` at
+    its slot, over the offers ``cover_cluster`` builds for a cluster of
+    the ids in ``allowed`` (None for every node), which only idle nodes
+    get."""
+    cfg = config or ProtocolConfig()
+    idle = np.flatnonzero(dep.state_code == STATE_CODE[IDLE])
+    if allowed is not None:
+        idle = idle[np.isin(dep.ids[idle], list(allowed))]
+    offers = np.full(len(dep.ids), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offers[idle] = cfg.w_battery * dep.battery[idle] + cfg.w_neighbors * table.degrees[idle]
+        slots = select_next(int(dep.slots([current])[0]), table, dep, offers, cfg)
+    return dep.ids[slots].tolist()
 
 
 class TestAcceptanceLevel:
@@ -209,7 +223,7 @@ class TestSelectNext:
         table = build_neighbor_table(dep)
         assert table.degree(1) == 1
         assert table.degree(2) == 2
-        assert select_next(0, table, dep) == [2, 1]
+        assert replies(0, table, dep) == [2, 1]
 
     def test_full_ranking_order(self):
         positions = [(0, 0), (6, 0), (0, 2), (-4, 1), (3, 3), (1, -7), (-2, -2)]
@@ -221,7 +235,7 @@ class TestSelectNext:
             for nid, d in table[0]
         }
         assert len(set(levels.values())) == 6
-        assert select_next(0, table, dep) == sorted(levels, key=levels.get, reverse=True)
+        assert replies(0, table, dep) == sorted(levels, key=levels.get, reverse=True)
 
     def test_ties_go_to_lower_id(self):
         # 1, 2 and 3 are exactly 3 m out with equal battery and degree;
@@ -231,18 +245,18 @@ class TestSelectNext:
         )
         table = build_neighbor_table(dep)
         assert {table.degree(nid) for nid in (1, 2, 3)} == {4}
-        assert select_next(0, table, dep) == [4, 1, 2, 3]
+        assert replies(0, table, dep) == [4, 1, 2, 3]
 
     def test_no_idle_neighbors(self):
         dep = make_deployment([(0, 0), (3, 0)], states={0: ACTIVE, 1: SLEEPING})
         table = build_neighbor_table(dep)
-        assert select_next(0, table, dep) == []
+        assert replies(0, table, dep) == []
 
     def test_allowed_filter(self):
         dep = make_deployment([(0, 0), (3, 0), (0, 3)], states={0: ACTIVE})
         table = build_neighbor_table(dep)
-        assert select_next(0, table, dep, allowed=allowed_mask(table, {1})) == [1]
-        assert select_next(0, table, dep, allowed=allowed_mask(table, set())) == []
+        assert replies(0, table, dep, allowed={1}) == [1]
+        assert replies(0, table, dep, allowed=set()) == []
 
     def test_minus_inf_reply_never_offered(self):
         # a negative battery weight over a subnormal distance scores -inf
@@ -250,10 +264,10 @@ class TestSelectNext:
         table = build_neighbor_table(dep)
         config = ProtocolConfig(w_battery=-1.0, w_neighbors=0.0)
         assert acceptance_level(1.0, 2, 1e-310, config) == -math.inf
-        assert select_next(0, table, dep, config=config) == [2]
-        assert select_next(0, table, dep, allowed=allowed_mask(table, {1}), config=config) == []
+        assert replies(0, table, dep, config=config) == [2]
+        assert replies(0, table, dep, allowed={1}, config=config) == []
         # +inf, from the default weights, ranks first
-        assert select_next(0, table, dep) == [1, 2]
+        assert replies(0, table, dep) == [1, 2]
 
     def test_only_idle_neighbors_answer(self):
         dep = generate_deployment(40, 30, 30, 5, seed=3)
@@ -261,9 +275,10 @@ class TestSelectNext:
         dep.nodes[0].state = ACTIVE
         for n in dep.nodes[1:20]:
             n.state = SLEEPING
-        replies = select_next(0, table, dep)
-        assert replies
-        assert sorted(replies) == sorted(nid for nid, _ in table[0] if dep.node(nid).state == IDLE)
+        answered = replies(0, table, dep)
+        assert answered
+        idle = [nid for nid, _ in table[0] if dep.node(nid).state == IDLE]
+        assert sorted(answered) == sorted(idle)
 
     def test_distance_rescaling_preserves_ranking(self):
         # scaling all geometry by a common factor scales every level by
@@ -279,7 +294,7 @@ class TestSelectNext:
                 states={0: ACTIVE},
             )
             table = build_neighbor_table(dep)
-            rankings.append(select_next(0, table, dep))
+            rankings.append(replies(0, table, dep))
         assert len(rankings[0]) == 3
         assert rankings[0] == rankings[1] == rankings[2]
 
@@ -288,38 +303,37 @@ class TestSelectNext:
     def test_matches_per_entry_walk(self, layout):
         dep, sender, allowed, config = layout
         table = build_neighbor_table(dep)
-        mask = None if allowed is None else allowed_mask(table, allowed)
 
-        def outcome(request, allowed):
+        def outcome(request):
             try:
                 return request(sender, table, dep, allowed, config)
             except CoLocatedSensorsError:
                 return "co-located"
 
-        assert outcome(select_next, mask) == outcome(reference_select_next, allowed)
+        assert outcome(replies) == outcome(reference_select_next)
 
     def test_co_located_candidate_raises(self):
         dep = make_deployment([(0, 0), (0, 0)], states={0: ACTIVE})
         table = build_neighbor_table(dep)
         with pytest.raises(CoLocatedSensorsError):
-            select_next(0, table, dep)
+            replies(0, table, dep)
 
     def test_selector_must_be_active(self):
         dep = make_deployment([(0, 0), (3, 0)])
         table = build_neighbor_table(dep)
         with pytest.raises(ValueError):
-            select_next(0, table, dep)
+            replies(0, table, dep)
 
-    def test_unknown_selector(self):
+    def test_slot_outside_table(self):
         dep = make_deployment([(0, 0)], states={0: ACTIVE})
         table = build_neighbor_table(dep)
-        with pytest.raises(KeyError):
-            select_next(99, table, dep)
+        with pytest.raises(IndexError):
+            select_next(1, table, dep, np.full(1, np.nan))
 
     def test_isolated_selector(self):
         dep = make_deployment([(0, 0), (50, 50)], states={0: ACTIVE})
         table = build_neighbor_table(dep)
-        assert select_next(0, table, dep) == []
+        assert replies(0, table, dep) == []
 
     def test_table_of_another_field_rejected(self):
         # two 60-node fields share ids 0..59 and 2r: seed 3's rows would
@@ -329,16 +343,16 @@ class TestSelectNext:
         foreign = build_neighbor_table(generate_deployment(60, 30, 30, 5, seed=3))
         assert np.array_equal(foreign.ids, dep.ids)
         with pytest.raises(ValueError, match="node ids"):
-            select_next(0, foreign, dep)
+            replies(0, foreign, dep)
         table = build_neighbor_table(dep)
         assert table.ids is dep.ids
-        assert sorted(select_next(0, table, dep)) == sorted(nid for nid, _ in table[0])
+        assert sorted(replies(0, table, dep)) == sorted(nid for nid, _ in table[0])
 
     def test_table_of_another_radius_rejected(self):
         dep = make_deployment([(0, 0), (3, 0)], states={0: ACTIVE})
         wide = make_deployment([(0, 0), (3, 0)], radius=6.0)
         with pytest.raises(ValueError, match="radius"):
-            select_next(0, build_neighbor_table(wide), dep)
+            replies(0, build_neighbor_table(wide), dep)
 
 
 class TestCoverCluster:
@@ -435,6 +449,20 @@ class TestCoverCluster:
         tree = cover_cluster(Cluster(0, tuple(n.id for n in dep.nodes)), dep, table)
         assert tree.edges
         assert len(requests) == 1 + 2 * len(tree.edges)
+
+    @pytest.mark.parametrize(
+        "w_battery, edges", [(0.4, [(0, 1), (1, 2)]), (-1.0, [(0, 2)])]
+    )
+    def test_subnormal_distance_warns_nothing(self, w_battery, edges):
+        # test_minus_inf_reply_never_offered's layout: from the root, node 0,
+        # node 1 scores +inf at the default battery weight and -inf at -1.0
+        dep = make_deployment([(0, 0), (1e-310, 0), (3, 0)])
+        table = build_neighbor_table(dep)
+        config = ProtocolConfig(w_battery=w_battery, w_neighbors=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = cover_cluster(Cluster(0, (0, 1, 2)), dep, table, config)
+        assert (tree.root, tree.edges) == (0, edges)
 
     def test_tree_property(self):
         dep = generate_deployment(80, 40, 40, 5, seed=21)
@@ -588,6 +616,19 @@ class TestRunRound:
         bad = next(nid for nid in [*active, *sleeping] if nid not in dep.ids)
         with pytest.raises(KeyError, match=f"unknown node id {bad}"):
             run_round(RoundState(0, active, sleeping), dep, OpticsParams(eps=10, min_pts=2))
+        assert dep.state_code.tolist() == before[0].tolist()
+        assert dep.battery.tolist() == before[1].tolist()
+
+    @pytest.mark.parametrize("busy", [ACTIVE, SLEEPING])
+    def test_unlisted_busy_node_rejected_before_any_write(self, busy):
+        # a node the round state does not list is never retired or woken:
+        # set active, node 3 used to stay active, at its battery, round
+        # after round
+        dep = generate_deployment(60, 30, 30, 5, seed=2)
+        dep.node(3).state = busy
+        before = dep.state_code.copy(), dep.battery.copy()
+        with pytest.raises(ValueError, match=f"node 3 is {busy}"):
+            run_round(RoundState(0), dep, OpticsParams(eps=10, min_pts=4))
         assert dep.state_code.tolist() == before[0].tolist()
         assert dep.battery.tolist() == before[1].tolist()
 
