@@ -8,11 +8,8 @@ active-node ratios and coverage estimates over sleep/wake rounds.
 
 from .geometry import (
     CoLocatedSensorsError,
-    OverlapResult,
     Point2D,
     euclidean_distance,
-    non_overlapped_perimeter,
-    overlap,
     overlap_angle,
 )
 from .metrics import (
@@ -60,7 +57,6 @@ __all__ = [
     "NeighborTable",
     "OpticsParams",
     "OrderedPoint",
-    "OverlapResult",
     "Point2D",
     "ProtocolConfig",
     "RoundReport",
@@ -78,9 +74,7 @@ __all__ = [
     "generate_deployment",
     "grid_cr",
     "iterate_rounds",
-    "non_overlapped_perimeter",
     "optics_order",
-    "overlap",
     "overlap_angle",
     "run_round",
     "summarize_experiment",

@@ -31,19 +31,6 @@ class Point2D:
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
-class OverlapResult:
-    """Boundary split of one disc against an equal-radius neighbor.
-
-    ``overlapped_perimeter + non_overlapped_perimeter`` always equals the
-    full circumference 2*pi*r.
-    """
-
-    alpha: float
-    overlapped_perimeter: float
-    non_overlapped_perimeter: float
-
-
 def euclidean_distance(a: Point2D, b: Point2D) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
@@ -70,17 +57,3 @@ def overlap_angle(d: float, r: float) -> float:
     # acos argument is in (0, 1) here; clamp guards rounding at the edges
     return min(math.pi / 2, max(0.0, math.acos(d / (2 * r))))
 
-
-def non_overlapped_perimeter(d: float, r: float) -> float:
-    """Length 2r(pi - alpha) of a disc boundary outside an equal neighbor."""
-    return 2 * r * (math.pi - overlap_angle(d, r))
-
-
-def overlap(d: float, r: float) -> OverlapResult:
-    """Full boundary split (angle plus both arc lengths) for one disc pair."""
-    alpha = overlap_angle(d, r)
-    return OverlapResult(
-        alpha=alpha,
-        overlapped_perimeter=2 * r * alpha,
-        non_overlapped_perimeter=2 * r * (math.pi - alpha),
-    )

@@ -2,9 +2,10 @@
 
 A deployment is a set of sensors dropped uniformly at random in a
 rectangle, each with a normalized battery level; the deployment holds the
-one coverage radius r they all share, and its ``state_code`` and
-``battery`` arrays are the only store of node state: a ``SensorNode`` is
-a view of one slot, made when asked for. Two sensors are direct neighbors
+one coverage radius r they all share, and its ``state_code``,
+``battery`` and ``sleep_left`` arrays and its ``rounds_run`` count are
+the only store of simulation state: a ``SensorNode`` is a view of one
+slot, made when asked for. Two sensors are direct neighbors
 when their centers are at most 2r apart, which is also the request
 broadcast range. Positions never change after deployment, so one
 neighbor table, held as CSR arrays, serves every round of a deployment.
@@ -54,7 +55,8 @@ class SensorNode:
     ``state`` and ``battery`` read and write the deployment's arrays under
     the constructor's rules: emptying the battery kills the node, as a
     round's drain does, and any other write that breaks a rule raises
-    ``ValueError`` and changes nothing."""
+    ``ValueError`` and changes nothing. A ``state`` write also sets the
+    node's ``sleep_left`` to 0, so a node set sleeping wakes next round."""
 
     deployment: Deployment
     slot: int
@@ -74,6 +76,7 @@ class SensorNode:
     @state.setter
     def state(self, value: str) -> None:
         self._write(self.battery, value)
+        self.deployment.sleep_left[self.slot] = 0
 
     @property
     def battery(self) -> float:
@@ -117,9 +120,12 @@ def _checked(battery: Sequence[float], states: Sequence[str]) -> tuple[np.ndarra
 class Deployment:
     """Sensors of one field as columns sorted by id, indexed by slot:
     ``ids``, ``positions`` (``Point2D``), and the only store of node state,
-    ``state_code`` (``STATE_CODE`` of each state) and ``battery``.
-    ``radius`` is the coverage radius r of every sensor; nothing else
-    stores a copy of it. The columns, and ``states`` (default all idle),
+    ``state_code`` (``STATE_CODE`` of each state), ``battery`` and
+    ``sleep_left`` (the rounds a sleeper has left, 0 at construction, so
+    a node built sleeping wakes next round). ``rounds_run`` counts the
+    rounds run on the deployment, from 0; neither is a constructor
+    argument. ``radius`` is the coverage radius r of every sensor; nothing
+    else stores a copy of it. The columns, and ``states`` (default all idle),
     may come in any id order. ``ValueError`` unless each has one entry per
     node, ids are unique ints, states known, batteries in [0, 1], a node
     dead exactly when empty, and 0 < radius < inf."""
@@ -133,6 +139,8 @@ class Deployment:
     seed: int | None = None
     states: InitVar[Sequence[str] | None] = None
     state_code: np.ndarray = field(init=False, repr=False)
+    sleep_left: np.ndarray = field(init=False, repr=False)
+    rounds_run: int = field(init=False, default=0)
 
     def __post_init__(self, states: Sequence[str] | None):
         if not 0 < self.radius < math.inf:
@@ -151,6 +159,7 @@ class Deployment:
         battery, codes = _checked(self.battery, states)
         self.battery, self.state_code = battery[order], codes[order]
         self.positions = tuple(self.positions[i] for i in order.tolist())
+        self.sleep_left = np.zeros(n, dtype=np.int64)
 
     def slots(self, node_ids: Sequence[int]) -> np.ndarray:
         """Slots of ``node_ids``; ``KeyError`` for an id that is not a node's."""
@@ -183,9 +192,8 @@ class NeighborTable:
     reach the rows hold, so they also serve any eps <= radius neighborhood.
     ``neighbor_rows`` builds every table. ``degrees`` holds every row's
     length and ``row(i)`` gives the row of ``ids[i]`` as array views, which
-    the protocol reads; ``table[node_id]`` and ``degree`` read one row as
-    Python ints and floats, as the tests' references do; ``neighbors``
-    builds every row, and no package code reads it.
+    the protocol reads; ``neighbors`` builds every row as Python ints and
+    floats, and no package code reads it.
     """
 
     ids: np.ndarray
@@ -194,17 +202,11 @@ class NeighborTable:
     distance: np.ndarray
     radius: float
     degrees: np.ndarray = field(init=False, repr=False)
-    _position: dict[int, int] = field(init=False, repr=False)
     _bounds: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.degrees = np.diff(self.indptr)
-        self._position = {pid: i for i, pid in enumerate(self.ids.tolist())}
         self._bounds = self.indptr.tolist()
-
-    def degree(self, node_id: int) -> int:
-        i = self._position[node_id]
-        return self._bounds[i + 1] - self._bounds[i]
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the row of ``ids[i]``: neighbor positions into ``ids``,
@@ -212,14 +214,14 @@ class NeighborTable:
         row = slice(self._bounds[i], self._bounds[i + 1])
         return self.index[row], self.distance[row]
 
-    def __getitem__(self, node_id: int) -> list[tuple[int, float]]:
-        index, distance = self.row(self._position[node_id])
-        return list(zip(self.ids[index].tolist(), distance.tolist()))
-
     @property
     def neighbors(self) -> Mapping[int, list[tuple[int, float]]]:
         """Read-only ``{id: row}`` of every row, built on each access."""
-        return MappingProxyType({pid: self[pid] for pid in self._position})
+        rows = {}
+        for i, pid in enumerate(self.ids.tolist()):
+            index, distance = self.row(i)
+            rows[pid] = list(zip(self.ids[index].tolist(), distance.tolist()))
+        return MappingProxyType(rows)
 
 
 def require_int(name: str, value: object) -> None:

@@ -17,9 +17,11 @@ united, so where two active discs cover the same stretch of boundary it
 counts twice; each member keeps a running sum, grown by the discs of its
 neighbor-table row as they activate. Actives retire to sleep at the end
 of their round and rejoin the pool after a configurable number of rounds.
-A round runs on the deployment's ``state_code`` and ``battery`` arrays:
-waking, retiring and draining are masked writes, and the eligible pool is
-``state_code == IDLE``. A selection tree works at the table's slots. It
+A round runs on the deployment's arrays alone, ``state_code``,
+``battery`` and the sleepers' countdown ``sleep_left``: waking, retiring
+and draining are masked writes, the eligible pool is
+``state_code == IDLE``, and a ``RoundState`` only records what the round
+did. A selection tree works at the table's slots. It
 splits L in two: each idle member's offer, the numerator, is computed
 once per cluster into one array over the slots, NaN wherever no reply
 may come, and a request divides the offers in the sender's row by
@@ -113,6 +115,10 @@ class SelectionTree:
 
 @dataclass
 class RoundState:
+    """What one round did, read from the deployment's arrays as the round
+    ends: the surviving actives, and each sleeper's rounds left, 1 for one
+    that wakes at the next round. No round reads it back."""
+
     round_index: int
     active: set[int] = field(default_factory=set)
     # sleeping node id -> rounds left before it returns to the idle pool
@@ -266,54 +272,41 @@ def _check_table(table: NeighborTable, deployment: Deployment) -> None:
 
 
 def run_round(
-    state: RoundState,
     deployment: Deployment,
     params: OpticsParams,
     config: ProtocolConfig | None = None,
     table: NeighborTable | None = None,
 ) -> tuple[RoundState, RoundReport]:
-    """Advance the simulation by one round.
+    """Advance the deployment by one round, its ``rounds_run + 1``-th.
 
-    Last round's actives go to sleep, expired sleepers rejoin the idle
-    pool, the idle pool is re-clustered and covered cluster by cluster,
-    and the new actives pay the round's battery cost. Outliers of the
-    clustering stay idle. A ``table`` passed in must be this deployment's,
-    as ``build_neighbor_table(deployment)`` returns it. ``KeyError`` names
-    an id of ``state`` that is not a node's, and then ``ValueError`` names
-    an active or sleeping node that ``state`` does not list as such, before
-    any node changes state.
+    Sleepers count down and those with one round or less left rejoin the
+    idle pool, last round's actives go to sleep for ``sleep_rounds``, the
+    idle pool is re-clustered and covered cluster by cluster, and the new
+    actives pay the round's battery cost. Outliers of the clustering stay
+    idle. A ``table`` passed in must be this deployment's, as
+    ``build_neighbor_table(deployment)`` returns it (``ValueError``, before
+    any node changes state, otherwise).
     """
     cfg = config or ProtocolConfig()
-    round_index = state.round_index + 1
-    ids, codes = deployment.ids, deployment.state_code
+    round_index = deployment.rounds_run + 1
+    ids, codes, left = deployment.ids, deployment.state_code, deployment.sleep_left
     if not (codes != DEAD_CODE).any():
         raise AllNodesDeadError(round_index)
     if table is None:
         table = build_neighbor_table(deployment)
     else:
         _check_table(table, deployment)
-    asleep = deployment.slots(list(state.sleeping))
-    retiring = deployment.slots(list(state.active))
-    # a busy node the state does not list would never retire or wake
-    for code, listed in ((ACTIVE_CODE, retiring), (SLEEPING_CODE, asleep)):
-        unlisted = codes == code
-        unlisted[listed] = False
-        if unlisted.any():
-            name = STATE_NAME[code]
-            raise ValueError(
-                f"node {ids[unlisted.argmax()]} is {name}, but the round state "
-                f"does not list it as {name}"
-            )
-
-    left = np.fromiter(state.sleeping.values(), dtype=np.int64, count=len(asleep))
-    alive = codes[asleep] != DEAD_CODE
-    waking = alive & (left <= 1)
-    codes[asleep[waking]] = IDLE_CODE
-    still = alive & ~waking
-    sleeping = dict(zip(ids[asleep[still]].tolist(), (left[still] - 1).tolist()))
-    retiring = retiring[codes[retiring] != DEAD_CODE]
+    deployment.rounds_run = round_index
+    # sleepers count down, those with one round or less left wake, and
+    # last round's actives retire
+    asleep = codes == SLEEPING_CODE
+    codes[asleep & (left <= 1)] = IDLE_CODE
+    left[asleep & (left > 0)] -= 1
+    retiring = codes == ACTIVE_CODE
     codes[retiring] = SLEEPING_CODE
-    sleeping.update(dict.fromkeys(ids[retiring].tolist(), cfg.sleep_rounds))
+    left[retiring] = cfg.sleep_rounds
+    asleep = np.flatnonzero(codes == SLEEPING_CODE)
+    sleeping = dict(zip(ids[asleep].tolist(), left[asleep].tolist()))
 
     idle = np.flatnonzero(codes == IDLE_CODE)
     trees: list[SelectionTree] = []
@@ -357,23 +350,16 @@ def iterate_rounds(
     config: ProtocolConfig | None = None,
     rounds: int = 1,
 ) -> Iterator[tuple[RoundState, RoundReport]]:
-    """Yield (state, report) for each round of a fresh simulation.
+    """Yield (state, report) for each of the deployment's next ``rounds``
+    rounds.
 
-    ``rounds`` and the deployment are checked here: every alive node must
-    be idle, since a deployment that has already run keeps its actives and
-    sleepers, which a fresh round state does not know of. The neighbor
-    table is built at the first ``next()``.
+    ``rounds`` is checked here; the neighbor table is built at the first
+    ``next()``. A deployment that has run resumes where it stopped: its
+    actives retire and its sleepers keep counting down.
     """
     require_int("rounds", rounds)
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    busy = np.flatnonzero(~np.isin(deployment.state_code, (IDLE_CODE, DEAD_CODE)))
-    if busy.size:
-        node = deployment.nodes[busy[0]]
-        raise ValueError(
-            f"node {node.id} is {node.state}: iterate_rounds needs a "
-            f"deployment whose alive nodes are all idle"
-        )
     return _rounds(deployment, params, config, rounds)
 
 
@@ -384,10 +370,8 @@ def _rounds(
     rounds: int,
 ) -> Iterator[tuple[RoundState, RoundReport]]:
     table = build_neighbor_table(deployment)
-    state = RoundState(0)
     for _ in range(rounds):
-        state, report = run_round(state, deployment, params, config, table)
-        yield state, report
+        yield run_round(deployment, params, config, table)
 
 
 def write_trace(

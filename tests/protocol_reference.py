@@ -22,16 +22,19 @@ neighbor's node and scoring it with ``acceptance_level``; it is the oracle
 for ``select_next``'s numpy ranking over the offers.
 
 ``reference_run_round`` runs a round node by node through the
-deployment's views: it wakes and retires sleepers and actives one at a
-time, collects the idle nodes into the eligible dict, and drains each
-new active's battery, clamped at zero, which kills it. It is the oracle
-for ``run_round``'s masked writes over the arrays.
+deployment's views: it counts down or wakes each sleeper and retires each
+active one at a time, reading and writing ``deployment.sleep_left`` at
+the node's slot, collects the idle nodes into the eligible dict, and
+drains each new active's battery, clamped at zero, which kills it. It is
+the oracle for ``run_round``'s masked writes over the arrays.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+
+from network_reference import table_degree, table_row
 
 from optics_coverage.geometry import CoLocatedSensorsError, euclidean_distance, overlap_angle
 from optics_coverage.metrics import RoundReport, active_ratio, analytic_cr, grid_cr
@@ -81,13 +84,13 @@ def reference_select_next(current, table, deployment, allowed=None, config=None)
     if sender.state != ACTIVE:
         raise ValueError(f"node {current} is {sender.state}, not active")
     replies = []
-    for nid, dist in table[current]:
+    for nid, dist in table_row(table, current):
         if allowed is not None and nid not in allowed:
             continue
         node = deployment.node(nid)
         if node.state != IDLE:
             continue
-        score = acceptance_level(node.battery, table.degree(nid), dist, cfg)
+        score = acceptance_level(node.battery, table_degree(table, nid), dist, cfg)
         if score > -math.inf:
             replies.append((-score, nid))  # sorts best first, lower id on ties
     return [nid for _, nid in sorted(replies)]
@@ -97,13 +100,13 @@ def best_reply(current, table, deployment, allowed, exclude, config):
     """Idle allowed neighbor of ``current`` with the highest level, or None."""
     best = None
     best_score = -math.inf
-    for nid, dist in table[current]:
+    for nid, dist in table_row(table, current):
         if nid in exclude or nid not in allowed:
             continue
         node = deployment.node(nid)
         if node.state != IDLE:
             continue
-        score = acceptance_level(node.battery, table.degree(nid), dist, config)
+        score = acceptance_level(node.battery, table_degree(table, nid), dist, config)
         if score > best_score or (score == best_score > -math.inf and nid < best):
             best, best_score = nid, score
     return best
@@ -136,25 +139,23 @@ def reference_cover_cluster(cluster, deployment, table, config: ProtocolConfig):
     return tree
 
 
-def reference_run_round(state, deployment, params, config, table):
+def reference_run_round(deployment, params, config, table):
     """One round of ``table``'s deployment, walking node views."""
-    round_index = state.round_index + 1
+    round_index = deployment.rounds_run + 1
     if not any(n.alive for n in deployment.nodes):
         raise AllNodesDeadError(round_index)
-    sleeping = {}
-    for nid, remaining in state.sleeping.items():
-        node = deployment.node(nid)
-        if not node.alive:
-            continue
-        if remaining <= 1:
-            node.state = IDLE
-        else:
-            sleeping[nid] = remaining - 1
-    for nid in state.active:
-        node = deployment.node(nid)
-        if node.alive:
+    deployment.rounds_run = round_index
+    left = deployment.sleep_left
+    for node in deployment.nodes:
+        if node.state == SLEEPING:
+            if left[node.slot] <= 1:
+                node.state = IDLE  # which sets its rounds left to 0
+            else:
+                left[node.slot] -= 1
+        elif node.state == ACTIVE:
             node.state = SLEEPING
-            sleeping[nid] = config.sleep_rounds
+            left[node.slot] = config.sleep_rounds
+    sleeping = {n.id: int(left[n.slot]) for n in deployment.nodes if n.state == SLEEPING}
 
     eligible = {n.id: n.position for n in deployment.nodes if n.state == IDLE}
     trees, ordering = [], []

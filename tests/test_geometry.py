@@ -9,8 +9,6 @@ from optics_coverage.geometry import (
     CoLocatedSensorsError,
     Point2D,
     euclidean_distance,
-    non_overlapped_perimeter,
-    overlap,
     overlap_angle,
 )
 
@@ -87,41 +85,17 @@ class TestOverlapAngle:
             d2 = rng.uniform(d1, 2 * r)
             assert overlap_angle(d2, r) <= overlap_angle(d1, r)
 
-    @given(st.floats(1e-6, 1.0), st.floats(0.01, 100.0))
-    def test_range(self, frac, r):
-        alpha = overlap_angle(frac * 2 * r, r)
-        assert 0 <= alpha <= math.pi / 2
-
-
-class TestNonOverlappedPerimeter:
-    def test_tangent_full_perimeter(self):
-        assert non_overlapped_perimeter(10, 5) == pytest.approx(2 * math.pi * 5)
-
-    def test_far_apart_full_perimeter(self):
-        assert non_overlapped_perimeter(20, 5) == pytest.approx(31.4159, abs=1e-4)
-
-    def test_half_radius_separation(self):
-        # 10 * (pi - pi/3), frozen from the same oracle as the angle
-        assert non_overlapped_perimeter(5, 5) == pytest.approx(20.944, abs=1e-3)
-
-    def test_propagates_coincident_error(self):
-        with pytest.raises(CoLocatedSensorsError):
-            non_overlapped_perimeter(0, 5)
-
-    def test_perimeter_partition_identity(self):
-        r = 5.0
-        for frac in np.linspace(1e-6, 1.0, 500):
-            res = overlap(frac * 2 * r, r)
-            total = res.overlapped_perimeter + res.non_overlapped_perimeter
-            assert abs(total - 2 * math.pi * r) < 1e-9
-
     @pytest.mark.parametrize("frac", [0.2, 0.5, 0.8])
     def test_mc_oracle_at_standard_separations(self, frac):
         r, samples = 5.0, 10**6
         d = frac * 2 * r
         inside = mc_boundary_inside_fraction(d, r, samples, seed=int(frac * 100))
-        mc_perimeter = (1 - inside) * 2 * math.pi * r
-        assert non_overlapped_perimeter(d, r) == pytest.approx(mc_perimeter, rel=0.01)
+        assert overlap_angle(d, r) / math.pi == pytest.approx(inside, rel=0.01)
+
+    @given(st.floats(1e-6, 1.0), st.floats(0.01, 100.0))
+    def test_range(self, frac, r):
+        alpha = overlap_angle(frac * 2 * r, r)
+        assert 0 <= alpha <= math.pi / 2
 
 
 class TestTypes:
@@ -131,7 +105,3 @@ class TestTypes:
         with pytest.raises(ValueError):
             Point2D(0, math.inf)
 
-    def test_overlap_result_fields(self):
-        res = overlap(5, 5)
-        assert res.alpha == pytest.approx(math.pi / 3)
-        assert res.overlapped_perimeter == pytest.approx(10 * math.pi / 3)

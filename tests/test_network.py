@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from network_reference import reference_rows, reference_table, table_degree, table_row
 
 from optics_coverage import network
 from optics_coverage.geometry import Point2D
@@ -23,30 +24,12 @@ from optics_coverage.network import (
 )
 from optics_coverage.optics import OpticsParams
 from optics_coverage.protocol import AllNodesDeadError, ProtocolConfig, iterate_rounds
-from optics_coverage.spatial import brute_force_query
 
 
 def make_deployment(positions, radius=5.0, battery=1.0, ids=None):
     ids = range(len(positions)) if ids is None else ids
     points = [Point2D(x, y) for x, y in positions]
     return Deployment(ids, points, [battery] * len(points), 100.0, 100.0, radius)
-
-
-def reference_rows(points, reach):
-    """Rows by the brute-force scan at ``reach``, minus each point itself,
-    sorted by (distance, id)."""
-    return {
-        pid: sorted(
-            [(q, d) for q, d in brute_force_query(points, p, reach) if q != pid],
-            key=lambda entry: (entry[1], entry[0]),
-        )
-        for pid, p in points.items()
-    }
-
-
-def reference_table(dep):
-    """Neighbor rows by the brute-force scan at 2r."""
-    return reference_rows({n.id: n.position for n in dep.nodes}, 2 * dep.radius)
 
 
 class TestGenerateDeployment:
@@ -123,25 +106,25 @@ class TestNeighborTable:
         # j1 in the middle touches both others; j2 on the end touches one
         dep = make_deployment([(0, 0), (8, 0), (-8, 0)])
         table = build_neighbor_table(dep)
-        assert table.degree(0) == 2
-        assert table.degree(1) == 1
-        assert table.degree(2) == 1
+        assert table_degree(table, 0) == 2
+        assert table_degree(table, 1) == 1
+        assert table_degree(table, 2) == 1
 
     def test_boundary_inclusive(self):
         dep = make_deployment([(0, 0), (10, 0)])
         table = build_neighbor_table(dep)
-        assert table.degree(0) == 1
+        assert table_degree(table, 0) == 1
 
     def test_just_beyond_boundary(self):
         dep = make_deployment([(0, 0), (10.001, 0)])
         table = build_neighbor_table(dep)
-        assert table.degree(0) == 0
+        assert table_degree(table, 0) == 0
 
     def test_distances_recorded(self):
         dep = make_deployment([(0, 0), (6, 8)])
         table = build_neighbor_table(dep)
-        assert table[0] == [(1, 10.0)]
-        assert table[1] == [(0, 10.0)]
+        assert table_row(table, 0) == [(1, 10.0)]
+        assert table_row(table, 1) == [(0, 10.0)]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -150,7 +133,7 @@ class TestNeighborTable:
         table = build_neighbor_table(dep)
         for nid, entries in table.neighbors.items():
             for other, dist in entries:
-                assert (nid, dist) in table[other]
+                assert (nid, dist) in table_row(table, other)
                 assert dist <= 2 * dep.radius
 
     @given(
@@ -182,8 +165,8 @@ class TestNeighborTable:
         dep = make_deployment(positions)
         table = build_neighbor_table(dep)
         assert table.neighbors == reference_table(dep)
-        assert (1, 10.0) in table[0] and (2, 10.0) in table[0]
-        assert (5, 10.0) in table[0] and (0, 10.0) in table[3]
+        assert (1, 10.0) in table_row(table, 0) and (2, 10.0) in table_row(table, 0)
+        assert (5, 10.0) in table_row(table, 0) and (0, 10.0) in table_row(table, 3)
 
     def test_pair_rounding_down_to_2r(self):
         # nodes 1 and 2 are 0.5 = 2r apart after rounding; with cells of
@@ -191,7 +174,7 @@ class TestNeighborTable:
         dep = make_deployment([(0.0, 0.0), (1.0, 0.0), (0.49999999999999994, 0.0)], radius=0.25)
         table = build_neighbor_table(dep)
         assert table.neighbors == reference_table(dep)
-        assert table[1] == [(2, 0.5)]
+        assert table_row(table, 1) == [(2, 0.5)]
 
     def test_pair_at_2r_whose_squares_round_up(self):
         # math.hypot gives exactly 10.0, but dx*dx + dy*dy rounds to
@@ -201,7 +184,7 @@ class TestNeighborTable:
         )
         table = build_neighbor_table(dep)
         assert table.neighbors == reference_table(dep)
-        assert table[0] == [(1, 10.0)]
+        assert table_row(table, 0) == [(1, 10.0)]
 
     def test_empty_deployment(self):
         dep = Deployment([], [], [], 50.0, 50.0, 5.0)
@@ -214,15 +197,15 @@ class TestNeighborTable:
         dep = make_deployment([(0.0, 0.0), (4.0, 0.0), (8.0, 0.0)], ids=[7, 3, 100])
         table = build_neighbor_table(dep)
         assert table.ids.tolist() == list(table.neighbors) == [3, 7, 100]
-        assert table[7] == [(3, 4.0), (100, 8.0)]
-        assert table[3] == [(7, 4.0), (100, 4.0)]
-        assert table[100] == [(3, 4.0), (7, 8.0)]
+        assert table_row(table, 7) == [(3, 4.0), (100, 8.0)]
+        assert table_row(table, 3) == [(7, 4.0), (100, 4.0)]
+        assert table_row(table, 100) == [(3, 4.0), (7, 8.0)]
 
     def test_co_located_twins(self):
         dep = make_deployment([(3.0, 4.0), (3.0, 4.0), (9.0, 12.0)])
         table = build_neighbor_table(dep)
-        assert table[0] == [(1, 0.0), (2, 10.0)]
-        assert table[1] == [(0, 0.0), (2, 10.0)]
+        assert table_row(table, 0) == [(1, 0.0), (2, 10.0)]
+        assert table_row(table, 1) == [(0, 0.0), (2, 10.0)]
 
     def test_far_offset_field(self):
         base = generate_deployment(300, 50, 50, 5, seed=3)
@@ -241,7 +224,7 @@ class TestNeighborTable:
             for other, d in row:
                 assert type(other) is int and type(d) is float
                 assert other in dep.ids
-                back = next(e for o, e in table[other] if o == nid)
+                back = next(e for o, e in table_row(table, other) if o == nid)
                 assert type(back) is float and back == d
 
     @pytest.mark.parametrize("radius", [0.5, 3.0, 10.0, 17.5])
@@ -320,7 +303,7 @@ class TestNeighborTable:
             entries = list(zip(table.distance[row].tolist(), table.index[row].tolist()))
             assert entries == sorted(entries)
             assert i not in table.index[row]
-            assert table.degree(pid) == len(entries)
+            assert table_degree(table, pid) == len(entries)
 
 
 def columns(n=3, battery=1.0, ids=None, states=None):
@@ -458,6 +441,35 @@ class TestDeploymentArrays:
         assert dep.node(1).state == DEAD and not dep.node(1).alive
         assert_arrays_match(dep)
         assert dep.battery.tolist() == [0.5, 0.0]
+
+    def test_countdown_and_round_count_start_at_zero(self):
+        # a node built sleeping has no rounds left, so it wakes next round
+        args = columns(4, ids=[9, 2, 5, 0], states=[SLEEPING, ACTIVE, IDLE, SLEEPING])
+        dep = Deployment(*args)
+        assert dep.sleep_left.dtype == np.int64
+        assert dep.sleep_left.tolist() == [0, 0, 0, 0] and dep.rounds_run == 0
+
+    @pytest.mark.parametrize("name, value", [("sleep_left", [2, 2, 2]), ("rounds_run", 3)])
+    def test_countdown_and_round_count_not_constructor_arguments(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            Deployment(*columns(), **{name: value})
+
+    @pytest.mark.parametrize(
+        "field, value, left",
+        [("state", IDLE, 0), ("state", ACTIVE, 0), ("state", SLEEPING, 0), ("battery", 0.5, 3)],
+    )
+    def test_state_write_clears_countdown(self, field, value, left):
+        # round 1 activates the isolated node 0, round 2 puts it to sleep
+        # for 3 rounds; a state write restarts its countdown, a battery
+        # write does not touch it
+        dep = make_deployment([(0, 0), (30, 0)])
+        config = ProtocolConfig(sleep_rounds=3)
+        rounds = iterate_rounds(dep, OpticsParams(eps=10, min_pts=1), config, rounds=2)
+        assert [state.sleeping for state, _ in rounds][-1] == {0: 3, 1: 3}
+        setattr(dep.node(0), field, value)
+        assert dep.sleep_left.tolist() == [left, 3]
+        assert getattr(dep.node(0), field) == value
+        assert_arrays_match(dep)
 
     def test_views_are_made_on_call(self):
         dep = generate_deployment(30, 30, 30, 5, seed=4)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from network_reference import table_degree, table_row
 from protocol_reference import (
     acceptance_level,
     reference_cover_cluster,
@@ -25,11 +26,11 @@ from optics_coverage.network import (
     build_neighbor_table,
     generate_deployment,
 )
-from optics_coverage.optics import Cluster, OpticsParams
+from optics_coverage.config import RunConfig
+from optics_coverage.optics import Cluster, OpticsParams, extract_clusters
 from optics_coverage.protocol import (
     AllNodesDeadError,
     ProtocolConfig,
-    RoundState,
     choose_initial_sensor,
     cover_cluster,
     iterate_rounds,
@@ -221,8 +222,8 @@ class TestSelectNext:
             states={0: ACTIVE, 3: SLEEPING},
         )
         table = build_neighbor_table(dep)
-        assert table.degree(1) == 1
-        assert table.degree(2) == 2
+        assert table_degree(table, 1) == 1
+        assert table_degree(table, 2) == 2
         assert replies(0, table, dep) == [2, 1]
 
     def test_full_ranking_order(self):
@@ -231,8 +232,8 @@ class TestSelectNext:
         dep = make_deployment(positions, batteries=batteries, states={0: ACTIVE})
         table = build_neighbor_table(dep)
         levels = {
-            nid: acceptance_level(batteries[nid], table.degree(nid), d)
-            for nid, d in table[0]
+            nid: acceptance_level(batteries[nid], table_degree(table, nid), d)
+            for nid, d in table_row(table, 0)
         }
         assert len(set(levels.values())) == 6
         assert replies(0, table, dep) == sorted(levels, key=levels.get, reverse=True)
@@ -244,7 +245,7 @@ class TestSelectNext:
             [(0, 0), (3, 0), (0, 3), (-3, 0), (0, -2)], states={0: ACTIVE}
         )
         table = build_neighbor_table(dep)
-        assert {table.degree(nid) for nid in (1, 2, 3)} == {4}
+        assert {table_degree(table, nid) for nid in (1, 2, 3)} == {4}
         assert replies(0, table, dep) == [4, 1, 2, 3]
 
     def test_no_idle_neighbors(self):
@@ -277,7 +278,7 @@ class TestSelectNext:
             n.state = SLEEPING
         answered = replies(0, table, dep)
         assert answered
-        idle = [nid for nid, _ in table[0] if dep.node(nid).state == IDLE]
+        idle = [nid for nid, _ in table_row(table, 0) if dep.node(nid).state == IDLE]
         assert sorted(answered) == sorted(idle)
 
     def test_distance_rescaling_preserves_ranking(self):
@@ -346,7 +347,7 @@ class TestSelectNext:
             replies(0, foreign, dep)
         table = build_neighbor_table(dep)
         assert table.ids is dep.ids
-        assert sorted(replies(0, table, dep)) == sorted(nid for nid, _ in table[0])
+        assert sorted(replies(0, table, dep)) == sorted(nid for nid, _ in table_row(table, 0))
 
     def test_table_of_another_radius_rejected(self):
         dep = make_deployment([(0, 0), (3, 0)], states={0: ACTIVE})
@@ -472,7 +473,7 @@ class TestCoverCluster:
         assert len(tree.edges) == len(tree.node_ids()) - 1
         # every child was within communication range of its parent
         for parent, child in tree.edges:
-            assert any(nid == child for nid, _ in table[parent])
+            assert any(nid == child for nid, _ in table_row(table, parent))
 
     def test_redundant_candidates_stay_idle(self):
         # a tight clump saturates quickly; skipped sensors must stay idle
@@ -509,7 +510,7 @@ class TestRunRound:
         # own cluster and activates without any acknowledgment exchange
         dep = make_deployment([(0, 0), (30, 0), (0, 30), (30, 30)])
         params = OpticsParams(eps=10, min_pts=1)
-        state, report = run_round(RoundState(0), dep, params)
+        state, report = run_round(dep, params)
         assert state.active == {0, 1, 2, 3}
         assert all(not t.edges for t in state.trees)
         assert report.active_count == 4
@@ -518,14 +519,14 @@ class TestRunRound:
         # three-node clump plus one distant straggler
         dep = make_deployment([(0, 0), (2, 0), (0, 2), (60, 60)])
         params = OpticsParams(eps=10, min_pts=2)
-        state, _ = run_round(RoundState(0), dep, params)
+        state, _ = run_round(dep, params)
         assert 3 not in state.active
         assert dep.node(3).state == IDLE
 
     def test_report_fields_consistent(self):
         dep = generate_deployment(100, 50, 50, 5, seed=1)
         params = OpticsParams(eps=10, min_pts=4)
-        state, report = run_round(RoundState(0), dep, params)
+        state, report = run_round(dep, params)
         assert report.deployed_count == 100
         assert report.active_count == len(state.active)
         assert report.ratio_r == pytest.approx(100 * report.active_count / 100)
@@ -534,12 +535,12 @@ class TestRunRound:
     def test_previous_actives_sleep_then_wake(self):
         dep = generate_deployment(120, 50, 50, 5, seed=6)
         params = OpticsParams(eps=10, min_pts=4)
-        s1, _ = run_round(RoundState(0), dep, params)
-        s2, _ = run_round(s1, dep, params)
+        s1, _ = run_round(dep, params)
+        s2, _ = run_round(dep, params)
         assert s1.active.isdisjoint(s2.active)
         for nid in s1.active:
             assert dep.node(nid).state == SLEEPING
-        s3, _ = run_round(s2, dep, params)
+        run_round(dep, params)
         # round-1 actives finished their one-round sleep before round 3
         for nid in s1.active:
             assert dep.node(nid).state in (IDLE, ACTIVE)
@@ -550,26 +551,24 @@ class TestRunRound:
         dep = make_deployment([(0, 0), (8, 0), (16, 0)], radius=3.0)
         other = make_deployment([(0, 0), (8, 0), (16, 0)], radius=5.0)
         with pytest.raises(ValueError, match="radius"):
-            run_round(
-                RoundState(0), dep, OpticsParams(eps=6, min_pts=1),
-                table=build_neighbor_table(other),
-            )
+            run_round(dep, OpticsParams(eps=6, min_pts=1), table=build_neighbor_table(other))
         assert all(n.state == IDLE for n in dep.nodes)
 
     def test_table_of_other_nodes_rejected(self):
         dep = generate_deployment(60, 30, 30, 5, seed=2)
         table = build_neighbor_table(generate_deployment(50, 30, 30, 5, seed=2))
-        s1, _ = run_round(RoundState(0), dep, OpticsParams(eps=10, min_pts=4))
+        run_round(dep, OpticsParams(eps=10, min_pts=4))
         states = [n.state for n in dep.nodes]
         with pytest.raises(ValueError, match="node ids"):
-            run_round(s1, dep, OpticsParams(eps=10, min_pts=4), table=table)
+            run_round(dep, OpticsParams(eps=10, min_pts=4), table=table)
         assert [n.state for n in dep.nodes] == states
+        assert dep.rounds_run == 1
 
     def test_table_of_another_field_with_the_same_ids_rejected(self):
         dep = generate_deployment(60, 30, 30, 5, seed=2)
         table = build_neighbor_table(generate_deployment(60, 30, 30, 5, seed=3))
         with pytest.raises(ValueError, match="node ids"):
-            run_round(RoundState(0), dep, OpticsParams(eps=10, min_pts=4), table=table)
+            run_round(dep, OpticsParams(eps=10, min_pts=4), table=table)
         assert all(n.state == IDLE for n in dep.nodes)
 
     @given(
@@ -586,51 +585,101 @@ class TestRunRound:
         )
         ours, ref = Deployment(*layout), Deployment(*layout)
         runs = [
-            [run_round, ours, build_neighbor_table(ours), RoundState(0)],
-            [reference_run_round, ref, build_neighbor_table(ref), RoundState(0)],
+            (run_round, ours, build_neighbor_table(ours)),
+            (reference_run_round, ref, build_neighbor_table(ref)),
         ]
         for _ in range(8):
             outcomes = []
-            for run in runs:
-                step, dep, table, state = run
+            for step, dep, table in runs:
                 try:
-                    run[3], report = step(state, dep, params, config, table)
-                    outcomes.append((run[3], report))
+                    outcomes.append(step(dep, params, config, table))
                 except AllNodesDeadError as err:
                     outcomes.append(err.round_index)
             assert outcomes[0] == outcomes[1]
             assert ours.state_code.tolist() == ref.state_code.tolist()
             assert ours.battery.tolist() == ref.battery.tolist()
+            assert ours.sleep_left.tolist() == ref.sleep_left.tolist()
+            assert ours.rounds_run == ref.rounds_run
             if isinstance(outcomes[0], int):
                 break
 
-    @pytest.mark.parametrize(
-        "active, sleeping",
-        [({3, 99}, {1: 1}), ({3}, {1: 1, 99: 2}), ({3, -1}, {}), ({3}, {1: 1, 2.5: 1})],
-    )
-    def test_unknown_state_ids_rejected_before_any_write(self, active, sleeping):
-        dep = generate_deployment(20, 20, 20, 5, seed=8)
-        dep.node(3).state = ACTIVE
-        dep.node(1).state = SLEEPING
-        before = dep.state_code.copy(), dep.battery.copy()
-        bad = next(nid for nid in [*active, *sleeping] if nid not in dep.ids)
-        with pytest.raises(KeyError, match=f"unknown node id {bad}"):
-            run_round(RoundState(0, active, sleeping), dep, OpticsParams(eps=10, min_pts=2))
-        assert dep.state_code.tolist() == before[0].tolist()
-        assert dep.battery.tolist() == before[1].tolist()
+    def test_node_set_sleeping_on_an_unrun_field_rejoins_at_round_1(self):
+        # isolated nodes, each its own cluster at min_pts = 1: node 2 wakes
+        # with 0 rounds left and activates with the others
+        dep = make_deployment([(0, 0), (30, 0), (0, 30), (30, 30)])
+        dep.node(2).state = SLEEPING
+        assert dep.sleep_left.tolist() == [0, 0, 0, 0] and dep.rounds_run == 0
+        state, _ = run_round(dep, OpticsParams(eps=10, min_pts=1))
+        assert state.round_index == 1 and dep.rounds_run == 1
+        assert state.active == {0, 1, 2, 3} and state.sleeping == {}
+        assert dep.node(2).state == ACTIVE
 
-    @pytest.mark.parametrize("busy", [ACTIVE, SLEEPING])
-    def test_unlisted_busy_node_rejected_before_any_write(self, busy):
-        # a node the round state does not list is never retired or woken:
-        # set active, node 3 used to stay active, at its battery, round
-        # after round
+    @pytest.mark.parametrize("sleep_rounds", [1, 3])
+    def test_node_set_active_retires_for_sleep_rounds(self, sleep_rounds):
         dep = generate_deployment(60, 30, 30, 5, seed=2)
-        dep.node(3).state = busy
-        before = dep.state_code.copy(), dep.battery.copy()
-        with pytest.raises(ValueError, match=f"node 3 is {busy}"):
-            run_round(RoundState(0), dep, OpticsParams(eps=10, min_pts=4))
-        assert dep.state_code.tolist() == before[0].tolist()
-        assert dep.battery.tolist() == before[1].tolist()
+        dep.node(5).state = ACTIVE
+        battery = dep.node(5).battery
+        config = ProtocolConfig(sleep_rounds=sleep_rounds)
+        state, _ = run_round(dep, OpticsParams(eps=10, min_pts=4), config)
+        assert state.sleeping == {5: sleep_rounds}
+        assert 5 not in state.active
+        assert dep.node(5).state == SLEEPING and dep.node(5).battery == battery
+        assert dep.sleep_left[dep.slots([5])[0]] == sleep_rounds
+
+    @pytest.mark.parametrize("setup", ["idle", "every_node_sleeping", "node_5_active"])
+    def test_round_state_is_read_from_the_arrays(self, setup):
+        # each round's actives and sleepers are exactly the nodes the
+        # arrays hold active and sleeping, with their rounds left, also on
+        # the layouts an input RoundState could once contradict
+        dep = generate_deployment(60, 30, 30, 5, seed=2)
+        if setup == "every_node_sleeping":
+            for node in dep.nodes:
+                node.state = SLEEPING
+        elif setup == "node_5_active":
+            dep.node(5).state = ACTIVE
+        config = ProtocolConfig(sleep_rounds=2, battery_drain=0.3)
+        params = OpticsParams(eps=10, min_pts=4)
+        for _ in range(6):
+            state, _ = run_round(dep, params, config)
+            active = dep.state_code == STATE_CODE[ACTIVE]
+            asleep = dep.state_code == STATE_CODE[SLEEPING]
+            assert state.active == set(dep.ids[active].tolist())
+            assert state.sleeping == dict(
+                zip(dep.ids[asleep].tolist(), dep.sleep_left[asleep].tolist())
+            )
+            assert state.active.isdisjoint(state.sleeping)
+            assert all(0 < left <= 2 for left in state.sleeping.values())
+
+    @pytest.mark.parametrize("sleep_rounds", [1, 2, 4])
+    def test_sleeper_counts_down_and_wakes(self, sleep_rounds):
+        # an isolated node activates whenever it is idle: round 1, then
+        # asleep for sleep_rounds rounds counting down, then active again
+        dep = make_deployment([(0, 0), (30, 0)])
+        config = ProtocolConfig(sleep_rounds=sleep_rounds)
+        params = OpticsParams(eps=10, min_pts=1)
+        state, _ = run_round(dep, params, config)
+        assert state.active == {0, 1}
+        for left in range(sleep_rounds, 0, -1):
+            state, _ = run_round(dep, params, config)
+            assert state.active == set() and state.sleeping == {0: left, 1: left}
+            assert dep.sleep_left.tolist() == [left, left]
+        state, _ = run_round(dep, params, config)
+        assert state.round_index == sleep_rounds + 2
+        assert state.active == {0, 1} and state.sleeping == {}
+        assert dep.sleep_left.tolist() == [0, 0]
+
+    def test_rounds_run_counts_each_round(self):
+        # every round that runs advances the count; a round that raises
+        # before any write leaves it
+        dep = make_deployment([(0, 0), (30, 0)], batteries={0: 0.5, 1: 0.5})
+        params = OpticsParams(eps=10, min_pts=1)
+        config = ProtocolConfig(battery_drain=0.5, grid_resolution=10)
+        state, _ = run_round(dep, params, config)
+        assert state.round_index == dep.rounds_run == 1
+        assert dep.state_code.tolist() == [STATE_CODE[DEAD]] * 2
+        with pytest.raises(AllNodesDeadError) as err:
+            run_round(dep, params, config)
+        assert err.value.round_index == 2 and dep.rounds_run == 1
 
     def test_all_dead_raises_with_round_index(self):
         dep = make_deployment([(0, 0), (3, 0)], batteries={0: 0.5, 1: 0.5})
@@ -645,7 +694,7 @@ def one_node_round(battery, drain):
     """An isolated node, which activates, after one round at ``drain``."""
     dep = make_deployment([(0, 0)], batteries={0: battery})
     config = ProtocolConfig(battery_drain=drain, grid_resolution=10)
-    state, _ = run_round(RoundState(0), dep, OpticsParams(eps=10, min_pts=1), config)
+    state, _ = run_round(dep, OpticsParams(eps=10, min_pts=1), config)
     return state, dep.node(0)
 
 
@@ -697,17 +746,23 @@ class TestIterateRounds:
             totals.append(sum(n.battery for n in dep.nodes))
         assert totals[0] > totals[1] > totals[2]
 
-    def test_fresh_deployment_required(self):
-        # a second simulation on a field that has run would start from the
-        # first one's actives and sleepers, not from a fresh field
-        dep = generate_deployment(200, 50, 50, 5, seed=42)
+    @pytest.mark.parametrize("first_rounds", [1, 3, 4])
+    def test_resumes_where_it_stopped(self, first_rounds):
+        # a second run on a field that has run picks up its actives,
+        # sleepers and round count: 3 rounds, then 2, are one 5-round run,
+        # and so are 1 then 4 and 4 then 1
         params = OpticsParams(eps=10, min_pts=4)
-        fresh = [r.active_count for _, r in iterate_rounds(dep, params, rounds=3)]
-        assert fresh == [75, 52, 67]
-        states = [n.state for n in dep.nodes]
-        with pytest.raises(ValueError, match="idle"):
-            iterate_rounds(dep, params, rounds=3)
-        assert [n.state for n in dep.nodes] == states
+        config = ProtocolConfig(sleep_rounds=2)
+        dep, twin = (generate_deployment(200, 50, 50, 5, seed=42) for _ in range(2))
+        first = list(iterate_rounds(dep, params, config, rounds=first_rounds))
+        resumed = list(iterate_rounds(dep, params, config, rounds=5 - first_rounds))
+        whole = list(iterate_rounds(twin, params, config, rounds=5))
+        assert [s.round_index for s, _ in resumed] == list(range(first_rounds + 1, 6))
+        assert first + resumed == whole
+        assert dep.rounds_run == twin.rounds_run == 5
+        assert dep.state_code.tolist() == twin.state_code.tolist()
+        assert dep.battery.tolist() == twin.battery.tolist()
+        assert dep.sleep_left.tolist() == twin.sleep_left.tolist()
 
     def test_two_round_sleep(self):
         # sleep_rounds = 2: each round's actives sit out the next two rounds,
@@ -728,6 +783,26 @@ class TestIterateRounds:
         assert s4.sleeping == {**dict.fromkeys(s2.active, 1), **dict.fromkeys(s3.active, 2)}
         assert all(dep.node(nid).state in (IDLE, ACTIVE) for nid in s1.active)
         assert len(s1.active & s4.active) == 27
+
+    def test_idle_remainder_after_a_round_has_no_cluster(self):
+        # the default run config at D = 100 on 50 m: round 1's actives sleep
+        # through round 2, and the 59 idle nodes left are too sparse for
+        # min_pts = 4 at eps' = 5, so all are outliers and none activates
+        config = RunConfig()
+        params = config.optics_params()
+        assert (params.min_pts, params.eps_prime) == (4, 5.0)
+        dep = generate_deployment(100, 50, 50, 5, seed=42)
+        rounds = iterate_rounds(dep, params, config.protocol_config(), rounds=2)
+        s1, r1 = next(rounds)
+        first = extract_clusters(s1.ordering, params.eps_prime)
+        assert len(s1.ordering) == 100 and r1.active_count == len(s1.active) == 41
+        assert (len(first.clusters), len(first.outliers)) == (9, 33)
+        s2, r2 = next(rounds)
+        second = extract_clusters(s2.ordering, params.eps_prime)
+        assert len(s2.ordering) == 59
+        assert second.clusters == [] and len(second.outliers) == 59
+        assert r2.active_count == 0 and s2.active == set()
+        assert len(s2.sleeping) == 41
 
     def test_dead_nodes_allowed(self):
         dep = make_deployment(
