@@ -182,9 +182,10 @@ def run_rand_baseline(config: RunConfig) -> BaselineResult:
         # separate deterministic stream so the random pick cannot be
         # correlated with the deployment draw
         rng = random.Random(outcome.seed * 1_000_003 + 17)
-        rand_ids = rng.sample(deployment.ids.tolist(), k)
+        picked = deployment.slots(rng.sample(deployment.ids.tolist(), k))
         rand_cr = grid_cr(
-            [deployment.node(nid).position for nid in rand_ids],
+            deployment.x[picked],
+            deployment.y[picked],
             config.radius,
             region,
             config.grid_resolution,
@@ -215,8 +216,9 @@ def export_plot_data(
 
     Emits one reachability CSV per round plus one coverage 0/1 grid per
     round, reconstructed from the trace's node snapshot. A resolution
-    below 10, or a trace field missing or of the wrong type, raises
-    ``ValueError`` before anything is written.
+    below 10, or a trace field missing, of the wrong type or (for a
+    coordinate) not finite, raises ``ValueError`` before anything is
+    written.
     """
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
@@ -226,6 +228,7 @@ def export_plot_data(
     if not rounds:
         raise ValueError(f"trace {trace_path} contains no rounds")
     try:
+        # Point2D refuses a NaN or infinite coordinate
         positions = {
             int(nid): Point2D(float(x), float(y)) for nid, x, y in header["nodes"]
         }
@@ -257,7 +260,8 @@ def export_plot_data(
         with open(reach_file, "w", newline="") as fh:
             write_reachability_csv(ordering, fh)
         written.append(reach_file)
-        grid = coverage_grid(active, radius, region, resolution)
+        x, y = [p.x for p in active], [p.y for p in active]
+        grid = coverage_grid(x, y, radius, region, resolution)
         grid_file = out_path / f"coverage_round{k}.csv"
         with open(grid_file, "w", newline="") as fh:
             write_coverage_grid_csv(grid, fh)

@@ -5,7 +5,7 @@ multiplies disc area by the active count and so ignores overlap and
 border clipping (it can exceed 100%); the grid one rasterizes the actual
 union of discs over the region and is the honest estimate. Both take the
 one coverage radius the sensors share, next to the active count or the
-active positions.
+active sensors' ``x`` and ``y`` coordinate arrays.
 
 Integer display values follow the ceiling convention: the summary table's
 N (average actives) and R (percent ratio) round up to whole numbers.
@@ -17,11 +17,9 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
-
-from .geometry import Point2D
 
 
 @dataclass(frozen=True)
@@ -73,17 +71,20 @@ def analytic_cr(active: int, radius: float, area: float) -> float:
 
 
 def coverage_grid(
-    positions: Iterable[Point2D],
+    x: Sequence[float],
+    y: Sequence[float],
     radius: float,
     region: tuple[float, float],
     resolution: int = 500,
 ) -> np.ndarray:
     """Boolean raster of cell centers covered by at least one disc of
-    ``radius`` centered at one of ``positions``.
+    ``radius`` centered at a point (``x[k]``, ``y[k]``).
 
     The region splits into ``resolution`` cells per side; element [i, j]
-    is the cell at x index i, y index j.
+    is the cell at x index i, y index j. ``x`` and ``y`` must be as long.
     """
+    if len(x) != len(y):
+        raise ValueError(f"x and y need one entry per disc, got {len(x)} and {len(y)}")
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if resolution < 10:
@@ -96,28 +97,29 @@ def coverage_grid(
     # the indices numpy's searchsorted gives, without its per-call overhead
     x_list, y_list = xs.tolist(), ys.tolist()
     reach2 = radius * radius
-    for p in positions:
-        i0 = bisect_left(x_list, p.x - radius)
-        i1 = bisect_right(x_list, p.x + radius)
-        j0 = bisect_left(y_list, p.y - radius)
-        j1 = bisect_right(y_list, p.y + radius)
+    for px, py in zip(np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()):
+        i0 = bisect_left(x_list, px - radius)
+        i1 = bisect_right(x_list, px + radius)
+        j0 = bisect_left(y_list, py - radius)
+        j1 = bisect_right(y_list, py + radius)
         if i0 >= i1 or j0 >= j1:
             continue
-        dx = xs[i0:i1, None] - p.x
-        dy = ys[None, j0:j1] - p.y
+        dx = xs[i0:i1, None] - px
+        dy = ys[None, j0:j1] - py
         covered[i0:i1, j0:j1] |= dx * dx + dy * dy <= reach2
     return covered
 
 
 def grid_cr(
-    positions: Iterable[Point2D],
+    x: Sequence[float],
+    y: Sequence[float],
     radius: float,
     region: tuple[float, float],
     resolution: int = 500,
 ) -> float:
     """Percentage of grid cell centers covered by discs of ``radius`` at
-    the active ``positions``."""
-    return 100.0 * float(coverage_grid(positions, radius, region, resolution).mean())
+    the active sensors' coordinates (``x[k]``, ``y[k]``)."""
+    return 100.0 * float(coverage_grid(x, y, radius, region, resolution).mean())
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:

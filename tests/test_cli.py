@@ -365,8 +365,13 @@ class TestPlotDataCommand:
             "[1, 2]\n",
             '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
             '{"type": "round", "round_index": "../1", "active": [0], "ordering": []}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, NaN, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, null]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, Infinity]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, null]]}\n',
         ],
-        ids=["null-coordinate", "array-header", "path-round-index"],
+        ids=["null-coordinate", "array-header", "path-round-index", "nan-coordinate",
+             "infinite-coordinate"],
     )
     def test_malformed_trace_exits_2_as_bad_trace(self, text, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -376,6 +381,8 @@ class TestPlotDataCommand:
         assert err.startswith(f"bad trace {bad}:")
         assert "Traceback" not in err
         assert not (tmp_path / "p").exists()
+        if "NaN" in text or "Infinity" in text:
+            assert "coordinates must be finite" in err
 
 
 class TestExperimentHelpers:

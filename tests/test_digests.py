@@ -4,11 +4,20 @@ The benchmark's workload module is loaded read-only; its ``digests.json``
 holds the digests of the default ``optics-coverage run`` artifacts and of the
 per-round active ids of the reference 5,000-node round. (The 24-round
 rotation digest is left to the benchmark run: it takes too long here.)
+Those cover round 1 only, so a four-round sweep is pinned here too, at the
+default eps (2r) and at an eps wider than 2r, where the ordering builds its
+own table.
 """
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
+
+from optics_coverage.config import RunConfig
+from optics_coverage.experiments import run_table_experiment
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -33,3 +42,17 @@ def test_scale_round_matches_recorded_digest(tmp_path):
     spec = workloads.SPECS["scale"]
     result = workloads.run_pass(spec, 0, 0, tmp_path, probe=False)
     assert result.digest == workloads.recorded_digests()["scale"]
+
+
+# digests of the four-round artifacts, keyed by eps (None: 2r)
+MULTI_ROUND_DIGESTS = {
+    None: "a50c72de0d4f81cfeb7bab4416c496a7a21a4eeb3a06787f9beb595d9fbb433a",
+    15.0: "80be66a8771bb16d2e3dc7d14e30b4f0f05994f38cb377f90b066e8fa7a1369a",
+}
+
+
+@pytest.mark.parametrize("eps", list(MULTI_ROUND_DIGESTS), ids=["eps_2r", "eps_15"])
+def test_multi_round_artifacts_match_pinned_digest(tmp_path, eps):
+    config = replace(RunConfig(), rounds=4, d_list=(100, 300), trials=2, eps=eps)
+    run_table_experiment(config, tmp_path)
+    assert workloads.dir_digest(tmp_path) == MULTI_ROUND_DIGESTS[eps]

@@ -5,7 +5,6 @@ import random
 import numpy as np
 import pytest
 
-from optics_coverage.geometry import Point2D
 from optics_coverage.metrics import (
     active_ratio,
     analytic_cr,
@@ -17,8 +16,10 @@ from optics_coverage.metrics import (
 )
 
 
-def random_positions(n, rng, span=50.0):
-    return [Point2D(rng.uniform(0, span), rng.uniform(0, span)) for _ in range(n)]
+def random_columns(n, rng, span=50.0):
+    """x and y coordinate lists of ``n`` uniform points."""
+    points = [(rng.uniform(0, span), rng.uniform(0, span)) for _ in range(n)]
+    return [x for x, _ in points], [y for _, y in points]
 
 
 class TestActiveRatio:
@@ -54,47 +55,47 @@ class TestAnalyticCr:
 
 class TestGridCr:
     def test_full_cover(self):
-        assert grid_cr([Point2D(25, 25)], 40, (50, 50), 200) == 100
+        assert grid_cr([25], [25], 40, (50, 50), 200) == 100
 
     def test_no_discs(self):
-        assert grid_cr([], 5, (50, 50), 200) == 0
+        assert grid_cr([], [], 5, (50, 50), 200) == 0
 
     def test_single_interior_disc(self):
-        estimate = grid_cr([Point2D(25, 25)], 5, (50, 50), 500)
+        estimate = grid_cr([25], [25], 5, (50, 50), 500)
         assert estimate == pytest.approx(100 * math.pi * 25 / 2500, abs=0.1)
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
-            grid_cr([], 5, (50, 50), 9)
+            grid_cr([], [], 5, (50, 50), 9)
 
     def test_convergence_with_resolution(self):
         rng = random.Random(31)
-        positions = random_positions(30, rng)
-        coarse = grid_cr(positions, 5, (50, 50), 500)
-        fine = grid_cr(positions, 5, (50, 50), 1000)
+        x, y = random_columns(30, rng)
+        coarse = grid_cr(x, y, 5, (50, 50), 500)
+        fine = grid_cr(x, y, 5, (50, 50), 1000)
         assert abs(coarse - fine) < 0.5
 
     def test_disc_outside_region_ignored(self):
-        assert grid_cr([Point2D(200, 200)], 5, (50, 50), 100) == 0
+        assert grid_cr([200], [200], 5, (50, 50), 100) == 0
 
     def test_never_exceeds_capped_analytic(self):
         rng = random.Random(77)
         for trial in range(5):
             n = rng.randint(20, 60)
-            g = grid_cr(random_positions(n, rng), 5, (50, 50), 500)
+            g = grid_cr(*random_columns(n, rng), 5, (50, 50), 500)
             a = analytic_cr(n, 5, 2500)
             assert g <= min(100.0, a)
 
 
 class TestCoverageGrid:
     def test_shape_and_dtype(self):
-        grid = coverage_grid([], 5, (50, 50), 64)
+        grid = coverage_grid([], [], 5, (50, 50), 64)
         assert grid.shape == (64, 64)
         assert grid.dtype == bool
 
     def test_boundary_inclusive(self):
         # cell centers sit at 0.5, 1.5, ...: (1.5, 0.5) is exactly r = 1 away
-        grid = coverage_grid([Point2D(0.5, 0.5)], 1.0, (10, 10), 10)
+        grid = coverage_grid([0.5], [0.5], 1.0, (10, 10), 10)
         assert grid[0, 0] and grid[1, 0] and grid[0, 1]
         assert not grid[1, 1]
         assert grid.sum() == 3
@@ -102,10 +103,16 @@ class TestCoverageGrid:
     @pytest.mark.parametrize("radius", [0, -5, math.nan, math.inf])
     def test_radius_positive(self, radius):
         with pytest.raises(ValueError, match="radius"):
-            coverage_grid([Point2D(25, 25)], radius, (50, 50), 64)
+            coverage_grid([25], [25], radius, (50, 50), 64)
+
+    @pytest.mark.parametrize("x, y", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]), ([], [1.0])])
+    def test_x_and_y_need_one_entry_per_disc(self, x, y):
+        # zip would drop the unmatched coordinates and their discs
+        with pytest.raises(ValueError, match="one entry per disc"):
+            coverage_grid(x, y, 5, (50, 50), 64)
 
     def test_csv_export(self):
-        grid = coverage_grid([Point2D(5, 5)], 4, (10, 10), 10)
+        grid = coverage_grid([5], [5], 4, (10, 10), 10)
         buf = io.StringIO()
         write_coverage_grid_csv(grid, buf)
         rows = buf.getvalue().strip().splitlines()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from network_reference import reference_rows, reference_table, table_degree, table_row
+from optics_reference import points_table
 
 from optics_coverage import network
 from optics_coverage.geometry import Point2D
@@ -24,6 +25,11 @@ from optics_coverage.network import (
 )
 from optics_coverage.optics import OpticsParams
 from optics_coverage.protocol import AllNodesDeadError, ProtocolConfig, iterate_rounds
+
+
+def node_positions(dep):
+    """The deployment's positions as ``Point2D``s, in slot order."""
+    return [n.position for n in dep.nodes]
 
 
 def make_deployment(positions, radius=5.0, battery=1.0, ids=None):
@@ -52,7 +58,8 @@ class TestGenerateDeployment:
             (rng.uniform(0, 30), rng.uniform(0, 20), rng.uniform(0.25, 0.75)) for _ in range(40)
         ]
         assert d.ids.tolist() == list(range(40))
-        assert [(p.x, p.y) for p in d.positions] == [(x, y) for x, y, _ in draws]
+        assert d.x.dtype == d.y.dtype == np.float64
+        assert list(zip(d.x.tolist(), d.y.tolist())) == [(x, y) for x, y, _ in draws]
         assert d.battery.tolist() == [b for _, _, b in draws]
         assert d.state_code.tolist() == [STATE_CODE[IDLE]] * 40
 
@@ -146,7 +153,7 @@ class TestNeighborTable:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, count, width, height, radius, seed, twins):
-        positions = list(generate_deployment(count, width, height, radius, seed).positions)
+        positions = node_positions(generate_deployment(count, width, height, radius, seed))
         # extra nodes on the positions of drawn nodes, some drawn twice
         positions += [positions[i % count] for i in twins]
         n = len(positions)
@@ -209,7 +216,7 @@ class TestNeighborTable:
 
     def test_far_offset_field(self):
         base = generate_deployment(300, 50, 50, 5, seed=3)
-        dep = make_deployment([(p.x + 1e6, p.y + 1e6) for p in base.positions])
+        dep = make_deployment([(p.x + 1e6, p.y + 1e6) for p in node_positions(base)])
         assert build_neighbor_table(dep).neighbors == reference_table(dep)
 
     def test_entries_are_plain_python_shared_objects(self):
@@ -217,7 +224,7 @@ class TestNeighborTable:
         # break json.dumps of traces. Rows hold node ids (past the
         # small-int cache here) and one distance value per pair.
         base = generate_deployment(200, 50, 50, 5, seed=4)
-        dep = Deployment(base.ids + 10**6, base.positions, base.battery, 50.0, 50.0, 5.0)
+        dep = Deployment(base.ids + 10**6, node_positions(base), base.battery, 50.0, 50.0, 5.0)
         table = build_neighbor_table(dep)
         for nid, row in table.neighbors.items():
             assert type(nid) is int and nid in dep.ids
@@ -231,15 +238,35 @@ class TestNeighborTable:
     def test_neighbor_rows_builds_a_table_at_its_radius(self, radius):
         dep = generate_deployment(150, 40, 40, 5, seed=8)
         points = {n.id: n.position for n in dep.nodes}
-        table = neighbor_rows(points, radius)
+        table = neighbor_rows(dep.ids, dep.x, dep.y, radius)
         assert isinstance(table, NeighborTable) and table.radius == radius
+        assert table.ids is dep.ids
         assert table.neighbors == reference_rows(points, radius)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_neighbor_rows_rejects_a_bad_radius(self, radius):
-        points = {0: Point2D(0.0, 0.0), 1: Point2D(1.0, 0.0)}
         with pytest.raises(ValueError, match="radius must be positive and finite"):
-            neighbor_rows(points, radius)
+            neighbor_rows(np.array([0, 1]), [0.0, 1.0], [0.0, 0.0], radius)
+
+    @pytest.mark.parametrize("ids", [[1, 0, 2], [0, 1, 1], [0.0, 1.0, 2.0]])
+    def test_neighbor_rows_needs_strictly_increasing_int_ids(self, ids):
+        with pytest.raises(ValueError, match="ids must be"):
+            neighbor_rows(np.array(ids), [0.0, 1.0, 2.0], [0.0, 0.0, 0.0], 5.0)
+
+    @pytest.mark.parametrize(
+        "x, y", [([0.0, 1.0], [0.0, 0.0, 0.0]), ([0.0, 1.0, 2.0], [0.0, 0.0]), ([0.0], [0.0])]
+    )
+    def test_neighbor_rows_needs_one_coordinate_per_id(self, x, y):
+        with pytest.raises(ValueError, match="one entry per point"):
+            neighbor_rows(np.array([0, 1, 2]), x, y, 5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_neighbor_rows_rejects_a_non_finite_coordinate(self, axis, bad):
+        columns = {"x": [0.0, 1.0, 2.0], "y": [0.0, 0.0, 0.0]}
+        columns[axis][1] = bad
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            neighbor_rows(np.array([0, 1, 2]), columns["x"], columns["y"], 5.0)
 
     def test_row_key_width_is_checked(self, monkeypatch):
         # 4 points, pair distances 1 (twice), 2, 3, sqrt(2) and sqrt(5):
@@ -250,9 +277,9 @@ class TestNeighborTable:
         assert network.KEY_LIMIT == 2**63 == int(np.iinfo(np.int64).max) + 1
         monkeypatch.setattr(network, "KEY_LIMIT", 80)
         with pytest.raises(ValueError, match=r"4 points with 5 distinct .* below 2\*\*63"):
-            neighbor_rows(points, 5.0)
+            points_table(points, 5.0)
         monkeypatch.setattr(network, "KEY_LIMIT", 81)
-        assert neighbor_rows(points, 5.0).neighbors == reference_rows(points, 5.0)
+        assert points_table(points, 5.0).neighbors == reference_rows(points, 5.0)
 
     @given(
         st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=40),
@@ -269,7 +296,7 @@ class TestNeighborTable:
         positions += [positions[i % len(cells)] for i in twins]
         ids = rng.sample(range(10**6), len(positions))
         points = dict(zip(ids, positions))
-        table = neighbor_rows(points, radius)
+        table = points_table(points, radius)
         assert table.neighbors == reference_rows(points, radius)
         # oracle: a stable three-key sort by (row, distance, id) moves no entry
         rows = np.repeat(np.arange(len(table.ids)), table.degrees)
@@ -372,7 +399,7 @@ class TestNodeInvariants:
         ids = [30, 10, 20]
         dep = Deployment(*columns(ids=ids, battery=0.5, states=[ACTIVE, IDLE, SLEEPING]))
         assert dep.ids.tolist() == [10, 20, 30]
-        assert [p.x for p in dep.positions] == [1.0, 2.0, 0.0]
+        assert dep.x.tolist() == [1.0, 2.0, 0.0] and dep.y.tolist() == [0.0, 0.0, 0.0]
         assert [n.state for n in dep.nodes] == [IDLE, SLEEPING, ACTIVE]
 
 
@@ -382,6 +409,7 @@ def assert_arrays_match(dep):
     assert dep.ids.tolist() == [n.id for n in nodes] == sorted(n.id for n in nodes)
     assert dep.state_code.tolist() == [STATE_CODE[n.state] for n in nodes]
     assert dep.battery.tolist() == [n.battery for n in nodes]
+    assert list(zip(dep.x.tolist(), dep.y.tolist())) == [(n.position.x, n.position.y) for n in nodes]
 
 
 class TestDeploymentArrays:
@@ -482,9 +510,10 @@ class TestDeploymentArrays:
         # as the brute-force table test does: a field's columns plus extra
         # nodes make a second deployment, with arrays of its own
         first = generate_deployment(40, 30, 30, 5, seed=5)
-        extra = [Point2D(p.x + 0.5, 0.0) for p in first.positions[:3]]
+        positions = node_positions(first)
+        extra = [Point2D(p.x + 0.5, 0.0) for p in positions[:3]]
         second = Deployment(
-            list(range(43)), first.positions + tuple(extra), [*first.battery, 1.0, 1.0, 1.0],
+            list(range(43)), positions + extra, [*first.battery, 1.0, 1.0, 1.0],
             30.0, 30.0, 5.0,
         )
         assert_arrays_match(second)
@@ -507,7 +536,7 @@ class TestDeploymentArrays:
         # arrays at once, with no garbage collection
         live = generate_deployment(30, 30, 30, 5, seed=4)
         dropped = [
-            Deployment(live.ids, live.positions, live.battery, 30.0, 30.0, 5.0)
+            Deployment(live.ids, node_positions(live), live.battery, 30.0, 30.0, 5.0)
             for _ in range(200)
         ]
         list(iterate_rounds(dropped[-1], OpticsParams(eps=10, min_pts=2), rounds=2))

@@ -2,6 +2,7 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from optics_coverage.optics import (
 )
 from optics_coverage.spatial import GridIndex, brute_force_query
 
-from optics_reference import reference_optics
+from optics_reference import order_points, points_table, reference_optics
 
 
 def line_points(xs):
@@ -79,8 +80,16 @@ def lattice_layouts(draw):
     return Deployment(ids, points, [1.0] * n, 6.0, 6.0, radius), eligible
 
 
+def round_table(dep, eps):
+    """The table a round of ``dep`` orders over at ``eps``: the deployment's
+    2r table, or, for a wider eps, one at eps over every node."""
+    if eps <= 2 * dep.radius:
+        return build_neighbor_table(dep)
+    return points_table({n.id: n.position for n in dep.nodes}, eps)
+
+
 def assert_matches_reference(points, table, eps, min_pts):
-    got = optics_order(points, OpticsParams(eps=eps, min_pts=min_pts), table)
+    got = order_points(points, OpticsParams(eps=eps, min_pts=min_pts), table)
     expected = reference_optics(as_tuples(points), eps, min_pts)
     assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
     # an np.float64 would reach the reachability CSV through repr
@@ -91,7 +100,7 @@ def assert_matches_reference(points, table, eps, min_pts):
 
 
 def by_id(points, params):
-    return {op.point_id: op for op in optics_order(points, params)}
+    return {op.point_id: op for op in order_points(points, params)}
 
 
 class TestCoreDistance:
@@ -105,7 +114,7 @@ class TestCoreDistance:
 
     def test_min_pts_one_is_zero(self):
         pts = line_points([0, 1, 3])
-        for op in optics_order(pts, OpticsParams(eps=2, min_pts=1)):
+        for op in order_points(pts, OpticsParams(eps=2, min_pts=1)):
             assert op.core_distance == 0
 
 
@@ -128,13 +137,13 @@ class TestReachabilityDistance:
 
     def test_non_core_point_undefined(self):
         pts = line_points([0, 1, 3])
-        for op in optics_order(pts, OpticsParams(eps=5, min_pts=10)):
+        for op in order_points(pts, OpticsParams(eps=5, min_pts=10)):
             assert op.reachability is None
 
 
 class TestOpticsOrder:
     def test_single_point(self):
-        out = optics_order({7: Point2D(1, 1)}, OpticsParams(eps=1, min_pts=2))
+        out = order_points({7: Point2D(1, 1)}, OpticsParams(eps=1, min_pts=2))
         assert len(out) == 1
         assert out[0].point_id == 7
         assert out[0].order_index == 0
@@ -143,14 +152,14 @@ class TestOpticsOrder:
 
     def test_collinear_chain(self):
         pts = line_points([0, 1, 2, 3, 4])
-        out = optics_order(pts, OpticsParams(eps=2, min_pts=2))
+        out = order_points(pts, OpticsParams(eps=2, min_pts=2))
         assert [op.point_id for op in out] == [0, 1, 2, 3, 4]
         assert [op.reachability for op in out] == [None, 1, 1, 1, 1]
 
     def test_two_blobs_reachability_structure(self):
         rng = random.Random(5)
         pts = two_blobs(rng)
-        out = optics_order(pts, OpticsParams(eps=5, min_pts=3))
+        out = order_points(pts, OpticsParams(eps=5, min_pts=3))
         blob_diameter = 2 * math.hypot(1, 1)
         undefined = [op for op in out if op.reachability is None]
         assert len(undefined) == 2  # one group start per blob
@@ -159,8 +168,10 @@ class TestOpticsOrder:
                 assert op.reachability <= blob_diameter
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            optics_order({}, OpticsParams(eps=1, min_pts=1))
+        # an empty point set is a mask that marks no node
+        table = points_table(line_points([0, 1, 3]), 2.0)
+        with pytest.raises(ValueError, match="eligible must mark at least one node"):
+            optics_order(table, OpticsParams(eps=2, min_pts=2), np.zeros(3, dtype=bool))
 
     @pytest.mark.parametrize("min_pts", [0, 2.5, 4.0, True])
     def test_min_pts_must_be_a_positive_int(self, min_pts):
@@ -187,7 +198,7 @@ class TestOpticsOrder:
         n = rng.randint(1, 50)
         pts = random_points(n, rng)
         params = OpticsParams(eps=rng.uniform(1, 8), min_pts=rng.randint(1, 5))
-        got = optics_order(pts, params)
+        got = order_points(pts, params)
         expected = reference_optics(as_tuples(pts), params.eps, params.min_pts)
         assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
 
@@ -197,7 +208,7 @@ class TestOpticsOrder:
         rng = random.Random(99)
         pts = random_points(120, rng, span=30.0)
         params = OpticsParams(eps=4.0, min_pts=4)
-        got = optics_order(pts, params)
+        got = order_points(pts, params)
         expected = reference_optics(as_tuples(pts), params.eps, params.min_pts)
         assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
 
@@ -206,7 +217,7 @@ class TestOpticsOrder:
     def test_output_is_permutation(self, seed, n):
         rng = random.Random(seed)
         pts = random_points(n, rng)
-        out = optics_order(pts, OpticsParams(eps=5, min_pts=3))
+        out = order_points(pts, OpticsParams(eps=5, min_pts=3))
         assert sorted(op.point_id for op in out) == sorted(pts)
         assert [op.order_index for op in out] == list(range(n))
 
@@ -219,7 +230,7 @@ class TestOpticsOrder:
         rng = random.Random(seed + 400)
         pts = random_points(rng.randint(5, 45), rng)
         params = OpticsParams(eps=rng.uniform(2, 7), min_pts=rng.randint(1, 4))
-        out = optics_order(pts, params)
+        out = order_points(pts, params)
         for k, op in enumerate(out):
             candidates = []
             for prior in out[:k]:
@@ -239,12 +250,13 @@ class TestOpticsOrder:
     @given(table_layouts(), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
     def test_table_neighborhoods_match_grid(self, layout, min_pts):
+        # the eligible nodes masked in the round's table order as they do in
+        # a table of their own
         dep, eligible = layout
-        table = build_neighbor_table(dep)
         r = dep.radius
-        for eps in (r, 1.5 * r, 2 * r, 3 * r):  # 3r is past the table's 2r
+        for eps in (r, 1.5 * r, 2 * r, 3 * r):  # 3r is past the deployment's 2r
             params = OpticsParams(eps=eps, min_pts=min_pts)
-            assert optics_order(eligible, params, table) == optics_order(
+            assert order_points(eligible, params, round_table(dep, eps)) == order_points(
                 eligible, params
             )
 
@@ -252,10 +264,9 @@ class TestOpticsOrder:
     @settings(max_examples=120, deadline=None)
     def test_table_ordering_matches_reference(self, layout, min_pts):
         dep, eligible = layout
-        table = build_neighbor_table(dep)
         r = dep.radius
-        for eps in (r, 1.5 * r, 2 * r, 3 * r):  # 3r rebuilds rows without the table
-            assert_matches_reference(eligible, table, eps, min_pts)
+        for eps in (r, 1.5 * r, 2 * r, 3 * r):  # 3r orders over a table at eps
+            assert_matches_reference(eligible, round_table(dep, eps), eps, min_pts)
 
     @given(lattice_layouts(), st.sampled_from([1, 2, 4]))
     @settings(max_examples=150, deadline=None)
@@ -263,26 +274,40 @@ class TestOpticsOrder:
         # the seed queue takes the smallest reachability, the lower id among
         # equal ones, as the reference's linear scan does
         dep, eligible = layout
-        table = build_neighbor_table(dep)
         r = dep.radius
-        for eps in (r, 2 * r, 3 * r):  # 3r rebuilds rows without the table
-            assert_matches_reference(eligible, table, eps, min_pts)
+        for eps in (r, 2 * r, 3 * r):  # 3r orders over a table at eps
+            assert_matches_reference(eligible, round_table(dep, eps), eps, min_pts)
 
-    @pytest.mark.parametrize("eps", [5.0, 30.0])  # within the table's 2r, and past it
-    def test_point_outside_table_rejected(self, eps):
-        rng = random.Random(3)
-        points = random_points(30, rng)
-        dep = Deployment(list(points), list(points.values()), [1.0] * 30, 20.0, 20.0, 5.0)
-        table = build_neighbor_table(dep)
-        points = {99: Point2D(1.0, 1.0), 0: dep.node(0).position}
-        with pytest.raises(ValueError, match="point 99 is not a node of the neighbor table"):
-            optics_order(points, OpticsParams(eps=eps, min_pts=2), table)
+    def test_eps_wider_than_the_table_rejected(self):
+        table = points_table(line_points([0, 1, 3]), 2.0)
+        with pytest.raises(ValueError, match="wider than the table's radius 2.0"):
+            optics_order(table, OpticsParams(eps=2.5, min_pts=2), np.ones(3, dtype=bool))
+
+    @pytest.mark.parametrize(
+        "eligible",
+        [np.ones(3, dtype=int), np.ones(2, dtype=bool), np.ones(4, dtype=bool), [[True] * 3]],
+        ids=["int", "short", "long", "2d"],
+    )
+    def test_mask_must_be_bool_over_the_tables_nodes(self, eligible):
+        table = points_table(line_points([0, 1, 3]), 2.0)
+        with pytest.raises(ValueError, match="eligible must be a bool mask of 3 entries"):
+            optics_order(table, OpticsParams(eps=2, min_pts=2), eligible)
+
+    def test_masked_nodes_are_neither_ordered_nor_counted(self):
+        # node 1 sits between 0 and 2; masked off, it neither appears nor
+        # counts toward 0's core distance, so 0 reaches 2 at 3.0
+        table = points_table(line_points([0, 1, 3]), 5.0)
+        out = optics_order(table, OpticsParams(eps=5, min_pts=2), np.array([True, False, True]))
+        assert [(o.point_id, o.reachability, o.core_distance) for o in out] == [
+            (0, None, 3.0),
+            (2, 3.0, 3.0),
+        ]
 
 
 class TestExtractClusters:
     def test_single_dense_run(self):
         pts = line_points([0, 1, 2, 3, 4])
-        out = optics_order(pts, OpticsParams(eps=2, min_pts=2))
+        out = order_points(pts, OpticsParams(eps=2, min_pts=2))
         assignment = extract_clusters(out, eps_prime=1.5)
         assert len(assignment.clusters) == 1
         assert set(assignment.clusters[0].members) == set(pts)
@@ -291,7 +316,7 @@ class TestExtractClusters:
     def test_two_blobs_two_clusters(self):
         rng = random.Random(11)
         pts = two_blobs(rng)
-        out = optics_order(pts, OpticsParams(eps=5, min_pts=3))
+        out = order_points(pts, OpticsParams(eps=5, min_pts=3))
         assignment = extract_clusters(out, eps_prime=4.0)
         assert len(assignment.clusters) == 2
         sizes = sorted(len(c.members) for c in assignment.clusters)
@@ -300,14 +325,14 @@ class TestExtractClusters:
     def test_isolated_point_is_outlier(self):
         pts = line_points([0, 1, 2])
         pts[3] = Point2D(100.0, 0.0)
-        out = optics_order(pts, OpticsParams(eps=2, min_pts=2))
+        out = order_points(pts, OpticsParams(eps=2, min_pts=2))
         assignment = extract_clusters(out, eps_prime=1.5)
         assert 3 in assignment.outliers
 
     def test_partition(self):
         rng = random.Random(3)
         pts = random_points(60, rng)
-        out = optics_order(pts, OpticsParams(eps=3, min_pts=3))
+        out = order_points(pts, OpticsParams(eps=3, min_pts=3))
         assignment = extract_clusters(out, eps_prime=1.5)
         counted = sum(len(c.members) for c in assignment.clusters)
         assert counted + len(assignment.outliers) == len(pts)
@@ -320,7 +345,7 @@ class TestExtractClusters:
     def test_raising_cut_never_adds_outliers(self):
         rng = random.Random(17)
         pts = random_points(80, rng)
-        out = optics_order(pts, OpticsParams(eps=4, min_pts=3))
+        out = order_points(pts, OpticsParams(eps=4, min_pts=3))
         previous = None
         for eps_prime in (0.5, 1.0, 2.0, 3.0, 4.0):
             outliers = extract_clusters(out, eps_prime).outliers
@@ -332,14 +357,14 @@ class TestExtractClusters:
         rng = random.Random(23)
         pts = random_points(40, rng, span=10.0)
         params = OpticsParams(eps=100, min_pts=1)
-        out = optics_order(pts, params)
+        out = order_points(pts, params)
         assignment = extract_clusters(out, eps_prime=100)
         assert len(assignment.clusters) == 1
         assert not assignment.outliers
 
     @pytest.mark.parametrize("eps_prime", [0, -1, math.nan, math.inf])
     def test_bad_eps_prime(self, eps_prime):
-        ordering = optics_order(line_points([0, 1, 3]), OpticsParams(eps=2, min_pts=2))
+        ordering = order_points(line_points([0, 1, 3]), OpticsParams(eps=2, min_pts=2))
         with pytest.raises(ValueError, match="eps_prime"):
             extract_clusters(ordering, eps_prime)
 
@@ -403,7 +428,7 @@ class TestReachabilityCsv:
     def test_roundtrip(self, tmp_path):
         rng = random.Random(8)
         pts = random_points(30, rng)
-        out = optics_order(pts, OpticsParams(eps=4, min_pts=3))
+        out = order_points(pts, OpticsParams(eps=4, min_pts=3))
         path = tmp_path / "reach.csv"
         with open(path, "w", newline="") as fh:
             write_reachability_csv(out, fh)
@@ -420,7 +445,7 @@ class TestReachabilityCsv:
         ]
 
     def test_undefined_encodes_empty(self, tmp_path):
-        out = optics_order({0: Point2D(0, 0)}, OpticsParams(eps=1, min_pts=2))
+        out = order_points({0: Point2D(0, 0)}, OpticsParams(eps=1, min_pts=2))
         path = tmp_path / "reach.csv"
         with open(path, "w", newline="") as fh:
             write_reachability_csv(out, fh)

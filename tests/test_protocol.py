@@ -681,6 +681,22 @@ class TestRunRound:
             run_round(dep, params, config)
         assert err.value.round_index == 2 and dep.rounds_run == 1
 
+    def test_round_that_raises_co_location_changes_nothing(self):
+        # nodes 1 and 2 share a position, so node 1's activation raises
+        # mid-tree; the far node 5 would retire and the sleeper 6 count down
+        positions = [(0, 0), (3, 0), (3, 0), (0, 3), (6, 3), (40, 40), (60, 60)]
+        dep = make_deployment(positions, batteries={3: 0.75}, states={5: ACTIVE, 6: SLEEPING})
+        dep.sleep_left[6] = 3
+        dep.rounds_run = 4
+        before = dep.state_code.copy(), dep.sleep_left.copy(), dep.battery.copy()
+        for _ in range(2):  # and it raises again
+            with pytest.raises(CoLocatedSensorsError, match="node 1 shares its position"):
+                run_round(dep, OpticsParams(eps=10, min_pts=2))
+            assert dep.state_code.tolist() == before[0].tolist()
+            assert dep.sleep_left.tolist() == before[1].tolist()
+            assert dep.battery.tolist() == before[2].tolist()
+            assert dep.rounds_run == 4
+
     def test_all_dead_raises_with_round_index(self):
         dep = make_deployment([(0, 0), (3, 0)], batteries={0: 0.5, 1: 0.5})
         params = OpticsParams(eps=10, min_pts=1)
