@@ -97,6 +97,9 @@ class RunConfig:
             )
         if not self.d_list or any(d < 1 for d in self.d_list):
             raise ConfigError("experiment.d_list must list deployment sizes >= 1")
+        if len(set(self.d_list)) < len(self.d_list):
+            # a repeat would re-run its size's seeds and overwrite its traces
+            raise ConfigError(f"experiment.d_list lists a size twice: {self.d_list}")
         if self.trials < 1:
             raise ConfigError("experiment.trials must be >= 1")
         if self.rounds < 1:

@@ -216,9 +216,9 @@ def export_plot_data(
 
     Emits one reachability CSV per round plus one coverage 0/1 grid per
     round, reconstructed from the trace's node snapshot. A resolution
-    below 10, or a trace field missing, of the wrong type or (for a
-    coordinate) not finite, raises ``ValueError`` before anything is
-    written.
+    below 10, a trace field missing, of the wrong type or (for a
+    coordinate) not finite, or a node id the header lists twice raises
+    ``ValueError`` before anything is written.
     """
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
@@ -252,6 +252,8 @@ def export_plot_data(
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed trace field: {exc!r}") from exc
+    if len(positions) < len(header["nodes"]):
+        raise ValueError("the trace header lists a node id twice")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     written = []

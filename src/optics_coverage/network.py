@@ -2,20 +2,20 @@
 
 A deployment is a set of sensors dropped uniformly at random in a
 rectangle, each with a normalized battery level; the deployment holds the
-one coverage radius r they all share, its sensors' coordinates as ``x``
-and ``y`` columns, and its ``state_code``, ``battery`` and ``sleep_left``
-arrays and its ``rounds_run`` count, the only store of simulation state:
-a ``SensorNode`` is a view of one slot, made when asked for. Two sensors
-are direct neighbors when their centers are at most 2r apart, which is
-also the request broadcast range. Positions never change after
-deployment, so one neighbor table, held as CSR arrays, serves every round
-of a deployment.
+one coverage radius r they all share, its sensors' coordinates as
+read-only ``x`` and ``y`` columns, and its ``state_code``, ``battery``
+and ``sleep_left`` arrays and its ``rounds_run`` count, the only store of
+simulation state: a ``SensorNode`` is a view of one slot, made when asked
+for. Two sensors are direct neighbors when their centers are at most 2r
+apart, which is also the request broadcast range. Positions never change
+after deployment, so a deployment keeps each neighbor table it needs, held
+as CSR arrays, in ``tables``, by reach, for every round.
 
 ``neighbor_rows`` builds every ``NeighborTable`` from id and coordinate
-columns, the deployment's at 2r and a round's at a wider eps, in one
-numpy pass over grid cells. It orders the rows by one int64 key per
-entry, (row, distance rank, id), sorted once; the key bounds a table to
-n * n * U < 2**63 for n points and U distinct pair distances.
+columns, at 2r and at a wider eps, in one numpy pass over grid cells. It
+orders the rows by one int64 key per entry, (row, distance rank, id),
+sorted once; the key bounds a table to n * n * U < 2**63 for n points
+and U distinct pair distances.
 """
 
 from __future__ import annotations
@@ -120,17 +120,19 @@ def _checked(battery: Sequence[float], states: Sequence[str]) -> tuple[np.ndarra
 @dataclass(eq=False)
 class Deployment:
     """Sensors of one field as columns sorted by id, indexed by slot:
-    ``ids``, ``x`` and ``y`` (float64, from the ``Point2D`` ``positions``
-    given), and the only store of node state,
+    ``ids``, ``x`` and ``y`` (read-only float64, from the ``Point2D``
+    ``positions`` given), and the only store of node state,
     ``state_code`` (``STATE_CODE`` of each state), ``battery`` and
     ``sleep_left`` (the rounds a sleeper has left, 0 at construction, so
     a node built sleeping wakes next round). ``rounds_run`` counts the
-    rounds run on the deployment, from 0; neither is a constructor
-    argument. ``radius`` is the coverage radius r of every sensor; nothing
-    else stores a copy of it. The columns, and ``states`` (default all idle),
-    may come in any id order. ``ValueError`` unless each has one entry per
-    node, ids are unique ints, states known, batteries in [0, 1], a node
-    dead exactly when empty, and 0 < radius < inf."""
+    rounds run on the deployment, from 0, and ``tables`` maps a reach to
+    the deployment's ``NeighborTable`` at it, empty until a round builds
+    one; none of the three is a constructor argument. ``radius`` is the
+    coverage radius r of every sensor; nothing else stores a copy of it.
+    The columns, and ``states`` (default all idle), may come in any id
+    order. ``ValueError`` unless each has one entry per node, ids are
+    unique ints, states known, batteries in [0, 1], a node dead exactly
+    when empty, and 0 < radius < inf."""
 
     ids: np.ndarray = field(repr=False)
     positions: InitVar[Sequence[Point2D]]
@@ -145,6 +147,7 @@ class Deployment:
     state_code: np.ndarray = field(init=False, repr=False)
     sleep_left: np.ndarray = field(init=False, repr=False)
     rounds_run: int = field(init=False, default=0)
+    tables: dict[float, NeighborTable] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self, positions: Sequence[Point2D], states: Sequence[str] | None):
         if not 0 < self.radius < math.inf:
@@ -164,6 +167,8 @@ class Deployment:
         self.battery, self.state_code = battery[order], codes[order]
         self.x = np.array([p.x for p in positions], dtype=float)[order]
         self.y = np.array([p.y for p in positions], dtype=float)[order]
+        # the kept tables hold distances between these positions
+        self.x.flags.writeable = self.y.flags.writeable = False
         self.sleep_left = np.zeros(n, dtype=np.int64)
 
     def slots(self, node_ids: Sequence[int]) -> np.ndarray:
@@ -188,7 +193,7 @@ class Deployment:
 @dataclass(eq=False)
 class NeighborTable:
     """Distance-annotated adjacency, at the 2r communication threshold for
-    a deployment's table.
+    the table every round of a deployment reads.
 
     CSR arrays over the sorted node ``ids``: the row of ``ids[i]`` is
     ``index[indptr[i]:indptr[i + 1]]`` (neighbor positions into ``ids``)
@@ -373,8 +378,7 @@ def generate_deployment(
 def build_neighbor_table(deployment: Deployment) -> NeighborTable:
     """Connect every pair of nodes within 2r of each other (inclusive).
 
-    The table's ``ids`` is the deployment's own array, which marks the
-    table as this deployment's.
+    A new table on each call; a round reads the one its deployment keeps.
     """
     return neighbor_rows(deployment.ids, deployment.x, deployment.y, 2 * deployment.radius)
 

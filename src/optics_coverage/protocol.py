@@ -17,16 +17,18 @@ united, so where two active discs cover the same stretch of boundary it
 counts twice; each member keeps a running sum, grown by the discs of its
 neighbor-table row as they activate. Actives retire to sleep at the end
 of their round and rejoin the pool after a configurable number of rounds.
-A round runs on the deployment's arrays alone, ``state_code``,
-``battery``, the sleepers' countdown ``sleep_left`` and the ``x`` and
-``y`` columns: waking, retiring and draining are masked writes, the
-ordering masks the round's table with ``state_code == IDLE``, the
-actives are the slots left ``ACTIVE``, and a ``RoundState`` only records
-what the round did. A selection tree works at the table's slots. It
-splits L in two: each idle member's offer, the numerator, is computed
-once per cluster into one array over the slots, NaN wherever no reply
-may come, and a request divides the offers in the sender's row by
-``w_d * distance`` and ranks them.
+A round runs on the deployment alone: its arrays ``state_code``,
+``battery`` and the sleepers' countdown ``sleep_left``, and the neighbor
+tables it keeps, at 2r and, for an eps wider than 2r, at eps, each built
+from the ``x`` and ``y`` columns by the first round that needs it.
+Waking, retiring and draining are masked writes, the ordering masks a
+kept table with ``state_code == IDLE``, the actives are the slots left
+``ACTIVE``, and a ``RoundState`` only records what the round did. A
+selection tree works at the 2r table's slots. It splits L in two: each
+idle member's offer, the numerator, is computed once per cluster into
+one array over the slots, NaN wherever no reply may come, and a request
+divides the offers in the sender's row by ``w_d * distance`` and ranks
+them.
 """
 
 from __future__ import annotations
@@ -141,28 +143,40 @@ def choose_initial_sensor(cluster: Cluster, deployment: Deployment) -> int:
     return cluster.members[np.lexsort((cluster.members, distance))[0]]
 
 
+def _table(deployment: Deployment, reach: float) -> NeighborTable:
+    """The deployment's neighbor table at ``reach``, built on first use:
+    positions never change, so it serves every later round."""
+    table = deployment.tables.get(reach)
+    if table is None:
+        if reach == 2 * deployment.radius:
+            table = build_neighbor_table(deployment)
+        else:
+            table = neighbor_rows(deployment.ids, deployment.x, deployment.y, reach)
+        deployment.tables[reach] = table
+    return table
+
+
 def select_next(
     sender: int,
-    table: NeighborTable,
     deployment: Deployment,
     offers: np.ndarray,
     config: ProtocolConfig | None = None,
 ) -> list[int]:
     """Reply slots to one request from the node at slot ``sender``, best first.
 
-    ``cover_cluster``'s step for one frontier visit; slots index
-    ``table.ids`` and the deployment's arrays alike. ``offers`` holds, at
-    the slot of each node that answers, the numerator of its acceptance
-    level, ``w_b * battery + w_n * neighbor_count``, and NaN at every other
-    slot. The replies are ranked by that numerator over ``w_d * distance``,
-    highest first, ties going to the lower slot (and so the lower id); a
-    reply scoring -inf is never offered. Empty when no neighbor answers.
-    The sender must be active, and ``table`` must be the deployment's
-    (``ValueError`` otherwise). The caller ignores numpy's overflow and
-    invalid warnings: a subnormal distance can score +-inf.
+    ``cover_cluster``'s step for one frontier visit, over the deployment's
+    2r table; slots index its ids and the deployment's arrays alike.
+    ``offers`` holds, at the slot of each node that answers, the numerator
+    of its acceptance level, ``w_b * battery + w_n * neighbor_count``, and
+    NaN at every other slot. The replies are ranked by that numerator over
+    ``w_d * distance``, highest first, ties going to the lower slot (and so
+    the lower id); a reply scoring -inf is never offered. Empty when no
+    neighbor answers. The sender must be active (``ValueError``
+    otherwise). The caller ignores numpy's overflow and invalid warnings:
+    a subnormal distance can score +-inf.
     """
     cfg = config or ProtocolConfig()
-    _check_table(table, deployment)
+    table = _table(deployment, 2 * deployment.radius)
     code = deployment.state_code[sender]
     if code != ACTIVE_CODE:
         raise ValueError(f"node {table.ids[sender]} is {STATE_NAME[code]}, not active")
@@ -185,7 +199,6 @@ def select_next(
 def cover_cluster(
     cluster: Cluster,
     deployment: Deployment,
-    table: NeighborTable,
     config: ProtocolConfig | None = None,
 ) -> SelectionTree:
     """Grow one cluster's selection tree until no candidate is acceptable.
@@ -196,16 +209,16 @@ def cover_cluster(
     rest of the round, and the first acceptable one activates, after which
     the node re-enters the frontier behind its new child. A node whose
     replies are all redundant, or that gets none, drops out.
-    The walk runs over table slots. One ``offers`` array, built once,
-    holds each idle member's acceptance-level numerator, which nothing in
-    the walk changes; a member's offer goes to NaN as it activates or is
-    discarded, so only the candidate pool answers.
+    The walk runs over the slots of the deployment's 2r table. One
+    ``offers`` array, built once, holds each idle member's acceptance-level
+    numerator, which nothing in the walk changes; a member's offer goes to
+    NaN as it activates or is discarded, so only the candidate pool answers.
     Each activation adds its arc to the sums of the members in its table
     row, so a sensor co-located with a candidate member raises as soon as
     it activates.
     """
     cfg = config or ProtocolConfig()
-    _check_table(table, deployment)
+    table = _table(deployment, 2 * deployment.radius)
     root = choose_initial_sensor(cluster, deployment)
     tree = SelectionTree(cluster.cluster_id, root)
     ids, codes = table.ids, deployment.state_code
@@ -242,7 +255,7 @@ def cover_cluster(
         frontier = deque([u])
         while frontier:
             u = frontier.popleft()
-            for i in select_next(u, table, deployment, offers, cfg):
+            for i in select_next(u, deployment, offers, cfg):
                 free = (TWO_PI - covered.item(i)) / TWO_PI
                 # nothing free: redundant unless theta = 0, however far the sum overshoots
                 if (cfg.theta > 0) if free <= 0 else free < cfg.theta:
@@ -256,27 +269,10 @@ def cover_cluster(
     return tree
 
 
-def _check_table(table: NeighborTable, deployment: Deployment) -> None:
-    """A table passed in must be the deployment's: at its 2r, and built by
-    ``build_neighbor_table`` over it, so that it shares the deployment's
-    ``ids`` array. Equal ids are not enough: two fields of 60 nodes both
-    have ids 0..59. Both tests are O(1), so every request can make them."""
-    if table.radius != 2 * deployment.radius:
-        raise ValueError(
-            f"table radius {table.radius} is not 2r = {2 * deployment.radius}"
-        )
-    if table.ids is not deployment.ids:
-        raise ValueError(
-            "table rows are not the deployment's node ids: "
-            "build the table with build_neighbor_table(deployment)"
-        )
-
-
 def run_round(
     deployment: Deployment,
     params: OpticsParams,
     config: ProtocolConfig | None = None,
-    table: NeighborTable | None = None,
 ) -> tuple[RoundState, RoundReport]:
     """Advance the deployment by one round, its ``rounds_run + 1``-th.
 
@@ -284,21 +280,17 @@ def run_round(
     idle pool, last round's actives go to sleep for ``sleep_rounds``, the
     idle pool is re-clustered and covered cluster by cluster, and the new
     actives pay the round's battery cost. Outliers of the clustering stay
-    idle; an eps wider than 2r orders over a table at eps. A ``table``
-    passed in must be this deployment's, as ``build_neighbor_table``
-    returns it (``ValueError``, before any node changes state, otherwise).
-    A round that raises (``CoLocatedSensorsError``, say) restores the
-    deployment's ``state_code``, ``sleep_left`` and ``rounds_run`` first.
+    idle; an eps wider than 2r orders over a table at eps. The first round
+    that needs a table builds it into the deployment's ``tables``, which
+    every later round reads. A round that raises (``CoLocatedSensorsError``,
+    say) restores the deployment's ``state_code``, ``sleep_left`` and
+    ``rounds_run`` first.
     """
     cfg = config or ProtocolConfig()
     round_index = deployment.rounds_run + 1
     ids, codes, left = deployment.ids, deployment.state_code, deployment.sleep_left
     if not (codes != DEAD_CODE).any():
         raise AllNodesDeadError(round_index)
-    if table is None:
-        table = build_neighbor_table(deployment)
-    else:
-        _check_table(table, deployment)
     saved = codes.copy(), left.copy()
     deployment.rounds_run = round_index
     # sleepers count down, those with one round or less left wake, and
@@ -317,11 +309,11 @@ def run_round(
     ordering: list[OrderedPoint] = []
     try:
         if idle.any():
-            wide = params.eps > table.radius
-            rows = neighbor_rows(ids, deployment.x, deployment.y, params.eps) if wide else table
+            # an eps up to 2r orders over the 2r table
+            rows = _table(deployment, max(params.eps, 2 * deployment.radius))
             ordering = optics_order(rows, params, idle)
             for cluster in extract_clusters(ordering, params.eps_prime).clusters:
-                trees.append(cover_cluster(cluster, deployment, table, cfg))
+                trees.append(cover_cluster(cluster, deployment, cfg))
     except BaseException:
         codes[:], left[:] = saved
         deployment.rounds_run = round_index - 1
@@ -360,25 +352,15 @@ def iterate_rounds(
     """Yield (state, report) for each of the deployment's next ``rounds``
     rounds.
 
-    ``rounds`` is checked here; the neighbor table is built at the first
-    ``next()``. A deployment that has run resumes where it stopped: its
-    actives retire and its sleepers keep counting down.
+    ``rounds`` is checked here; the rounds run one per ``next()``, the
+    first building the tables the deployment does not yet keep. A
+    deployment that has run resumes where it stopped: its actives retire
+    and its sleepers keep counting down.
     """
     require_int("rounds", rounds)
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    return _rounds(deployment, params, config, rounds)
-
-
-def _rounds(
-    deployment: Deployment,
-    params: OpticsParams,
-    config: ProtocolConfig | None,
-    rounds: int,
-) -> Iterator[tuple[RoundState, RoundReport]]:
-    table = build_neighbor_table(deployment)
-    for _ in range(rounds):
-        yield run_round(deployment, params, config, table)
+    return (run_round(deployment, params, config) for _ in range(rounds))
 
 
 def write_trace(

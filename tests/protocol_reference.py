@@ -21,14 +21,18 @@ offer (the numerator) and a per-request division.
 neighbor's node and scoring it with ``acceptance_level``; it is the oracle
 for ``select_next``'s numpy ranking over the offers.
 
+The oracles read rows from a table that ``build_neighbor_table`` builds
+afresh, never from the one the deployment keeps.
+
 ``reference_run_round`` runs a round node by node through the
 deployment's views: it counts down or wakes each sleeper and retires each
 active one at a time, reading and writing ``deployment.sleep_left`` at
 the node's slot, collects the idle nodes into the eligible dict and
-orders it with ``order_points`` (a table of its own at an eps wider than
-2r), takes the union of the tree nodes as the actives, and drains each
-new active's battery, clamped at zero, which kills it. It is the oracle
-for ``run_round``'s masked writes over the arrays.
+orders it with ``order_points`` over a 2r table built for the round (a
+table of its own at an eps wider than 2r), takes the union of the tree
+nodes as the actives, and drains each new active's battery, clamped at
+zero, which kills it. It is the oracle for ``run_round``'s masked writes
+over the arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from optics_reference import order_points
 
 from optics_coverage.geometry import CoLocatedSensorsError, euclidean_distance, overlap_angle
 from optics_coverage.metrics import RoundReport, active_ratio, analytic_cr, grid_cr
-from optics_coverage.network import ACTIVE, IDLE, SLEEPING
+from optics_coverage.network import ACTIVE, IDLE, SLEEPING, build_neighbor_table
 from optics_coverage.optics import extract_clusters
 from optics_coverage.protocol import (
     AllNodesDeadError,
@@ -78,7 +82,7 @@ def mostly_overlapped(pos, active_positions, radius, theta):
     return (TWO_PI - covered) / TWO_PI < theta
 
 
-def reference_select_next(current, table, deployment, allowed=None, config=None):
+def reference_select_next(current, deployment, allowed=None, config=None):
     """Idle neighbors of ``current`` whose id is in ``allowed`` (any
     container, None for all), ranked by level, lower id on ties, none
     scoring -inf."""
@@ -86,6 +90,7 @@ def reference_select_next(current, table, deployment, allowed=None, config=None)
     sender = deployment.node(current)  # KeyError for an unknown id
     if sender.state != ACTIVE:
         raise ValueError(f"node {current} is {sender.state}, not active")
+    table = build_neighbor_table(deployment)
     replies = []
     for nid, dist in table_row(table, current):
         if allowed is not None and nid not in allowed:
@@ -115,7 +120,8 @@ def best_reply(current, table, deployment, allowed, exclude, config):
     return best
 
 
-def reference_cover_cluster(cluster, deployment, table, config: ProtocolConfig):
+def reference_cover_cluster(cluster, deployment, config: ProtocolConfig):
+    table = build_neighbor_table(deployment)
     root = choose_initial_sensor(cluster, deployment)
     deployment.node(root).state = ACTIVE
     tree = SelectionTree(cluster.cluster_id, root)
@@ -142,8 +148,8 @@ def reference_cover_cluster(cluster, deployment, table, config: ProtocolConfig):
     return tree
 
 
-def reference_run_round(deployment, params, config, table):
-    """One round of ``table``'s deployment, walking node views."""
+def reference_run_round(deployment, params, config):
+    """One round of the deployment, walking node views."""
     round_index = deployment.rounds_run + 1
     if not any(n.alive for n in deployment.nodes):
         raise AllNodesDeadError(round_index)
@@ -163,9 +169,9 @@ def reference_run_round(deployment, params, config, table):
     eligible = {n.id: n.position for n in deployment.nodes if n.state == IDLE}
     trees, ordering = [], []
     if eligible:
-        ordering = order_points(eligible, params, table)
+        ordering = order_points(eligible, params, build_neighbor_table(deployment))
         for cluster in extract_clusters(ordering, params.eps_prime).clusters:
-            trees.append(cover_cluster(cluster, deployment, table, config))
+            trees.append(cover_cluster(cluster, deployment, config))
 
     active = set()
     for tree in trees:

@@ -237,6 +237,19 @@ class TestRunCommand:
     def test_bad_config_exits_2(self):
         assert run_cli("run", "--set", "experiment.trials=0") == 2
 
+    def test_repeated_size_exits_2_before_any_deployment(self, tmp_path, capsys, monkeypatch):
+        # a size listed twice would re-run its seeds and overwrite its traces
+        def no_deployment(*args, **kwargs):
+            raise AssertionError("a deployment was generated")
+
+        monkeypatch.setattr(experiments, "generate_deployment", no_deployment)
+        out = tmp_path / "out"
+        code = run_cli("run", "--out", str(out), "--d-list", "100,150,100", "--trials", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "twice" in err
+        assert not out.exists()
+
     def test_bad_d_list_exits_2_without_traceback(self, capsys):
         assert run_cli("run", "--d-list", "100,abc") == 2
         err = capsys.readouterr().err
@@ -369,9 +382,12 @@ class TestPlotDataCommand:
             '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, null]]}\n',
             '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, Infinity]]}\n'
             '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, null]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1,'
+            ' "nodes": [[0, 1, 1], [1, 2, 2], [0, 1000.0, 1000.0]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, null]]}\n',
         ],
         ids=["null-coordinate", "array-header", "path-round-index", "nan-coordinate",
-             "infinite-coordinate"],
+             "infinite-coordinate", "repeated-node-id"],
     )
     def test_malformed_trace_exits_2_as_bad_trace(self, text, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -383,6 +399,8 @@ class TestPlotDataCommand:
         assert not (tmp_path / "p").exists()
         if "NaN" in text or "Infinity" in text:
             assert "coordinates must be finite" in err
+        if "1000.0" in text:
+            assert "node id twice" in err
 
 
 class TestExperimentHelpers:
@@ -419,8 +437,12 @@ class TestExperimentHelpers:
 
     @pytest.mark.parametrize(
         "config",
-        [replace(RunConfig(), d_list=()), replace(RunConfig(), eps=2.0)],
-        ids=["empty_d_list", "eps_below_radius"],
+        [
+            replace(RunConfig(), d_list=()),
+            replace(RunConfig(), eps=2.0),
+            replace(RunConfig(), d_list=(100, 150, 100)),
+        ],
+        ids=["empty_d_list", "eps_below_radius", "repeated_size"],
     )
     @pytest.mark.parametrize(
         "run",

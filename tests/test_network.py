@@ -482,6 +482,20 @@ class TestDeploymentArrays:
         with pytest.raises(TypeError, match=name):
             Deployment(*columns(), **{name: value})
 
+    def test_tables_start_empty_and_are_not_a_constructor_argument(self):
+        assert Deployment(*columns()).tables == {}
+        with pytest.raises(TypeError, match="tables"):
+            Deployment(*columns(), tables={})
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_positions_are_read_only(self, axis):
+        # the tables a deployment keeps hold distances between its positions
+        dep = generate_deployment(30, 30, 30, 5, seed=4)
+        before = getattr(dep, axis).tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(dep, axis)[0] = 1.0
+        assert getattr(dep, axis).tolist() == before
+
     @pytest.mark.parametrize(
         "field, value, left",
         [("state", IDLE, 0), ("state", ACTIVE, 0), ("state", SLEEPING, 0), ("battery", 0.5, 3)],

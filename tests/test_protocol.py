@@ -118,7 +118,7 @@ def rotation_layouts(draw):
     return ids, positions, batteries, side, side, 5.0, None, states
 
 
-def replies(current, table, dep, allowed=None, config=None):
+def replies(current, dep, allowed=None, config=None):
     """Reply ids to one request from node ``current``: ``select_next`` at
     its slot, over the offers ``cover_cluster`` builds for a cluster of
     the ids in ``allowed`` (None for every node), which only idle nodes
@@ -127,10 +127,11 @@ def replies(current, table, dep, allowed=None, config=None):
     idle = np.flatnonzero(dep.state_code == STATE_CODE[IDLE])
     if allowed is not None:
         idle = idle[np.isin(dep.ids[idle], list(allowed))]
+    degrees = build_neighbor_table(dep).degrees[idle]
     offers = np.full(len(dep.ids), np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        offers[idle] = cfg.w_battery * dep.battery[idle] + cfg.w_neighbors * table.degrees[idle]
-        slots = select_next(int(dep.slots([current])[0]), table, dep, offers, cfg)
+        offers[idle] = cfg.w_battery * dep.battery[idle] + cfg.w_neighbors * degrees
+        slots = select_next(int(dep.slots([current])[0]), dep, offers, cfg)
     return dep.ids[slots].tolist()
 
 
@@ -224,7 +225,7 @@ class TestSelectNext:
         table = build_neighbor_table(dep)
         assert table_degree(table, 1) == 1
         assert table_degree(table, 2) == 2
-        assert replies(0, table, dep) == [2, 1]
+        assert replies(0, dep) == [2, 1]
 
     def test_full_ranking_order(self):
         positions = [(0, 0), (6, 0), (0, 2), (-4, 1), (3, 3), (1, -7), (-2, -2)]
@@ -236,7 +237,7 @@ class TestSelectNext:
             for nid, d in table_row(table, 0)
         }
         assert len(set(levels.values())) == 6
-        assert replies(0, table, dep) == sorted(levels, key=levels.get, reverse=True)
+        assert replies(0, dep) == sorted(levels, key=levels.get, reverse=True)
 
     def test_ties_go_to_lower_id(self):
         # 1, 2 and 3 are exactly 3 m out with equal battery and degree;
@@ -246,37 +247,36 @@ class TestSelectNext:
         )
         table = build_neighbor_table(dep)
         assert {table_degree(table, nid) for nid in (1, 2, 3)} == {4}
-        assert replies(0, table, dep) == [4, 1, 2, 3]
+        assert replies(0, dep) == [4, 1, 2, 3]
 
     def test_no_idle_neighbors(self):
         dep = make_deployment([(0, 0), (3, 0)], states={0: ACTIVE, 1: SLEEPING})
-        table = build_neighbor_table(dep)
-        assert replies(0, table, dep) == []
+        assert replies(0, dep) == []
 
     def test_allowed_filter(self):
         dep = make_deployment([(0, 0), (3, 0), (0, 3)], states={0: ACTIVE})
-        table = build_neighbor_table(dep)
-        assert replies(0, table, dep, allowed={1}) == [1]
-        assert replies(0, table, dep, allowed=set()) == []
+        assert replies(0, dep, allowed={1}) == [1]
+        assert replies(0, dep, allowed=set()) == []
 
     def test_minus_inf_reply_never_offered(self):
         # a negative battery weight over a subnormal distance scores -inf
         dep = make_deployment([(0, 0), (1e-310, 0), (3, 0)], states={0: ACTIVE})
-        table = build_neighbor_table(dep)
         config = ProtocolConfig(w_battery=-1.0, w_neighbors=0.0)
         assert acceptance_level(1.0, 2, 1e-310, config) == -math.inf
-        assert replies(0, table, dep, config=config) == [2]
-        assert replies(0, table, dep, allowed={1}, config=config) == []
+        assert replies(0, dep, config=config) == [2]
+        assert replies(0, dep, allowed={1}, config=config) == []
         # +inf, from the default weights, ranks first
-        assert replies(0, table, dep) == [1, 2]
+        assert replies(0, dep) == [1, 2]
 
     def test_only_idle_neighbors_answer(self):
         dep = generate_deployment(40, 30, 30, 5, seed=3)
         table = build_neighbor_table(dep)
         dep.nodes[0].state = ACTIVE
+        # every other node idle: the deployment's own row answers whole
+        assert sorted(replies(0, dep)) == sorted(nid for nid, _ in table_row(table, 0))
         for n in dep.nodes[1:20]:
             n.state = SLEEPING
-        answered = replies(0, table, dep)
+        answered = replies(0, dep)
         assert answered
         idle = [nid for nid, _ in table_row(table, 0) if dep.node(nid).state == IDLE]
         assert sorted(answered) == sorted(idle)
@@ -294,8 +294,7 @@ class TestSelectNext:
                 batteries=batteries,
                 states={0: ACTIVE},
             )
-            table = build_neighbor_table(dep)
-            rankings.append(replies(0, table, dep))
+            rankings.append(replies(0, dep))
         assert len(rankings[0]) == 3
         assert rankings[0] == rankings[1] == rankings[2]
 
@@ -303,11 +302,10 @@ class TestSelectNext:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_entry_walk(self, layout):
         dep, sender, allowed, config = layout
-        table = build_neighbor_table(dep)
 
         def outcome(request):
             try:
-                return request(sender, table, dep, allowed, config)
+                return request(sender, dep, allowed, config)
             except CoLocatedSensorsError:
                 return "co-located"
 
@@ -315,52 +313,28 @@ class TestSelectNext:
 
     def test_co_located_candidate_raises(self):
         dep = make_deployment([(0, 0), (0, 0)], states={0: ACTIVE})
-        table = build_neighbor_table(dep)
         with pytest.raises(CoLocatedSensorsError):
-            replies(0, table, dep)
+            replies(0, dep)
 
     def test_selector_must_be_active(self):
         dep = make_deployment([(0, 0), (3, 0)])
-        table = build_neighbor_table(dep)
         with pytest.raises(ValueError):
-            replies(0, table, dep)
+            replies(0, dep)
 
     def test_slot_outside_table(self):
         dep = make_deployment([(0, 0)], states={0: ACTIVE})
-        table = build_neighbor_table(dep)
         with pytest.raises(IndexError):
-            select_next(1, table, dep, np.full(1, np.nan))
+            select_next(1, dep, np.full(1, np.nan))
 
     def test_isolated_selector(self):
         dep = make_deployment([(0, 0), (50, 50)], states={0: ACTIVE})
-        table = build_neighbor_table(dep)
-        assert replies(0, table, dep) == []
-
-    def test_table_of_another_field_rejected(self):
-        # two 60-node fields share ids 0..59 and 2r: seed 3's rows would
-        # index seed 2's arrays and answer with nodes that are not neighbors
-        dep = generate_deployment(60, 30, 30, 5, seed=2)
-        dep.node(0).state = ACTIVE
-        foreign = build_neighbor_table(generate_deployment(60, 30, 30, 5, seed=3))
-        assert np.array_equal(foreign.ids, dep.ids)
-        with pytest.raises(ValueError, match="node ids"):
-            replies(0, foreign, dep)
-        table = build_neighbor_table(dep)
-        assert table.ids is dep.ids
-        assert sorted(replies(0, table, dep)) == sorted(nid for nid, _ in table_row(table, 0))
-
-    def test_table_of_another_radius_rejected(self):
-        dep = make_deployment([(0, 0), (3, 0)], states={0: ACTIVE})
-        wide = make_deployment([(0, 0), (3, 0)], radius=6.0)
-        with pytest.raises(ValueError, match="radius"):
-            replies(0, build_neighbor_table(wide), dep)
+        assert replies(0, dep) == []
 
 
 class TestCoverCluster:
     def test_singleton_cluster(self):
         dep = make_deployment([(0, 0)])
-        table = build_neighbor_table(dep)
-        tree = cover_cluster(Cluster(0, (0,)), dep, table)
+        tree = cover_cluster(Cluster(0, (0,)), dep)
         assert tree.root == 0
         assert tree.edges == []
         assert dep.node(0).state == ACTIVE
@@ -369,8 +343,7 @@ class TestCoverCluster:
         # spacing 1.5r: the middle disc covers neither end position, so
         # the frontier keeps growing outward
         dep = make_deployment([(0, 0), (7.5, 0), (15, 0)])
-        table = build_neighbor_table(dep)
-        tree = cover_cluster(Cluster(0, (0, 1, 2)), dep, table)
+        tree = cover_cluster(Cluster(0, (0, 1, 2)), dep)
         active = tree.node_ids()
         assert tree.root == 1
         assert len(active) <= 3
@@ -394,9 +367,8 @@ class TestCoverCluster:
         ]
         for positions, first in layouts:
             dep = make_deployment(positions)
-            table = build_neighbor_table(dep)
             with pytest.raises(CoLocatedSensorsError) as err:
-                cover_cluster(Cluster(0, tuple(range(len(positions)))), dep, table)
+                cover_cluster(Cluster(0, tuple(range(len(positions)))), dep)
             # raised as the first of the pair activates, before its twin is scored
             assert dep.node(first).state == ACTIVE
             assert dep.node(first + 1).state == IDLE
@@ -409,9 +381,8 @@ class TestCoverCluster:
 
         def outcome(cover, theta):
             dep = make_deployment(positions, batteries=batteries)
-            table = build_neighbor_table(dep)
             try:
-                tree = cover(Cluster(0, members), dep, table, ProtocolConfig(theta=theta))
+                tree = cover(Cluster(0, members), dep, ProtocolConfig(theta=theta))
             except CoLocatedSensorsError:
                 return "co-located"
             return tree.root, tree.edges, [n.state for n in dep.nodes]
@@ -446,8 +417,7 @@ class TestCoverCluster:
 
         monkeypatch.setattr(protocol, "select_next", counted)
         dep = generate_deployment(80, 40, 40, 5, seed=21)
-        table = build_neighbor_table(dep)
-        tree = cover_cluster(Cluster(0, tuple(n.id for n in dep.nodes)), dep, table)
+        tree = cover_cluster(Cluster(0, tuple(n.id for n in dep.nodes)), dep)
         assert tree.edges
         assert len(requests) == 1 + 2 * len(tree.edges)
 
@@ -458,18 +428,17 @@ class TestCoverCluster:
         # test_minus_inf_reply_never_offered's layout: from the root, node 0,
         # node 1 scores +inf at the default battery weight and -inf at -1.0
         dep = make_deployment([(0, 0), (1e-310, 0), (3, 0)])
-        table = build_neighbor_table(dep)
         config = ProtocolConfig(w_battery=w_battery, w_neighbors=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tree = cover_cluster(Cluster(0, (0, 1, 2)), dep, table, config)
+            tree = cover_cluster(Cluster(0, (0, 1, 2)), dep, config)
         assert (tree.root, tree.edges) == (0, edges)
 
     def test_tree_property(self):
         dep = generate_deployment(80, 40, 40, 5, seed=21)
         table = build_neighbor_table(dep)
         members = tuple(n.id for n in dep.nodes)
-        tree = cover_cluster(Cluster(0, members), dep, table)
+        tree = cover_cluster(Cluster(0, members), dep)
         assert len(tree.edges) == len(tree.node_ids()) - 1
         # every child was within communication range of its parent
         for parent, child in tree.edges:
@@ -478,9 +447,8 @@ class TestCoverCluster:
     def test_redundant_candidates_stay_idle(self):
         # a tight clump saturates quickly; skipped sensors must stay idle
         dep = generate_deployment(60, 12, 12, 5, seed=2)
-        table = build_neighbor_table(dep)
         members = tuple(n.id for n in dep.nodes)
-        tree = cover_cluster(Cluster(0, members), dep, table)
+        tree = cover_cluster(Cluster(0, members), dep)
         active = tree.node_ids()
         assert len(active) < len(members)
         for n in dep.nodes:
@@ -496,9 +464,8 @@ class TestCoverCluster:
         for order, sink in (((cluster_a, cluster_b), trees_fwd),
                             ((cluster_b, cluster_a), trees_rev)):
             dep = make_deployment(positions)
-            table = build_neighbor_table(dep)
             for cluster in order:
-                sink.append(cover_cluster(cluster, dep, table))
+                sink.append(cover_cluster(cluster, dep))
         by_id_fwd = {t.cluster_id: (t.root, t.edges) for t in trees_fwd}
         by_id_rev = {t.cluster_id: (t.root, t.edges) for t in trees_rev}
         assert by_id_fwd == by_id_rev
@@ -545,32 +512,6 @@ class TestRunRound:
         for nid in s1.active:
             assert dep.node(nid).state in (IDLE, ACTIVE)
 
-    def test_table_of_another_radius_rejected(self):
-        # a table built for r = 5 links nodes 8 m apart; at r = 3 (2r = 6)
-        # they are isolated, and that table would make them one cluster
-        dep = make_deployment([(0, 0), (8, 0), (16, 0)], radius=3.0)
-        other = make_deployment([(0, 0), (8, 0), (16, 0)], radius=5.0)
-        with pytest.raises(ValueError, match="radius"):
-            run_round(dep, OpticsParams(eps=6, min_pts=1), table=build_neighbor_table(other))
-        assert all(n.state == IDLE for n in dep.nodes)
-
-    def test_table_of_other_nodes_rejected(self):
-        dep = generate_deployment(60, 30, 30, 5, seed=2)
-        table = build_neighbor_table(generate_deployment(50, 30, 30, 5, seed=2))
-        run_round(dep, OpticsParams(eps=10, min_pts=4))
-        states = [n.state for n in dep.nodes]
-        with pytest.raises(ValueError, match="node ids"):
-            run_round(dep, OpticsParams(eps=10, min_pts=4), table=table)
-        assert [n.state for n in dep.nodes] == states
-        assert dep.rounds_run == 1
-
-    def test_table_of_another_field_with_the_same_ids_rejected(self):
-        dep = generate_deployment(60, 30, 30, 5, seed=2)
-        table = build_neighbor_table(generate_deployment(60, 30, 30, 5, seed=3))
-        with pytest.raises(ValueError, match="node ids"):
-            run_round(dep, OpticsParams(eps=10, min_pts=4), table=table)
-        assert all(n.state == IDLE for n in dep.nodes)
-
     @given(
         rotation_layouts(),
         st.sampled_from([1, 2, 3]),
@@ -584,15 +525,12 @@ class TestRunRound:
             sleep_rounds=sleep_rounds, battery_drain=drain, grid_resolution=50
         )
         ours, ref = Deployment(*layout), Deployment(*layout)
-        runs = [
-            (run_round, ours, build_neighbor_table(ours)),
-            (reference_run_round, ref, build_neighbor_table(ref)),
-        ]
+        runs = [(run_round, ours), (reference_run_round, ref)]
         for _ in range(8):
             outcomes = []
-            for step, dep, table in runs:
+            for step, dep in runs:
                 try:
-                    outcomes.append(step(dep, params, config, table))
+                    outcomes.append(step(dep, params, config))
                 except AllNodesDeadError as err:
                     outcomes.append(err.round_index)
             assert outcomes[0] == outcomes[1]
@@ -850,6 +788,36 @@ class TestIterateRounds:
         next(rounds)
         next(rounds)
         assert builds == [dep]
+
+
+    @pytest.mark.parametrize("eps, eps_tables", [(10, 0), (15, 1)])
+    def test_each_table_is_built_once(self, eps, eps_tables, monkeypatch):
+        # positions never change: six rounds, a resumed run, a bare round
+        # and a bare tree all read the tables the first round built, the
+        # 2r table and, for an eps wider than 2r, the table at eps
+        calls = dict.fromkeys(["build_neighbor_table", "neighbor_rows"], 0)
+        for name in calls:
+
+            def counted(*args, name=name, build=getattr(protocol, name)):
+                calls[name] += 1
+                return build(*args)
+
+            monkeypatch.setattr(protocol, name, counted)
+        dep = generate_deployment(200, 50, 50, 5, seed=42)
+        params = OpticsParams(eps=eps, min_pts=4)
+        assert dep.tables == {}
+        list(iterate_rounds(dep, params, rounds=6))
+        built = {"build_neighbor_table": 1, "neighbor_rows": eps_tables}
+        assert calls == built
+        tables = dict(dep.tables)
+        assert {reach: t.radius for reach, t in tables.items()} == {10: 10, eps: eps}
+        list(iterate_rounds(dep, params, rounds=2))
+        run_round(dep, params)
+        idle = dep.ids[dep.state_code == STATE_CODE[IDLE]]
+        assert cover_cluster(Cluster(0, tuple(idle.tolist())), dep).edges
+        assert calls == built
+        assert dep.tables.keys() == tables.keys()
+        assert all(dep.tables[reach] is table for reach, table in tables.items())
 
 
 class TestTrace:
