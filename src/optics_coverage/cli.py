@@ -97,9 +97,7 @@ def _load(args) -> RunConfig:
         for dest, key in _FLAG_KEYS.items()
         if getattr(args, dest, None) is not None
     ]
-    config = load_config(args.config, overrides)
-    config.validate()
-    return config
+    return load_config(args.config, overrides)
 
 
 def _cmd_run(args) -> int:
@@ -165,6 +163,7 @@ def _cmd_validate_config(args) -> int:
         print(default_ini(), end="")
         return EXIT_OK
     config = _load(args)
+    config.validate()
     print(f"config OK ({len(config.d_list)} deployment sizes, seed {config.seed})")
     return EXIT_OK
 

@@ -73,7 +73,8 @@ class RunConfig:
             **{f.name: getattr(self, f.name) for f in fields(ProtocolConfig)}
         )
 
-    def validate(self) -> None:
+    def validate(self, sweep: bool = True) -> None:
+        """``sweep=False`` skips the keys only the sweep reads: d_list, rounds."""
         if self.count < 1:
             raise ConfigError("deployment.count must be >= 1")
         if not all(0 < v < math.inf for v in (self.width, self.height, self.radius)):
@@ -95,14 +96,14 @@ class RunConfig:
                 f"{self.radius}: the request range 2r must fit inside the "
                 f"clustering neighborhood (2r <= 2*eps requires eps >= r)"
             )
-        if not self.d_list or any(d < 1 for d in self.d_list):
+        if sweep and (not self.d_list or any(d < 1 for d in self.d_list)):
             raise ConfigError("experiment.d_list must list deployment sizes >= 1")
-        if len(set(self.d_list)) < len(self.d_list):
+        if sweep and len(set(self.d_list)) < len(self.d_list):
             # a repeat would re-run its size's seeds and overwrite its traces
             raise ConfigError(f"experiment.d_list lists a size twice: {self.d_list}")
         if self.trials < 1:
             raise ConfigError("experiment.trials must be >= 1")
-        if self.rounds < 1:
+        if sweep and self.rounds < 1:
             raise ConfigError("experiment.rounds must be >= 1")
 
 

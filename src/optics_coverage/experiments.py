@@ -167,10 +167,10 @@ def run_rand_baseline(config: RunConfig) -> BaselineResult:
     ``config.trials`` deployments of ``config.count`` sensors each; for
     each one the protocol picks its active set, and a uniformly random
     subset of the same size from the same deployment is scored with the
-    same grid estimator. Raises ``ConfigError`` for an invalid config
-    before any deployment is generated.
+    same grid estimator. Raises ``ConfigError``, before any deployment is
+    generated, for an invalid value of a key it reads.
     """
-    config.validate()
+    config.validate(sweep=False)
     region = (config.width, config.height)
     pairs: list[BaselinePair] = []
     for trial in range(config.trials):

@@ -10,11 +10,12 @@ min_pts, so ``OpticsParams`` holds all three.
 
 Neighborhoods are the distance-sorted CSR rows of a given ``NeighborTable``,
 cut at eps and to a mask of the nodes to order (a round's idle ones):
-numpy finds all core distances in one pass and relaxes each row at once.
-The seed queue is a float array over the table's nodes, and one ``argmin``
-takes the next point. Determinism rules (needed for reproducible runs and
-reference comparison): the next start point is the lowest unprocessed id,
-and equal reachabilities in the seed queue break toward the lower id.
+numpy finds all core distances, and every table entry's offer, in one pass.
+An emitted core point lowers ``seeds`` to ``min(seeds, offer + closed)``
+over its row, and one ``argmin`` takes the next point. Determinism rules
+(needed for reproducible runs and reference comparison): the next start
+point is the lowest unprocessed id, and equal reachabilities in the seed
+queue break toward the lower id.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
@@ -59,8 +60,7 @@ class OpticsParams:
             )
 
 
-@dataclass(frozen=True)
-class OrderedPoint:
+class OrderedPoint(NamedTuple):
     """One slot of the output ordering.
 
     ``reachability`` is None for the first point of each density-connected
@@ -107,22 +107,27 @@ def optics_order(
     members = np.flatnonzero(eligible)
     if not members.size:
         raise ValueError("eligible must mark at least one node")
-    near = distance <= eps
+    beyond = distance > eps
     # core distance: the (min_pts - 1)-th eligible entry within eps of the
     # distance-sorted row, the point itself at 0.0 being the first
     core = np.full(len(ids), math.nan)
     if params.min_pts == 1:
         core[members] = 0.0
     else:
-        counted = np.concatenate(([0], np.cumsum(eligible[index] & near)))
+        counted = np.concatenate(([0], np.cumsum(eligible[index] & ~beyond)))
         at = np.searchsorted(counted, counted[indptr[members]] + params.min_pts - 1) - 1
         core_point = at < indptr[members + 1]
         core[members[core_point]] = distance[at[core_point]]
     core_of = [None if math.isnan(cd) else cd for cd in core.tolist()]
     id_of, bounds = ids.tolist(), indptr.tolist()
-    # +inf while a point is eligible and unreached, -inf once it is emitted or
-    # if it is not eligible: a new reachability below it is open and improving
-    reach = np.where(eligible, math.inf, -math.inf)
+    # each entry's offer: max(distance, its row point's core distance), +inf
+    # beyond eps; built in place (NaN on non-core rows, which never relax)
+    offer = np.repeat(core, table.degrees)
+    np.maximum(offer, distance, out=offer)
+    offer[beyond] = math.inf
+    # 0.0 while a point is eligible and unemitted, +inf once it is emitted or
+    # if it is not eligible: added to an offer, +inf shuts the offer out
+    closed = np.where(eligible, 0.0, math.inf)
     # seed queue: the reachability of each reached, unemitted point, +inf for
     # every other. argmin takes the first of equal minima and positions follow
     # id order, so ties go to the lower id.
@@ -130,27 +135,21 @@ def optics_order(
     order: list[OrderedPoint] = []
 
     def emit(i: int, reachability: float | None) -> None:
-        reach[i] = -math.inf
-        seeds[i] = math.inf
+        seeds[i] = closed[i] = math.inf
         cd = core_of[i]
         order.append(OrderedPoint(id_of[i], len(order), reachability, cd))
         if cd is not None:
-            row = slice(bounds[i], bounds[i + 1])
-            q, new_reach = index[row], np.maximum(distance[row], cd)
-            improved = near[row] & (new_reach < reach[q])
-            q, new_reach = q[improved], new_reach[improved]
-            reach[q] = new_reach
-            seeds[q] = new_reach
+            a, b = bounds[i], bounds[i + 1]
+            q = index[a:b]
+            seeds[q] = np.minimum(seeds[q], offer[a:b] + closed[q])
 
     for start in members.tolist():
-        if reach[start] == math.inf:  # no earlier group reached it
-            emit(start, None)
-            while True:
+        if closed[start] == 0.0:  # no earlier group reached it
+            q, r = start, None
+            while r != math.inf:
+                emit(q, r)
                 q = int(seeds.argmin())
                 r = seeds.item(q)
-                if r == math.inf:
-                    break
-                emit(q, r)
     return order
 
 

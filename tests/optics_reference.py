@@ -1,10 +1,12 @@
 """Brute-force reference implementation of the density ordering.
 
 Used as the oracle for the ordering algorithm: plain O(n^2) scans, a
-seed dict scanned in id order for its smallest reachability (the rule the
-library's argmin over its seed array applies), tuples instead of domain
-types. It shares only the IEEE hypot primitive with the library so that
-float results can be compared exactly.
+seed dict that a neighbor enters or improves in only on a strictly smaller
+reachability, scanned in id order for its smallest one (the rule the
+library's argmin over its ``seeds`` array applies), and a processed set in
+place of the library's ``closed`` array and precomputed offers. Tuples
+stand in for domain types. It shares only the IEEE hypot primitive with the
+library so that float results can be compared exactly.
 
 Tie rules mirror the library's contract: the next group start is the
 lowest unprocessed id, and equal seed reachabilities resolve to the

@@ -318,6 +318,27 @@ class TestRandBaselineCommand:
         lines = (out / "rand_baseline_D30.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize(
+        "override",
+        ["experiment.d_list=100,100", "experiment.d_list=", "experiment.rounds=0"],
+        ids=["repeated_size", "empty_d_list", "zero_rounds"],
+    )
+    def test_ignores_the_sweep_keys(self, override, tmp_path, capsys):
+        # rand-baseline runs one round at --count; it never reads these keys
+        out = tmp_path / "out"
+        code = run_cli(
+            "rand-baseline", "--out", str(out), "--count", "40", "--trials", "1",
+            "--set", override, *FAST,
+        )
+        assert code == 0, capsys.readouterr().err
+        assert (out / "rand_baseline_D40.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    def test_sweep_commands_still_refuse_a_repeated_size(self, command, tmp_path, capsys):
+        code = run_cli(command, "--set", "experiment.d_list=100,100", *FAST)
+        assert code == 2
+        assert "lists a size twice" in capsys.readouterr().err
+
 
 class TestPlotDataCommand:
     @pytest.fixture
@@ -340,6 +361,14 @@ class TestPlotDataCommand:
         assert (out / "reachability_round2.csv").exists()
         assert (out / "coverage_round1.csv").exists()
         assert (out / "coverage_round2.csv").exists()
+
+    def test_reachability_csvs_round_trip_the_run(self, trace, tmp_path):
+        # export_plot_data rebuilds each ordering from the trace by keyword
+        out = tmp_path / "plots"
+        assert export_plot_data(trace, out, 50)
+        for k in (1, 2):
+            ran = trace.parent / f"reachability_D30_trial0_round{k}.csv"
+            assert (out / f"reachability_round{k}.csv").read_bytes() == ran.read_bytes()
 
     def test_missing_trace_exits_2(self, tmp_path):
         assert run_cli("plot-data", "--trace", str(tmp_path / "nope.jsonl")) == 2
@@ -403,6 +432,14 @@ class TestPlotDataCommand:
             assert "node id twice" in err
 
 
+def table(config, out):
+    return run_table_experiment(config, out)
+
+
+def baseline(config, out):
+    return run_rand_baseline(config)
+
+
 class TestExperimentHelpers:
     def test_trial_seeds_derive_from_master(self):
         config = load_config(
@@ -436,21 +473,23 @@ class TestExperimentHelpers:
         ]
 
     @pytest.mark.parametrize(
-        "config",
+        "run, config",
         [
-            replace(RunConfig(), d_list=()),
-            replace(RunConfig(), eps=2.0),
-            replace(RunConfig(), d_list=(100, 150, 100)),
+            (table, replace(RunConfig(), d_list=())),
+            (table, replace(RunConfig(), eps=2.0)),
+            (table, replace(RunConfig(), d_list=(100, 150, 100))),
+            (table, replace(RunConfig(), rounds=0)),
+            (baseline, replace(RunConfig(), eps=2.0)),
+            (baseline, replace(RunConfig(), trials=0)),
         ],
-        ids=["empty_d_list", "eps_below_radius", "repeated_size"],
-    )
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda config, out: run_table_experiment(config, out),
-            lambda config, out: run_rand_baseline(config),
+        ids=[
+            "table-empty_d_list",
+            "table-eps_below_radius",
+            "table-repeated_size",
+            "table-zero_rounds",
+            "rand_baseline-eps_below_radius",
+            "rand_baseline-zero_trials",
         ],
-        ids=["table", "rand_baseline"],
     )
     def test_invalid_config_rejected_before_any_deployment(
         self, run, config, tmp_path, monkeypatch

@@ -4,9 +4,10 @@ The benchmark's workload module is loaded read-only; its ``digests.json``
 holds the digests of the default ``optics-coverage run`` artifacts and of the
 per-round active ids of the reference 5,000-node round. (The 24-round
 rotation digest is left to the benchmark run: it takes too long here.)
-Those cover round 1 only, so a four-round sweep is pinned here too, at the
-default eps (2r) and at an eps wider than 2r, where the ordering builds its
-own table.
+Those cover round 1 only, so a four-round sweep is pinned here too: at the
+default eps (2r); at an eps wider than 2r, where the ordering reads a table
+of its own; and at an eps below 2r, where the ordering reads the 2r table
+and shuts out the row entries beyond eps.
 """
 
 import importlib.util
@@ -48,10 +49,13 @@ def test_scale_round_matches_recorded_digest(tmp_path):
 MULTI_ROUND_DIGESTS = {
     None: "a50c72de0d4f81cfeb7bab4416c496a7a21a4eeb3a06787f9beb595d9fbb433a",
     15.0: "80be66a8771bb16d2e3dc7d14e30b4f0f05994f38cb377f90b066e8fa7a1369a",
+    7.0: "a3a19622a11a06aa6c5e91bc02712848df75304c7e3e6e0d951f66310cf9866c",
 }
 
 
-@pytest.mark.parametrize("eps", list(MULTI_ROUND_DIGESTS), ids=["eps_2r", "eps_15"])
+@pytest.mark.parametrize(
+    "eps", list(MULTI_ROUND_DIGESTS), ids=["eps_2r", "eps_15", "eps_7"]
+)
 def test_multi_round_artifacts_match_pinned_digest(tmp_path, eps):
     config = replace(RunConfig(), rounds=4, d_list=(100, 300), trials=2, eps=eps)
     run_table_experiment(config, tmp_path)

@@ -10,6 +10,7 @@ from optics_coverage.geometry import Point2D
 from optics_coverage.network import Deployment, build_neighbor_table
 from optics_coverage.optics import (
     OpticsParams,
+    OrderedPoint,
     extract_clusters,
     optics_order,
     write_reachability_csv,
@@ -149,6 +150,19 @@ class TestOpticsOrder:
         assert out[0].order_index == 0
         assert out[0].reachability is None
         assert out[0].core_distance is None
+
+    @pytest.mark.parametrize(
+        "name", ["point_id", "order_index", "reachability", "core_distance"]
+    )
+    def test_ordered_points_are_immutable(self, name):
+        pts = {5: Point2D(0, 0), 9: Point2D(1, 0)}
+        op = order_points(pts, OpticsParams(eps=2, min_pts=2))[1]
+        assert op == OrderedPoint(9, 1, 1.0, 1.0)
+        with pytest.raises(AttributeError):
+            setattr(op, name, 0)
+        assert (op.point_id, op.order_index, op.reachability, op.core_distance) == (
+            9, 1, 1.0, 1.0
+        )
 
     def test_collinear_chain(self):
         pts = line_points([0, 1, 2, 3, 4])
