@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,9 @@ def coverage_grid(
     ``radius`` centered at a point (``x[k]``, ``y[k]``).
 
     The region splits into ``resolution`` cells per side; element [i, j]
-    is the cell at x index i, y index j. ``x`` and ``y`` must be as long.
+    is the cell at x index i, y index j, covered when its center's offsets
+    dx, dy from a disc's center have ``dx * dx + dy * dy <= radius *
+    radius``. ``x`` and ``y`` must be as long.
     """
     if len(x) != len(y):
         raise ValueError(f"x and y need one entry per disc, got {len(x)} and {len(y)}")
@@ -93,20 +95,32 @@ def coverage_grid(
     xs = (np.arange(resolution) + 0.5) * (width / resolution)
     ys = (np.arange(resolution) + 0.5) * (height / resolution)
     covered = np.zeros((resolution, resolution), dtype=bool)
-    # each disc's window by bisection over the same floats as Python lists:
-    # the indices numpy's searchsorted gives, without its per-call overhead
-    x_list, y_list = xs.tolist(), ys.tolist()
+    px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    # each disc's window of cell indices, [i0, i1) x [j0, j1)
+    i0 = np.searchsorted(xs, px - radius, side="left")
+    i1 = np.searchsorted(xs, px + radius, side="right")
+    j0 = np.searchsorted(ys, py - radius, side="left")
+    j1 = np.searchsorted(ys, py + radius, side="right")
+    hit = np.flatnonzero((i0 < i1) & (j0 < j1))
+    if not len(hit):
+        return covered
+    px, py, i0, i1, j0, j1 = px[hit], py[hit], i0[hit], i1[hit], j0[hit], j1[hit]
+    # each disc's squared offsets (xs[i] - px)**2 and (ys[j] - py)**2, w
+    # of them from its window's start, w the widest window (the axes padded
+    # by w): len(hit) * w * 16 bytes. A cell then adds the same two squares
+    # that dx * dx + dy * dy would.
+    w = int(max((i1 - i0).max(), (j1 - j0).max()))
+    pad = np.zeros(w)
+    sx = sliding_window_view(np.concatenate((xs, pad)), w)[i0]
+    sx -= px[:, None]
+    sx *= sx
+    sy = sliding_window_view(np.concatenate((ys, pad)), w)[j0]
+    sy -= py[:, None]
+    sy *= sy
     reach2 = radius * radius
-    for px, py in zip(np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()):
-        i0 = bisect_left(x_list, px - radius)
-        i1 = bisect_right(x_list, px + radius)
-        j0 = bisect_left(y_list, py - radius)
-        j1 = bisect_right(y_list, py + radius)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        dx = xs[i0:i1, None] - px
-        dy = ys[None, j0:j1] - py
-        covered[i0:i1, j0:j1] |= dx * dx + dy * dy <= reach2
+    windows = zip(i0.tolist(), i1.tolist(), j0.tolist(), j1.tolist(), sx, sy)
+    for a, b, c, d, dx2, dy2 in windows:
+        covered[a:b, c:d] |= dx2[: b - a, None] + dy2[None, : d - c] <= reach2
     return covered
 
 

@@ -171,6 +171,11 @@ class Deployment:
         self.x.flags.writeable = self.y.flags.writeable = False
         self.sleep_left = np.zeros(n, dtype=np.int64)
 
+    def _repr_pretty_(self, p, cycle) -> None:
+        # IPython's printing protocol, which hypothesis's printer checks
+        # before walking the dataclass fields, InitVars among them
+        p.text(repr(self))
+
     def slots(self, node_ids: Sequence[int]) -> np.ndarray:
         """Slots of ``node_ids``; ``KeyError`` for an id that is not a node's."""
         wanted = np.asarray(node_ids)
@@ -201,9 +206,10 @@ class NeighborTable:
     length is the direct-neighbor count of the node. ``radius`` is the
     reach the rows hold, so they also serve any eps <= radius neighborhood.
     ``neighbor_rows`` builds every table. ``degrees`` holds every row's
-    length and ``row(i)`` gives the row of ``ids[i]`` as array views, which
-    the protocol reads; ``neighbors`` builds every row as Python ints and
-    floats, and no package code reads it.
+    length, and ``row(i)`` gives the row of ``ids[i]`` as array views and
+    ``arcs(i)`` its overlap arcs, which the protocol reads; ``neighbors``
+    builds every row as Python ints and floats, and no package code reads
+    it.
     """
 
     ids: np.ndarray
@@ -213,16 +219,36 @@ class NeighborTable:
     radius: float
     degrees: np.ndarray = field(init=False, repr=False)
     _bounds: list[int] = field(init=False, repr=False)
+    _arcs: list[np.ndarray | None] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.degrees = np.diff(self.indptr)
         self._bounds = self.indptr.tolist()
+        self._arcs = [None] * len(self.ids)
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the row of ``ids[i]``: neighbor positions into ``ids``,
         and distances."""
         row = slice(self._bounds[i], self._bounds[i + 1])
         return self.index[row], self.distance[row]
+
+    def arcs(self, i: int) -> np.ndarray:
+        """``2 * acos(d / radius)`` for each distance d of the row of
+        ``ids[i]``: the boundary arc (2*alpha) that a disc of radius
+        ``radius / 2`` centered at ``ids[i]`` cuts from an equal disc at
+        each neighbor, as ``geometry.overlap_angle`` gives it for a 2r
+        table. Computed at the row's first call and kept, since the rows
+        never change; a row no one asks for is never computed.
+        """
+        arcs = self._arcs[i]
+        if arcs is None:
+            distance = self.distance[self._bounds[i] : self._bounds[i + 1]]
+            # every d <= radius, so each acos lies in [0, pi/2] and
+            # overlap_angle's clamps never bind. math.acos, as there:
+            # np.arccos can differ in the last bit.
+            alpha = map(math.acos, (distance / self.radius).tolist())
+            arcs = self._arcs[i] = 2 * np.fromiter(alpha, float, len(distance))
+        return arcs
 
     @property
     def neighbors(self) -> Mapping[int, list[tuple[int, float]]]:

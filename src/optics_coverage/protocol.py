@@ -15,7 +15,8 @@ already-activated discs of its cluster cut from its boundary add up to
 more than ``1 - theta`` of the full circle. The arcs are summed, not
 united, so where two active discs cover the same stretch of boundary it
 counts twice; each member keeps a running sum, grown by the discs of its
-neighbor-table row as they activate. Actives retire to sleep at the end
+neighbor-table row as they activate, from the arcs the table keeps for
+each row it has been asked for. Actives retire to sleep at the end
 of their round and rejoin the pool after a configurable number of rounds.
 A round runs on the deployment alone: its arrays ``state_code``,
 ``battery`` and the sleepers' countdown ``sleep_left``, and the neighbor
@@ -26,9 +27,11 @@ kept table with ``state_code == IDLE``, the actives are the slots left
 ``ACTIVE``, and a ``RoundState`` only records what the round did. A
 selection tree works at the 2r table's slots. It splits L in two: each
 idle member's offer, the numerator, is computed once per cluster into
-one array over the slots, NaN wherever no reply may come, and a request
-divides the offers in the sender's row by ``w_d * distance`` and ranks
-them.
+one array over the slots, NaN wherever no reply may come, and a tree
+node's first request divides the offers in its row by ``w_d * distance``
+and ranks them. Within one tree the scores are fixed and a reply can only
+leave the pool, so the node's later requests get that ranking, less the
+replies walked or gone NaN since: each node is ranked once.
 """
 
 from __future__ import annotations
@@ -161,19 +164,21 @@ def select_next(
     deployment: Deployment,
     offers: np.ndarray,
     config: ProtocolConfig | None = None,
-) -> list[int]:
-    """Reply slots to one request from the node at slot ``sender``, best first.
+) -> np.ndarray:
+    """Reply slots to one request from the node at slot ``sender``, best
+    first, as an int array.
 
-    ``cover_cluster``'s step for one frontier visit, over the deployment's
-    2r table; slots index its ids and the deployment's arrays alike.
-    ``offers`` holds, at the slot of each node that answers, the numerator
-    of its acceptance level, ``w_b * battery + w_n * neighbor_count``, and
-    NaN at every other slot. The replies are ranked by that numerator over
-    ``w_d * distance``, highest first, ties going to the lower slot (and so
-    the lower id); a reply scoring -inf is never offered. Empty when no
-    neighbor answers. The sender must be active (``ValueError``
-    otherwise). The caller ignores numpy's overflow and invalid warnings:
-    a subnormal distance can score +-inf.
+    ``cover_cluster`` ranks each tree node's replies with it once, at the
+    node's first visit, over the deployment's 2r table; slots index its
+    ids and the deployment's arrays alike. ``offers`` holds, at the slot
+    of each node that answers, the numerator of its acceptance level,
+    ``w_b * battery + w_n * neighbor_count``, and NaN at every other slot.
+    The replies are ranked by that numerator over ``w_d * distance``,
+    highest first, ties going to the lower slot (and so the lower id); a
+    reply scoring -inf is never offered. Empty when no neighbor answers.
+    The sender must be active (``ValueError`` otherwise). The caller
+    ignores numpy's overflow and invalid warnings: a subnormal distance
+    can score +-inf.
     """
     cfg = config or ProtocolConfig()
     table = _table(deployment, 2 * deployment.radius)
@@ -185,7 +190,7 @@ def select_next(
     answers = ~np.isnan(offer)
     index, offer, distance = index[answers], offer[answers], distance[answers]
     if not len(index):
-        return []
+        return index
     # rows run by distance, so the first is the nearest: zero, or too small to divide by
     if cfg.w_distance * distance[0] == 0:
         raise CoLocatedSensorsError(f"candidate at distance {distance[0]} from selector")
@@ -193,7 +198,7 @@ def select_next(
     ranked = np.lexsort((index, -score))
     if not score[ranked[-1]] > -np.inf:  # -inf and NaN sort last
         ranked = ranked[: np.count_nonzero(score > -np.inf)]
-    return index[ranked].tolist()
+    return index[ranked]
 
 
 def cover_cluster(
@@ -204,18 +209,21 @@ def cover_cluster(
     """Grow one cluster's selection tree until no candidate is acceptable.
 
     The frontier rotates breadth-first in activation order. Each visit of
-    a tree node sends one request (``select_next``) and walks the ranked
-    replies: a redundant reply leaves the cluster's candidate pool for the
-    rest of the round, and the first acceptable one activates, after which
-    the node re-enters the frontier behind its new child. A node whose
+    a tree node sends one request and walks the ranked replies: a
+    redundant reply leaves the cluster's candidate pool for the rest of
+    the round, and the first acceptable one activates, after which the
+    node re-enters the frontier behind its new child. A node whose
     replies are all redundant, or that gets none, drops out.
     The walk runs over the slots of the deployment's 2r table. One
     ``offers`` array, built once, holds each idle member's acceptance-level
     numerator, which nothing in the walk changes; a member's offer goes to
     NaN as it activates or is discarded, so only the candidate pool answers.
-    Each activation adds its arc to the sums of the members in its table
-    row, so a sensor co-located with a candidate member raises as soon as
-    it activates.
+    Scores are fixed and replies only leave the pool, so a node's replies
+    are ranked once (``select_next``), at its first visit: a later visit
+    walks what is left of that ranking, less the replies gone NaN since.
+    Each activation adds its row's arcs (``NeighborTable.arcs``) to the
+    sums of the members in its table row, so a sensor co-located with a
+    candidate member raises as soon as it activates.
     """
     cfg = config or ProtocolConfig()
     table = _table(deployment, 2 * deployment.radius)
@@ -228,7 +236,8 @@ def cover_cluster(
     # member. A discarded member's sum can only grow, so it would stay
     # redundant and is dropped.
     covered = np.zeros(len(ids))
-    reach = 2 * deployment.radius
+    # tree node slot -> the unwalked rest of its ranked replies
+    unwalked: dict[int, np.ndarray] = {}
     # a subnormal distance can score +-inf, and huge weights overflow
     with np.errstate(over="ignore", invalid="ignore"):
         offers = np.full(len(ids), np.nan)
@@ -244,18 +253,19 @@ def cover_cluster(
             if len(distance) and distance[0] == 0:
                 if not np.isnan(offers[index[distance == 0]]).all():
                     raise CoLocatedSensorsError(f"node {ids[i]} shares its position with a member")
-            # the table holds d <= 2r, so every acos lies in [0, pi/2]: the
-            # scalar overlap_angle's clamps never bind. math.acos, as there:
-            # np.arccos can differ in the last bit.
-            alpha = map(math.acos, (distance / reach).tolist())
-            covered[index] += 2 * np.fromiter(alpha, float, len(distance))
+            covered[index] += table.arcs(i)
 
         u = int(deployment.slots([root])[0])
         activate(u)
         frontier = deque([u])
         while frontier:
             u = frontier.popleft()
-            for i in select_next(u, deployment, offers, cfg):
+            ranked = unwalked.pop(u, None)
+            if ranked is None:
+                ranked = select_next(u, deployment, offers, cfg)
+            else:
+                ranked = ranked[~np.isnan(offers[ranked])]
+            for k, i in enumerate(ranked.tolist()):
                 free = (TWO_PI - covered.item(i)) / TWO_PI
                 # nothing free: redundant unless theta = 0, however far the sum overshoots
                 if (cfg.theta > 0) if free <= 0 else free < cfg.theta:
@@ -263,6 +273,7 @@ def cover_cluster(
                     continue
                 activate(i)
                 tree.edges.append((ids.item(u), ids.item(i)))
+                unwalked[u] = ranked[k + 1 :]
                 frontier.append(i)
                 frontier.append(u)
                 break

@@ -10,7 +10,7 @@ candidate is tested for redundancy by summing the overlap arcs (2*alpha
 each) of all active discs of its cluster, from distances computed afresh,
 and the sum stops once the full circle is reached. It is the oracle for
 the ranked replies and for the per-member arc sums that ``cover_cluster``
-keeps from the neighbor table's distances.
+keeps from the arcs of the neighbor table's rows.
 
 ``acceptance_level`` scores one candidate with the whole expression
 ``(w_b * battery + w_n * neighbor_count) / (w_d * distance)``; it is the

@@ -7,7 +7,8 @@ rotation digest is left to the benchmark run: it takes too long here.)
 Those cover round 1 only, so a four-round sweep is pinned here too: at the
 default eps (2r); at an eps wider than 2r, where the ordering reads a table
 of its own; and at an eps below 2r, where the ordering reads the 2r table
-and shuts out the row entries beyond eps.
+and shuts out the row entries beyond eps; and at theta 0.5, where the
+selection walk discards more replies between a tree node's visits.
 """
 
 import importlib.util
@@ -45,18 +46,31 @@ def test_scale_round_matches_recorded_digest(tmp_path):
     assert result.digest == workloads.recorded_digests()["scale"]
 
 
-# digests of the four-round artifacts, keyed by eps (None: 2r)
+# digests of the four-round artifacts, by case: the config fields it
+# overrides, and the digest
 MULTI_ROUND_DIGESTS = {
-    None: "a50c72de0d4f81cfeb7bab4416c496a7a21a4eeb3a06787f9beb595d9fbb433a",
-    15.0: "80be66a8771bb16d2e3dc7d14e30b4f0f05994f38cb377f90b066e8fa7a1369a",
-    7.0: "a3a19622a11a06aa6c5e91bc02712848df75304c7e3e6e0d951f66310cf9866c",
+    "eps_2r": (
+        {"eps": None},
+        "a50c72de0d4f81cfeb7bab4416c496a7a21a4eeb3a06787f9beb595d9fbb433a",
+    ),
+    "eps_15": (
+        {"eps": 15.0},
+        "80be66a8771bb16d2e3dc7d14e30b4f0f05994f38cb377f90b066e8fa7a1369a",
+    ),
+    "eps_7": (
+        {"eps": 7.0},
+        "a3a19622a11a06aa6c5e91bc02712848df75304c7e3e6e0d951f66310cf9866c",
+    ),
+    "theta_0.5": (
+        {"theta": 0.5},
+        "5cc0d152ba89a5217ff74adf4d59c086c15eb61ac26c7e2a98de1dc6301174de",
+    ),
 }
 
 
-@pytest.mark.parametrize(
-    "eps", list(MULTI_ROUND_DIGESTS), ids=["eps_2r", "eps_15", "eps_7"]
-)
-def test_multi_round_artifacts_match_pinned_digest(tmp_path, eps):
-    config = replace(RunConfig(), rounds=4, d_list=(100, 300), trials=2, eps=eps)
+@pytest.mark.parametrize("case", list(MULTI_ROUND_DIGESTS))
+def test_multi_round_artifacts_match_pinned_digest(tmp_path, case):
+    overrides, digest = MULTI_ROUND_DIGESTS[case]
+    config = replace(RunConfig(), rounds=4, d_list=(100, 300), trials=2, **overrides)
     run_table_experiment(config, tmp_path)
-    assert workloads.dir_digest(tmp_path) == MULTI_ROUND_DIGESTS[eps]
+    assert workloads.dir_digest(tmp_path) == digest

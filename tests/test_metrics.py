@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optics_coverage.metrics import (
     active_ratio,
@@ -20,6 +21,52 @@ def random_columns(n, rng, span=50.0):
     """x and y coordinate lists of ``n`` uniform points."""
     points = [(rng.uniform(0, span), rng.uniform(0, span)) for _ in range(n)]
     return [x for x, _ in points], [y for _, y in points]
+
+
+def reference_coverage_grid(x, y, radius, region, resolution):
+    """Every cell center tested against every disc, one pair at a time."""
+    width, height = region
+    grid = np.zeros((resolution, resolution), dtype=bool)
+    for i in range(resolution):
+        cx = (i + 0.5) * (width / resolution)
+        for j in range(resolution):
+            cy = (j + 0.5) * (height / resolution)
+            for px, py in zip(x, y):
+                dx, dy = cx - px, cy - py
+                if dx * dx + dy * dy <= radius * radius:
+                    grid[i, j] = True
+                    break
+    return grid
+
+
+@st.composite
+def grid_fields(draw):
+    """Discs of one radius, from 0.01 m to wider than the region, centered
+    inside it, on its edges or beyond them; zero discs allowed. Half the
+    fields are aligned: cells a quarter-meter multiple wide, radii a
+    multiple of half a cell, and centers on cell edges or cell centers, so
+    that window bounds and disc edges land exactly on cell centers."""
+    resolution = draw(st.integers(10, 60))
+    if draw(st.booleans()):
+        side = st.integers(1, 8).map(lambda k: k * resolution / 4)
+        width, height = draw(side), draw(side)
+        radius = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 5.0])) * (width / resolution)
+
+        def coordinate(span):
+            # in half cells: even on a cell edge, odd on a cell center
+            halves = st.integers(-2 * resolution, 4 * resolution)
+            return halves.map(lambda h: h / 2 * (span / resolution))
+
+    else:
+        side = st.floats(1.0, 100.0)
+        width, height = draw(side), draw(side)
+        radius = draw(st.floats(0.01, 1.5 * max(width, height)))
+
+        def coordinate(span):
+            return st.floats(-span, 2 * span) | st.sampled_from([0.0, span, -radius, span + radius])
+
+    discs = draw(st.lists(st.tuples(coordinate(width), coordinate(height)), max_size=12))
+    return [px for px, _ in discs], [py for _, py in discs], radius, (width, height), resolution
 
 
 class TestActiveRatio:
@@ -110,6 +157,11 @@ class TestCoverageGrid:
         # zip would drop the unmatched coordinates and their discs
         with pytest.raises(ValueError, match="one entry per disc"):
             coverage_grid(x, y, 5, (50, 50), 64)
+
+    @given(grid_fields())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_cell_reference(self, field):
+        assert (coverage_grid(*field) == reference_coverage_grid(*field)).all()
 
     def test_csv_export(self):
         grid = coverage_grid([5], [5], 4, (10, 10), 10)

@@ -5,11 +5,12 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.vendor.pretty import pretty
 from network_reference import reference_rows, reference_table, table_degree, table_row
 from optics_reference import points_table
 
 from optics_coverage import network
-from optics_coverage.geometry import Point2D
+from optics_coverage.geometry import Point2D, overlap_angle
 from optics_coverage.network import (
     ACTIVE,
     DEAD,
@@ -24,7 +25,7 @@ from optics_coverage.network import (
     neighbor_rows,
 )
 from optics_coverage.optics import OpticsParams
-from optics_coverage.protocol import AllNodesDeadError, ProtocolConfig, iterate_rounds
+from optics_coverage.protocol import AllNodesDeadError, ProtocolConfig, iterate_rounds, run_round
 
 
 def node_positions(dep):
@@ -340,6 +341,51 @@ def columns(n=3, battery=1.0, ids=None, states=None):
     return ids, positions, [battery] * n, 10.0, 10.0, 5.0, None, states
 
 
+class TestRowArcs:
+    @staticmethod
+    def count_acos(monkeypatch):
+        calls = [0]
+        acos = math.acos
+
+        def counted(value):
+            calls[0] += 1
+            return acos(value)
+
+        monkeypatch.setattr(math, "acos", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_each_arc_is_twice_the_overlap_angle(self, seed):
+        dep = generate_deployment(150, 30, 30, 5, seed=seed)
+        table = build_neighbor_table(dep)
+        for i in range(len(table.ids)):
+            _, distance = table.row(i)
+            expected = [2 * overlap_angle(d, dep.radius) for d in distance.tolist()]
+            assert table.arcs(i).tolist() == expected
+
+    def test_a_row_is_computed_once(self, monkeypatch):
+        table = build_neighbor_table(generate_deployment(60, 20, 20, 5, seed=5))
+        calls = self.count_acos(monkeypatch)
+        arcs = table.arcs(7)
+        assert calls[0] == table.degrees[7] > 0
+        assert table.arcs(7) is arcs
+        assert calls[0] == table.degrees[7]
+
+    def test_rounds_compute_the_rows_of_their_actives_once(self, monkeypatch):
+        # round 1 computes its actives' rows only; a later round adds the
+        # rows of its actives that no earlier round activated
+        dep = generate_deployment(2000, 100, 100, 5, seed=42)
+        calls = self.count_acos(monkeypatch)
+        ever_active, reactivated = set(), set()
+        for _ in range(3):
+            state, _ = run_round(dep, OpticsParams(10, 4))
+            reactivated |= state.active & ever_active
+            ever_active |= state.active
+            rows = dep.slots(sorted(ever_active))
+            assert calls[0] == dep.tables[10.0].degrees[rows].sum()
+        assert reactivated
+
+
 class TestNodeInvariants:
     @pytest.mark.parametrize("battery", [1.5, -0.25, math.nan, math.inf])
     def test_battery_range_enforced(self, battery):
@@ -486,6 +532,12 @@ class TestDeploymentArrays:
         assert Deployment(*columns()).tables == {}
         with pytest.raises(TypeError, match="tables"):
             Deployment(*columns(), tables={})
+
+    def test_hypothesis_prints_a_deployment_as_its_repr(self):
+        # the printer of a falsifying example would otherwise walk the
+        # dataclass fields and fail on the ``positions`` InitVar
+        dep = generate_deployment(30, 30, 30, 5, seed=4)
+        assert pretty(dep) == repr(dep)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_positions_are_read_only(self, axis):

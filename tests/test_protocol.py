@@ -379,10 +379,10 @@ class TestCoverCluster:
     def test_matches_all_actives_rescan(self, layout):
         positions, batteries, members = layout
 
-        def outcome(cover, theta):
+        def outcome(cover, config):
             dep = make_deployment(positions, batteries=batteries)
             try:
-                tree = cover(Cluster(0, members), dep, ProtocolConfig(theta=theta))
+                tree = cover(Cluster(0, members), dep, config)
             except CoLocatedSensorsError:
                 return "co-located"
             return tree.root, tree.edges, [n.state for n in dep.nodes]
@@ -395,9 +395,16 @@ class TestCoverCluster:
                 if m != a
             )
 
-        for theta in (0.0, 0.1, 0.5, 1.0):
-            ours = outcome(cover_cluster, theta)
-            expected = outcome(reference_cover_cluster, theta)
+        # a negative battery weight ranks the far replies first, so more of
+        # a node's replies are discarded between its visits
+        configs = [
+            ProtocolConfig(theta=theta, **weights)
+            for theta in (0.0, 0.1, 0.5, 1.0)
+            for weights in ({}, {"w_battery": -1.0, "w_neighbors": 0.0})
+        ]
+        for config in configs:
+            ours = outcome(cover_cluster, config)
+            expected = outcome(reference_cover_cluster, config)
             if expected != "co-located" and not twin_activated(expected[2]):
                 assert ours == expected
             else:
@@ -406,20 +413,21 @@ class TestCoverCluster:
                 # raise once a sensor with a co-located member twin activates
                 assert ours == "co-located"
 
-    def test_one_request_per_visit(self, monkeypatch):
-        # each activation puts the child and its parent back on the
-        # frontier, and the root starts it: 1 + 2 * edges visits
-        requests = []
+    def test_one_ranking_per_tree_node(self, monkeypatch):
+        # the root and each child are ranked at their first visit; the
+        # 2 * edges revisits walk what is left of those rankings
+        rankings = []
 
         def counted(current, *args, **kwargs):
-            requests.append(current)
+            rankings.append(current)
             return select_next(current, *args, **kwargs)
 
         monkeypatch.setattr(protocol, "select_next", counted)
         dep = generate_deployment(80, 40, 40, 5, seed=21)
         tree = cover_cluster(Cluster(0, tuple(n.id for n in dep.nodes)), dep)
         assert tree.edges
-        assert len(requests) == 1 + 2 * len(tree.edges)
+        assert len(rankings) == 1 + len(tree.edges)
+        assert sorted(dep.ids[rankings].tolist()) == sorted(tree.node_ids())
 
     @pytest.mark.parametrize(
         "w_battery, edges", [(0.4, [(0, 1), (1, 2)]), (-1.0, [(0, 2)])]
