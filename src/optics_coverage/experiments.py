@@ -10,6 +10,7 @@ size, isolating the value of informed selection at equal battery cost.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -217,7 +218,8 @@ def export_plot_data(
     Emits one reachability CSV per round plus one coverage 0/1 grid per
     round, reconstructed from the trace's node snapshot. A resolution
     below 10, a trace field missing, of the wrong type or (for a
-    coordinate) not finite, or a node id the header lists twice raises
+    coordinate) not finite, a node id the header lists twice, or a header
+    radius or region side that is not positive and finite raises
     ``ValueError`` before anything is written.
     """
     if resolution < 10:
@@ -254,6 +256,11 @@ def export_plot_data(
         raise ValueError(f"malformed trace field: {exc!r}") from exc
     if len(positions) < len(header["nodes"]):
         raise ValueError("the trace header lists a node id twice")
+    if not all(0 < value < math.inf for value in (radius, *region)):
+        raise ValueError(
+            f"the trace header's radius and region sides must be positive and finite, "
+            f"got radius {radius} and region {list(region)}"
+        )
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     written = []

@@ -2,10 +2,18 @@
 
 Two coverage figures are reported side by side. The analytic one
 multiplies disc area by the active count and so ignores overlap and
-border clipping (it can exceed 100%); the grid one rasterizes the actual
-union of discs over the region and is the honest estimate. Both take the
-one coverage radius the sensors share, next to the active count or the
-active sensors' ``x`` and ``y`` coordinate arrays.
+border clipping (it can exceed 100%); the grid one counts the grid cell
+centers in the actual union of discs over the region and is the honest
+estimate. Both take the one coverage radius the sensors share, next to
+the active count or the active sensors' ``x`` and ``y`` coordinate
+arrays.
+
+One test decides whether a disc covers a cell center, ``dx * dx + dy *
+dy <= radius * radius``, and one helper applies it: it describes each
+disc, column by column, as the run of rows it covers. ``grid_cr`` counts
+the union of the runs without painting a raster; ``coverage_grid`` paints
+them for the plot export. Both raise ``ValueError`` for a radius or a
+region side that is not positive and finite.
 
 Integer display values follow the ceiling convention: the summary table's
 N (average actives) and R (percent ratio) round up to whole numbers.
@@ -19,7 +27,6 @@ from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,98 @@ def analytic_cr(active: int, radius: float, area: float) -> float:
     return 100.0 * active * math.pi * radius * radius / area
 
 
+def _column_runs(
+    x: Sequence[float],
+    y: Sequence[float],
+    radius: float,
+    region: tuple[float, float],
+    resolution: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells covered by each disc, as runs: the arrays ``column``,
+    ``lo`` and ``hi`` hold one entry per column i of a disc's window,
+    covered at rows ``lo <= j < hi`` (``lo < hi``). Runs of different
+    discs may overlap.
+
+    The region splits into ``resolution`` cells per side, and cell (i, j)
+    is covered when its center's offsets dx, dy from a disc's center have
+    ``dx * dx + dy * dy <= radius * radius``, in float64. A disc's window
+    is the cells [i0, i1) x [j0, j1) whose centers lie within ``radius``
+    of its center along each axis; a run never leaves it. Within a column
+    the rows' dy * dy falls and then rises, so the covered rows are one
+    run around the window row nearest the disc's center. A ``sqrt``
+    estimate of the run's ends only picks where to start; each end then
+    moves a row at a time for as long as the exact test says it should.
+    """
+    if len(x) != len(y):
+        raise ValueError(f"x and y need one entry per disc, got {len(x)} and {len(y)}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    width, height = region
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise ValueError(f"region sides must be positive and finite, got {region}")
+    if resolution < 10:
+        raise ValueError(f"resolution must be >= 10, got {resolution}")
+    xs = (np.arange(resolution) + 0.5) * (width / resolution)
+    ys = (np.arange(resolution) + 0.5) * (height / resolution)
+    px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    i0 = np.searchsorted(xs, px - radius, side="left")
+    i1 = np.searchsorted(xs, px + radius, side="right")
+    j0 = np.searchsorted(ys, py - radius, side="left")
+    j1 = np.searchsorted(ys, py + radius, side="right")
+    hit = np.flatnonzero((i0 < i1) & (j0 < j1))
+    px, py, i0, i1, j0, j1 = px[hit], py[hit], i0[hit], i1[hit], j0[hit], j1[hit]
+    # the window row with the smallest dy * dy: the row nearest the center
+    # (k - 1 or k, the lower on a tie), clamped to the window
+    k = np.searchsorted(ys, py)
+    below, above = np.maximum(k - 1, 0), np.minimum(k, resolution - 1)
+    dy_below, dy_above = ys[below] - py, ys[above] - py
+    near = np.where(dy_below * dy_below <= dy_above * dy_above, below, above)
+    near = np.clip(near, j0, j1 - 1)
+    dy = ys[near] - py
+    # one entry per column of each window
+    count = i1 - i0
+    disc = np.repeat(np.arange(len(hit)), count)
+    column = np.arange(len(disc)) - np.repeat(np.cumsum(count) - count - i0, count)
+    dx = xs[column] - px[disc]
+    dx2 = dx * dx
+    reach2 = radius * radius
+    # a column covers some row iff it covers its nearest one
+    keep = dx2 + (dy * dy)[disc] <= reach2
+    disc, column, dx2 = disc[keep], column[keep], dx2[keep]
+    cy, first, stop, near = py[disc], j0[disc], j1[disc], near[disc]
+
+    def covers(e, row: np.ndarray) -> np.ndarray:
+        dy = ys[row] - cy[e]
+        return dx2[e] + dy * dy <= reach2
+
+    # rows from the center, and the center's row, in cells: row j's center
+    # lies at (j + 0.5) * cell; fmax/fmin pass over a NaN estimate
+    cell = height / resolution
+    half = np.sqrt(np.maximum(reach2 - dx2, 0.0)) / cell
+    mid = (py / cell - 0.5)[disc]
+    lo = np.fmin(np.fmax(np.ceil(mid - half), first), near).astype(np.intp)
+    hi = np.fmin(np.fmax(np.floor(mid + half) + 1, near + 1), stop).astype(np.intp)
+    # the exact test alone decides where a run ends. At a window's edge a
+    # test may read a row outside the window (index -1 is the top row, and
+    # hi is capped at the last), and the bound masks it out.
+    last = resolution - 1
+    _walk(lo, -1, lambda e: (lo[e] > first[e]) & covers(e, lo[e] - 1))
+    _walk(lo, 1, lambda e: ~covers(e, lo[e]))
+    _walk(hi, 1, lambda e: (hi[e] < stop[e]) & covers(e, np.minimum(hi[e], last)))
+    _walk(hi, -1, lambda e: ~covers(e, hi[e] - 1))
+    return column, lo, hi
+
+
+def _walk(end: np.ndarray, step: int, moves) -> None:
+    """Add ``step`` to each ``end[e]`` for as long as ``moves(e)`` holds;
+    ``moves`` maps an index array to a mask over it."""
+    # the first test reads whole arrays (a slice), not copies
+    e = np.flatnonzero(moves(slice(None)))
+    while len(e):
+        end[e] += step
+        e = e[moves(e)]
+
+
 def coverage_grid(
     x: Sequence[float],
     y: Sequence[float],
@@ -83,45 +182,17 @@ def coverage_grid(
     The region splits into ``resolution`` cells per side; element [i, j]
     is the cell at x index i, y index j, covered when its center's offsets
     dx, dy from a disc's center have ``dx * dx + dy * dy <= radius *
-    radius``. ``x`` and ``y`` must be as long.
+    radius``. Each disc's covered cells are found column by column as a
+    run of rows, and the runs are painted. ``ValueError`` unless ``x``
+    and ``y`` are as long, the radius and both region sides are positive
+    and finite, and ``resolution >= 10``.
     """
-    if len(x) != len(y):
-        raise ValueError(f"x and y need one entry per disc, got {len(x)} and {len(y)}")
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    if resolution < 10:
-        raise ValueError(f"resolution must be >= 10, got {resolution}")
-    width, height = region
-    xs = (np.arange(resolution) + 0.5) * (width / resolution)
-    ys = (np.arange(resolution) + 0.5) * (height / resolution)
-    covered = np.zeros((resolution, resolution), dtype=bool)
-    px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    # each disc's window of cell indices, [i0, i1) x [j0, j1)
-    i0 = np.searchsorted(xs, px - radius, side="left")
-    i1 = np.searchsorted(xs, px + radius, side="right")
-    j0 = np.searchsorted(ys, py - radius, side="left")
-    j1 = np.searchsorted(ys, py + radius, side="right")
-    hit = np.flatnonzero((i0 < i1) & (j0 < j1))
-    if not len(hit):
-        return covered
-    px, py, i0, i1, j0, j1 = px[hit], py[hit], i0[hit], i1[hit], j0[hit], j1[hit]
-    # each disc's squared offsets (xs[i] - px)**2 and (ys[j] - py)**2, w
-    # of them from its window's start, w the widest window (the axes padded
-    # by w): len(hit) * w * 16 bytes. A cell then adds the same two squares
-    # that dx * dx + dy * dy would.
-    w = int(max((i1 - i0).max(), (j1 - j0).max()))
-    pad = np.zeros(w)
-    sx = sliding_window_view(np.concatenate((xs, pad)), w)[i0]
-    sx -= px[:, None]
-    sx *= sx
-    sy = sliding_window_view(np.concatenate((ys, pad)), w)[j0]
-    sy -= py[:, None]
-    sy *= sy
-    reach2 = radius * radius
-    windows = zip(i0.tolist(), i1.tolist(), j0.tolist(), j1.tolist(), sx, sy)
-    for a, b, c, d, dx2, dy2 in windows:
-        covered[a:b, c:d] |= dx2[: b - a, None] + dy2[None, : d - c] <= reach2
-    return covered
+    column, lo, hi = _column_runs(x, y, radius, region, resolution)
+    # +1 at each run's start and -1 past its end, summed along each column
+    starts = column * (resolution + 1)
+    cells = resolution * (resolution + 1)
+    depth = np.bincount(starts + lo, minlength=cells) - np.bincount(starts + hi, minlength=cells)
+    return depth.reshape(resolution, resolution + 1).cumsum(axis=1)[:, :resolution] > 0
 
 
 def grid_cr(
@@ -132,8 +203,22 @@ def grid_cr(
     resolution: int = 500,
 ) -> float:
     """Percentage of grid cell centers covered by discs of ``radius`` at
-    the active sensors' coordinates (``x[k]``, ``y[k]``)."""
-    return 100.0 * float(coverage_grid(x, y, radius, region, resolution).mean())
+    the active sensors' coordinates (``x[k]``, ``y[k]``): the same cells
+    and the same float as ``100 * coverage_grid(...).mean()``, counted
+    from the union of each column's runs without painting a raster.
+    ``ValueError`` as for ``coverage_grid``.
+    """
+    column, lo, hi = _column_runs(x, y, radius, region, resolution)
+    # cell (i, j) as the number i * resolution + j: runs of different
+    # columns never overlap
+    start, stop = column * resolution + lo, column * resolution + hi
+    order = np.argsort(start)
+    start, stop = start[order], stop[order]
+    # each run adds its cells past the furthest end of the runs before it
+    reached = np.maximum.accumulate(stop)
+    reached = np.concatenate(([0], reached[:-1]))
+    count = int(np.maximum(stop - np.maximum(start, reached), 0).sum())
+    return 100.0 * (count / resolution**2)
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:

@@ -132,7 +132,8 @@ class Deployment:
     The columns, and ``states`` (default all idle), may come in any id
     order. ``ValueError`` unless each has one entry per node, ids are
     unique ints, states known, batteries in [0, 1], a node dead exactly
-    when empty, and 0 < radius < inf."""
+    when empty, and the radius and both region sides are positive and
+    finite."""
 
     ids: np.ndarray = field(repr=False)
     positions: InitVar[Sequence[Point2D]]
@@ -150,8 +151,10 @@ class Deployment:
     tables: dict[float, NeighborTable] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self, positions: Sequence[Point2D], states: Sequence[str] | None):
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        for name in ("radius", "region_width", "region_height"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         n = len(self.ids)
         states = [IDLE] * n if states is None else states
         if not len(positions) == len(self.battery) == len(states) == n:
@@ -277,6 +280,20 @@ def _cell_ranks(values: np.ndarray, side: float) -> np.ndarray:
     return np.unique(np.floor((values - values.min()) / side), return_inverse=True)[1]
 
 
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, ascending, and the rank of each value among
+    them, as ``np.unique(values, return_inverse=True)`` gives, from one
+    argsort."""
+    order = np.argsort(values)
+    ascending = values[order]
+    # a value starts a level where it differs from the one before it
+    level_start = np.ones(len(values), dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=level_start[1:])
+    rank = np.empty(len(values), dtype=np.int64)
+    rank[order] = np.cumsum(level_start) - 1
+    return ascending[level_start], rank
+
+
 def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) -> NeighborTable:
     """The ``NeighborTable``, with ``ids`` as its ids, of the pairs within
     ``radius`` of the points (``x[i]``, ``y[i]``) of id ``ids[i]``.
@@ -342,7 +359,7 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
         within = d <= radius
         pairs.append((a[within], b[within], d[within]))
     a, b, d = (np.concatenate(column) for column in zip(*pairs))
-    distinct, rank = np.unique(d, return_inverse=True)
+    distinct, rank = _dense_rank(d)
     levels = max(len(distinct), 1)
     if n * n * levels >= KEY_LIMIT:
         raise ValueError(

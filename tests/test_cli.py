@@ -394,6 +394,26 @@ class TestPlotDataCommand:
             export_plot_data(trace, out, 3)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("region", [-50.0, 50.0]), ("region", [0.0, 50.0]), ("region", [50.0, 1e400]),
+         ("radius", 0.0)],
+        ids=["negative-width", "zero-width", "infinite-height", "zero-radius"],
+    )
+    def test_bad_header_region_exits_2_before_writing(self, field, value, trace, tmp_path, capsys):
+        # it used to write every CSV, with a coverage grid of 0 cells
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        out = tmp_path / "plots"
+        assert run_cli("plot-data", "--trace", str(bad), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad trace {bad}:")
+        assert "must be positive and finite" in err
+        assert not out.exists()
+
     def test_corrupt_trace_exits_2(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"type": "round"}\n')

@@ -9,6 +9,8 @@ default eps (2r); at an eps wider than 2r, where the ordering reads a table
 of its own; and at an eps below 2r, where the ordering reads the 2r table
 and shuts out the row entries beyond eps; and at theta 0.5, where the
 selection walk discards more replies between a tree node's visits.
+The plot-data export of the default sweep's D=100 trial-0 trace is pinned
+as well: it is the only output that paints a coverage raster.
 """
 
 import importlib.util
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from optics_coverage.config import RunConfig
-from optics_coverage.experiments import run_table_experiment
+from optics_coverage.experiments import export_plot_data, run_table_experiment
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -74,3 +76,14 @@ def test_multi_round_artifacts_match_pinned_digest(tmp_path, case):
     config = replace(RunConfig(), rounds=4, d_list=(100, 300), trials=2, **overrides)
     run_table_experiment(config, tmp_path)
     assert workloads.dir_digest(tmp_path) == digest
+
+
+# the reachability and coverage CSVs of round 1 at resolution 500
+PLOT_DATA_DIGEST = "d05b4f31a30028bd7135c1f7e38233ab5b6dec2fef18c63699be6a50318b0b83"
+
+
+def test_plot_data_export_matches_pinned_digest(tmp_path):
+    # trial 0 of a size draws the same deployment whatever else the sweep lists
+    run_table_experiment(replace(RunConfig(), d_list=(100,), trials=1), tmp_path / "run")
+    export_plot_data(tmp_path / "run" / "trace_D100_trial0.jsonl", tmp_path / "plots", 500)
+    assert workloads.dir_digest(tmp_path / "plots") == PLOT_DATA_DIGEST

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from optics_coverage.metrics import (
     active_ratio,
@@ -37,6 +37,20 @@ def reference_coverage_grid(x, y, radius, region, resolution):
                     grid[i, j] = True
                     break
     return grid
+
+
+# single discs on 1 m cells where the sqrt estimate of a run's end is a
+# row off, so that end must move: its low end out and in, its high end out
+# and in
+MISPLACED_RUN_ENDS = [
+    ([26.5], [23.199411333417995], 6.040627137418228, (40.0, 40.0), 40),
+    ([20.5], [31.03207457590068], 9.532074575900678, (40.0, 40.0), 40),
+    ([26.5], [16.567509677663402], 6.0720291666996635, (40.0, 40.0), 40),
+    ([20.5], [3.936942869615969], 13.56305713038403, (40.0, 40.0), 40),
+]
+
+# a region with a side that is not positive and finite
+BAD_REGIONS = [(-50.0, 50.0), (0.0, 50.0), (50.0, 0.0), (math.nan, 50.0), (50.0, math.inf)]
 
 
 @st.composite
@@ -125,6 +139,21 @@ class TestGridCr:
     def test_disc_outside_region_ignored(self):
         assert grid_cr([200], [200], 5, (50, 50), 100) == 0
 
+    @given(grid_fields())
+    @example(MISPLACED_RUN_ENDS[0])
+    @example(MISPLACED_RUN_ENDS[1])
+    @example(MISPLACED_RUN_ENDS[2])
+    @example(MISPLACED_RUN_ENDS[3])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_cell_reference(self, field):
+        # the counted runs give the float the painted raster's mean gives
+        assert grid_cr(*field) == 100.0 * reference_coverage_grid(*field).mean()
+
+    @pytest.mark.parametrize("region", BAD_REGIONS)
+    def test_region_sides_positive_and_finite(self, region):
+        with pytest.raises(ValueError, match="region sides"):
+            grid_cr([25], [25], 5, region, 64)
+
     def test_never_exceeds_capped_analytic(self):
         rng = random.Random(77)
         for trial in range(5):
@@ -147,10 +176,25 @@ class TestCoverageGrid:
         assert not grid[1, 1]
         assert grid.sum() == 3
 
+    def test_window_bounds_each_run(self):
+        # the center of cell (2, 0) lies one float below py - radius, outside
+        # the disc's window, though its dx * dx + dy * dy rounds to radius *
+        # radius: the window decides, as it always has, and the per-cell
+        # reference, which has no window, disagrees there
+        field = ([2.5], [95.84279387631881], 87.71561489852716, (10.0, 162.54357955583285), 10)
+        grid = coverage_grid(*field)
+        assert reference_coverage_grid(*field)[2, 0] and not grid[2, 0]
+        assert grid.sum() == 90 and grid_cr(*field) == 90.0
+
     @pytest.mark.parametrize("radius", [0, -5, math.nan, math.inf])
     def test_radius_positive(self, radius):
         with pytest.raises(ValueError, match="radius"):
             coverage_grid([25], [25], radius, (50, 50), 64)
+
+    @pytest.mark.parametrize("region", BAD_REGIONS)
+    def test_region_sides_positive_and_finite(self, region):
+        with pytest.raises(ValueError, match="region sides"):
+            coverage_grid([25], [25], 5, region, 64)
 
     @pytest.mark.parametrize("x, y", [([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0]), ([], [1.0])])
     def test_x_and_y_need_one_entry_per_disc(self, x, y):

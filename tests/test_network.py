@@ -430,6 +430,15 @@ class TestNodeInvariants:
         with pytest.raises(ValueError, match="radius must be positive"):
             Deployment(ids, positions, batteries, width, height, radius, seed, states)
 
+    @pytest.mark.parametrize("side", ["region_width", "region_height"])
+    @pytest.mark.parametrize("value", [-50.0, 0.0, math.nan, math.inf])
+    def test_region_sides_positive_and_finite(self, side, value):
+        # a round would build its trees before analytic_cr refused the area
+        ids, positions, batteries, width, height, radius, seed, states = columns()
+        region = {"region_width": width, "region_height": height, side: value}
+        with pytest.raises(ValueError, match=f"{side} must be positive and finite"):
+            Deployment(ids, positions, batteries, radius=radius, seed=seed, states=states, **region)
+
     def test_nodes_fixed_at_construction(self):
         # the columns are copied in, so a node added to the input lists later
         # would be in neither the arrays nor the neighbor table
