@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import RunConfig
-from .geometry import Point2D
 from .metrics import (
     ExperimentSummary,
     RoundReport,
@@ -230,10 +229,10 @@ def export_plot_data(
     if not rounds:
         raise ValueError(f"trace {trace_path} contains no rounds")
     try:
-        # Point2D refuses a NaN or infinite coordinate
-        positions = {
-            int(nid): Point2D(float(x), float(y)) for nid, x, y in header["nodes"]
-        }
+        positions = {int(nid): (float(x), float(y)) for nid, x, y in header["nodes"]}
+        for x, y in positions.values():
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"coordinates must be finite, got ({x}, {y})")
         radius = float(header["radius"])
         region = (float(header["region"][0]), float(header["region"][1]))
         frames = [
@@ -269,7 +268,7 @@ def export_plot_data(
         with open(reach_file, "w", newline="") as fh:
             write_reachability_csv(ordering, fh)
         written.append(reach_file)
-        x, y = [p.x for p in active], [p.y for p in active]
+        x, y = [x for x, _ in active], [y for _, y in active]
         grid = coverage_grid(x, y, radius, region, resolution)
         grid_file = out_path / f"coverage_round{k}.csv"
         with open(grid_file, "w", newline="") as fh:

@@ -72,8 +72,8 @@ def analytic_cr(active: int, radius: float, area: float) -> float:
     """
     if active < 0:
         raise ValueError(f"active must be >= 0, got {active}")
-    if radius <= 0 or area <= 0:
-        raise ValueError("radius and area must be positive")
+    if not (0 < radius < math.inf and 0 < area < math.inf):
+        raise ValueError(f"radius and area must be positive and finite, got {radius} and {area}")
     return 100.0 * active * math.pi * radius * radius / area
 
 
@@ -85,19 +85,21 @@ def _column_runs(
     resolution: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cells covered by each disc, as runs: the arrays ``column``,
-    ``lo`` and ``hi`` hold one entry per column i of a disc's window,
-    covered at rows ``lo <= j < hi`` (``lo < hi``). Runs of different
-    discs may overlap.
+    ``lo`` and ``hi`` hold one entry per column i a disc covers, covered
+    at rows ``lo <= j < hi`` (``lo < hi``). Runs of different discs may
+    overlap.
 
     The region splits into ``resolution`` cells per side, and cell (i, j)
     is covered when its center's offsets dx, dy from a disc's center have
-    ``dx * dx + dy * dy <= radius * radius``, in float64. A disc's window
-    is the cells [i0, i1) x [j0, j1) whose centers lie within ``radius``
-    of its center along each axis; a run never leaves it. Within a column
-    the rows' dy * dy falls and then rises, so the covered rows are one
-    run around the window row nearest the disc's center. A ``sqrt``
-    estimate of the run's ends only picks where to start; each end then
-    moves a row at a time for as long as the exact test says it should.
+    ``dx * dx + dy * dy <= radius * radius``, in float64; that test alone
+    decides. A disc's candidate columns are those whose centers lie within
+    ``radius`` of its center along x, widened by one on each side (a
+    center one float outside may still pass the test) and clamped to the
+    grid. Within a column the rows' dy * dy falls and then rises, so the
+    covered rows are one run around the grid row nearest the disc's
+    center. A ``sqrt`` estimate of the run's ends only picks where to
+    start; each end then moves a row at a time, within the grid, for as
+    long as the exact test says it should.
     """
     if len(x) != len(y):
         raise ValueError(f"x and y need one entry per disc, got {len(x)} and {len(y)}")
@@ -111,23 +113,18 @@ def _column_runs(
     xs = (np.arange(resolution) + 0.5) * (width / resolution)
     ys = (np.arange(resolution) + 0.5) * (height / resolution)
     px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    i0 = np.searchsorted(xs, px - radius, side="left")
-    i1 = np.searchsorted(xs, px + radius, side="right")
-    j0 = np.searchsorted(ys, py - radius, side="left")
-    j1 = np.searchsorted(ys, py + radius, side="right")
-    hit = np.flatnonzero((i0 < i1) & (j0 < j1))
-    px, py, i0, i1, j0, j1 = px[hit], py[hit], i0[hit], i1[hit], j0[hit], j1[hit]
-    # the window row with the smallest dy * dy: the row nearest the center
-    # (k - 1 or k, the lower on a tie), clamped to the window
+    i0 = np.maximum(np.searchsorted(xs, px - radius, side="left") - 1, 0)
+    i1 = np.minimum(np.searchsorted(xs, px + radius, side="right") + 1, resolution)
+    # the grid row with the smallest dy * dy: the row nearest the center
+    # (k - 1 or k, the lower on a tie)
     k = np.searchsorted(ys, py)
     below, above = np.maximum(k - 1, 0), np.minimum(k, resolution - 1)
     dy_below, dy_above = ys[below] - py, ys[above] - py
     near = np.where(dy_below * dy_below <= dy_above * dy_above, below, above)
-    near = np.clip(near, j0, j1 - 1)
     dy = ys[near] - py
-    # one entry per column of each window
+    # one entry per candidate column of each disc
     count = i1 - i0
-    disc = np.repeat(np.arange(len(hit)), count)
+    disc = np.repeat(np.arange(len(px)), count)
     column = np.arange(len(disc)) - np.repeat(np.cumsum(count) - count - i0, count)
     dx = xs[column] - px[disc]
     dx2 = dx * dx
@@ -135,7 +132,7 @@ def _column_runs(
     # a column covers some row iff it covers its nearest one
     keep = dx2 + (dy * dy)[disc] <= reach2
     disc, column, dx2 = disc[keep], column[keep], dx2[keep]
-    cy, first, stop, near = py[disc], j0[disc], j1[disc], near[disc]
+    cy, near = py[disc], near[disc]
 
     def covers(e, row: np.ndarray) -> np.ndarray:
         dy = ys[row] - cy[e]
@@ -146,15 +143,15 @@ def _column_runs(
     cell = height / resolution
     half = np.sqrt(np.maximum(reach2 - dx2, 0.0)) / cell
     mid = (py / cell - 0.5)[disc]
-    lo = np.fmin(np.fmax(np.ceil(mid - half), first), near).astype(np.intp)
-    hi = np.fmin(np.fmax(np.floor(mid + half) + 1, near + 1), stop).astype(np.intp)
-    # the exact test alone decides where a run ends. At a window's edge a
-    # test may read a row outside the window (index -1 is the top row, and
-    # hi is capped at the last), and the bound masks it out.
+    lo = np.fmin(np.fmax(np.ceil(mid - half), 0), near).astype(np.intp)
+    hi = np.fmin(np.fmax(np.floor(mid + half) + 1, near + 1), resolution).astype(np.intp)
+    # the exact test alone decides where a run ends. At the grid's edge a
+    # test may read a row outside it (index -1 is the top row, and hi is
+    # capped at the last), and the bound masks it out.
     last = resolution - 1
-    _walk(lo, -1, lambda e: (lo[e] > first[e]) & covers(e, lo[e] - 1))
+    _walk(lo, -1, lambda e: (lo[e] > 0) & covers(e, lo[e] - 1))
     _walk(lo, 1, lambda e: ~covers(e, lo[e]))
-    _walk(hi, 1, lambda e: (hi[e] < stop[e]) & covers(e, np.minimum(hi[e], last)))
+    _walk(hi, 1, lambda e: (hi[e] < resolution) & covers(e, np.minimum(hi[e], last)))
     _walk(hi, -1, lambda e: ~covers(e, hi[e] - 1))
     return column, lo, hi
 

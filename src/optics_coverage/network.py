@@ -1,13 +1,15 @@
 """Sensor field model: deployment, node lifecycle, neighbor relations.
 
 A deployment is a set of sensors dropped uniformly at random in a
-rectangle, each with a normalized battery level; the deployment holds the
-one coverage radius r they all share, its sensors' coordinates as
-read-only ``x`` and ``y`` columns, and its ``state_code``, ``battery``
-and ``sleep_left`` arrays and its ``rounds_run`` count, the only store of
-simulation state: a ``SensorNode`` is a view of one slot, made when asked
-for. Two sensors are direct neighbors when their centers are at most 2r
-apart, which is also the request broadcast range. Positions never change
+rectangle, each with a normalized battery level. It is built from id,
+``x``, ``y`` and battery columns and holds the one coverage radius r
+they all share, its sensors' coordinates as read-only ``x`` and ``y``
+columns, and its ``state_code``, ``battery`` and ``sleep_left`` arrays
+and its ``rounds_run`` count, the only store of simulation state, which
+only the constructor and a round write: a ``SensorNode`` is a read-only
+view of one slot, made when asked for. Two sensors are direct neighbors
+when their centers are at most 2r apart, which is also the request
+broadcast range. Positions never change
 after deployment, so a deployment keeps each neighbor table it needs, held
 as CSR arrays, in ``tables``, by reach, for every round.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -52,12 +54,9 @@ KEY_LIMIT = 2**63
 
 @dataclass(eq=False, slots=True)
 class SensorNode:
-    """A view of one slot of a ``Deployment``, made when asked for. Its
-    ``state`` and ``battery`` read and write the deployment's arrays under
-    the constructor's rules: emptying the battery kills the node, as a
-    round's drain does, and any other write that breaks a rule raises
-    ``ValueError`` and changes nothing. A ``state`` write also sets the
-    node's ``sleep_left`` to 0, so a node set sleeping wakes next round."""
+    """A read-only view of one slot of a ``Deployment``, made when asked
+    for: its ``state`` and ``battery`` read the deployment's arrays, which
+    only the constructor and a round write."""
 
     deployment: Deployment
     slot: int
@@ -74,27 +73,13 @@ class SensorNode:
     def state(self) -> str:
         return STATE_NAME[self.deployment.state_code[self.slot]]
 
-    @state.setter
-    def state(self, value: str) -> None:
-        self._write(self.battery, value)
-        self.deployment.sleep_left[self.slot] = 0
-
     @property
     def battery(self) -> float:
         return float(self.deployment.battery[self.slot])
 
-    @battery.setter
-    def battery(self, value: float) -> None:
-        self._write(value, DEAD if value == 0.0 else self.state)
-
     @property
     def alive(self) -> bool:
         return self.state != DEAD
-
-    def _write(self, battery: float, state: str) -> None:
-        charge, code = _checked([battery], [state])
-        self.deployment.battery[self.slot] = charge[0]
-        self.deployment.state_code[self.slot] = code[0]
 
     def __repr__(self) -> str:
         return (
@@ -117,67 +102,69 @@ def _checked(battery: Sequence[float], states: Sequence[str]) -> tuple[np.ndarra
     return charge, codes
 
 
-@dataclass(eq=False)
 class Deployment:
     """Sensors of one field as columns sorted by id, indexed by slot:
-    ``ids``, ``x`` and ``y`` (read-only float64, from the ``Point2D``
-    ``positions`` given), and the only store of node state,
-    ``state_code`` (``STATE_CODE`` of each state), ``battery`` and
-    ``sleep_left`` (the rounds a sleeper has left, 0 at construction, so
-    a node built sleeping wakes next round). ``rounds_run`` counts the
-    rounds run on the deployment, from 0, and ``tables`` maps a reach to
-    the deployment's ``NeighborTable`` at it, empty until a round builds
-    one; none of the three is a constructor argument. ``radius`` is the
-    coverage radius r of every sensor; nothing else stores a copy of it.
-    The columns, and ``states`` (default all idle), may come in any id
-    order. ``ValueError`` unless each has one entry per node, ids are
-    unique ints, states known, batteries in [0, 1], a node dead exactly
-    when empty, and the radius and both region sides are positive and
-    finite."""
+    ``ids``, ``x`` and ``y`` (read-only float64), and the only store of
+    node state, ``state_code`` (``STATE_CODE`` of each state),
+    ``battery`` and ``sleep_left`` (the rounds a sleeper has left, 0 at
+    construction, so a node built sleeping wakes next round).
+    ``rounds_run`` counts the rounds run on the deployment, from 0, and
+    ``tables`` maps a reach to the deployment's ``NeighborTable`` at it,
+    empty until a round builds one; none of the three is a constructor
+    argument. ``radius`` is the coverage radius r of every sensor; nothing
+    else stores a copy of it. The columns, and ``states`` (default all
+    idle), may come in any id order and are copied in. ``ValueError``
+    unless each has one entry per node, ids are unique ints, coordinates
+    finite, states known, batteries in [0, 1], a node dead exactly when
+    empty, and the radius and both region sides are positive and finite."""
 
-    ids: np.ndarray = field(repr=False)
-    positions: InitVar[Sequence[Point2D]]
-    battery: np.ndarray = field(repr=False)
-    region_width: float
-    region_height: float
-    radius: float
-    seed: int | None = None
-    states: InitVar[Sequence[str] | None] = None
-    x: np.ndarray = field(init=False, repr=False)
-    y: np.ndarray = field(init=False, repr=False)
-    state_code: np.ndarray = field(init=False, repr=False)
-    sleep_left: np.ndarray = field(init=False, repr=False)
-    rounds_run: int = field(init=False, default=0)
-    tables: dict[float, NeighborTable] = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self, positions: Sequence[Point2D], states: Sequence[str] | None):
-        for name in ("radius", "region_width", "region_height"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        ids: Sequence[int],
+        x: Sequence[float],
+        y: Sequence[float],
+        battery: Sequence[float],
+        region_width: float,
+        region_height: float,
+        radius: float,
+        seed: int | None = None,
+        states: Sequence[str] | None = None,
+    ):
+        sides = {"radius": radius, "region_width": region_width, "region_height": region_height}
+        for name, value in sides.items():
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        n = len(self.ids)
+        self.region_width, self.region_height = region_width, region_height
+        self.radius, self.seed = radius, seed
+        n = len(ids)
         states = [IDLE] * n if states is None else states
-        if not len(positions) == len(self.battery) == len(states) == n:
-            raise ValueError("ids, positions, battery and states need one entry per node")
-        ids = np.asarray(self.ids) if n else np.empty(0, dtype=np.int64)
+        if not len(x) == len(y) == len(battery) == len(states) == n:
+            raise ValueError("ids, x, y, battery and states need one entry per node")
+        ids = np.asarray(ids) if n else np.empty(0, dtype=np.int64)
         if ids.dtype.kind not in "iu":
             raise ValueError(f"node ids must be ints, got {ids.dtype}")
         order = np.argsort(ids, kind="stable")
         self.ids = ids[order].astype(np.int64)
         if (self.ids[1:] == self.ids[:-1]).any():
             raise ValueError("node ids must be unique")
-        battery, codes = _checked(self.battery, states)
+        x, y = np.asarray(x, dtype=float)[order], np.asarray(y, dtype=float)[order]
+        bad = ~(np.isfinite(x) & np.isfinite(y))
+        if bad.any():
+            raise ValueError(f"coordinates must be finite, got ({x[bad][0]}, {y[bad][0]})")
+        battery, codes = _checked(battery, states)
         self.battery, self.state_code = battery[order], codes[order]
-        self.x = np.array([p.x for p in positions], dtype=float)[order]
-        self.y = np.array([p.y for p in positions], dtype=float)[order]
         # the kept tables hold distances between these positions
-        self.x.flags.writeable = self.y.flags.writeable = False
+        x.flags.writeable = y.flags.writeable = False
+        self.x, self.y = x, y
         self.sleep_left = np.zeros(n, dtype=np.int64)
+        self.rounds_run = 0
+        self.tables: dict[float, NeighborTable] = {}
 
-    def _repr_pretty_(self, p, cycle) -> None:
-        # IPython's printing protocol, which hypothesis's printer checks
-        # before walking the dataclass fields, InitVars among them
-        p.text(repr(self))
+    def __repr__(self) -> str:
+        return (
+            f"Deployment(region_width={self.region_width!r}, region_height={self.region_height!r}, "
+            f"radius={self.radius!r}, seed={self.seed!r}, rounds_run={self.rounds_run!r})"
+        )
 
     def slots(self, node_ids: Sequence[int]) -> np.ndarray:
         """Slots of ``node_ids``; ``KeyError`` for an id that is not a node's."""
@@ -411,11 +398,12 @@ def generate_deployment(
             f"battery_range must satisfy 0 <= lo <= hi <= 1 and hi > 0, got {battery_range}"
         )
     rng = random.Random(seed)
-    positions, battery = [], []
+    x, y, battery = [], [], []
     for _ in range(count):
-        positions.append(Point2D(rng.uniform(0, width), rng.uniform(0, height)))
+        x.append(rng.uniform(0, width))
+        y.append(rng.uniform(0, height))
         battery.append(rng.uniform(lo, hi))
-    return Deployment(range(count), positions, battery, width, height, radius, seed)
+    return Deployment(range(count), x, y, battery, width, height, radius, seed)
 
 
 def build_neighbor_table(deployment: Deployment) -> NeighborTable:

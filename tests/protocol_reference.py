@@ -24,15 +24,15 @@ for ``select_next``'s numpy ranking over the offers.
 The oracles read rows from a table that ``build_neighbor_table`` builds
 afresh, never from the one the deployment keeps.
 
-``reference_run_round`` runs a round node by node through the
-deployment's views: it counts down or wakes each sleeper and retires each
-active one at a time, reading and writing ``deployment.sleep_left`` at
-the node's slot, collects the idle nodes into the eligible dict and
-orders it with ``order_points`` over a 2r table built for the round (a
-table of its own at an eps wider than 2r), takes the union of the tree
-nodes as the actives, and drains each new active's battery, clamped at
-zero, which kills it. It is the oracle for ``run_round``'s masked writes
-over the arrays.
+``reference_run_round`` runs a round node by node, reading the
+deployment's views and writing its ``state_code``, ``battery`` and
+``sleep_left`` arrays at one node's slot at a time: it counts down or
+wakes each sleeper and retires each active one, collects the idle nodes
+into the eligible dict and orders it with ``order_points`` over a 2r
+table built for the round (a table of its own at an eps wider than 2r),
+takes the union of the tree nodes as the actives, and drains each new
+active's battery, clamped at zero; an empty battery kills the node. It
+is the oracle for ``run_round``'s masked writes over the arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +45,14 @@ from optics_reference import order_points
 
 from optics_coverage.geometry import CoLocatedSensorsError, euclidean_distance, overlap_angle
 from optics_coverage.metrics import RoundReport, active_ratio, analytic_cr, grid_cr
-from optics_coverage.network import ACTIVE, IDLE, SLEEPING, build_neighbor_table
+from optics_coverage.network import (
+    ACTIVE,
+    DEAD,
+    IDLE,
+    SLEEPING,
+    STATE_CODE,
+    build_neighbor_table,
+)
 from optics_coverage.optics import extract_clusters
 from optics_coverage.protocol import (
     AllNodesDeadError,
@@ -120,10 +127,16 @@ def best_reply(current, table, deployment, allowed, exclude, config):
     return best
 
 
+def write_state(deployment, slot, state, left=0):
+    """Write ``state`` at ``slot``, with ``left`` rounds of sleep."""
+    deployment.state_code[slot] = STATE_CODE[state]
+    deployment.sleep_left[slot] = left
+
+
 def reference_cover_cluster(cluster, deployment, config: ProtocolConfig):
     table = build_neighbor_table(deployment)
     root = choose_initial_sensor(cluster, deployment)
-    deployment.node(root).state = ACTIVE
+    write_state(deployment, deployment.node(root).slot, ACTIVE)
     tree = SelectionTree(cluster.cluster_id, root)
     members = set(cluster.members)
     active_positions = [deployment.node(root).position]
@@ -139,7 +152,7 @@ def reference_cover_cluster(cluster, deployment, config: ProtocolConfig):
             if mostly_overlapped(pos, active_positions, deployment.radius, config.theta):
                 discarded.add(candidate)
                 continue
-            deployment.node(candidate).state = ACTIVE
+            write_state(deployment, deployment.node(candidate).slot, ACTIVE)
             tree.edges.append((u, candidate))
             active_positions.append(pos)
             frontier.append(candidate)
@@ -158,12 +171,11 @@ def reference_run_round(deployment, params, config):
     for node in deployment.nodes:
         if node.state == SLEEPING:
             if left[node.slot] <= 1:
-                node.state = IDLE  # which sets its rounds left to 0
+                write_state(deployment, node.slot, IDLE)
             else:
                 left[node.slot] -= 1
         elif node.state == ACTIVE:
-            node.state = SLEEPING
-            left[node.slot] = config.sleep_rounds
+            write_state(deployment, node.slot, SLEEPING, config.sleep_rounds)
     sleeping = {n.id: int(left[n.slot]) for n in deployment.nodes if n.state == SLEEPING}
 
     eligible = {n.id: n.position for n in deployment.nodes if n.state == IDLE}
@@ -194,7 +206,9 @@ def reference_run_round(deployment, params, config):
     survivors = set()
     for nid in sorted(active):
         node = deployment.node(nid)
-        node.battery = max(0.0, node.battery - config.battery_drain)
-        if node.alive:
+        deployment.battery[node.slot] = max(0.0, node.battery - config.battery_drain)
+        if node.battery == 0.0:
+            deployment.state_code[node.slot] = STATE_CODE[DEAD]
+        else:
             survivors.add(nid)
     return RoundState(round_index, survivors, sleeping, trees, ordering), report

@@ -10,7 +10,9 @@ of its own; and at an eps below 2r, where the ordering reads the 2r table
 and shuts out the row entries beyond eps; and at theta 0.5, where the
 selection walk discards more replies between a tree node's visits.
 The plot-data export of the default sweep's D=100 trial-0 trace is pinned
-as well: it is the only output that paints a coverage raster.
+as well: it is the only output that paints a coverage raster. So are the
+``rand-baseline`` CSVs at D=100 and D=300: the only output that scores
+random subsets of a deployment, picked by slot, with ``grid_cr``.
 """
 
 import importlib.util
@@ -21,7 +23,12 @@ from pathlib import Path
 import pytest
 
 from optics_coverage.config import RunConfig
-from optics_coverage.experiments import export_plot_data, run_table_experiment
+from optics_coverage.experiments import (
+    export_plot_data,
+    run_rand_baseline,
+    run_table_experiment,
+    write_baseline_csv,
+)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -87,3 +94,18 @@ def test_plot_data_export_matches_pinned_digest(tmp_path):
     run_table_experiment(replace(RunConfig(), d_list=(100,), trials=1), tmp_path / "run")
     export_plot_data(tmp_path / "run" / "trace_D100_trial0.jsonl", tmp_path / "plots", 500)
     assert workloads.dir_digest(tmp_path / "plots") == PLOT_DATA_DIGEST
+
+
+# the paired protocol-vs-random CSV of 3 trials, by deployment size
+RAND_BASELINE_DIGESTS = {
+    100: "edfc38225669c7997e2dc787f6191015269190b81f6ec8e75953f81762bc52ac",
+    300: "2c1f8001d909856e0bc573a900e9c3a4206fd7e8be2b0c411a997b981e73df40",
+}
+
+
+@pytest.mark.parametrize("count", list(RAND_BASELINE_DIGESTS))
+def test_rand_baseline_matches_pinned_digest(tmp_path, count):
+    result = run_rand_baseline(replace(RunConfig(), count=count, trials=3))
+    with open(tmp_path / f"rand_baseline_D{count}.csv", "w", newline="") as fh:
+        write_baseline_csv(result, fh)
+    assert workloads.dir_digest(tmp_path) == RAND_BASELINE_DIGESTS[count]

@@ -49,6 +49,10 @@ MISPLACED_RUN_ENDS = [
     ([20.5], [3.936942869615969], 13.56305713038403, (40.0, 40.0), 40),
 ]
 
+# one disc on a 10 x 10 grid whose cell (2, 0) has its center at
+# nextafter(py - radius, -inf), yet passes the exact test
+EDGE_FIELD = ([2.5], [95.84279387631881], 87.71561489852716, (10.0, 162.54357955583285), 10)
+
 # a region with a side that is not positive and finite
 BAD_REGIONS = [(-50.0, 50.0), (0.0, 50.0), (50.0, 0.0), (math.nan, 50.0), (50.0, math.inf)]
 
@@ -59,7 +63,7 @@ def grid_fields(draw):
     inside it, on its edges or beyond them; zero discs allowed. Half the
     fields are aligned: cells a quarter-meter multiple wide, radii a
     multiple of half a cell, and centers on cell edges or cell centers, so
-    that window bounds and disc edges land exactly on cell centers."""
+    that disc edges land exactly on cell centers."""
     resolution = draw(st.integers(10, 60))
     if draw(st.booleans()):
         side = st.integers(1, 8).map(lambda k: k * resolution / 4)
@@ -112,6 +116,13 @@ class TestAnalyticCr:
         one = analytic_cr(1, 5, 2500)
         for k in (2, 7, 40):
             assert analytic_cr(k, 5, 2500) == pytest.approx(k * one)
+
+    @pytest.mark.parametrize("name", ["radius", "area"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_radius_and_area_positive_and_finite(self, name, value):
+        args = {"radius": 5.0, "area": 2500.0, name: value}
+        with pytest.raises(ValueError, match="radius and area must be positive and finite"):
+            analytic_cr(1, **args)
 
 
 class TestGridCr:
@@ -176,15 +187,19 @@ class TestCoverageGrid:
         assert not grid[1, 1]
         assert grid.sum() == 3
 
-    def test_window_bounds_each_run(self):
-        # the center of cell (2, 0) lies one float below py - radius, outside
-        # the disc's window, though its dx * dx + dy * dy rounds to radius *
-        # radius: the window decides, as it always has, and the per-cell
-        # reference, which has no window, disagrees there
-        field = ([2.5], [95.84279387631881], 87.71561489852716, (10.0, 162.54357955583285), 10)
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_exact_test_decides_one_float_past_the_edge(self, transposed):
+        # the center of cell (2, 0) lies one float below py - radius, though
+        # its dx * dx + dy * dy rounds to radius * radius: the exact test
+        # covers it, along y and, with the field transposed, along x
+        x, y, radius, (width, height), resolution = EDGE_FIELD
+        field = EDGE_FIELD
+        if transposed:
+            field = (y, x, radius, (height, width), resolution)
         grid = coverage_grid(*field)
-        assert reference_coverage_grid(*field)[2, 0] and not grid[2, 0]
-        assert grid.sum() == 90 and grid_cr(*field) == 90.0
+        assert (grid == reference_coverage_grid(*field)).all()
+        assert grid[(0, 2) if transposed else (2, 0)]
+        assert grid.sum() == 91 and grid_cr(*field) == 91.0
 
     @pytest.mark.parametrize("radius", [0, -5, math.nan, math.inf])
     def test_radius_positive(self, radius):

@@ -28,15 +28,10 @@ from optics_coverage.optics import OpticsParams
 from optics_coverage.protocol import AllNodesDeadError, ProtocolConfig, iterate_rounds, run_round
 
 
-def node_positions(dep):
-    """The deployment's positions as ``Point2D``s, in slot order."""
-    return [n.position for n in dep.nodes]
-
-
 def make_deployment(positions, radius=5.0, battery=1.0, ids=None):
     ids = range(len(positions)) if ids is None else ids
-    points = [Point2D(x, y) for x, y in positions]
-    return Deployment(ids, points, [battery] * len(points), 100.0, 100.0, radius)
+    x, y = [x for x, _ in positions], [y for _, y in positions]
+    return Deployment(ids, x, y, [battery] * len(positions), 100.0, 100.0, radius)
 
 
 class TestGenerateDeployment:
@@ -154,11 +149,13 @@ class TestNeighborTable:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, count, width, height, radius, seed, twins):
-        positions = node_positions(generate_deployment(count, width, height, radius, seed))
+        drawn = generate_deployment(count, width, height, radius, seed)
+        x, y = drawn.x.tolist(), drawn.y.tolist()
         # extra nodes on the positions of drawn nodes, some drawn twice
-        positions += [positions[i % count] for i in twins]
-        n = len(positions)
-        dep = Deployment(range(n), positions, [1.0] * n, width, height, radius)
+        x += [x[i % count] for i in twins]
+        y += [y[i % count] for i in twins]
+        n = len(x)
+        dep = Deployment(range(n), x, y, [1.0] * n, width, height, radius)
         assert build_neighbor_table(dep).neighbors == reference_table(dep)
 
     def test_matches_brute_force_on_cell_edges(self):
@@ -195,7 +192,7 @@ class TestNeighborTable:
         assert table_row(table, 0) == [(1, 10.0)]
 
     def test_empty_deployment(self):
-        dep = Deployment([], [], [], 50.0, 50.0, 5.0)
+        dep = Deployment([], [], [], [], 50.0, 50.0, 5.0)
         table = build_neighbor_table(dep)
         assert table.neighbors == {} and table.radius == 10.0
         with pytest.raises(AllNodesDeadError):
@@ -217,7 +214,7 @@ class TestNeighborTable:
 
     def test_far_offset_field(self):
         base = generate_deployment(300, 50, 50, 5, seed=3)
-        dep = make_deployment([(p.x + 1e6, p.y + 1e6) for p in node_positions(base)])
+        dep = make_deployment(list(zip(base.x + 1e6, base.y + 1e6)))
         assert build_neighbor_table(dep).neighbors == reference_table(dep)
 
     def test_entries_are_plain_python_shared_objects(self):
@@ -225,7 +222,7 @@ class TestNeighborTable:
         # break json.dumps of traces. Rows hold node ids (past the
         # small-int cache here) and one distance value per pair.
         base = generate_deployment(200, 50, 50, 5, seed=4)
-        dep = Deployment(base.ids + 10**6, node_positions(base), base.battery, 50.0, 50.0, 5.0)
+        dep = Deployment(base.ids + 10**6, base.x, base.y, base.battery, 50.0, 50.0, 5.0)
         table = build_neighbor_table(dep)
         for nid, row in table.neighbors.items():
             assert type(nid) is int and nid in dep.ids
@@ -337,8 +334,8 @@ class TestNeighborTable:
 def columns(n=3, battery=1.0, ids=None, states=None):
     """Constructor arguments of ``n`` nodes in a row, 1 m apart."""
     ids = list(range(n)) if ids is None else ids
-    positions = [Point2D(float(i), 0.0) for i in range(n)]
-    return ids, positions, [battery] * n, 10.0, 10.0, 5.0, None, states
+    x, y = [float(i) for i in range(n)], [0.0] * n
+    return ids, x, y, [battery] * n, 10.0, 10.0, 5.0, None, states
 
 
 class TestRowArcs:
@@ -389,19 +386,19 @@ class TestRowArcs:
 class TestNodeInvariants:
     @pytest.mark.parametrize("battery", [1.5, -0.25, math.nan, math.inf])
     def test_battery_range_enforced(self, battery):
-        ids, positions, batteries, *rest = columns()
+        ids, x, y, batteries, *rest = columns()
         batteries[1] = battery
         with pytest.raises(ValueError, match=r"battery must be in \[0, 1\]"):
-            Deployment(ids, positions, batteries, *rest)
+            Deployment(ids, x, y, batteries, *rest)
 
     def test_dead_iff_empty(self):
         with pytest.raises(ValueError, match="dead exactly"):
             Deployment(*columns(battery=0.0))
         with pytest.raises(ValueError, match="dead exactly"):
             Deployment(*columns(battery=0.5, states=[IDLE, DEAD, IDLE]))
-        ids, positions, batteries, *rest = columns(states=[IDLE, DEAD, IDLE])
+        ids, x, y, batteries, *rest = columns(states=[IDLE, DEAD, IDLE])
         batteries[1] = 0.0
-        dep = Deployment(ids, positions, batteries, *rest)
+        dep = Deployment(ids, x, y, batteries, *rest)
         assert not dep.node(1).alive and dep.node(0).alive
 
     def test_unknown_state_rejected(self):
@@ -417,7 +414,7 @@ class TestNodeInvariants:
         with pytest.raises(ValueError, match="ids must be ints"):
             Deployment(*columns(ids=ids))
 
-    @pytest.mark.parametrize("column", [0, 1, 2, 7])
+    @pytest.mark.parametrize("column", [0, 1, 2, 3, 8], ids=["ids", "x", "y", "battery", "states"])
     def test_column_lengths_must_match(self, column):
         args = list(columns(states=[IDLE] * 3))
         args[column] = args[column][:2]
@@ -426,26 +423,35 @@ class TestNodeInvariants:
 
     @pytest.mark.parametrize("radius", [0, -1, math.nan, math.inf])
     def test_radius_positive_and_finite(self, radius):
-        ids, positions, batteries, width, height, _, seed, states = columns()
+        ids, x, y, batteries, width, height, _, seed, states = columns()
         with pytest.raises(ValueError, match="radius must be positive"):
-            Deployment(ids, positions, batteries, width, height, radius, seed, states)
+            Deployment(ids, x, y, batteries, width, height, radius, seed, states)
 
     @pytest.mark.parametrize("side", ["region_width", "region_height"])
     @pytest.mark.parametrize("value", [-50.0, 0.0, math.nan, math.inf])
     def test_region_sides_positive_and_finite(self, side, value):
         # a round would build its trees before analytic_cr refused the area
-        ids, positions, batteries, width, height, radius, seed, states = columns()
+        ids, x, y, batteries, width, height, radius, seed, states = columns()
         region = {"region_width": width, "region_height": height, side: value}
         with pytest.raises(ValueError, match=f"{side} must be positive and finite"):
-            Deployment(ids, positions, batteries, radius=radius, seed=seed, states=states, **region)
+            Deployment(ids, x, y, batteries, radius=radius, seed=seed, states=states, **region)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [1, 2], ids=["x", "y"])
+    def test_coordinates_must_be_finite(self, axis, bad):
+        args = list(columns())
+        args[axis][1] = bad
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            Deployment(*args)
 
     def test_nodes_fixed_at_construction(self):
         # the columns are copied in, so a node added to the input lists later
         # would be in neither the arrays nor the neighbor table
-        ids, positions, batteries, *rest = columns()
-        dep = Deployment(ids, positions, batteries, *rest)
+        ids, x, y, batteries, *rest = columns()
+        dep = Deployment(ids, x, y, batteries, *rest)
         ids.append(3)
-        positions.append(Point2D(3, 0))
+        x.append(3.0)
+        y.append(0.0)
         batteries[0] = 0.5
         assert len(dep.nodes) == 3 and 3 not in dep.ids
         assert [n.id for n in dep.nodes] == [0, 1, 2] and dep.node(0).battery == 1.0
@@ -476,54 +482,25 @@ class TestDeploymentArrays:
             assert_arrays_match(dep)
         assert {n.state for n in dep.nodes} == {IDLE, ACTIVE, SLEEPING, DEAD}
 
-    def test_direct_writes(self):
-        dep = make_deployment([(7, 0), (3, 0), (100, 0)], ids=[7, 3, 100])
+    def test_views_read_the_constructor_columns(self):
+        dep = Deployment(
+            [7, 3, 100], [7.0, 3.0, 100.0], [0.0] * 3, [1.0, 0.25, 1.0], 100.0, 100.0, 5.0,
+            states=[ACTIVE, IDLE, SLEEPING],
+        )
         assert dep.ids.tolist() == [3, 7, 100]
-        dep.node(7).state = ACTIVE
-        dep.node(100).state = SLEEPING
-        dep.node(3).battery = 0.25
         assert_arrays_match(dep)
         assert dep.state_code.tolist() == [STATE_CODE[IDLE], STATE_CODE[ACTIVE], STATE_CODE[SLEEPING]]
         assert dep.battery.tolist() == [0.25, 1.0, 1.0]
         assert dep.node(7).state == ACTIVE and dep.node(3).battery == 0.25
 
-    @pytest.mark.parametrize(
-        "field, value, match",
-        [
-            ("state", "asleep", "unknown state"),
-            ("state", DEAD, "dead exactly"),
-            ("battery", math.nan, r"in \[0, 1\]"),
-            ("battery", 7.5, r"in \[0, 1\]"),
-            ("battery", -0.5, r"in \[0, 1\]"),
-        ],
-    )
-    def test_bad_write_rejected(self, field, value, match):
-        dep = make_deployment([(0, 0), (3, 0), (6, 0)], battery=0.5)
-        dep.node(0).state = ACTIVE
-        before = dep.state_code.copy(), dep.battery.copy()
-        with pytest.raises(ValueError, match=match):
-            setattr(dep.node(2), field, value)
-        assert dep.state_code.tolist() == before[0].tolist()
-        assert dep.battery.tolist() == before[1].tolist()
-
-    @pytest.mark.parametrize(
-        "field, value", [("state", IDLE), ("state", ACTIVE), ("battery", 0.5)]
-    )
-    def test_dead_node_stays_dead(self, field, value):
-        dep = make_deployment([(0, 0), (3, 0)], battery=0.5)
-        dep.node(1).battery = 0.0
-        with pytest.raises(ValueError, match="dead exactly"):
+    @pytest.mark.parametrize("field, value", [("state", ACTIVE), ("battery", 0.5)])
+    def test_views_are_read_only(self, field, value):
+        # only the constructor and a round write node state
+        dep = make_deployment([(0, 0), (3, 0)])
+        with pytest.raises(AttributeError):
             setattr(dep.node(1), field, value)
-        assert dep.node(1).state == DEAD and dep.node(1).battery == 0.0
-
-    def test_drained_to_dead(self):
-        # an empty battery is death, as a round's drain makes it
-        dep = make_deployment([(0, 0), (3, 0)], battery=0.5)
-        dep.node(1).state = SLEEPING
-        dep.node(1).battery = 0.0
-        assert dep.node(1).state == DEAD and not dep.node(1).alive
-        assert_arrays_match(dep)
-        assert dep.battery.tolist() == [0.5, 0.0]
+        assert dep.state_code.tolist() == [STATE_CODE[IDLE]] * 2
+        assert dep.battery.tolist() == [1.0, 1.0]
 
     def test_countdown_and_round_count_start_at_zero(self):
         # a node built sleeping has no rounds left, so it wakes next round
@@ -543,9 +520,11 @@ class TestDeploymentArrays:
             Deployment(*columns(), tables={})
 
     def test_hypothesis_prints_a_deployment_as_its_repr(self):
-        # the printer of a falsifying example would otherwise walk the
-        # dataclass fields and fail on the ``positions`` InitVar
+        # the printer of a falsifying example shows a deployment by its repr
         dep = generate_deployment(30, 30, 30, 5, seed=4)
+        assert repr(dep) == (
+            "Deployment(region_width=30, region_height=30, radius=5, seed=4, rounds_run=0)"
+        )
         assert pretty(dep) == repr(dep)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
@@ -556,23 +535,6 @@ class TestDeploymentArrays:
         with pytest.raises(ValueError, match="read-only"):
             getattr(dep, axis)[0] = 1.0
         assert getattr(dep, axis).tolist() == before
-
-    @pytest.mark.parametrize(
-        "field, value, left",
-        [("state", IDLE, 0), ("state", ACTIVE, 0), ("state", SLEEPING, 0), ("battery", 0.5, 3)],
-    )
-    def test_state_write_clears_countdown(self, field, value, left):
-        # round 1 activates the isolated node 0, round 2 puts it to sleep
-        # for 3 rounds; a state write restarts its countdown, a battery
-        # write does not touch it
-        dep = make_deployment([(0, 0), (30, 0)])
-        config = ProtocolConfig(sleep_rounds=3)
-        rounds = iterate_rounds(dep, OpticsParams(eps=10, min_pts=1), config, rounds=2)
-        assert [state.sleeping for state, _ in rounds][-1] == {0: 3, 1: 3}
-        setattr(dep.node(0), field, value)
-        assert dep.sleep_left.tolist() == [left, 3]
-        assert getattr(dep.node(0), field) == value
-        assert_arrays_match(dep)
 
     def test_views_are_made_on_call(self):
         dep = generate_deployment(30, 30, 30, 5, seed=4)
@@ -585,24 +547,17 @@ class TestDeploymentArrays:
         # as the brute-force table test does: a field's columns plus extra
         # nodes make a second deployment, with arrays of its own
         first = generate_deployment(40, 30, 30, 5, seed=5)
-        positions = node_positions(first)
-        extra = [Point2D(p.x + 0.5, 0.0) for p in positions[:3]]
         second = Deployment(
-            list(range(43)), positions + extra, [*first.battery, 1.0, 1.0, 1.0],
-            30.0, 30.0, 5.0,
+            list(range(43)), [*first.x, *(first.x[:3] + 0.5)], [*first.y, 0.0, 0.0, 0.0],
+            [*first.battery, 1.0, 1.0, 1.0], 30.0, 30.0, 5.0,
         )
         assert_arrays_match(second)
-        drawn = first.node(4).battery
-        first.node(4).battery = 0.125
-        first.node(5).battery = 0.0
-        second.node(40).battery = 0.0
-        assert_arrays_match(first)
-        assert_arrays_match(second)
-        assert second.node(4).battery == drawn != 0.125
-        assert first.node(5).state == DEAD and second.node(5).state == IDLE
+        drawn = first.battery.copy()
         for _ in iterate_rounds(second, OpticsParams(eps=10, min_pts=2), rounds=2):
             assert_arrays_match(second)
-        assert first.state_code.tolist().count(STATE_CODE[DEAD]) == 1
+        assert (second.battery[:40] != drawn).any()
+        assert first.battery.tolist() == drawn.tolist()
+        assert first.state_code.tolist() == [STATE_CODE[IDLE]] * 40
         assert_arrays_match(first)
 
     def test_dropped_deployments_are_released(self):
@@ -611,7 +566,7 @@ class TestDeploymentArrays:
         # arrays at once, with no garbage collection
         live = generate_deployment(30, 30, 30, 5, seed=4)
         dropped = [
-            Deployment(live.ids, node_positions(live), live.battery, 30.0, 30.0, 5.0)
+            Deployment(live.ids, live.x, live.y, live.battery, 30.0, 30.0, 5.0)
             for _ in range(200)
         ]
         list(iterate_rounds(dropped[-1], OpticsParams(eps=10, min_pts=2), rounds=2))
@@ -619,6 +574,6 @@ class TestDeploymentArrays:
         del dropped
         assert all(ref() is None for ref in freed)
         before = live.battery.copy()
-        live.node(7).battery = 0.25
+        list(iterate_rounds(live, OpticsParams(eps=10, min_pts=2), rounds=1))
         assert_arrays_match(live)
-        assert live.battery[7] == 0.25 and before[7] != 0.25
+        assert (live.battery != before).any()

@@ -58,10 +58,10 @@ def table_layouts(draw):
         positions += [(float(x), float(y)), (x + 2 * radius, float(y))]
     n = len(positions)
     ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
-    points = [Point2D(x, y) for x, y in positions]
     picked = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-    dep = Deployment(ids, points, [1.0] * n, 30.0, 30.0, radius)
-    return dep, {ids[i]: points[i] for i in picked}
+    x, y = [x for x, _ in positions], [y for _, y in positions]
+    dep = Deployment(ids, x, y, [1.0] * n, 30.0, 30.0, radius)
+    return dep, {ids[i]: Point2D(*positions[i]) for i in picked}
 
 
 @st.composite
@@ -74,11 +74,11 @@ def lattice_layouts(draw):
     n = len(cells)
     ids = draw(st.permutations(range(0, 3 * n, 3)))
     radius = draw(st.sampled_from([1.0, 1.5, 2.0]))
-    points = [Point2D(float(x), float(y)) for x, y in cells]
+    x, y = [float(x) for x, _ in cells], [float(y) for _, y in cells]
     picked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     picked[draw(st.integers(0, n - 1))] = True
-    eligible = {nid: p for nid, p, keep in zip(ids, points, picked) if keep}
-    return Deployment(ids, points, [1.0] * n, 6.0, 6.0, radius), eligible
+    eligible = {nid: Point2D(*xy) for nid, *xy, keep in zip(ids, x, y, picked) if keep}
+    return Deployment(ids, x, y, [1.0] * n, 6.0, 6.0, radius), eligible
 
 
 def round_table(dep, eps):

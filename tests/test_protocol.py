@@ -15,7 +15,7 @@ from protocol_reference import (
 )
 
 from optics_coverage import protocol
-from optics_coverage.geometry import CoLocatedSensorsError, Point2D
+from optics_coverage.geometry import CoLocatedSensorsError
 from optics_coverage.network import (
     ACTIVE,
     DEAD,
@@ -45,7 +45,8 @@ def make_deployment(positions, radius=5.0, batteries=None, states=None, width=10
     n = len(positions)
     return Deployment(
         range(n),
-        [Point2D(x, y) for x, y in positions],
+        [x for x, _ in positions],
+        [y for _, y in positions],
         [(batteries or {}).get(i, 1.0) for i in range(n)],
         width,
         width,
@@ -96,8 +97,8 @@ def request_layouts(draw):
         w_battery=draw(st.sampled_from([0.4, 0.0, -1.0])),
         w_neighbors=draw(st.sampled_from([0.3, 0.0])),
     )
-    points = [Point2D(*pos) for pos in positions]
-    dep = Deployment(ids, points, batteries, 10.0, 10.0, 1.0, states=states)
+    x, y = [x for x, _ in positions], [y for _, y in positions]
+    dep = Deployment(ids, x, y, batteries, 10.0, 10.0, 1.0, states=states)
     return dep, ids[sender], allowed, config
 
 
@@ -109,13 +110,26 @@ def rotation_layouts(draw):
     n = draw(st.integers(1, 60))
     rng = random.Random(draw(st.integers(0, 10_000)))
     side = draw(st.sampled_from([15.0, 25.0, 40.0]))
-    positions = [Point2D(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+    x, y = [], []
+    for _ in range(n):
+        x.append(rng.uniform(0, side))
+        y.append(rng.uniform(0, side))
     batteries = [rng.uniform(0.1, 1.0) for _ in range(n)]
     dead = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
     states = [DEAD if i in dead else IDLE for i in range(n)]
     batteries = [0.0 if i in dead else b for i, b in enumerate(batteries)]
     ids = rng.sample(range(10 * n), n)
-    return ids, positions, batteries, side, side, 5.0, None, states
+    return ids, x, y, batteries, side, side, 5.0, None, states
+
+
+def with_states(dep, states):
+    """A new deployment of ``dep``'s columns, with the ``{id: state}``
+    given and every other node's state kept."""
+    kept = [states.get(n.id, n.state) for n in dep.nodes]
+    return Deployment(
+        dep.ids, dep.x, dep.y, dep.battery, dep.region_width, dep.region_height,
+        dep.radius, dep.seed, states=kept,
+    )
 
 
 def replies(current, dep, allowed=None, config=None):
@@ -269,13 +283,12 @@ class TestSelectNext:
         assert replies(0, dep) == [1, 2]
 
     def test_only_idle_neighbors_answer(self):
-        dep = generate_deployment(40, 30, 30, 5, seed=3)
-        table = build_neighbor_table(dep)
-        dep.nodes[0].state = ACTIVE
+        drawn = generate_deployment(40, 30, 30, 5, seed=3)
+        table = build_neighbor_table(drawn)
+        dep = with_states(drawn, {0: ACTIVE})
         # every other node idle: the deployment's own row answers whole
         assert sorted(replies(0, dep)) == sorted(nid for nid, _ in table_row(table, 0))
-        for n in dep.nodes[1:20]:
-            n.state = SLEEPING
+        dep = with_states(dep, dict.fromkeys(range(1, 20), SLEEPING))
         answered = replies(0, dep)
         assert answered
         idle = [nid for nid, _ in table_row(table, 0) if dep.node(nid).state == IDLE]
@@ -552,8 +565,7 @@ class TestRunRound:
     def test_node_set_sleeping_on_an_unrun_field_rejoins_at_round_1(self):
         # isolated nodes, each its own cluster at min_pts = 1: node 2 wakes
         # with 0 rounds left and activates with the others
-        dep = make_deployment([(0, 0), (30, 0), (0, 30), (30, 30)])
-        dep.node(2).state = SLEEPING
+        dep = make_deployment([(0, 0), (30, 0), (0, 30), (30, 30)], states={2: SLEEPING})
         assert dep.sleep_left.tolist() == [0, 0, 0, 0] and dep.rounds_run == 0
         state, _ = run_round(dep, OpticsParams(eps=10, min_pts=1))
         assert state.round_index == 1 and dep.rounds_run == 1
@@ -562,8 +574,7 @@ class TestRunRound:
 
     @pytest.mark.parametrize("sleep_rounds", [1, 3])
     def test_node_set_active_retires_for_sleep_rounds(self, sleep_rounds):
-        dep = generate_deployment(60, 30, 30, 5, seed=2)
-        dep.node(5).state = ACTIVE
+        dep = with_states(generate_deployment(60, 30, 30, 5, seed=2), {5: ACTIVE})
         battery = dep.node(5).battery
         config = ProtocolConfig(sleep_rounds=sleep_rounds)
         state, _ = run_round(dep, OpticsParams(eps=10, min_pts=4), config)
@@ -579,10 +590,9 @@ class TestRunRound:
         # the layouts an input RoundState could once contradict
         dep = generate_deployment(60, 30, 30, 5, seed=2)
         if setup == "every_node_sleeping":
-            for node in dep.nodes:
-                node.state = SLEEPING
+            dep = with_states(dep, dict.fromkeys(range(60), SLEEPING))
         elif setup == "node_5_active":
-            dep.node(5).state = ACTIVE
+            dep = with_states(dep, {5: ACTIVE})
         config = ProtocolConfig(sleep_rounds=2, battery_drain=0.3)
         params = OpticsParams(eps=10, min_pts=4)
         for _ in range(6):
