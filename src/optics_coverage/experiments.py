@@ -25,7 +25,7 @@ from .metrics import (
     write_coverage_grid_csv,
     write_table_csv,
 )
-from .network import Deployment, generate_deployment
+from .network import Deployment, generate_deployment, require_int
 from .optics import OrderedPoint, write_reachability_csv
 from .protocol import (
     AllNodesDeadError,
@@ -216,11 +216,12 @@ def export_plot_data(
 
     Emits one reachability CSV per round plus one coverage 0/1 grid per
     round, reconstructed from the trace's node snapshot. A resolution
-    below 10, a trace field missing, of the wrong type or (for a
-    coordinate) not finite, a node id the header lists twice, or a header
-    radius or region side that is not positive and finite raises
+    that is not an int >= 10, a trace field missing, of the wrong type or
+    (for a coordinate) not finite, a node id the header lists twice, or a
+    header radius or region side that is not positive and finite raises
     ``ValueError`` before anything is written.
     """
+    require_int("resolution", resolution)
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
     trace_path = Path(trace_path)

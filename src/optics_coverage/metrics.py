@@ -12,8 +12,9 @@ One test decides whether a disc covers a cell center, ``dx * dx + dy *
 dy <= radius * radius``, and one helper applies it: it describes each
 disc, column by column, as the run of rows it covers. ``grid_cr`` counts
 the union of the runs without painting a raster; ``coverage_grid`` paints
-them for the plot export. Both raise ``ValueError`` for a radius or a
-region side that is not positive and finite.
+them for the plot export. Both raise ``ValueError`` for a disc center
+that is not finite, a radius or a region side that is not positive and
+finite, or a resolution that is not an int >= 10.
 
 Integer display values follow the ceiling convention: the summary table's
 N (average actives) and R (percent ratio) round up to whole numbers.
@@ -27,6 +28,8 @@ from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
 import numpy as np
+
+from .network import require_int
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,10 @@ class ExperimentSummary:
 
 
 def active_ratio(active: int, deployed: int) -> float:
-    """Active nodes as a percentage of deployed nodes."""
+    """Active nodes as a percentage of deployed nodes; ``ValueError``
+    unless both counts are ints and ``deployed >= 1``."""
+    require_int("active", active)
+    require_int("deployed", deployed)
     if deployed < 1:
         raise ValueError(f"deployed must be >= 1, got {deployed}")
     return 100.0 * active / deployed
@@ -68,8 +74,11 @@ def analytic_cr(active: int, radius: float, area: float) -> float:
     """Summed-disc-area coverage percentage, deliberately uncapped.
 
     Overlap between discs is not subtracted, so values above 100 are
-    possible and expose the formula's optimistic bias.
+    possible and expose the formula's optimistic bias. ``ValueError``
+    unless ``active`` is an int >= 0 and the radius and area are positive
+    and finite.
     """
+    require_int("active", active)
     if active < 0:
         raise ValueError(f"active must be >= 0, got {active}")
     if not (0 < radius < math.inf and 0 < area < math.inf):
@@ -108,11 +117,15 @@ def _column_runs(
     width, height = region
     if not (0 < width < math.inf and 0 < height < math.inf):
         raise ValueError(f"region sides must be positive and finite, got {region}")
+    require_int("resolution", resolution)
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
+    px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    bad = ~(np.isfinite(px) & np.isfinite(py))
+    if bad.any():
+        raise ValueError(f"disc centers must be finite, got ({px[bad][0]}, {py[bad][0]})")
     xs = (np.arange(resolution) + 0.5) * (width / resolution)
     ys = (np.arange(resolution) + 0.5) * (height / resolution)
-    px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     i0 = np.maximum(np.searchsorted(xs, px - radius, side="left") - 1, 0)
     i1 = np.minimum(np.searchsorted(xs, px + radius, side="right") + 1, resolution)
     # the grid row with the smallest dy * dy: the row nearest the center
@@ -181,8 +194,8 @@ def coverage_grid(
     dx, dy from a disc's center have ``dx * dx + dy * dy <= radius *
     radius``. Each disc's covered cells are found column by column as a
     run of rows, and the runs are painted. ``ValueError`` unless ``x``
-    and ``y`` are as long, the radius and both region sides are positive
-    and finite, and ``resolution >= 10``.
+    and ``y`` are as long and finite, the radius and both region sides
+    are positive and finite, and ``resolution`` is an int >= 10.
     """
     column, lo, hi = _column_runs(x, y, radius, region, resolution)
     # +1 at each run's start and -1 past its end, summed along each column

@@ -14,10 +14,13 @@ after deployment, so a deployment keeps each neighbor table it needs, held
 as CSR arrays, in ``tables``, by reach, for every round.
 
 ``neighbor_rows`` builds every ``NeighborTable`` from id and coordinate
-columns, at 2r and at a wider eps, in one numpy pass over grid cells. It
-orders the rows by one int64 key per entry, (row, distance rank, id),
-sorted once; the key bounds a table to n * n * U < 2**63 for n points
-and U distinct pair distances.
+columns, at 2r and at a wider eps, in one numpy pass over grid cells:
+each point, in cell order, proposes the points of half of its 3x3 cell
+block, so every pair is proposed once, and ``geometry.hypot`` gives each
+pair's distance, the float ``math.hypot`` gives. It orders the rows by
+one int64 key per entry, (row, distance rank, id), sorted once; the key
+bounds a table to n * n * U < 2**63 for n points and U distinct pair
+distances.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Point2D
+from .geometry import Point2D, hypot
 from .spatial import cell_side
 
 IDLE = "idle"
@@ -43,9 +46,9 @@ DEAD = "dead"
 STATE_CODE = {IDLE: 0, ACTIVE: 1, SLEEPING: 2, DEAD: 3}
 STATE_NAME = tuple(STATE_CODE)
 
-# query points per numpy pass of ``neighbor_rows``: each pass's arrays stay
-# ~100 kB at the default density; passes of 256 points raised the peak
-# resident memory of a 5k-node round by ~2.5 MB
+# points of the cell order per numpy pass of ``neighbor_rows``: each pass's
+# arrays stay ~100 kB at the default density; passes of 256 points raised
+# the peak resident memory of a 5k-node round by ~2.5 MB
 ROW_CHUNK = 64
 
 # the int64 key that orders a table's entries holds values below 2**63
@@ -288,11 +291,14 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
     columns have one entry per point, and every coordinate is finite.
 
     A pair's distance is one float, ``math.hypot(x_b - x_a, y_b - y_a)``
-    with a the lower id, held by both rows, and the pair is kept iff it is
-    <= radius. numpy only proposes candidates, ROW_CHUNK query points at a
-    time: from each point's 3x3 cell block, those with a higher id whose
-    squared distance is within the cell side squared (a superset of the
-    kept pairs).
+    for its points a and b, held by both rows, and the pair is kept iff it
+    is <= radius; ``geometry.hypot`` gives that float for a whole chunk of
+    pairs. numpy only proposes candidates, ROW_CHUNK points of the cell
+    order at a time: each point proposes the rest of its own cell and the
+    cell above it, and the three cells of the next column, so each pair
+    of the 3x3 cell blocks is proposed once, and a candidate is kept for
+    its distance when its squared distance is within the cell side
+    squared (a superset of the kept pairs).
 
     Each directed entry gets one int64 key, (row, distance rank, id) as
     ``(row * U + rank) * n + id`` with rank the dense rank of its distance
@@ -309,7 +315,7 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
     if n == 0:
         no_pairs = np.empty(0, dtype=np.intp)
         return NeighborTable(ids, np.zeros(1, dtype=np.intp), no_pairs, np.empty(0), radius)
-    # index i is the i-th smallest id, so "higher id" is "higher index"
+    # index i is the i-th smallest id, so the keys order entries by id
     if ids.dtype.kind not in "iu" or (ids[1:] <= ids[:-1]).any():
         raise ValueError("ids must be strictly increasing ints")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -317,32 +323,34 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
     cell = cell_side(radius)
     cx, cy = _cell_ranks(x, cell), _cell_ranks(y, cell)
     # key (column, row) -> column * span + row; rows run 0..span - 2, so a
-    # query's row range [cy - 1, cy + 1] never reaches another column
+    # row range [cy - 1, cy + 1] never reaches another column
     span = int(cy.max()) + 2
     key = cx * span + cy
     by_cell = np.argsort(key, kind="stable")
     sorted_key = key[by_cell]
+    # the half stencil of the point at each position of the cell order, as
+    # two runs of positions [lo, hi): the rest of its own cell and the cell
+    # above it (keys k and k + 1), and the next column's three cells (keys
+    # k + span - 1 to k + span + 1). The other four neighboring cells
+    # propose the point, so every pair is proposed once.
+    lo = np.stack((np.arange(1, n + 1), np.searchsorted(sorted_key, sorted_key + (span - 1))), 1)
+    hi = np.searchsorted(sorted_key, sorted_key[:, None] + [1, span + 1], side="right")
+    runs = hi - lo
+    proposed = runs.sum(axis=1)
     reach2 = cell * cell
     pairs = []
     for start in range(0, n, ROW_CHUNK):
-        q = np.arange(start, min(start + ROW_CHUNK, n))
-        # one contiguous run of the cell order per neighboring column
-        base = (cx[q, None] + np.array([-1, 0, 1])) * span + cy[q, None]
-        lo = np.searchsorted(sorted_key, base - 1, side="left").ravel()
-        hi = np.searchsorted(sorted_key, base + 1, side="right").ravel()
-        counts = hi - lo
+        chunk = slice(start, start + ROW_CHUNK)
+        counts = runs[chunk].ravel()
         offsets = np.cumsum(counts) - counts
-        pos = np.arange(counts.sum()) + np.repeat(lo - offsets, counts)
-        a = np.repeat(np.repeat(q, 3), counts)
-        b = by_cell[pos]
-        keep = b > a
-        a, b = a[keep], b[keep]
+        pos = np.arange(counts.sum()) + np.repeat(lo[chunk].ravel() - offsets, counts)
+        a, b = np.repeat(by_cell[chunk], proposed[chunk]), by_cell[pos]
         dx, dy = x[b] - x[a], y[b] - y[a]
         keep = dx * dx + dy * dy <= reach2
         a, b = a[keep], b[keep]
-        # a float64 difference is the same float in numpy as in Python
-        dists = map(math.hypot, dx[keep].tolist(), dy[keep].tolist())
-        d = np.fromiter(dists, dtype=float, count=len(a))
+        # math.hypot's floats, and hypot(-u, -v) is hypot(u, v): which
+        # point of a pair comes first does not change its distance
+        d = hypot(dx[keep], dy[keep])
         within = d <= radius
         pairs.append((a[within], b[within], d[within]))
     a, b, d = (np.concatenate(column) for column in zip(*pairs))

@@ -394,6 +394,13 @@ class TestPlotDataCommand:
             export_plot_data(trace, out, 3)
         assert not out.exists()
 
+    @pytest.mark.parametrize("resolution", [10.5, 50.0, True])
+    def test_library_non_int_resolution_writes_nothing(self, trace, tmp_path, resolution):
+        out = tmp_path / "plots"
+        with pytest.raises(ValueError, match="resolution must be an int"):
+            export_plot_data(trace, out, resolution)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [("region", [-50.0, 50.0]), ("region", [0.0, 50.0]), ("region", [50.0, 1e400]),

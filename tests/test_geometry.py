@@ -3,12 +3,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from optics_coverage.geometry import (
     CoLocatedSensorsError,
     Point2D,
     euclidean_distance,
+    hypot,
     overlap_angle,
 )
 
@@ -48,6 +49,69 @@ class TestEuclideanDistance:
         lhs = euclidean_distance(a, c)
         rhs = euclidean_distance(a, b) + euclidean_distance(b, c)
         assert lhs <= rhs + 1e-9 * max(1.0, rhs)
+
+
+def python_hypot(dx, dy):
+    """``math.hypot`` of each pair, the floats ``hypot`` must return."""
+    return np.array([math.hypot(u, v) for u, v in zip(dx, dy)], dtype=float)
+
+
+def assert_same_floats(got, want):
+    """Bit for bit: the same sign of zero, and NaN where NaN is wanted."""
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), [
+        (i, got[i], want[i]) for i in np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    ][:5]
+
+
+# the edges of the scaled path: 0, subnormals, the least normal, and both
+# sides of 2**-1000 and 2**1000, where math.hypot takes over
+EDGES = [
+    0.0, -0.0, 5e-324, 2.0**-1060, 2.0**-1022, 2.0**-1000,
+    math.nextafter(2.0**-1000, 0), math.nextafter(2.0**-1000, 1),
+    2.0**1000, math.nextafter(2.0**1000, 0), math.nextafter(2.0**1000, math.inf),
+    1.7976931348623157e308, 1.0, 3.0, 4.0,
+]
+any_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES)
+
+
+class TestHypot:
+    @given(st.lists(st.tuples(any_float, any_float), max_size=40))
+    @example([(3.0, 4.0), (0.0, -0.0), (-0.0, 0.0), (5e-324, 5e-324), (2.0**-1000, 1.0)])
+    @example([(2.0**1000, 2.0**1000), (1.7976931348623157e308, 1.7976931348623157e308)])
+    @example([(a, b) for a in EDGES for b in EDGES])
+    @example([])
+    def test_equals_math_hypot_bit_for_bit(self, pairs):
+        dx = np.array([u for u, _ in pairs], dtype=float)
+        dy = np.array([v for _, v in pairs], dtype=float)
+        assert_same_floats(hypot(dx, dy), python_hypot(dx, dy))
+
+    def test_deployment_like_differences(self):
+        # pair differences of a 158 m field at reach 10: the table's inputs
+        rng = np.random.default_rng(20)
+        x, y = rng.uniform(0, 158.1, (2, 100_000))
+        dx = (x + rng.uniform(-10, 10, x.size)) - x
+        dy = (y + rng.uniform(-10, 10, y.size)) - y
+        assert_same_floats(hypot(dx, dy), python_hypot(dx, dy))
+
+    def test_non_finite_entries_as_math_hypot(self):
+        dx = np.array([math.nan, math.inf, -math.inf, math.nan, 3.0, 0.0])
+        dy = np.array([1.0, math.nan, 2.0, math.nan, 4.0, 0.0])
+        assert_same_floats(hypot(dx, dy), python_hypot(dx, dy))
+
+    def test_math_hypot_answers_outside_the_scaled_range(self, monkeypatch):
+        asked, exact = [], math.hypot
+
+        def spy(u, v):
+            asked.append((u, v))
+            return exact(u, v)
+
+        monkeypatch.setattr(math, "hypot", spy)
+        dx = np.array([3.0, 0.0, 2.0**-1000, 2.0**1000, 1.5])
+        dy = np.array([4.0, -0.0, 2.0**-1001, 1.0, 2.0**-1100])
+        got = hypot(dx, dy)
+        assert asked == [(0.0, -0.0), (2.0**-1000, 2.0**-1001), (2.0**1000, 1.0)]
+        assert got.tolist() == [5.0, 0.0, *[exact(*pair) for pair in asked[1:]], 1.5]
 
 
 class TestOverlapAngle:

@@ -101,6 +101,16 @@ class TestActiveRatio:
         with pytest.raises(ValueError):
             active_ratio(1, 0)
 
+    @pytest.mark.parametrize("name", ["active", "deployed"])
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 5.0, True])
+    def test_counts_must_be_ints(self, name, value):
+        counts = {"active": 5, "deployed": 100, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            active_ratio(**counts)
+
+    def test_numpy_int_counts_accepted(self):
+        assert active_ratio(np.int64(33), np.int32(100)) == 33
+
 
 class TestAnalyticCr:
     def test_reference_value(self):
@@ -116,6 +126,14 @@ class TestAnalyticCr:
         one = analytic_cr(1, 5, 2500)
         for k in (2, 7, 40):
             assert analytic_cr(k, 5, 2500) == pytest.approx(k * one)
+
+    @pytest.mark.parametrize("active", [math.nan, 2.5, 31.0, True])
+    def test_active_must_be_an_int(self, active):
+        with pytest.raises(ValueError, match="active must be an int"):
+            analytic_cr(active, 5, 2500)
+
+    def test_numpy_int_active_accepted(self):
+        assert analytic_cr(np.int64(31), 5, 2500) == analytic_cr(31, 5, 2500)
 
     @pytest.mark.parametrize("name", ["radius", "area"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
@@ -139,6 +157,26 @@ class TestGridCr:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             grid_cr([], [], 5, (50, 50), 9)
+
+    @pytest.mark.parametrize("resolution", [10.5, 50.0, "50", True])
+    @pytest.mark.parametrize("measure", [grid_cr, coverage_grid])
+    def test_resolution_must_be_an_int(self, measure, resolution):
+        with pytest.raises(ValueError, match="resolution must be an int"):
+            measure([25.0], [25.0], 5, (50, 50), resolution)
+
+    def test_numpy_int_resolution_accepted(self):
+        assert grid_cr([25.0], [25.0], 5, (50, 50), np.int64(200)) == grid_cr(
+            [25.0], [25.0], 5, (50, 50), 200
+        )
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("measure", [grid_cr, coverage_grid])
+    def test_disc_centers_must_be_finite(self, measure, axis, bad):
+        centers = {"x": [25.0, 10.0], "y": [25.0, 10.0]}
+        centers[axis][1] = bad
+        with pytest.raises(ValueError, match="disc centers must be finite"):
+            measure(centers["x"], centers["y"], 5, (50, 50), 50)
 
     def test_convergence_with_resolution(self):
         rng = random.Random(31)

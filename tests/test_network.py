@@ -26,6 +26,7 @@ from optics_coverage.network import (
 )
 from optics_coverage.optics import OpticsParams
 from optics_coverage.protocol import AllNodesDeadError, ProtocolConfig, iterate_rounds, run_round
+from optics_coverage.spatial import cell_side
 
 
 def make_deployment(positions, radius=5.0, battery=1.0, ids=None):
@@ -329,6 +330,60 @@ class TestNeighborTable:
             assert entries == sorted(entries)
             assert i not in table.index[row]
             assert table_degree(table, pid) == len(entries)
+
+
+class TestHalfStencil:
+    """``neighbor_rows`` proposes each pair once, from the point earlier in
+    the cell order: the rest of its own cell and the cell above it, then
+    the next column's three cells. Each field below is compared with
+    ``reference_rows``, a brute-force scan by ``math.hypot``."""
+
+    REACH = 10.0
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_ids_against_the_cell_order(self, order):
+        dep = generate_deployment(300, 60, 60, 5, seed=9)
+        # by x, then y: by cell column, then row, as the cell order runs
+        spots = sorted(zip(dep.x.tolist(), dep.y.tolist()))
+        ids = list(range(len(spots)))[::-1]
+        if order == "shuffled":
+            ids = random.Random(9).sample(range(10**6), len(spots))
+        points = {pid: Point2D(x, y) for pid, (x, y) in zip(ids, spots)}
+        assert points_table(points, self.REACH).neighbors == reference_rows(points, self.REACH)
+
+    def test_every_point_in_one_cell(self):
+        rng = random.Random(5)
+        points = {pid: Point2D(rng.uniform(0, 7), rng.uniform(0, 7)) for pid in range(40)}
+        table = points_table(points, self.REACH)
+        assert table.neighbors == reference_rows(points, self.REACH)
+        # at most 7 * sqrt(2) apart: every pair is a neighbor pair
+        assert len(table.index) == 40 * 39
+
+    def test_co_located_twins_in_one_cell(self):
+        rng = random.Random(6)
+        copies = [1, 2, 3, 4, 1, 2, 3, 4]
+        spots = [Point2D(rng.uniform(0, 7), rng.uniform(0, 7)) for _ in copies]
+        positions = [spot for spot, m in zip(spots, copies) for _ in range(m)]
+        ids = rng.sample(range(1000), len(positions))
+        points = dict(zip(ids, positions))
+        table = points_table(points, self.REACH)
+        assert table.neighbors == reference_rows(points, self.REACH)
+        assert int((table.distance == 0.0).sum()) == sum(m * (m - 1) for m in copies)
+
+    def test_points_on_cell_edges_in_all_eight_directions(self):
+        side = cell_side(self.REACH)
+        # just below, on, and between the edges of the cell [side, 2 * side)
+        # along each axis, and a point at the origin, where cells count from
+        edges = [math.nextafter(side, 0), side, 1.5 * side, math.nextafter(2 * side, 0), 2 * side]
+        positions = [Point2D(0.0, 0.0)] + [Point2D(x, y) for x in edges for y in edges]
+        points = dict(enumerate(positions))
+        table = points_table(points, self.REACH)
+        assert table.neighbors == reference_rows(points, self.REACH)
+        cx = _cell_ranks(np.array([p.x for p in positions]), side)
+        cy = _cell_ranks(np.array([p.y for p in positions]), side)
+        rows = np.repeat(np.arange(len(positions)), table.degrees)
+        steps = set(zip((cx[table.index] - cx[rows]).tolist(), (cy[table.index] - cy[rows]).tolist()))
+        assert steps == {(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)}
 
 
 def columns(n=3, battery=1.0, ids=None, states=None):
