@@ -33,6 +33,7 @@ from .optics import (
     ClusterAssignment,
     OpticsParams,
     OrderedPoint,
+    Ordering,
     extract_clusters,
     optics_order,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "NeighborTable",
     "OpticsParams",
     "OrderedPoint",
+    "Ordering",
     "Point2D",
     "ProtocolConfig",
     "RoundReport",

@@ -26,7 +26,7 @@ from .metrics import (
     write_table_csv,
 )
 from .network import Deployment, generate_deployment, require_int
-from .optics import OrderedPoint, write_reachability_csv
+from .optics import Ordering, write_reachability_csv
 from .protocol import (
     AllNodesDeadError,
     RoundState,
@@ -239,20 +239,13 @@ def export_plot_data(
         frames = [
             (
                 int(record["round_index"]),
-                [
-                    OrderedPoint(
-                        point_id=int(pid),
-                        order_index=idx,
-                        reachability=None if reach is None else float(reach),
-                        core_distance=None if core is None else float(core),
-                    )
-                    for idx, (pid, reach, core) in enumerate(record["ordering"])
-                ],
+                # each row unpacks to exactly three fields; null reads as NaN
+                Ordering(*zip(*[(pid, reach, core) for pid, reach, core in record["ordering"]])),
                 [positions[nid] for nid in record["active"]],
             )
             for record in rounds
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed trace field: {exc!r}") from exc
     if len(positions) < len(header["nodes"]):
         raise ValueError("the trace header lists a node id twice")

@@ -54,11 +54,12 @@ def overlap_angle(d: float, r: float) -> float:
 
     Raises:
         CoLocatedSensorsError: if ``d == 0``.
-        ValueError: if ``d < 0`` or ``r <= 0``.
+        ValueError: if ``d`` is negative or NaN, or ``r`` is not positive
+            and finite.
     """
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    if d < 0:
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
+    if not d >= 0:
         raise ValueError(f"distance must be non-negative, got {d}")
     if d == 0:
         raise CoLocatedSensorsError("coincident disc centers (d = 0)")

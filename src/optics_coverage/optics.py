@@ -11,11 +11,20 @@ min_pts, so ``OpticsParams`` holds all three.
 Neighborhoods are the distance-sorted CSR rows of a given ``NeighborTable``,
 cut at eps and to a mask of the nodes to order (a round's idle ones):
 numpy finds all core distances, and every table entry's offer, in one pass.
-An emitted core point lowers ``seeds`` to ``min(seeds, offer + closed)``
-over its row, and one ``argmin`` takes the next point. Determinism rules
-(needed for reproducible runs and reference comparison): the next start
-point is the lowest unprocessed id, and equal reachabilities in the seed
-queue break toward the lower id.
+A point's core entry is found among the positions of the table's eligible
+entries within eps, by one ``searchsorted`` of the row starts. An emitted
+core point lowers ``seeds`` to ``min(seeds, offer + closed)`` over its row,
+and one ``argmin`` takes the next point. Determinism rules (needed for
+reproducible runs and reference comparison): the next start point is the
+lowest unprocessed id, and equal reachabilities in the seed queue break
+toward the lower id.
+
+The ordering is an ``Ordering``: three read-only columns in emission order,
+the ids, the reachabilities (NaN for a group starter) and the core
+distances (NaN for a non-core point). The emit loop appends one slot and
+one reachability per point, the cluster cut is array work over the
+columns, and the trace and CSV writers format the columns' ``.tolist()``
+values.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -61,7 +70,7 @@ class OpticsParams:
 
 
 class OrderedPoint(NamedTuple):
-    """One slot of the output ordering.
+    """One slot of the ordering, as iterating an ``Ordering`` yields it.
 
     ``reachability`` is None for the first point of each density-connected
     group; ``core_distance`` is None for non-core points.
@@ -71,6 +80,71 @@ class OrderedPoint(NamedTuple):
     order_index: int
     reachability: float | None
     core_distance: float | None
+
+
+@dataclass(frozen=True, eq=False)
+class Ordering:
+    """The ordering as three read-only columns in emission order: ``ids``
+    (int64), ``reachability`` (float64, NaN for a group starter) and
+    ``core_distance`` (float64, NaN for a non-core point).
+
+    The columns are converted to those dtypes, None read as NaN, and must
+    be one-dimensional and of one length (``ValueError`` otherwise);
+    ``Ordering()`` is the empty ordering. Two orderings are equal when
+    their columns are, NaN equal to NaN. ``len`` counts the points.
+    Iterating yields an ``OrderedPoint`` per point, built as it is
+    iterated: that view stays only for readers that still walk points,
+    ``perfbench/workloads.py``'s round checks, and goes with
+    ``OrderedPoint`` once they read the columns.
+    """
+
+    ids: np.ndarray = ()
+    reachability: np.ndarray = ()
+    core_distance: np.ndarray = ()
+
+    def __post_init__(self):
+        # copies, so that no caller's array turns read-only or changes them
+        columns = (
+            np.array(self.ids, dtype=np.int64),
+            np.array(self.reachability, dtype=np.float64),
+            np.array(self.core_distance, dtype=np.float64),
+        )
+        if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
+            raise ValueError("an ordering's columns must be 1-D and of one length")
+        for name, column in zip(("ids", "reachability", "core_distance"), columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ordering):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b, equal_nan=True)
+            for a, b in zip(self.columns(), other.columns())
+        )
+
+    def __iter__(self) -> Iterator[OrderedPoint]:
+        for k, (pid, reach, core) in enumerate(self.rows()):
+            yield OrderedPoint(pid, k, reach, core)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.ids, self.reachability, self.core_distance
+
+    def rows(self) -> Iterator[tuple[int, float | None, float | None]]:
+        """(id, reachability, core distance) per point as Python values,
+        None for NaN: what the trace and CSV writers format."""
+        return zip(
+            self.ids.tolist(),
+            map(_none_for_nan, self.reachability.tolist()),
+            map(_none_for_nan, self.core_distance.tolist()),
+        )
+
+
+def _none_for_nan(value: float) -> float | None:
+    return None if value != value else value
 
 
 @dataclass(frozen=True)
@@ -87,12 +161,12 @@ class ClusterAssignment:
 
 def optics_order(
     table: NeighborTable, params: OpticsParams, eligible: np.ndarray
-) -> list[OrderedPoint]:
+) -> Ordering:
     """Emit once every node of ``table`` that the bool mask ``eligible``
     marks, ordered by expansion from core points.
 
     Each emitted point carries the smallest reachability distance seen from
-    any core point processed before it; group starters carry None. A
+    any core point processed before it; group starters carry NaN. A
     point's eps-neighborhood is itself at 0.0 plus its eligible row entries
     within eps. ``ValueError`` if eps is wider than ``table.radius``, or
     the mask is not bool, not one entry per node, or marks none.
@@ -109,17 +183,19 @@ def optics_order(
         raise ValueError("eligible must mark at least one node")
     beyond = distance > eps
     # core distance: the (min_pts - 1)-th eligible entry within eps of the
-    # distance-sorted row, the point itself at 0.0 being the first
+    # distance-sorted row, the point itself at 0.0 being the first. ``pos``
+    # holds the positions of the eligible entries within eps, and ends in
+    # len(index), past every row, for a row that has too few
     core = np.full(len(ids), math.nan)
     if params.min_pts == 1:
         core[members] = 0.0
     else:
-        counted = np.concatenate(([0], np.cumsum(eligible[index] & ~beyond)))
-        at = np.searchsorted(counted, counted[indptr[members]] + params.min_pts - 1) - 1
+        pos = np.append(np.flatnonzero(eligible[index] & ~beyond), len(index))
+        at = np.searchsorted(pos, indptr[members]) + params.min_pts - 2
+        at = pos[np.minimum(at, len(pos) - 1)]
         core_point = at < indptr[members + 1]
         core[members[core_point]] = distance[at[core_point]]
-    core_of = [None if math.isnan(cd) else cd for cd in core.tolist()]
-    id_of, bounds = ids.tolist(), indptr.tolist()
+    is_core, bounds = (~np.isnan(core)).tolist(), indptr.tolist()
     # each entry's offer: max(distance, its row point's core distance), +inf
     # beyond eps; built in place (NaN on non-core rows, which never relax)
     offer = np.repeat(core, table.degrees)
@@ -132,71 +208,51 @@ def optics_order(
     # every other. argmin takes the first of equal minima and positions follow
     # id order, so ties go to the lower id.
     seeds = np.full(len(ids), math.inf)
-    order: list[OrderedPoint] = []
-
-    def emit(i: int, reachability: float | None) -> None:
-        seeds[i] = closed[i] = math.inf
-        cd = core_of[i]
-        order.append(OrderedPoint(id_of[i], len(order), reachability, cd))
-        if cd is not None:
-            a, b = bounds[i], bounds[i + 1]
-            q = index[a:b]
-            seeds[q] = np.minimum(seeds[q], offer[a:b] + closed[q])
-
+    slots: list[int] = []
+    reach: list[float] = []
     for start in members.tolist():
         if closed[start] == 0.0:  # no earlier group reached it
-            q, r = start, None
+            q, r = start, math.nan
             while r != math.inf:
-                emit(q, r)
+                seeds[q] = closed[q] = math.inf
+                slots.append(q)
+                reach.append(r)
+                if is_core[q]:
+                    a, b = bounds[q], bounds[q + 1]
+                    row = index[a:b]
+                    seeds[row] = np.minimum(seeds[row], offer[a:b] + closed[row])
                 q = int(seeds.argmin())
                 r = seeds.item(q)
-    return order
+    emitted = np.array(slots)
+    return Ordering(ids[emitted], reach, core[emitted])
 
 
-def extract_clusters(
-    ordering: list[OrderedPoint], eps_prime: float
-) -> ClusterAssignment:
+def extract_clusters(ordering: Ordering, eps_prime: float) -> ClusterAssignment:
     """Cut the ordering at a horizontal reachability threshold.
 
-    Consecutive points with reachability <= eps_prime form a cluster; a
-    point above the cut (or with undefined reachability) starts a fresh
-    cluster when its own core distance is within the cut, and is an
-    outlier otherwise.
+    A point whose reachability is NaN or above eps_prime starts a segment:
+    it joins the segment when its own core distance is within the cut, and
+    is an outlier otherwise. Every other point joins its segment. Each
+    segment with a member is a cluster, numbered in order, its members in
+    emission order.
     """
     if not 0 < eps_prime < math.inf:
         raise ValueError(f"eps_prime must be positive and finite, got {eps_prime}")
-    clusters: list[Cluster] = []
-    outliers: set[int] = set()
-    current: list[int] = []
-
-    def close_current() -> None:
-        if current:
-            clusters.append(Cluster(len(clusters), tuple(current)))
-            current.clear()
-
-    for op in ordering:
-        if op.reachability is not None and op.reachability <= eps_prime:
-            current.append(op.point_id)
-        else:
-            close_current()
-            if op.core_distance is not None and op.core_distance <= eps_prime:
-                current.append(op.point_id)
-            else:
-                outliers.add(op.point_id)
-    close_current()
-    return ClusterAssignment(clusters, outliers)
+    ids, reach, core = ordering.columns()
+    starts = ~(reach <= eps_prime)
+    joins = ~starts | (core <= eps_prime)
+    members = ids[joins].tolist()
+    # a cluster ends wherever the segment changes between consecutive members
+    segment = np.cumsum(starts)[joins]
+    edges = [0, *(np.flatnonzero(segment[1:] != segment[:-1]) + 1).tolist(), len(members)]
+    clusters = [
+        Cluster(k, tuple(members[a:b])) for k, (a, b) in enumerate(zip(edges, edges[1:]))
+    ]
+    return ClusterAssignment(clusters if members else [], set(ids[~joins].tolist()))
 
 
-def write_reachability_csv(ordering: list[OrderedPoint], out: IO[str]) -> None:
-    """Plot-ready dump of the ordering; None encodes as an empty field."""
+def write_reachability_csv(ordering: Ordering, out: IO[str]) -> None:
+    """Plot-ready dump of the ordering; NaN encodes as an empty field."""
     writer = csv.writer(out)
     writer.writerow(["order_index", "point_id", "reachability", "core_distance"])
-    for op in ordering:
-        writer.writerow(
-            [
-                op.order_index,
-                op.point_id,
-                "" if op.reachability is None else repr(op.reachability),
-                "" if op.core_distance is None else repr(op.core_distance),
-            ]
-        )
+    writer.writerows((k, *row) for k, row in enumerate(ordering.rows()))

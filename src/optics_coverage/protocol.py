@@ -57,7 +57,7 @@ from .network import (
     neighbor_rows,
     require_int,
 )
-from .optics import Cluster, OpticsParams, OrderedPoint, extract_clusters, optics_order
+from .optics import Cluster, OpticsParams, Ordering, extract_clusters, optics_order
 
 TWO_PI = 2 * math.pi
 IDLE_CODE, ACTIVE_CODE, SLEEPING_CODE, DEAD_CODE = (STATE_CODE[s] for s in STATE_NAME)
@@ -131,7 +131,7 @@ class RoundState:
     # sleeping node id -> rounds left before it returns to the idle pool
     sleeping: dict[int, int] = field(default_factory=dict)
     trees: list[SelectionTree] = field(default_factory=list)
-    ordering: list[OrderedPoint] = field(default_factory=list)
+    ordering: Ordering = field(default_factory=Ordering)
 
 
 def choose_initial_sensor(cluster: Cluster, deployment: Deployment) -> int:
@@ -317,7 +317,7 @@ def run_round(
 
     idle = codes == IDLE_CODE
     trees: list[SelectionTree] = []
-    ordering: list[OrderedPoint] = []
+    ordering = Ordering()
     try:
         if idle.any():
             # an eps up to 2r orders over the 2r table
@@ -382,7 +382,9 @@ def write_trace(
     """JSON-lines trace: a header record, then one record per round.
 
     The header snapshots node positions so the trace can be replayed and
-    plotted without the original deployment.
+    plotted without the original deployment. A round's ordering is written
+    as ``[id, reachability, core distance]`` rows, null where the column
+    holds NaN.
     """
     columns = deployment.ids.tolist(), deployment.x.tolist(), deployment.y.tolist()
     header = {
@@ -413,10 +415,7 @@ def write_trace(
                 "analytic_cr": report.analytic_cr,
                 "grid_cr": report.grid_cr,
             },
-            "ordering": [
-                [op.point_id, op.reachability, op.core_distance]
-                for op in state.ordering
-            ],
+            "ordering": list(state.ordering.rows()),
         }
         out.write(json.dumps(record) + "\n")
 

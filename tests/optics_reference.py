@@ -13,7 +13,13 @@ lowest unprocessed id, and equal seed reachabilities resolve to the
 lower id.
 
 ``points_table`` is how the tests build a table of ``{id: Point2D}``
-points, and ``order_points`` how they order such points with the library.
+points, ``order_points`` how they order such points with the library, and
+``as_rows`` how they read an ``Ordering``'s columns as the reference's
+rows.
+
+``reference_clusters`` is the oracle for ``extract_clusters``'s array
+cut: the point-by-point loop that cut the ordering before it was held as
+columns.
 """
 
 from __future__ import annotations
@@ -41,6 +47,16 @@ def order_points(points, params, table=None):
     if table is None or params.eps > table.radius:
         table = points_table(points, params.eps)
     return optics_order(table, params, np.isin(table.ids, list(points)))
+
+
+def as_rows(ordering):
+    """The ordering's columns as ``[(point_id, reachability, core_distance), ...]``
+    with Python values, None for NaN: ``reference_optics``'s format."""
+    ids, reach, core = ordering.ids, ordering.reachability, ordering.core_distance
+    return [
+        (pid, None if math.isnan(r) else r, None if math.isnan(cd) else cd)
+        for pid, r, cd in zip(ids.tolist(), reach.tolist(), core.tolist())
+    ]
 
 
 def reference_optics(
@@ -100,3 +116,35 @@ def reference_optics(
                 break
             process(q, reach[q])
     return out
+
+
+def reference_clusters(rows, eps_prime):
+    """Cut ``[(point_id, reachability, core_distance), ...]`` rows, None
+    for undefined, at ``eps_prime``: ``(clusters, outliers)``, each cluster
+    a tuple of ids.
+
+    Consecutive points with reachability <= eps_prime form a cluster; a
+    point above the cut (or with undefined reachability) starts a fresh
+    cluster when its own core distance is within the cut, and is an
+    outlier otherwise.
+    """
+    clusters: list[tuple[int, ...]] = []
+    outliers: set[int] = set()
+    current: list[int] = []
+
+    def close_current() -> None:
+        if current:
+            clusters.append(tuple(current))
+            current.clear()
+
+    for point_id, reachability, core_distance in rows:
+        if reachability is not None and reachability <= eps_prime:
+            current.append(point_id)
+        else:
+            close_current()
+            if core_distance is not None and core_distance <= eps_prime:
+                current.append(point_id)
+            else:
+                outliers.add(point_id)
+    close_current()
+    return clusters, outliers

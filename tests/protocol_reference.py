@@ -30,9 +30,10 @@ deployment's views and writing its ``state_code``, ``battery`` and
 wakes each sleeper and retires each active one, collects the idle nodes
 into the eligible dict and orders it with ``order_points`` over a 2r
 table built for the round (a table of its own at an eps wider than 2r),
-takes the union of the tree nodes as the actives, and drains each new
-active's battery, clamped at zero; an empty battery kills the node. It
-is the oracle for ``run_round``'s masked writes over the arrays.
+cuts it with ``reference_clusters``, takes the union of the tree nodes
+as the actives, and drains each new active's battery, clamped at zero;
+an empty battery kills the node. It is the oracle for ``run_round``'s
+masked writes over the arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import math
 from collections import deque
 
 from network_reference import table_degree, table_row
-from optics_reference import order_points
+from optics_reference import as_rows, order_points, reference_clusters
 
 from optics_coverage.geometry import CoLocatedSensorsError, euclidean_distance, overlap_angle
 from optics_coverage.metrics import RoundReport, active_ratio, analytic_cr, grid_cr
@@ -53,7 +54,7 @@ from optics_coverage.network import (
     STATE_CODE,
     build_neighbor_table,
 )
-from optics_coverage.optics import extract_clusters
+from optics_coverage.optics import Cluster, Ordering
 from optics_coverage.protocol import (
     AllNodesDeadError,
     ProtocolConfig,
@@ -179,11 +180,12 @@ def reference_run_round(deployment, params, config):
     sleeping = {n.id: int(left[n.slot]) for n in deployment.nodes if n.state == SLEEPING}
 
     eligible = {n.id: n.position for n in deployment.nodes if n.state == IDLE}
-    trees, ordering = [], []
+    trees, ordering = [], Ordering()
     if eligible:
         ordering = order_points(eligible, params, build_neighbor_table(deployment))
-        for cluster in extract_clusters(ordering, params.eps_prime).clusters:
-            trees.append(cover_cluster(cluster, deployment, config))
+        clusters, _ = reference_clusters(as_rows(ordering), params.eps_prime)
+        for k, members in enumerate(clusters):
+            trees.append(cover_cluster(Cluster(k, members), deployment, config))
 
     active = set()
     for tree in trees:

@@ -22,7 +22,7 @@ from optics_coverage.network import Deployment, generate_deployment
 from optics_coverage.optics import OpticsParams, extract_clusters
 from optics_coverage.protocol import iterate_rounds
 
-from optics_reference import order_points, reference_optics
+from optics_reference import as_rows, order_points, reference_optics
 
 REFERENCE_TRIALS = {
     100: (27, 32, 40),
@@ -246,7 +246,7 @@ def test_criterion_4_ordering_matches_bruteforce_reference():
         expected = reference_optics(
             {i: (p.x, p.y) for i, p in points.items()}, eps, min_pts
         )
-        if [(o.point_id, o.reachability, o.core_distance) for o in got] != expected:
+        if as_rows(got) != expected:
             mismatched += 1
     ok = _verdict(
         "criterion 4: ordering equals brute-force reference on 200 datasets",

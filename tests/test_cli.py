@@ -441,9 +441,19 @@ class TestPlotDataCommand:
             '{"type": "header", "region": [10, 10], "radius": 1,'
             ' "nodes": [[0, 1, 1], [1, 2, 2], [0, 1000.0, 1000.0]]}\n'
             '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, null]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[null, null, 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0],'
+            ' "ordering": [[0, null, 1], [1, "far", 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[1e30, null, 1]]}\n',
         ],
         ids=["null-coordinate", "array-header", "path-round-index", "nan-coordinate",
-             "infinite-coordinate", "repeated-node-id"],
+             "infinite-coordinate", "repeated-node-id", "short-ordering-row",
+             "null-ordering-id", "text-reachability", "ordering-id-past-int64"],
     )
     def test_malformed_trace_exits_2_as_bad_trace(self, text, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -141,6 +141,20 @@ class TestOverlapAngle:
         with pytest.raises(ValueError):
             overlap_angle(1, 0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -1.0])
+    def test_radius_must_be_positive_and_finite(self, r):
+        # a NaN radius read 0.0 and an infinite one pi/2
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            overlap_angle(1, r)
+
+    def test_nan_distance_rejected(self):
+        # it read 0.0, as if the discs were disjoint
+        with pytest.raises(ValueError, match="distance must be non-negative, got nan"):
+            overlap_angle(math.nan, 5)
+
+    def test_infinite_distance_is_disjoint(self):
+        assert overlap_angle(math.inf, 5) == 0.0
+
     def test_monotone_non_increasing_in_d(self):
         r = 5.0
         rng = random.Random(123)

@@ -4,20 +4,28 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from optics_coverage.geometry import Point2D
 from optics_coverage.network import Deployment, build_neighbor_table
 from optics_coverage.optics import (
+    Cluster,
     OpticsParams,
     OrderedPoint,
+    Ordering,
     extract_clusters,
     optics_order,
     write_reachability_csv,
 )
 from optics_coverage.spatial import GridIndex, brute_force_query
 
-from optics_reference import order_points, points_table, reference_optics
+from optics_reference import (
+    as_rows,
+    order_points,
+    points_table,
+    reference_clusters,
+    reference_optics,
+)
 
 
 def line_points(xs):
@@ -81,6 +89,27 @@ def lattice_layouts(draw):
     return Deployment(ids, x, y, [1.0] * n, 6.0, 6.0, radius), eligible
 
 
+@st.composite
+def cut_columns(draw):
+    """Ordering columns and a cut: reachabilities and core distances drawn
+    NaN (None), exactly at the cut, a float either side of it, or anywhere
+    in [0, 2 * cut] or at +inf, under distinct ids."""
+    eps_prime = draw(st.sampled_from([0.25, 1.0, 2.5]))
+    value = st.one_of(
+        st.none(),
+        st.sampled_from(
+            [eps_prime, math.nextafter(eps_prime, 0), math.nextafter(eps_prime, math.inf)]
+        ),
+        st.floats(0, 2 * eps_prime),
+        st.just(math.inf),
+    )
+    n = draw(st.integers(0, 30))
+    ids = draw(st.lists(st.integers(-5, 10**6), min_size=n, max_size=n, unique=True))
+    reach = draw(st.lists(value, min_size=n, max_size=n))
+    core = draw(st.lists(value, min_size=n, max_size=n))
+    return ids, reach, core, eps_prime
+
+
 def round_table(dep, eps):
     """The table a round of ``dep`` orders over at ``eps``: the deployment's
     2r table, or, for a wider eps, one at eps over every node."""
@@ -92,31 +121,40 @@ def round_table(dep, eps):
 def assert_matches_reference(points, table, eps, min_pts):
     got = order_points(points, OpticsParams(eps=eps, min_pts=min_pts), table)
     expected = reference_optics(as_tuples(points), eps, min_pts)
-    assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
-    # an np.float64 would reach the reachability CSV through repr
-    for o in got:
-        assert type(o.point_id) is int
-        assert o.reachability is None or type(o.reachability) is float
-        assert o.core_distance is None or type(o.core_distance) is float
+    assert as_rows(got) == expected
+    assert_columns(got)
+
+
+def assert_columns(ordering):
+    # the writers format .tolist() values, so the columns' dtypes decide
+    # what reaches the trace and the CSV
+    assert ordering.ids.dtype == np.int64
+    assert ordering.reachability.dtype == ordering.core_distance.dtype == np.float64
+    for column in ordering.columns():
+        assert column.ndim == 1 and len(column) == len(ordering)
+        assert not column.flags.writeable
 
 
 def by_id(points, params):
-    return {op.point_id: op for op in order_points(points, params)}
+    """{point_id: (reachability, core_distance)}, None for NaN."""
+    return {pid: (r, cd) for pid, r, cd in as_rows(order_points(points, params))}
 
 
 class TestCoreDistance:
     def test_second_closest_including_self(self):
         pts = line_points([0, 1, 3])
-        assert by_id(pts, OpticsParams(eps=5, min_pts=2))[0].core_distance == 1
+        _, core_distance = by_id(pts, OpticsParams(eps=5, min_pts=2))[0]
+        assert core_distance == 1
 
     def test_sparse_neighborhood_undefined(self):
         pts = line_points([0, 1, 3])
-        assert by_id(pts, OpticsParams(eps=0.5, min_pts=2))[0].core_distance is None
+        _, core_distance = by_id(pts, OpticsParams(eps=0.5, min_pts=2))[0]
+        assert core_distance is None
 
     def test_min_pts_one_is_zero(self):
         pts = line_points([0, 1, 3])
-        for op in order_points(pts, OpticsParams(eps=2, min_pts=1)):
-            assert op.core_distance == 0
+        out = order_points(pts, OpticsParams(eps=2, min_pts=1))
+        assert out.core_distance.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestReachabilityDistance:
@@ -126,37 +164,39 @@ class TestReachabilityDistance:
         # 0 is the start, core distance 2; 1 sits 1 away
         pts = line_points([0, 1, 2])
         ordered = by_id(pts, OpticsParams(eps=5, min_pts=3))
-        assert ordered[0].core_distance == 2
-        assert ordered[1].reachability == 2
+        (_, core_distance), (reachability, _) = ordered[0], ordered[1]
+        assert core_distance == 2
+        assert reachability == 2
 
     def test_actual_distance_dominates(self):
         # 2 is reached from 1 (core distance 0.5) across a distance of 2.5
         pts = line_points([0, 0.5, 3])
         ordered = by_id(pts, OpticsParams(eps=5, min_pts=2))
-        assert ordered[1].core_distance == 0.5
-        assert ordered[2].reachability == 2.5
+        (_, core_distance), (reachability, _) = ordered[1], ordered[2]
+        assert core_distance == 0.5
+        assert reachability == 2.5
 
     def test_non_core_point_undefined(self):
         pts = line_points([0, 1, 3])
-        for op in order_points(pts, OpticsParams(eps=5, min_pts=10)):
-            assert op.reachability is None
+        out = order_points(pts, OpticsParams(eps=5, min_pts=10))
+        assert np.isnan(out.reachability).all()
 
 
 class TestOpticsOrder:
     def test_single_point(self):
         out = order_points({7: Point2D(1, 1)}, OpticsParams(eps=1, min_pts=2))
         assert len(out) == 1
-        assert out[0].point_id == 7
-        assert out[0].order_index == 0
-        assert out[0].reachability is None
-        assert out[0].core_distance is None
+        assert as_rows(out) == [(7, None, None)]
+        assert_columns(out)
 
     @pytest.mark.parametrize(
         "name", ["point_id", "order_index", "reachability", "core_distance"]
     )
     def test_ordered_points_are_immutable(self, name):
+        # iterating an ordering yields immutable points, built as it iterates
         pts = {5: Point2D(0, 0), 9: Point2D(1, 0)}
-        op = order_points(pts, OpticsParams(eps=2, min_pts=2))[1]
+        first, op = order_points(pts, OpticsParams(eps=2, min_pts=2))
+        assert first == OrderedPoint(5, 0, None, 1.0)
         assert op == OrderedPoint(9, 1, 1.0, 1.0)
         with pytest.raises(AttributeError):
             setattr(op, name, 0)
@@ -167,19 +207,17 @@ class TestOpticsOrder:
     def test_collinear_chain(self):
         pts = line_points([0, 1, 2, 3, 4])
         out = order_points(pts, OpticsParams(eps=2, min_pts=2))
-        assert [op.point_id for op in out] == [0, 1, 2, 3, 4]
-        assert [op.reachability for op in out] == [None, 1, 1, 1, 1]
+        assert out.ids.tolist() == [0, 1, 2, 3, 4]
+        assert [r for _, r, _ in as_rows(out)] == [None, 1, 1, 1, 1]
 
     def test_two_blobs_reachability_structure(self):
         rng = random.Random(5)
         pts = two_blobs(rng)
         out = order_points(pts, OpticsParams(eps=5, min_pts=3))
         blob_diameter = 2 * math.hypot(1, 1)
-        undefined = [op for op in out if op.reachability is None]
-        assert len(undefined) == 2  # one group start per blob
-        for op in out:
-            if op.reachability is not None:
-                assert op.reachability <= blob_diameter
+        undefined = np.isnan(out.reachability)
+        assert undefined.sum() == 2  # one group start per blob
+        assert (out.reachability[~undefined] <= blob_diameter).all()
 
     def test_empty_input_rejected(self):
         # an empty point set is a mask that marks no node
@@ -214,7 +252,7 @@ class TestOpticsOrder:
         params = OpticsParams(eps=rng.uniform(1, 8), min_pts=rng.randint(1, 5))
         got = order_points(pts, params)
         expected = reference_optics(as_tuples(pts), params.eps, params.min_pts)
-        assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
+        assert as_rows(got) == expected
 
     def test_matches_reference_through_grid_index(self):
         # a larger field spanning many grid cells; results must stay
@@ -224,7 +262,7 @@ class TestOpticsOrder:
         params = OpticsParams(eps=4.0, min_pts=4)
         got = order_points(pts, params)
         expected = reference_optics(as_tuples(pts), params.eps, params.min_pts)
-        assert [(o.point_id, o.reachability, o.core_distance) for o in got] == expected
+        assert as_rows(got) == expected
 
     @given(st.integers(0, 10_000), st.integers(1, 40))
     @settings(max_examples=50, deadline=None)
@@ -232,8 +270,8 @@ class TestOpticsOrder:
         rng = random.Random(seed)
         pts = random_points(n, rng)
         out = order_points(pts, OpticsParams(eps=5, min_pts=3))
-        assert sorted(op.point_id for op in out) == sorted(pts)
-        assert [op.order_index for op in out] == list(range(n))
+        assert sorted(out.ids.tolist()) == sorted(pts)
+        assert len(out) == n
 
     @pytest.mark.parametrize("seed", range(5))
     def test_emitted_reachability_is_min_over_prior_core_points(self, seed):
@@ -244,22 +282,19 @@ class TestOpticsOrder:
         rng = random.Random(seed + 400)
         pts = random_points(rng.randint(5, 45), rng)
         params = OpticsParams(eps=rng.uniform(2, 7), min_pts=rng.randint(1, 4))
-        out = order_points(pts, params)
-        for k, op in enumerate(out):
+        out = as_rows(order_points(pts, params))
+        for k, (pid, reachability, _) in enumerate(out):
             candidates = []
-            for prior in out[:k]:
-                if prior.core_distance is None:
+            for prior, _, core_distance in out[:k]:
+                if core_distance is None:
                     continue
-                d = math.hypot(
-                    pts[prior.point_id].x - pts[op.point_id].x,
-                    pts[prior.point_id].y - pts[op.point_id].y,
-                )
+                d = math.hypot(pts[prior].x - pts[pid].x, pts[prior].y - pts[pid].y)
                 if d <= params.eps:
-                    candidates.append(max(prior.core_distance, d))
-            if op.reachability is None:
+                    candidates.append(max(core_distance, d))
+            if reachability is None:
                 assert not candidates
             else:
-                assert op.reachability == min(candidates)
+                assert reachability == min(candidates)
 
     @given(table_layouts(), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
@@ -312,10 +347,96 @@ class TestOpticsOrder:
         # counts toward 0's core distance, so 0 reaches 2 at 3.0
         table = points_table(line_points([0, 1, 3]), 5.0)
         out = optics_order(table, OpticsParams(eps=5, min_pts=2), np.array([True, False, True]))
-        assert [(o.point_id, o.reachability, o.core_distance) for o in out] == [
+        assert as_rows(out) == [
             (0, None, 3.0),
             (2, 3.0, 3.0),
         ]
+
+    @pytest.mark.parametrize(
+        "xs, eligible, radius, eps, min_pts",
+        [
+            # no eligible entry within eps in any row: no point is core
+            ([0, 10, 20], [0, 1, 2], 2.0, 2.0, 2),
+            ([0, 3, 6, 9], [0, 1, 2, 3], 5.0, 1.0, 2),
+            ([0, 3, 6, 9], [0, 1, 2, 3], 5.0, 1.0, 3),
+            # min_pts = 1: every point is core at 0.0
+            ([0, 1, 3, 7], [0, 1, 2, 3], 5.0, 5.0, 1),
+            ([0, 1, 3, 7], [0, 2, 3], 5.0, 2.0, 1),
+            # min_pts larger than every row
+            ([0, 0.5, 1, 1.5, 2], [0, 1, 2, 3, 4], 5.0, 5.0, 6),
+            ([0, 0.5, 1, 1.5, 2], [0, 1, 2, 3, 4], 5.0, 5.0, 9),
+            # eps below the table's radius: entries past eps stay in the rows
+            ([0, 1, 2.5, 4, 8], [0, 1, 2, 3, 4], 6.0, 1.5, 2),
+            ([0, 1, 2.5, 4, 8], [0, 1, 2, 3, 4], 6.0, 2.5, 3),
+            # ineligible nodes between eligible ones in a row
+            ([0, 1, 2, 3, 4, 5], [0, 2, 4, 5], 5.0, 3.0, 2),
+            ([0, 1, 2, 3, 4, 5], [0, 2, 4, 5], 5.0, 3.0, 3),
+            ([0, 1, 2, 3, 4, 5], [1, 5], 5.0, 5.0, 2),
+        ],
+        ids=[
+            "no-core-empty-rows", "no-core-beyond-eps", "no-core-beyond-eps-3",
+            "min-pts-1", "min-pts-1-masked", "min-pts-above-rows", "min-pts-far-above-rows",
+            "eps-below-radius", "eps-below-radius-3", "masked-between", "masked-between-3",
+            "masked-between-far",
+        ],
+    )
+    def test_edge_cases_match_reference(self, xs, eligible, radius, eps, min_pts):
+        pts = line_points(xs)
+        table = points_table(pts, radius)
+        assert_matches_reference({i: pts[i] for i in eligible}, table, eps, min_pts)
+
+
+class TestOrdering:
+    def test_columns_are_read_only_copies(self):
+        ids, reach, core = np.array([4, 2]), np.array([math.nan, 1.0]), np.array([1.0, 2.0])
+        ordering = Ordering(ids, reach, core)
+        assert_columns(ordering)
+        for column in (ids, reach, core):
+            assert column.flags.writeable
+        ids[0] = 9
+        assert ordering.ids.tolist() == [4, 2]
+        with pytest.raises(ValueError):
+            ordering.reachability[0] = 0.0
+
+    def test_none_reads_as_nan(self):
+        ordering = Ordering([3, 1], [None, 0.5], [2.0, None])
+        assert np.isnan(ordering.reachability[0]) and np.isnan(ordering.core_distance[1])
+        assert as_rows(ordering) == [(3, None, 2.0), (1, 0.5, None)]
+
+    def test_empty(self):
+        ordering = Ordering()
+        assert len(ordering) == 0 and not ordering
+        assert_columns(ordering)
+        assert ordering == Ordering([], [], [])
+        assert list(ordering) == []
+
+    @pytest.mark.parametrize(
+        "columns",
+        [([1, 2], [None], [None, None]), ([[1, 2]], [[None, None]], [[None, None]])],
+        ids=["lengths", "2d"],
+    )
+    def test_columns_must_be_1d_and_of_one_length(self, columns):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            Ordering(*columns)
+
+    def test_equality_reads_nan_as_equal(self):
+        a = Ordering([1, 2], [None, 1.0], [0.5, None])
+        assert a == Ordering([1, 2], [math.nan, 1.0], [0.5, math.nan])
+        assert a != Ordering([2, 1], [None, 1.0], [0.5, None])
+        assert a != Ordering([1, 2], [None, 1.5], [0.5, None])
+        assert a != Ordering([1, 2], [None, 1.0], [0.5, 1.0])
+        assert a != [(1, None, 0.5), (2, 1.0, None)]
+
+    def test_iteration_builds_points_from_the_columns(self):
+        ordering = Ordering([7, 3, 5], [None, 1.5, 2.0], [1.0, None, 0.5])
+        assert len(ordering) == 3
+        assert list(ordering) == [
+            OrderedPoint(7, 0, None, 1.0),
+            OrderedPoint(3, 1, 1.5, None),
+            OrderedPoint(5, 2, 2.0, 0.5),
+        ]
+        for op in ordering:
+            assert type(op.point_id) is int and type(op.order_index) is int
 
 
 class TestExtractClusters:
@@ -381,6 +502,22 @@ class TestExtractClusters:
         ordering = order_points(line_points([0, 1, 3]), OpticsParams(eps=2, min_pts=2))
         with pytest.raises(ValueError, match="eps_prime"):
             extract_clusters(ordering, eps_prime)
+
+    @given(cut_columns())
+    @settings(max_examples=300, deadline=None)
+    @example(([1, 2, 3], [None, None, None], [None, 2.0, math.inf], 1.0))  # all outliers
+    @example(([1, 2, 3], [None, 0.5, 1.0], [None, None, None], 1.0))  # outlier starter, members
+    @example(([4, 5, 6], [1.0, 2.0, 1.0], [3.0, 1.0, None], 1.0))  # first point under the cut
+    @example(([], [], [], 1.0))
+    def test_matches_reference_cut(self, columns):
+        ids, reach, core, eps_prime = columns
+        ordering = Ordering(ids, reach, core)
+        clusters, outliers = reference_clusters(as_rows(ordering), eps_prime)
+        assignment = extract_clusters(ordering, eps_prime)
+        assert assignment.clusters == [Cluster(k, m) for k, m in enumerate(clusters)]
+        assert assignment.outliers == outliers
+        for cluster in assignment.clusters:
+            assert all(type(pid) is int for pid in cluster.members)
 
 
 class TestGridIndex:
@@ -453,10 +590,7 @@ class TestReachabilityCsv:
             (int(idx), int(pid), float(r) if r else None, float(cd) if cd else None)
             for idx, pid, r, cd in rows
         ]
-        assert back == [
-            (op.order_index, op.point_id, op.reachability, op.core_distance)
-            for op in out
-        ]
+        assert back == [(k, *row) for k, row in enumerate(as_rows(out))]
 
     def test_undefined_encodes_empty(self, tmp_path):
         out = order_points({0: Point2D(0, 0)}, OpticsParams(eps=1, min_pts=2))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from network_reference import table_degree, table_row
+from optics_reference import as_rows
 from protocol_reference import (
     acceptance_level,
     reference_cover_cluster,
@@ -27,6 +28,7 @@ from optics_coverage.network import (
     generate_deployment,
 )
 from optics_coverage.config import RunConfig
+from optics_coverage.metrics import coverage_grid
 from optics_coverage.optics import Cluster, OpticsParams, extract_clusters
 from optics_coverage.protocol import (
     AllNodesDeadError,
@@ -120,6 +122,28 @@ def rotation_layouts(draw):
     batteries = [0.0 if i in dead else b for i, b in enumerate(batteries)]
     ids = rng.sample(range(10 * n), n)
     return ids, x, y, batteries, side, side, 5.0, None, states
+
+
+@st.composite
+def transposable_fields(draw):
+    """Constructor arguments of a small field, square or not, whose points
+    include integer lattice points, so that pair distances tie and pairs
+    sit exactly on cell edges or 2r apart."""
+    width = draw(st.sampled_from([12.0, 20.0, 35.0]))
+    height = draw(st.sampled_from([12.0, 20.0, 35.0]))
+    radius = draw(st.sampled_from([1.5, 2.5, 4.0]))
+
+    def coord(side):
+        return st.one_of(st.floats(0, side), st.integers(0, int(side)).map(float))
+
+    points = draw(
+        st.lists(st.tuples(coord(width), coord(height)), min_size=1, max_size=50, unique=True)
+    )
+    n = len(points)
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    batteries = draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n))
+    x, y = [x for x, _ in points], [y for _, y in points]
+    return ids, x, y, batteries, width, height, radius
 
 
 def with_states(dep, states):
@@ -662,6 +686,32 @@ class TestRunRound:
         assert err.value.round_index >= 2
 
 
+class TestTransposedField:
+    @given(transposable_fields(), st.sampled_from([1, 2, 4]), st.sampled_from([1.0, 2.0, 3.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_transposed_field_gives_the_same_rounds(self, field, min_pts, eps_in_r):
+        # x <-> y and width <-> height: the table's half stencil and grid
+        # coverage's column runs each treat x and y differently, and the
+        # rounds must not show it. 3r orders over a table at eps.
+        ids, x, y, batteries, width, height, radius = field
+        dep = Deployment(ids, x, y, batteries, width, height, radius)
+        flip = Deployment(ids, y, x, batteries, height, width, radius)
+        params = OpticsParams(eps=eps_in_r * radius, min_pts=min_pts)
+        config = ProtocolConfig(grid_resolution=40)
+        for _ in range(3):
+            step = run_round(dep, params, config)
+            assert step == run_round(flip, params, config)
+            active = np.isin(dep.ids, list(step[0].active))
+            grid = coverage_grid(dep.x[active], dep.y[active], radius, (width, height), 40)
+            flipped = coverage_grid(flip.x[active], flip.y[active], radius, (height, width), 40)
+            assert np.array_equal(grid, flipped.T)
+        assert dep.tables.keys() == flip.tables.keys()
+        for reach, table in dep.tables.items():
+            other = flip.tables[reach]
+            for name in ("ids", "indptr", "index", "distance"):
+                assert getattr(table, name).tobytes() == getattr(other, name).tobytes()
+
+
 def one_node_round(battery, drain):
     """An isolated node, which activates, after one round at ``drain``."""
     dep = make_deployment([(0, 0)], batteries={0: battery})
@@ -853,6 +903,27 @@ class TestTrace:
         assert records[0]["round_index"] == 1
         assert records[0]["active"] == sorted(rounds[0][0].active)
         assert records[0]["report"]["active_count"] == rounds[0][1].active_count
+
+    def test_ordering_rows_write_null_never_nan(self):
+        # isolated nodes at min_pts = 2: every node starts its own group and
+        # none is core, so each row holds two NaNs
+        dep = make_deployment([(0, 0), (30, 0), (0, 30)])
+        rounds = list(iterate_rounds(dep, OpticsParams(eps=10, min_pts=2), rounds=1))
+        assert np.isnan(rounds[0][0].ordering.reachability).all()
+        buf = io.StringIO()
+        write_trace(buf, dep, rounds)
+        assert "NaN" not in buf.getvalue()
+        _, records = read_trace(io.StringIO(buf.getvalue()))
+        assert records[0]["ordering"] == [[0, None, None], [1, None, None], [2, None, None]]
+
+    def test_ordering_rows_round_trip(self):
+        dep = generate_deployment(60, 50, 50, 5, seed=12)
+        rounds = list(iterate_rounds(dep, OpticsParams(eps=10, min_pts=4), rounds=2))
+        buf = io.StringIO()
+        write_trace(buf, dep, rounds)
+        _, records = read_trace(io.StringIO(buf.getvalue()))
+        for (state, _), record in zip(rounds, records):
+            assert [tuple(row) for row in record["ordering"]] == as_rows(state.ordering)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
