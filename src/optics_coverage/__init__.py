@@ -6,12 +6,7 @@ acceptance-level protocol with overlap-aware geometry, and reports
 active-node ratios and coverage estimates over sleep/wake rounds.
 """
 
-from .geometry import (
-    CoLocatedSensorsError,
-    Point2D,
-    euclidean_distance,
-    overlap_angle,
-)
+from .geometry import CoLocatedSensorsError, Point2D
 from .metrics import (
     ExperimentSummary,
     RoundReport,
@@ -71,13 +66,11 @@ __all__ = [
     "choose_initial_sensor",
     "cover_cluster",
     "coverage_grid",
-    "euclidean_distance",
     "extract_clusters",
     "generate_deployment",
     "grid_cr",
     "iterate_rounds",
     "optics_order",
-    "overlap_angle",
     "run_round",
     "summarize_experiment",
 ]

@@ -24,6 +24,7 @@ from .experiments import (
     run_table_experiment,
     write_baseline_csv,
 )
+from .metrics import GRID_RESOLUTION, require_resolution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     plot_p.add_argument("--trace", required=True, help="trace JSON-lines file")
     plot_p.add_argument("--out", default="plot-data", help="output directory")
     plot_p.add_argument(
-        "--resolution", type=int, default=500, help="coverage grid cells per side"
+        "--resolution", type=int, default=GRID_RESOLUTION, help="coverage grid cells per side"
     )
 
     val_p = sub.add_parser("validate-config", help="check configuration and exit")
@@ -144,8 +145,10 @@ def _cmd_rand_baseline(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
-    if args.resolution < 10:
-        raise ConfigError(f"--resolution must be >= 10, got {args.resolution}")
+    try:
+        require_resolution("--resolution", args.resolution)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         written = export_plot_data(args.trace, args.out, args.resolution)
     except FileNotFoundError:

@@ -11,11 +11,11 @@ default INI file are derived from the fields.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from typing import Sequence
 
+from .network import require_count, require_generation_args
 from .optics import OpticsParams
 from .protocol import ProtocolConfig
 
@@ -74,20 +74,16 @@ class RunConfig:
         )
 
     def validate(self, sweep: bool = True) -> None:
-        """``sweep=False`` skips the keys only the sweep reads: d_list, rounds."""
-        if self.count < 1:
-            raise ConfigError("deployment.count must be >= 1")
-        if not all(0 < v < math.inf for v in (self.width, self.height, self.radius)):
-            raise ConfigError(
-                "deployment width, height and radius must be positive and finite"
-            )
-        if not (0 <= self.battery_min <= self.battery_max <= 1 and self.battery_max > 0):
-            raise ConfigError(
-                "deployment battery range must satisfy 0 <= min <= max <= 1 and max > 0"
-            )
+        """``ConfigError`` for a value the library would refuse; ``sweep=False``
+        skips the keys only the sweep reads: d_list, rounds."""
+        layout = (self.width, self.height, self.radius, (self.battery_min, self.battery_max))
         try:
+            require_generation_args(self.count, *layout)
             self.optics_params()
             self.protocol_config()
+            require_count("experiment.trials", self.trials, 1)
+            if sweep:
+                require_count("experiment.rounds", self.rounds, 1)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.resolved_eps < self.radius:
@@ -96,15 +92,18 @@ class RunConfig:
                 f"{self.radius}: the request range 2r must fit inside the "
                 f"clustering neighborhood (2r <= 2*eps requires eps >= r)"
             )
-        if sweep and (not self.d_list or any(d < 1 for d in self.d_list)):
+        if not sweep:
+            return
+        if not self.d_list:
             raise ConfigError("experiment.d_list must list deployment sizes >= 1")
-        if sweep and len(set(self.d_list)) < len(self.d_list):
+        if len(set(self.d_list)) < len(self.d_list):
             # a repeat would re-run its size's seeds and overwrite its traces
             raise ConfigError(f"experiment.d_list lists a size twice: {self.d_list}")
-        if self.trials < 1:
-            raise ConfigError("experiment.trials must be >= 1")
-        if sweep and self.rounds < 1:
-            raise ConfigError("experiment.rounds must be >= 1")
+        for size in self.d_list:
+            try:
+                require_generation_args(size, *layout)
+            except ValueError as exc:
+                raise ConfigError(f"experiment.d_list: {exc}") from exc
 
 
 def _optional_float(raw: str) -> float | None:

@@ -10,22 +10,24 @@ size, isolating the value of informed selection at equal battery cost.
 from __future__ import annotations
 
 import csv
-import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import RunConfig
+from .geometry import Point2D
 from .metrics import (
+    GRID_RESOLUTION,
     ExperimentSummary,
     RoundReport,
     coverage_grid,
     grid_cr,
+    require_resolution,
     summarize_experiment,
     write_coverage_grid_csv,
     write_table_csv,
 )
-from .network import Deployment, generate_deployment, require_int
+from .network import Deployment, generate_deployment, require_positive
 from .optics import Ordering, write_reachability_csv
 from .protocol import (
     AllNodesDeadError,
@@ -210,30 +212,26 @@ def write_baseline_csv(result: BaselineResult, out) -> None:
 
 
 def export_plot_data(
-    trace_path: str | Path, out_dir: str | Path, resolution: int = 500
+    trace_path: str | Path, out_dir: str | Path, resolution: int = GRID_RESOLUTION
 ) -> list[Path]:
     """Turn a round trace into plot-ready CSVs.
 
     Emits one reachability CSV per round plus one coverage 0/1 grid per
     round, reconstructed from the trace's node snapshot. A resolution
     that is not an int >= 10, a trace field missing, of the wrong type or
-    (for a coordinate) not finite, a node id the header lists twice, or a
-    header radius or region side that is not positive and finite raises
-    ``ValueError`` before anything is written.
+    (for a coordinate) not finite, a node id the header lists twice, a
+    round ordering that lists an id twice or one the header does not
+    list, or a header radius or region side that is not positive and
+    finite raises ``ValueError`` before anything is written.
     """
-    require_int("resolution", resolution)
-    if resolution < 10:
-        raise ValueError(f"resolution must be >= 10, got {resolution}")
+    require_resolution("resolution", resolution)
     trace_path = Path(trace_path)
     with open(trace_path) as fh:
         header, rounds = read_trace(fh)
     if not rounds:
         raise ValueError(f"trace {trace_path} contains no rounds")
     try:
-        positions = {int(nid): (float(x), float(y)) for nid, x, y in header["nodes"]}
-        for x, y in positions.values():
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+        positions = {int(nid): Point2D(float(x), float(y)) for nid, x, y in header["nodes"]}
         radius = float(header["radius"])
         region = (float(header["region"][0]), float(header["region"][1]))
         frames = [
@@ -249,11 +247,13 @@ def export_plot_data(
         raise ValueError(f"malformed trace field: {exc!r}") from exc
     if len(positions) < len(header["nodes"]):
         raise ValueError("the trace header lists a node id twice")
-    if not all(0 < value < math.inf for value in (radius, *region)):
-        raise ValueError(
-            f"the trace header's radius and region sides must be positive and finite, "
-            f"got radius {radius} and region {list(region)}"
-        )
+    for k, ordering, _ in frames:
+        listed = set(ordering.ids.tolist())
+        if len(listed) < len(ordering) or not listed <= positions.keys():
+            raise ValueError(f"round {k}'s ordering lists an id twice or one not in the header")
+    require_positive("the trace header's radius", radius)
+    for side in region:
+        require_positive("the trace header's region sides", side)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     written = []
@@ -262,7 +262,7 @@ def export_plot_data(
         with open(reach_file, "w", newline="") as fh:
             write_reachability_csv(ordering, fh)
         written.append(reach_file)
-        x, y = [x for x, _ in active], [y for _, y in active]
+        x, y = [p.x for p in active], [p.y for p in active]
         grid = coverage_grid(x, y, radius, region, resolution)
         grid_file = out_path / f"coverage_round{k}.csv"
         with open(grid_file, "w", newline="") as fh:

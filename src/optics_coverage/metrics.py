@@ -12,9 +12,7 @@ One test decides whether a disc covers a cell center, ``dx * dx + dy *
 dy <= radius * radius``, and one helper applies it: it describes each
 disc, column by column, as the run of rows it covers. ``grid_cr`` counts
 the union of the runs without painting a raster; ``coverage_grid`` paints
-them for the plot export. Both raise ``ValueError`` for a disc center
-that is not finite, a radius or a region side that is not positive and
-finite, or a resolution that is not an int >= 10.
+them for the plot export.
 
 Integer display values follow the ceiling convention: the summary table's
 N (average actives) and R (percent ratio) round up to whole numbers.
@@ -29,7 +27,10 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .network import require_int
+from .network import require_count, require_int, require_positive
+
+# cells per side of the coverage grid unless a caller asks for another
+GRID_RESOLUTION = 500
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,7 @@ def active_ratio(active: int, deployed: int) -> float:
     """Active nodes as a percentage of deployed nodes; ``ValueError``
     unless both counts are ints and ``deployed >= 1``."""
     require_int("active", active)
-    require_int("deployed", deployed)
-    if deployed < 1:
-        raise ValueError(f"deployed must be >= 1, got {deployed}")
+    require_count("deployed", deployed, 1)
     return 100.0 * active / deployed
 
 
@@ -78,12 +77,15 @@ def analytic_cr(active: int, radius: float, area: float) -> float:
     unless ``active`` is an int >= 0 and the radius and area are positive
     and finite.
     """
-    require_int("active", active)
-    if active < 0:
-        raise ValueError(f"active must be >= 0, got {active}")
+    require_count("active", active, 0)
     if not (0 < radius < math.inf and 0 < area < math.inf):
         raise ValueError(f"radius and area must be positive and finite, got {radius} and {area}")
     return 100.0 * active * math.pi * radius * radius / area
+
+
+def require_resolution(name: str, value: object) -> None:
+    """Reject a grid resolution that is not an int >= 10."""
+    require_count(name, value, 10)
 
 
 def _column_runs(
@@ -112,14 +114,11 @@ def _column_runs(
     """
     if len(x) != len(y):
         raise ValueError(f"x and y need one entry per disc, got {len(x)} and {len(y)}")
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    require_positive("radius", radius)
     width, height = region
-    if not (0 < width < math.inf and 0 < height < math.inf):
-        raise ValueError(f"region sides must be positive and finite, got {region}")
-    require_int("resolution", resolution)
-    if resolution < 10:
-        raise ValueError(f"resolution must be >= 10, got {resolution}")
+    for side in region:
+        require_positive("region sides", side)
+    require_resolution("resolution", resolution)
     px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     bad = ~(np.isfinite(px) & np.isfinite(py))
     if bad.any():
@@ -184,7 +183,7 @@ def coverage_grid(
     y: Sequence[float],
     radius: float,
     region: tuple[float, float],
-    resolution: int = 500,
+    resolution: int = GRID_RESOLUTION,
 ) -> np.ndarray:
     """Boolean raster of cell centers covered by at least one disc of
     ``radius`` centered at a point (``x[k]``, ``y[k]``).
@@ -210,7 +209,7 @@ def grid_cr(
     y: Sequence[float],
     radius: float,
     region: tuple[float, float],
-    resolution: int = 500,
+    resolution: int = GRID_RESOLUTION,
 ) -> float:
     """Percentage of grid cell centers covered by discs of ``radius`` at
     the active sensors' coordinates (``x[k]``, ``y[k]``): the same cells

@@ -135,8 +135,7 @@ class Deployment:
     ):
         sides = {"radius": radius, "region_width": region_width, "region_height": region_height}
         for name, value in sides.items():
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            require_positive(name, value)
         self.region_width, self.region_height = region_width, region_height
         self.radius, self.seed = radius, seed
         n = len(ids)
@@ -259,6 +258,19 @@ def require_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def require_count(name: str, value: object, least: int) -> None:
+    """Reject a count that is not an int >= ``least``."""
+    require_int(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def require_positive(name: str, value: float) -> None:
+    """Reject a length that is not positive and finite; NaN is neither."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _cell_ranks(values: np.ndarray, side: float) -> np.ndarray:
     """Rank of each value's cell along one axis among the occupied cells.
 
@@ -306,8 +318,7 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
     puts every row in (distance, id) order, and the entries are read back
     from the sorted keys. ``ValueError`` if ``n * n * U`` reaches 2**63.
     """
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    require_positive("radius", radius)
     ids, x, y = np.asarray(ids), np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n = len(ids)
     if not len(x) == len(y) == n:
@@ -381,6 +392,20 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
     return NeighborTable(ids, indptr, index, distinct[key], radius)
 
 
+def require_generation_args(
+    count: int, width: float, height: float, radius: float, battery_range: tuple[float, float]
+) -> None:
+    """The checks ``generate_deployment`` runs before it draws."""
+    require_count("count", count, 1)
+    for name, value in (("width", width), ("height", height), ("radius", radius)):
+        require_positive(name, value)
+    lo, hi = battery_range
+    if not (0 <= lo <= hi <= 1 and hi > 0):
+        raise ValueError(
+            f"battery_range must satisfy 0 <= min <= max <= 1 and max > 0, got {battery_range}"
+        )
+
+
 def generate_deployment(
     count: int,
     width: float,
@@ -395,16 +420,8 @@ def generate_deployment(
     and not both 0 (an empty node is dead). The same seed reproduces the
     exact same deployment.
     """
-    require_int("count", count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if not all(0 < v < math.inf for v in (width, height, radius)):
-        raise ValueError("width, height and radius must be positive and finite")
+    require_generation_args(count, width, height, radius, battery_range)
     lo, hi = battery_range
-    if not (0 <= lo <= hi <= 1 and hi > 0):
-        raise ValueError(
-            f"battery_range must satisfy 0 <= lo <= hi <= 1 and hi > 0, got {battery_range}"
-        )
     rng = random.Random(seed)
     x, y, battery = [], [], []
     for _ in range(count):

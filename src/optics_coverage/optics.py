@@ -36,7 +36,7 @@ from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
-from .network import NeighborTable, require_int
+from .network import NeighborTable, require_count, require_positive
 # perfbench/tracing.py wraps brute_force_query here
 from .spatial import brute_force_query  # noqa: F401
 
@@ -56,17 +56,12 @@ class OpticsParams:
     eps_prime: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        require_int("min_pts", self.min_pts)
-        if self.min_pts < 1:
-            raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
+        require_positive("eps", self.eps)
+        require_count("min_pts", self.min_pts, 1)
         if self.eps_prime is None:
             object.__setattr__(self, "eps_prime", self.eps / 2)
         elif not 0 < self.eps_prime <= self.eps:
-            raise ValueError(
-                f"eps_prime must be in (0, eps = {self.eps}], got {self.eps_prime}"
-            )
+            raise ValueError(f"eps_prime must be in (0, eps = {self.eps}], got {self.eps_prime}")
 
 
 class OrderedPoint(NamedTuple):
@@ -236,8 +231,7 @@ def extract_clusters(ordering: Ordering, eps_prime: float) -> ClusterAssignment:
     segment with a member is a cluster, numbered in order, its members in
     emission order.
     """
-    if not 0 < eps_prime < math.inf:
-        raise ValueError(f"eps_prime must be positive and finite, got {eps_prime}")
+    require_positive("eps_prime", eps_prime)
     ids, reach, core = ordering.columns()
     starts = ~(reach <= eps_prime)
     joins = ~starts | (core <= eps_prime)

@@ -47,7 +47,8 @@ import numpy as np
 from .geometry import CoLocatedSensorsError
 # perfbench/tracing.py wraps overlap_angle here; the protocol sums arcs in numpy
 from .geometry import overlap_angle  # noqa: F401
-from .metrics import RoundReport, active_ratio, analytic_cr, grid_cr
+from .metrics import GRID_RESOLUTION, RoundReport, active_ratio, analytic_cr, grid_cr
+from .metrics import require_resolution
 from .network import (
     STATE_CODE,
     STATE_NAME,
@@ -55,7 +56,8 @@ from .network import (
     NeighborTable,
     build_neighbor_table,
     neighbor_rows,
-    require_int,
+    require_count,
+    require_positive,
 )
 from .optics import Cluster, OpticsParams, Ordering, extract_clusters, optics_order
 
@@ -86,26 +88,19 @@ class ProtocolConfig:
     w_battery: float = 0.4
     w_neighbors: float = 0.3
     w_distance: float = 0.2
-    grid_resolution: int = 500
+    grid_resolution: int = GRID_RESOLUTION
 
     def __post_init__(self):
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        require_int("sleep_rounds", self.sleep_rounds)
-        require_int("grid_resolution", self.grid_resolution)
+        require_count("sleep_rounds", self.sleep_rounds, 1)
+        require_resolution("grid_resolution", self.grid_resolution)
         if not 0 <= self.theta <= 1:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
         if self.battery_drain < 0:
             raise ValueError(f"battery_drain must be >= 0, got {self.battery_drain}")
-        if self.sleep_rounds < 1:
-            raise ValueError(f"sleep_rounds must be >= 1, got {self.sleep_rounds}")
-        if self.w_distance <= 0:
-            raise ValueError(f"w_distance must be positive, got {self.w_distance}")
-        if self.grid_resolution < 10:
-            raise ValueError(
-                f"grid_resolution must be >= 10, got {self.grid_resolution}"
-            )
+        require_positive("w_distance", self.w_distance)
 
 
 @dataclass
@@ -368,9 +363,7 @@ def iterate_rounds(
     deployment that has run resumes where it stopped: its actives retire
     and its sleepers keep counting down.
     """
-    require_int("rounds", rounds)
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    require_count("rounds", rounds, 1)
     return (run_round(deployment, params, config) for _ in range(rounds))
 
 

@@ -450,10 +450,17 @@ class TestPlotDataCommand:
             ' "ordering": [[0, null, 1], [1, "far", 1]]}\n',
             '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
             '{"type": "round", "round_index": 1, "active": [0], "ordering": [[1e30, null, 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0],'
+            ' "ordering": [[0, null, 1], [5, 0.5, null]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1], [1, 2, 2]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0],'
+            ' "ordering": [[0, null, 1], [0, 0.5, null]]}\n',
         ],
         ids=["null-coordinate", "array-header", "path-round-index", "nan-coordinate",
              "infinite-coordinate", "repeated-node-id", "short-ordering-row",
-             "null-ordering-id", "text-reachability", "ordering-id-past-int64"],
+             "null-ordering-id", "text-reachability", "ordering-id-past-int64",
+             "ordering-id-not-in-header", "repeated-ordering-id"],
     )
     def test_malformed_trace_exits_2_as_bad_trace(self, text, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -467,6 +474,8 @@ class TestPlotDataCommand:
             assert "coordinates must be finite" in err
         if "1000.0" in text:
             assert "node id twice" in err
+        if "0.5, null]]" in text:
+            assert "ordering lists an id twice or one not in the header" in err
 
 
 def table(config, out):
@@ -516,16 +525,24 @@ class TestExperimentHelpers:
             (table, replace(RunConfig(), eps=2.0)),
             (table, replace(RunConfig(), d_list=(100, 150, 100))),
             (table, replace(RunConfig(), rounds=0)),
+            (table, replace(RunConfig(), d_list=(100, 150.5))),
+            (table, replace(RunConfig(), trials=2.5)),
+            (table, replace(RunConfig(), rounds=1.5)),
             (baseline, replace(RunConfig(), eps=2.0)),
             (baseline, replace(RunConfig(), trials=0)),
+            (baseline, replace(RunConfig(), trials=2.5)),
         ],
         ids=[
             "table-empty_d_list",
             "table-eps_below_radius",
             "table-repeated_size",
             "table-zero_rounds",
+            "table-fractional_size",
+            "table-fractional_trials",
+            "table-fractional_rounds",
             "rand_baseline-eps_below_radius",
             "rand_baseline-zero_trials",
+            "rand_baseline-fractional_trials",
         ],
     )
     def test_invalid_config_rejected_before_any_deployment(

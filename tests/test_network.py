@@ -242,6 +242,21 @@ class TestNeighborTable:
         assert table.ids is dep.ids
         assert table.neighbors == reference_rows(points, radius)
 
+    @pytest.mark.parametrize("radius", [0.5, 3.0, 6.0])
+    def test_neighbor_rows_matches_brute_force_on_cell_edges_and_corners(self, radius):
+        # spatial.GridIndex's test layouts: points on the cell edges of
+        # radius 3, some exactly 3 or 6 apart, and points on the edges and
+        # corners of cells of side ``radius``, the origin among them twice
+        rng = random.Random(42)
+        coords = [(rng.uniform(0, 25), rng.uniform(0, 25)) for _ in range(150)]
+        coords += [(3.0 * i, 3.0 * (i % 3)) for i in range(9)]
+        coords += [(radius * i, rng.uniform(0, 25)) for i in range(5)]
+        coords += [(radius * i, radius * j) for i in range(4) for j in range(4)]
+        x, y = zip(*coords)
+        table = neighbor_rows(np.arange(len(coords)), x, y, radius)
+        points = {i: Point2D(*c) for i, c in enumerate(coords)}
+        assert table.neighbors == reference_rows(points, radius)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_neighbor_rows_rejects_a_bad_radius(self, radius):
         with pytest.raises(ValueError, match="radius must be positive and finite"):

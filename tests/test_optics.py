@@ -254,9 +254,9 @@ class TestOpticsOrder:
         expected = reference_optics(as_tuples(pts), params.eps, params.min_pts)
         assert as_rows(got) == expected
 
-    def test_matches_reference_through_grid_index(self):
-        # a larger field spanning many grid cells; results must stay
-        # identical to the brute-force reference
+    def test_matches_reference_on_a_wide_field(self):
+        # a field 7.5 eps wide, so the neighbor table spans many cells;
+        # results must stay identical to the brute-force reference
         rng = random.Random(99)
         pts = random_points(120, rng, span=30.0)
         params = OpticsParams(eps=4.0, min_pts=4)
@@ -298,7 +298,7 @@ class TestOpticsOrder:
 
     @given(table_layouts(), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
-    def test_table_neighborhoods_match_grid(self, layout, min_pts):
+    def test_masked_round_table_orders_as_a_table_of_its_own(self, layout, min_pts):
         # the eligible nodes masked in the round's table order as they do in
         # a table of their own
         dep, eligible = layout
