@@ -266,9 +266,11 @@ def require_count(name: str, value: object, least: int) -> None:
 
 
 def require_positive(name: str, value: float) -> None:
-    """Reject a length that is not positive and finite; NaN is neither."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    """Reject a length that is not a positive and finite real number; NaN
+    is neither, and ``True`` and strings are not lengths."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _cell_ranks(values: np.ndarray, side: float) -> np.ndarray:
@@ -406,6 +408,13 @@ def require_generation_args(
         )
 
 
+def _uniform(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """``random.uniform(a, b)``'s ``a + (b - a) * u`` for each draw u, bit
+    for bit: Python computes ``b - a`` and turns each operand into a
+    float, and numpy then rounds each step as Python would."""
+    return float(a) + float(b - a) * u
+
+
 def generate_deployment(
     count: int,
     width: float,
@@ -418,16 +427,21 @@ def generate_deployment(
 
     Batteries are drawn uniformly from ``battery_range``, within [0, 1]
     and not both 0 (an empty node is dead). The same seed reproduces the
-    exact same deployment.
+    exact same deployment: one ``random.Random(seed)`` stream gives node
+    0's x, y and battery, then node 1's, and so on, each value
+    ``a + (b - a) * random()`` over its range [a, b] (``[0, width]``,
+    ``[0, height]``, ``battery_range``), the float ``rng.uniform(a, b)``
+    returns.
     """
     require_generation_args(count, width, height, radius, battery_range)
     lo, hi = battery_range
     rng = random.Random(seed)
-    x, y, battery = [], [], []
-    for _ in range(count):
-        x.append(rng.uniform(0, width))
-        y.append(rng.uniform(0, height))
-        battery.append(rng.uniform(lo, hi))
+    # rng.random never returns None, so the iterator runs until fromiter
+    # has its 3 * count values: a row per node, x, y and battery
+    draws = np.fromiter(iter(rng.random, None), float, 3 * count).reshape(count, 3)
+    x = _uniform(0, width, draws[:, 0])
+    y = _uniform(0, height, draws[:, 1])
+    battery = _uniform(lo, hi, draws[:, 2])
     return Deployment(range(count), x, y, battery, width, height, radius, seed)
 
 

@@ -29,7 +29,6 @@ values.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterator, NamedTuple
@@ -130,7 +129,7 @@ class Ordering:
 
     def rows(self) -> Iterator[tuple[int, float | None, float | None]]:
         """(id, reachability, core distance) per point as Python values,
-        None for NaN: what the trace and CSV writers format."""
+        None for NaN: what the trace writer formats."""
         return zip(
             self.ids.tolist(),
             map(_none_for_nan, self.reachability.tolist()),
@@ -245,8 +244,28 @@ def extract_clusters(ordering: Ordering, eps_prime: float) -> ClusterAssignment:
     return ClusterAssignment(clusters if members else [], set(ids[~joins].tolist()))
 
 
+def _csv_field(value: float) -> float | str:
+    """The float, which ``str.format`` writes as its ``repr``, as
+    ``csv.writer`` does; "" for NaN."""
+    return value if value == value else ""
+
+
 def write_reachability_csv(ordering: Ordering, out: IO[str]) -> None:
-    """Plot-ready dump of the ordering; NaN encodes as an empty field."""
-    writer = csv.writer(out)
-    writer.writerow(["order_index", "point_id", "reachability", "core_distance"])
-    writer.writerows((k, *row) for k, row in enumerate(ordering.rows()))
+    """Plot-ready dump of the ordering, in one ``out.write``.
+
+    The bytes are those of ``csv.writer``'s default dialect: the header
+    ``order_index,point_id,reachability,core_distance``, then one row per
+    point in emission order, its index from 0, its id, and its
+    reachability and core distance as the float's ``repr`` (``inf``,
+    ``-0.0``, ``1e-300``), NaN as an empty field; no field is quoted,
+    and every line ends in ``\\r\\n``.
+    """
+    ids, reach, core = (column.tolist() for column in ordering.columns())
+    rows = map(
+        "{},{},{},{}\r\n".format,
+        range(len(ids)),
+        ids,
+        map(_csv_field, reach),
+        map(_csv_field, core),
+    )
+    out.write("order_index,point_id,reachability,core_distance\r\n" + "".join(rows))

@@ -131,14 +131,20 @@ class RoundState:
 
 def choose_initial_sensor(cluster: Cluster, deployment: Deployment) -> int:
     """Cluster member closest to the member centroid, lower id on ties."""
-    if not cluster.members:
+    return deployment.ids.item(_seed_slot(deployment, deployment.slots(cluster.members)))
+
+
+def _seed_slot(deployment: Deployment, slots: np.ndarray) -> int:
+    """Of the member ``slots``, in member order, the one closest to their
+    centroid, the lowest slot (and so the lowest id) on ties."""
+    if not len(slots):
         raise ValueError("cannot seed an empty cluster")
-    slots = deployment.slots(cluster.members)
     x, y = deployment.x[slots], deployment.y[slots]
     # Python's sum adds in member order; numpy's pairwise sum would round differently
     cx, cy = sum(x.tolist()) / len(x), sum(y.tolist()) / len(y)
     distance = np.fromiter(map(math.hypot, (x - cx).tolist(), (y - cy).tolist()), float, len(x))
-    return cluster.members[np.lexsort((cluster.members, distance))[0]]
+    # finite coordinates give a finite or infinite centroid, so no distance is NaN
+    return int(slots[distance == distance.min()].min())
 
 
 def _table(deployment: Deployment, reach: float) -> NeighborTable:
@@ -209,7 +215,9 @@ def cover_cluster(
     the round, and the first acceptable one activates, after which the
     node re-enters the frontier behind its new child. A node whose
     replies are all redundant, or that gets none, drops out.
-    The walk runs over the slots of the deployment's 2r table. One
+    The walk runs over the slots of the deployment's 2r table, and the
+    members are resolved to slots once: the root is
+    ``choose_initial_sensor``'s pick, found among those slots. One
     ``offers`` array, built once, holds each idle member's acceptance-level
     numerator, which nothing in the walk changes; a member's offer goes to
     NaN as it activates or is discarded, so only the candidate pool answers.
@@ -222,10 +230,10 @@ def cover_cluster(
     """
     cfg = config or ProtocolConfig()
     table = _table(deployment, 2 * deployment.radius)
-    root = choose_initial_sensor(cluster, deployment)
-    tree = SelectionTree(cluster.cluster_id, root)
     ids, codes = table.ids, deployment.state_code
     members = deployment.slots(cluster.members)
+    u = _seed_slot(deployment, members)
+    tree = SelectionTree(cluster.cluster_id, ids.item(u))
     members = members[codes[members] == IDLE_CODE]
     # the summed arc (2*alpha each) the cluster's actives cut from each
     # member. A discarded member's sum can only grow, so it would stay
@@ -250,7 +258,6 @@ def cover_cluster(
                     raise CoLocatedSensorsError(f"node {ids[i]} shares its position with a member")
             covered[index] += table.arcs(i)
 
-        u = int(deployment.slots([root])[0])
         activate(u)
         frontier = deque([u])
         while frontier:

@@ -50,8 +50,9 @@ class GridIndex:
     """Points bucketed into cells of side ``cell_side(radius)``."""
 
     def __init__(self, points: Mapping[int, Point2D], radius: float):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        # network.require_positive's test; spatial cannot import network
+        if not 0 < radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {radius}")
         self.radius = radius
         self._side = cell_side(radius)
         self._x0 = min((p.x for p in points.values()), default=0.0)

@@ -1,12 +1,17 @@
-"""Neighbor rows by brute force, and one row of a table read by node id.
+"""Neighbor rows by brute force, one row of a table read by node id, and
+a deployment's draws one ``rng.uniform`` at a time.
 
 ``reference_rows`` scans every pair with ``brute_force_query``; it is the
 oracle of ``network.neighbor_rows``. The package reads a table's rows by
 slot only (``NeighborTable.row``); ``table_row`` and ``table_degree`` read
 one by node id, as Python ints and floats, for the tests' references.
+``reference_draws`` is the oracle of ``network.generate_deployment``'s
+columns.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -47,3 +52,16 @@ def table_row(table, node_id):
 def table_degree(table, node_id):
     """The length of the row of ``node_id``."""
     return int(table.degrees[table_slot(table, node_id)])
+
+
+def reference_draws(count, width, height, seed, battery_range):
+    """x, y and battery columns as float64 arrays, drawn node by node with
+    ``rng.uniform``: x in [0, width], y in [0, height], then battery in
+    ``battery_range``, from one ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    lo, hi = battery_range
+    draws = [
+        (rng.uniform(0, width), rng.uniform(0, height), rng.uniform(lo, hi))
+        for _ in range(count)
+    ]
+    return tuple(np.array(column, dtype=np.float64) for column in zip(*draws))

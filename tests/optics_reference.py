@@ -20,10 +20,16 @@ rows.
 ``reference_clusters`` is the oracle for ``extract_clusters``'s array
 cut: the point-by-point loop that cut the ordering before it was held as
 columns.
+
+``reference_reachability_csv`` is the oracle for
+``write_reachability_csv``'s text: the ``csv.writer`` rows it wrote
+before it built its text from the columns.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -148,3 +154,13 @@ def reference_clusters(rows, eps_prime):
                 outliers.add(point_id)
     close_current()
     return clusters, outliers
+
+
+def reference_reachability_csv(ordering):
+    """The reachability CSV of ``ordering`` as ``csv.writer`` writes it:
+    a header, then ``(order index, *row)`` per ``as_rows`` row."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["order_index", "point_id", "reachability", "core_distance"])
+    writer.writerows((k, *row) for k, row in enumerate(as_rows(ordering)))
+    return out.getvalue()

@@ -5,12 +5,16 @@ Grows a selection tree the way ``protocol.cover_cluster`` did before its
 requests returned ranked replies: each request returns only the idle
 neighbor with the highest acceptance level (the lowest id on ties,
 never one scoring -inf), and a redundant one is excluded before the
-next request. Seed choice and candidate scoring are the library's. Each
+next request. The seed is ``reference_seed``'s pick. Each
 candidate is tested for redundancy by summing the overlap arcs (2*alpha
 each) of all active discs of its cluster, from distances computed afresh,
 and the sum stops once the full circle is reached. It is the oracle for
 the ranked replies and for the per-member arc sums that ``cover_cluster``
 keeps from the arcs of the neighbor table's rows.
+
+``reference_seed`` picks a cluster's seed with ``min`` over (distance
+to the members' centroid, id): the oracle of the slot that
+``cover_cluster`` and ``choose_initial_sensor`` pick.
 
 ``acceptance_level`` scores one candidate with the whole expression
 ``(w_b * battery + w_n * neighbor_count) / (w_d * distance)``; it is the
@@ -60,11 +64,20 @@ from optics_coverage.protocol import (
     ProtocolConfig,
     RoundState,
     SelectionTree,
-    choose_initial_sensor,
     cover_cluster,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def reference_seed(cluster, deployment):
+    """The member nearest the members' centroid, the lower id on ties. The
+    centroid adds the coordinates in member order, with Python's ``sum``."""
+    positions = [deployment.node(m).position for m in cluster.members]
+    cx = sum(p.x for p in positions) / len(positions)
+    cy = sum(p.y for p in positions) / len(positions)
+    distance = [math.hypot(p.x - cx, p.y - cy) for p in positions]
+    return min(zip(distance, cluster.members))[1]
 
 
 def acceptance_level(battery, neighbor_count, distance, config=None):
@@ -136,7 +149,7 @@ def write_state(deployment, slot, state, left=0):
 
 def reference_cover_cluster(cluster, deployment, config: ProtocolConfig):
     table = build_neighbor_table(deployment)
-    root = choose_initial_sensor(cluster, deployment)
+    root = reference_seed(cluster, deployment)
     write_state(deployment, deployment.node(root).slot, ACTIVE)
     tree = SelectionTree(cluster.cluster_id, root)
     members = set(cluster.members)

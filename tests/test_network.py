@@ -1,12 +1,19 @@
 import math
 import random
 import weakref
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.vendor.pretty import pretty
-from network_reference import reference_rows, reference_table, table_degree, table_row
+from network_reference import (
+    reference_draws,
+    reference_rows,
+    reference_table,
+    table_degree,
+    table_row,
+)
 from optics_reference import points_table
 
 from optics_coverage import network
@@ -24,6 +31,7 @@ from optics_coverage.network import (
     generate_deployment,
     neighbor_rows,
 )
+from optics_coverage.metrics import grid_cr
 from optics_coverage.optics import OpticsParams
 from optics_coverage.protocol import AllNodesDeadError, ProtocolConfig, iterate_rounds, run_round
 from optics_coverage.spatial import cell_side
@@ -59,6 +67,20 @@ class TestGenerateDeployment:
         assert list(zip(d.x.tolist(), d.y.tolist())) == [(x, y) for x, y, _ in draws]
         assert d.battery.tolist() == [b for _, _, b in draws]
         assert d.state_code.tolist() == [STATE_CODE[IDLE]] * 40
+
+    @pytest.mark.parametrize(
+        "battery_range", [(0.5, 1.0), (0.0, 1.0), (0, 0.3), (0.7, 0.7), (1, 1)]
+    )
+    @pytest.mark.parametrize("sides", [(50, 50), (30, 20.5), (0.1, 1e6)])
+    def test_columns_are_rng_uniforms_bit_for_bit(self, sides, battery_range):
+        width, height = sides
+        for seed in (0, 7, 42, 2**40 + 3):
+            for count in (*range(1, 8), 64, 501):
+                d = generate_deployment(count, width, height, 5, seed, battery_range)
+                x, y, battery = reference_draws(count, width, height, seed, battery_range)
+                assert d.x.tobytes() == x.tobytes()
+                assert d.y.tobytes() == y.tobytes()
+                assert d.battery.tobytes() == battery.tobytes()
 
     def test_different_seeds_differ(self):
         a = generate_deployment(100, 50, 50, 5, seed=1)
@@ -451,6 +473,40 @@ class TestRowArcs:
             rows = dep.slots(sorted(ever_active))
             assert calls[0] == dep.tables[10.0].degrees[rows].sum()
         assert reactivated
+
+
+# each caller of require_positive, with the length under test as ``value``
+LENGTH_CALLERS = {
+    "OpticsParams": ("eps", lambda value: OpticsParams(eps=value, min_pts=2)),
+    "Deployment": ("radius", lambda value: Deployment(*columns()[:6], value)),
+    "neighbor_rows": (
+        "radius",
+        lambda value: neighbor_rows([0, 1], [0.0, 1.0], [0.0, 0.0], value),
+    ),
+    "grid_cr": ("radius", lambda value: grid_cr([1.0], [1.0], value, (10.0, 10.0), 10)),
+}
+
+
+class TestRequirePositive:
+    @pytest.mark.parametrize(
+        "value",
+        ["5", b"5", None, True, False, [5.0], 5j, Decimal("5"), np.array(5.0), np.bool_(True)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("caller", list(LENGTH_CALLERS))
+    def test_a_length_that_is_not_a_real_number_is_named(self, caller, value):
+        name, call = LENGTH_CALLERS[caller]
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float64(2.5), np.float32(2.5), np.int64(3), np.int32(3), np.uint8(3)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("caller", list(LENGTH_CALLERS))
+    def test_real_scalars_pass(self, caller, value):
+        LENGTH_CALLERS[caller][1](value)
 
 
 class TestNodeInvariants:

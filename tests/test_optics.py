@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import random
 
@@ -25,6 +26,7 @@ from optics_reference import (
     points_table,
     reference_clusters,
     reference_optics,
+    reference_reachability_csv,
 )
 
 
@@ -521,6 +523,12 @@ class TestExtractClusters:
 
 
 class TestGridIndex:
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        # an infinite radius would put every point in one cell
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            GridIndex({0: Point2D(0.0, 0.0), 1: Point2D(1.0, 2.0)}, radius)
+
     def test_matches_brute_force(self):
         rng = random.Random(42)
         pts = random_points(150, rng, span=25.0)
@@ -575,7 +583,38 @@ class TestGridIndex:
                 assert index.query(center) == brute_force_query(pts, center, r)
 
 
+# floats whose text is easy to get wrong: signed zeros, infinities, NaN,
+# subnormals, the extremes of the normal range and values needing 17 digits
+AWKWARD_FLOATS = st.sampled_from(
+    [
+        *(0.0, -0.0, math.inf, -math.inf, math.nan),
+        *(5e-324, -5e-324, 1.1125369292536007e-308, 2.2250738585072014e-308),
+        *(1e300, -1e300, 1e-300, 1.7976931348623157e308, 0.1 + 0.2, 1e16, 1e-5),
+    ]
+)
+
+
+@st.composite
+def csv_orderings(draw):
+    """Orderings of any length, 0 included, with ids anywhere in int64
+    (often near 2**62) and any float64 columns."""
+    n = draw(st.integers(0, 12))
+    ids = st.one_of(st.integers(2**62 - 8, 2**62 + 8), st.integers(-(2**63), 2**63 - 1))
+    floats = st.one_of(AWKWARD_FLOATS, st.floats(width=64))
+    column = st.lists(floats, min_size=n, max_size=n)
+    return Ordering(draw(st.lists(ids, min_size=n, max_size=n)), draw(column), draw(column))
+
+
 class TestReachabilityCsv:
+    @given(csv_orderings())
+    @example(Ordering())
+    @example(Ordering([2**62, 2**62 + 1], [math.nan, -0.0], [5e-324, 1e-300]))
+    @example(Ordering([0, 1, 2], [math.inf, 1e300, 0.0], [-math.inf, math.nan, -1e300]))
+    def test_bytes_are_csv_writers(self, ordering):
+        out = io.StringIO(newline="")
+        write_reachability_csv(ordering, out)
+        assert out.getvalue() == reference_reachability_csv(ordering)
+
     def test_roundtrip(self, tmp_path):
         rng = random.Random(8)
         pts = random_points(30, rng)

@@ -12,6 +12,7 @@ from protocol_reference import (
     acceptance_level,
     reference_cover_cluster,
     reference_run_round,
+    reference_seed,
     reference_select_next,
 )
 
@@ -248,6 +249,41 @@ class TestChooseInitialSensor:
         dep = make_deployment([(0, 0)])
         with pytest.raises(ValueError):
             choose_initial_sensor(Cluster(0, ()), dep)
+        with pytest.raises(ValueError, match="empty cluster"):
+            cover_cluster(Cluster(0, ()), dep)
+
+    def test_cover_cluster_roots_an_exact_tie_at_the_lower_id(self):
+        # 0 and 1 sit 2 m either side of the centroid's x = (8 + 10 + 12) / 3
+        # = 10 exactly, the same distance from it; the members arrive in
+        # emission order, not id order
+        dep = make_deployment([(12.0, 10.0), (8.0, 10.0), (10.0, 30.0)])
+        cluster = Cluster(0, (1, 2, 0))
+        assert reference_seed(cluster, dep) == 0
+        assert choose_initial_sensor(cluster, dep) == 0
+        assert cover_cluster(cluster, dep).root == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    def test_round_roots_are_the_seeds_of_emission_order_clusters(self, cells, rng):
+        # lattice points tie often; ids are shuffled so that emission order
+        # is not id order
+        positions = [(1.5 * i, 1.5 * j) for i, j in sorted(cells)]
+        ids = list(range(len(positions)))
+        rng.shuffle(ids)
+        x, y = zip(*positions)
+        dep = Deployment(ids, x, y, [1.0] * len(ids), 30.0, 30.0, 2.0)
+        params = OpticsParams(eps=4.0, min_pts=2)
+        state, _ = run_round(dep, params)
+        clusters = extract_clusters(state.ordering, params.eps_prime).clusters
+        assert [tree.root for tree in state.trees] == [
+            reference_seed(cluster, dep) for cluster in clusters
+        ]
+        assert [tree.root for tree in state.trees] == [
+            choose_initial_sensor(cluster, dep) for cluster in clusters
+        ]
 
 
 class TestSelectNext:
