@@ -41,10 +41,6 @@ class Point2D:
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
 
-def euclidean_distance(a: Point2D, b: Point2D) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 def overlap_angle(d: float, r: float) -> float:
     """Half-angle of the arc of a disc boundary inside an equal-radius disc.
 

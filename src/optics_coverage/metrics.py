@@ -78,8 +78,7 @@ def analytic_cr(active: int, radius: float, area: float) -> float:
     and finite.
     """
     require_count("active", active, 0)
-    if not (0 < radius < math.inf and 0 < area < math.inf):
-        raise ValueError(f"radius and area must be positive and finite, got {radius} and {area}")
+    radius, area = require_positive("radius", radius), require_positive("area", area)
     return 100.0 * active * math.pi * radius * radius / area
 
 
@@ -114,10 +113,8 @@ def _column_runs(
     """
     if len(x) != len(y):
         raise ValueError(f"x and y need one entry per disc, got {len(x)} and {len(y)}")
-    require_positive("radius", radius)
-    width, height = region
-    for side in region:
-        require_positive("region sides", side)
+    radius = require_positive("radius", radius)
+    width, height = (require_positive("region sides", side) for side in region)
     require_resolution("resolution", resolution)
     px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     bad = ~(np.isfinite(px) & np.isfinite(py))

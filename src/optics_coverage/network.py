@@ -35,7 +35,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geometry import Point2D, hypot
-from .spatial import cell_side
 
 IDLE = "idle"
 ACTIVE = "active"
@@ -119,7 +118,7 @@ class Deployment:
     idle), may come in any id order and are copied in. ``ValueError``
     unless each has one entry per node, ids are unique ints, coordinates
     finite, states known, batteries in [0, 1], a node dead exactly when
-    empty, and the radius and both region sides are positive and finite."""
+    empty, and the radius and region sides, kept as floats, positive and finite."""
 
     def __init__(
         self,
@@ -133,11 +132,9 @@ class Deployment:
         seed: int | None = None,
         states: Sequence[str] | None = None,
     ):
-        sides = {"radius": radius, "region_width": region_width, "region_height": region_height}
-        for name, value in sides.items():
-            require_positive(name, value)
-        self.region_width, self.region_height = region_width, region_height
-        self.radius, self.seed = radius, seed
+        self.region_width = require_positive("region_width", region_width)
+        self.region_height = require_positive("region_height", region_height)
+        self.radius, self.seed = require_positive("radius", radius), seed
         n = len(ids)
         states = [IDLE] * n if states is None else states
         if not len(x) == len(y) == len(battery) == len(states) == n:
@@ -265,21 +262,49 @@ def require_count(name: str, value: object, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def require_positive(name: str, value: float) -> None:
-    """Reject a length that is not a positive and finite real number; NaN
-    is neither, and ``True`` and strings are not lengths."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and 0 < value < math.inf):
+def _real(value: object) -> float:
+    """``value`` as a float if it is a Python or numpy int or float, else
+    NaN, which fails every check: bools, ``Fraction``, ``Decimal``, strings
+    and 0-d arrays are not real arguments. An int past the floats is inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def require_positive(name: str, value: float) -> float:
+    """``value`` as a float; ``ValueError`` unless it is a positive and finite real."""
+    real = _real(value)
+    if not 0 < real < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return real
+
+
+def require_finite(name: str, value: float) -> float:
+    """``value`` as a float; ``ValueError`` unless it is a finite real."""
+    real = _real(value)
+    if not math.isfinite(real):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return real
+
+
+def cell_side(radius: float) -> float:
+    """Grid cell side of ``neighbor_rows`` at ``radius``, a hair wider than
+    the radius: points two cells apart along an axis are then more than the
+    radius apart even after rounding, so a point's 3x3 cell block holds
+    every pair within the radius."""
+    return radius * (1 + 1e-9)
 
 
 def _cell_ranks(values: np.ndarray, side: float) -> np.ndarray:
     """Rank of each value's cell along one axis among the occupied cells.
 
-    Cells count from the smallest value, as in ``spatial.GridIndex``.
-    Adjacent cells get adjacent ranks, so a block of ranks holds at least
-    the block of cells, and keys built from ranks stay small however far
-    apart the points are.
+    Cells count from the smallest value, so no offset is negative and a
+    pair straddling 0 cannot skip a cell. Adjacent cells get adjacent
+    ranks, so a block of ranks holds at least the block of cells, and keys
+    built from ranks stay small however far apart the points are.
     """
     return np.unique(np.floor((values - values.min()) / side), return_inverse=True)[1]
 
@@ -320,7 +345,7 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
     puts every row in (distance, id) order, and the entries are read back
     from the sorted keys. ``ValueError`` if ``n * n * U`` reaches 2**63.
     """
-    require_positive("radius", radius)
+    radius = require_positive("radius", radius)
     ids, x, y = np.asarray(ids), np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n = len(ids)
     if not len(x) == len(y) == n:
@@ -402,6 +427,8 @@ def require_generation_args(
     for name, value in (("width", width), ("height", height), ("radius", radius)):
         require_positive(name, value)
     lo, hi = battery_range
+    require_finite("battery_range min", lo)
+    require_finite("battery_range max", hi)
     if not (0 <= lo <= hi <= 1 and hi > 0):
         raise ValueError(
             f"battery_range must satisfy 0 <= min <= max <= 1 and max > 0, got {battery_range}"

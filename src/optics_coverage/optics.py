@@ -48,6 +48,7 @@ class OpticsParams:
     so ``min_pts=1`` makes every point a core point with core distance 0.
     ``eps_prime`` is the reachability cut of ``extract_clusters``; None
     resolves to ``eps / 2`` here, and any other value must lie in (0, eps].
+    Both lengths are kept as floats.
     """
 
     eps: float
@@ -55,12 +56,14 @@ class OpticsParams:
     eps_prime: float | None = None
 
     def __post_init__(self):
-        require_positive("eps", self.eps)
+        eps = require_positive("eps", self.eps)
         require_count("min_pts", self.min_pts, 1)
-        if self.eps_prime is None:
-            object.__setattr__(self, "eps_prime", self.eps / 2)
-        elif not 0 < self.eps_prime <= self.eps:
-            raise ValueError(f"eps_prime must be in (0, eps = {self.eps}], got {self.eps_prime}")
+        eps_prime = eps / 2 if self.eps_prime is None else self.eps_prime
+        eps_prime = require_positive("eps_prime", eps_prime)
+        if eps_prime > eps:
+            raise ValueError(f"eps_prime must be in (0, eps = {eps}], got {eps_prime}")
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "eps_prime", eps_prime)
 
 
 class OrderedPoint(NamedTuple):
@@ -230,7 +233,7 @@ def extract_clusters(ordering: Ordering, eps_prime: float) -> ClusterAssignment:
     segment with a member is a cluster, numbered in order, its members in
     emission order.
     """
-    require_positive("eps_prime", eps_prime)
+    eps_prime = require_positive("eps_prime", eps_prime)
     ids, reach, core = ordering.columns()
     starts = ~(reach <= eps_prime)
     joins = ~starts | (core <= eps_prime)

@@ -57,6 +57,7 @@ from .network import (
     build_neighbor_table,
     neighbor_rows,
     require_count,
+    require_finite,
     require_positive,
 )
 from .optics import Cluster, OpticsParams, Ordering, extract_clusters, optics_order
@@ -79,7 +80,7 @@ class ProtocolConfig:
 
     ``theta`` is the minimum fraction of a candidate's boundary that must
     stay free of the summed overlap arcs of already-active discs for it to
-    be worth activating.
+    be worth activating. The five weights and rates are kept as floats.
     """
 
     theta: float = 0.1
@@ -91,16 +92,15 @@ class ProtocolConfig:
     grid_resolution: int = GRID_RESOLUTION
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("theta", "battery_drain", "w_battery", "w_neighbors"):
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
+        object.__setattr__(self, "w_distance", require_positive("w_distance", self.w_distance))
         require_count("sleep_rounds", self.sleep_rounds, 1)
         require_resolution("grid_resolution", self.grid_resolution)
         if not 0 <= self.theta <= 1:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
         if self.battery_drain < 0:
             raise ValueError(f"battery_drain must be >= 0, got {self.battery_drain}")
-        require_positive("w_distance", self.w_distance)
 
 
 @dataclass

@@ -48,7 +48,7 @@ from collections import deque
 from network_reference import table_degree, table_row
 from optics_reference import as_rows, order_points, reference_clusters
 
-from optics_coverage.geometry import CoLocatedSensorsError, euclidean_distance, overlap_angle
+from optics_coverage.geometry import CoLocatedSensorsError, overlap_angle
 from optics_coverage.metrics import RoundReport, active_ratio, analytic_cr, grid_cr
 from optics_coverage.network import (
     ACTIVE,
@@ -68,6 +68,10 @@ from optics_coverage.protocol import (
 )
 
 TWO_PI = 2 * math.pi
+
+
+def euclidean_distance(a, b):
+    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 def reference_seed(cluster, deployment):

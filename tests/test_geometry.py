@@ -8,12 +8,9 @@ from hypothesis import example, given, strategies as st
 from optics_coverage.geometry import (
     CoLocatedSensorsError,
     Point2D,
-    euclidean_distance,
     hypot,
     overlap_angle,
 )
-
-finite_coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 def mc_boundary_inside_fraction(d, r, samples, seed):
@@ -24,31 +21,6 @@ def mc_boundary_inside_fraction(d, r, samples, seed):
     x = r * np.cos(angles)
     y = r * np.sin(angles)
     return float((((x - d) ** 2 + y**2) <= r * r).mean())
-
-
-class TestEuclideanDistance:
-    def test_identity(self):
-        assert euclidean_distance(Point2D(0, 0), Point2D(0, 0)) == 0
-
-    def test_3_4_5(self):
-        assert euclidean_distance(Point2D(0, 0), Point2D(3, 4)) == 5
-
-    def test_translated_3_4_5(self):
-        assert euclidean_distance(Point2D(1.5, 2.5), Point2D(4.5, 6.5)) == 5
-
-    def test_symmetric(self):
-        a, b = Point2D(1.2, -3.4), Point2D(-0.7, 9.9)
-        assert euclidean_distance(a, b) == euclidean_distance(b, a)
-
-    @given(
-        finite_coord, finite_coord, finite_coord,
-        finite_coord, finite_coord, finite_coord,
-    )
-    def test_triangle_inequality(self, ax, ay, bx, by, cx, cy):
-        a, b, c = Point2D(ax, ay), Point2D(bx, by), Point2D(cx, cy)
-        lhs = euclidean_distance(a, c)
-        rhs = euclidean_distance(a, b) + euclidean_distance(b, c)
-        assert lhs <= rhs + 1e-9 * max(1.0, rhs)
 
 
 def python_hypot(dx, dy):

@@ -139,7 +139,7 @@ class TestAnalyticCr:
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_radius_and_area_positive_and_finite(self, name, value):
         args = {"radius": 5.0, "area": 2500.0, name: value}
-        with pytest.raises(ValueError, match="radius and area must be positive and finite"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             analytic_cr(1, **args)
 
 

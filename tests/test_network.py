@@ -1,7 +1,10 @@
 import math
 import random
+import re
 import weakref
 from decimal import Decimal
+from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -28,13 +31,14 @@ from optics_coverage.network import (
     NeighborTable,
     _cell_ranks,
     build_neighbor_table,
+    cell_side,
     generate_deployment,
     neighbor_rows,
 )
-from optics_coverage.metrics import grid_cr
-from optics_coverage.optics import OpticsParams
+from optics_coverage.metrics import analytic_cr, grid_cr
+from optics_coverage.optics import OpticsParams, Ordering, extract_clusters
 from optics_coverage.protocol import AllNodesDeadError, ProtocolConfig, iterate_rounds, run_round
-from optics_coverage.spatial import cell_side
+from optics_coverage.spatial import GridIndex
 
 
 def make_deployment(positions, radius=5.0, battery=1.0, ids=None):
@@ -279,6 +283,17 @@ class TestNeighborTable:
         points = {i: Point2D(*c) for i, c in enumerate(coords)}
         assert table.neighbors == reference_rows(points, radius)
 
+    @pytest.mark.parametrize("radius", [np.float32(0.25), 0.25], ids=repr)
+    def test_a_float32_radius_keeps_the_pair_at_exactly_2r(self, radius):
+        # points 1 and 2 are exactly 0.5 apart. Kept as a float32, the 2r
+        # of 0.5 would lose the cell side's margin over 2r, so they would
+        # sit two cells apart and their pair would never be proposed
+        x = [0.0, 1.0, 0.49999999999999994, 0.75]
+        dep = Deployment(range(4), x, [0.0, 0.0, 0.0, 100.0], [1.0] * 4, 10.0, 200.0, radius)
+        table = build_neighbor_table(dep)
+        assert table.neighbors == reference_table(dep)
+        assert table_row(table, 1) == [(2, 0.5)]
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_neighbor_rows_rejects_a_bad_radius(self, radius):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
@@ -475,38 +490,130 @@ class TestRowArcs:
         assert reactivated
 
 
-# each caller of require_positive, with the length under test as ``value``
-LENGTH_CALLERS = {
-    "OpticsParams": ("eps", lambda value: OpticsParams(eps=value, min_pts=2)),
-    "Deployment": ("radius", lambda value: Deployment(*columns()[:6], value)),
+def deployment_with(name, value):
+    sides = {"region_width": 10.0, "region_height": 10.0, "radius": 5.0, name: value}
+    return Deployment(*columns()[:4], **sides)
+
+
+def grid_cr_with(name, value):
+    sides = {"radius": 1.0, "width": 10.0, "height": 10.0, name: value}
+    return grid_cr([1.0], [1.0], sides["radius"], (sides["width"], sides["height"]), 10)
+
+
+# every argument that require_positive or require_finite checks: the name
+# its message gives, a call with the argument under test as ``value``, and
+# for an argument that is kept, a reader of the kept value from the result
+REAL_ARGUMENTS = {
+    "OpticsParams.eps": (
+        "eps", lambda value: OpticsParams(eps=value, min_pts=2), attrgetter("eps")
+    ),
+    "OpticsParams.eps_prime": (
+        "eps_prime",
+        lambda value: OpticsParams(eps=5.0, min_pts=2, eps_prime=value),
+        attrgetter("eps_prime"),
+    ),
+    **{
+        f"ProtocolConfig.{name}": (
+            name, lambda value, name=name: ProtocolConfig(**{name: value}), attrgetter(name)
+        )
+        for name in ("theta", "battery_drain", "w_battery", "w_neighbors", "w_distance")
+    },
+    "generate_deployment battery min": (
+        "battery_range min",
+        lambda value: generate_deployment(5, 10.0, 10.0, 1.0, 0, (value, 1.0)),
+        None,
+    ),
+    "generate_deployment battery max": (
+        "battery_range max",
+        lambda value: generate_deployment(5, 10.0, 10.0, 1.0, 0, (0.0, value)),
+        None,
+    ),
+    "analytic_cr radius": ("radius", lambda value: analytic_cr(1, value, 100.0), None),
+    "analytic_cr area": ("area", lambda value: analytic_cr(1, 5.0, value), None),
+    "GridIndex": (
+        "radius", lambda value: GridIndex({0: Point2D(0.0, 0.0)}, value), attrgetter("radius")
+    ),
+    "extract_clusters": (
+        "eps_prime", lambda value: extract_clusters(Ordering([0], [None], [0.0]), value), None
+    ),
+    **{
+        f"Deployment.{name}": (
+            name, lambda value, name=name: deployment_with(name, value), attrgetter(name)
+        )
+        for name in ("radius", "region_width", "region_height")
+    },
     "neighbor_rows": (
         "radius",
         lambda value: neighbor_rows([0, 1], [0.0, 1.0], [0.0, 0.0], value),
+        attrgetter("radius"),
     ),
-    "grid_cr": ("radius", lambda value: grid_cr([1.0], [1.0], value, (10.0, 10.0), 10)),
+    **{
+        f"grid_cr {name}": (
+            "radius" if name == "radius" else "region sides",
+            lambda value, name=name: grid_cr_with(name, value),
+            None,
+        )
+        for name in ("radius", "width", "height")
+    },
 }
+# the arguments whose rule bounds them to [0, 1]
+UNIT_INTERVAL = {
+    "ProtocolConfig.theta", "generate_deployment battery min", "generate_deployment battery max"
+}
+# values that no rule passes: not real numbers, or not finite ones
+NOT_FINITE_REALS = [
+    "5", b"5", None, True, False, [5.0], 5j, Decimal("5"), Fraction(5, 2),
+    np.array(5.0), np.bool_(True), math.nan, math.inf, -math.inf,
+]
+# scalars that every rule passes, within [0, 1] for the arguments bounded to it
+REAL_SCALARS = [np.float64(2.5), np.float32(2.5), np.int64(3), np.int32(3), np.uint8(3)]
+UNIT_SCALARS = [np.float64(0.25), np.float32(0.75), np.int64(1), np.int32(1), np.uint8(1)]
 
 
 class TestRequirePositive:
     @pytest.mark.parametrize(
-        "value",
-        ["5", b"5", None, True, False, [5.0], 5j, Decimal("5"), np.array(5.0), np.bool_(True)],
+        "caller, value",
+        [
+            (caller, value)
+            for caller in REAL_ARGUMENTS
+            for value in NOT_FINITE_REALS
+            # None is the blank cut, which resolves to eps / 2
+            if not (caller == "OpticsParams.eps_prime" and value is None)
+        ],
         ids=repr,
     )
-    @pytest.mark.parametrize("caller", list(LENGTH_CALLERS))
-    def test_a_length_that_is_not_a_real_number_is_named(self, caller, value):
-        name, call = LENGTH_CALLERS[caller]
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    def test_a_value_that_is_not_a_finite_real_is_named(self, caller, value):
+        name, call, _ = REAL_ARGUMENTS[caller]
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
             call(value)
 
     @pytest.mark.parametrize(
-        "value",
-        [np.float64(2.5), np.float32(2.5), np.int64(3), np.int32(3), np.uint8(3)],
+        "caller, value",
+        [
+            (caller, value)
+            for caller in REAL_ARGUMENTS
+            for value in (UNIT_SCALARS if caller in UNIT_INTERVAL else REAL_SCALARS)
+        ],
         ids=repr,
     )
-    @pytest.mark.parametrize("caller", list(LENGTH_CALLERS))
     def test_real_scalars_pass(self, caller, value):
-        LENGTH_CALLERS[caller][1](value)
+        _, call, kept = REAL_ARGUMENTS[caller]
+        result = call(value)
+        if kept is not None:
+            assert type(kept(result)) is float and kept(result) == value
+
+    @pytest.mark.parametrize("check", [network.require_positive, network.require_finite])
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+    def test_an_int_past_the_floats_is_not_finite(self, check, value):
+        with pytest.raises(ValueError, match="^length must be"):
+            check("length", value)
+
+    def test_a_fraction_radius_fails_before_any_round(self):
+        # a Fraction once reached grid_cr, past run_round's rollback
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            Deployment(*columns()[:6], Fraction(5, 2))
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            generate_deployment(20, 10.0, 10.0, Fraction(5, 2), seed=1)
 
 
 class TestNodeInvariants:
@@ -649,7 +756,7 @@ class TestDeploymentArrays:
         # the printer of a falsifying example shows a deployment by its repr
         dep = generate_deployment(30, 30, 30, 5, seed=4)
         assert repr(dep) == (
-            "Deployment(region_width=30, region_height=30, radius=5, seed=4, rounds_run=0)"
+            "Deployment(region_width=30.0, region_height=30.0, radius=5.0, seed=4, rounds_run=0)"
         )
         assert pretty(dep) == repr(dep)
 
