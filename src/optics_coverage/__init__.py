@@ -37,7 +37,6 @@ from .protocol import (
     ProtocolConfig,
     RoundState,
     SelectionTree,
-    choose_initial_sensor,
     cover_cluster,
     iterate_rounds,
     run_round,
@@ -63,7 +62,6 @@ __all__ = [
     "active_ratio",
     "analytic_cr",
     "build_neighbor_table",
-    "choose_initial_sensor",
     "cover_cluster",
     "coverage_grid",
     "extract_clusters",

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 from .config import RunConfig
-from .geometry import Point2D
 from .metrics import (
     GRID_RESOLUTION,
     ExperimentSummary,
@@ -27,7 +26,8 @@ from .metrics import (
     write_coverage_grid_csv,
     write_table_csv,
 )
-from .network import Deployment, generate_deployment, require_positive
+from .network import Deployment, generate_deployment, require_ids, require_int
+from .network import require_positive, require_reals
 from .optics import Ordering, write_reachability_csv
 from .protocol import (
     AllNodesDeadError,
@@ -197,18 +197,12 @@ def run_rand_baseline(config: RunConfig) -> BaselineResult:
 
 
 def write_baseline_csv(result: BaselineResult, out) -> None:
+    """A row per pair and a footer of the means; csv writes a float as its ``repr``."""
     writer = csv.writer(out)
-    writer.writerow(
-        ["trial", "seed", "active_count", "protocol_grid_cr", "rand_grid_cr"]
-    )
-    for p in result.pairs:
-        writer.writerow(
-            [p.trial, p.seed, p.active_count, repr(p.protocol_grid_cr), repr(p.rand_grid_cr)]
-        )
+    writer.writerow([f.name for f in fields(BaselinePair)])
+    writer.writerows(map(astuple, result.pairs))
     if result.pairs:
-        writer.writerow(
-            ["mean", "", "", repr(result.mean_protocol_cr), repr(result.mean_rand_cr)]
-        )
+        writer.writerow(["mean", "", "", result.mean_protocol_cr, result.mean_rand_cr])
 
 
 def export_plot_data(
@@ -218,11 +212,11 @@ def export_plot_data(
 
     Emits one reachability CSV per round plus one coverage 0/1 grid per
     round, reconstructed from the trace's node snapshot. A resolution
-    that is not an int >= 10, a trace field missing, of the wrong type or
-    (for a coordinate) not finite, a node id the header lists twice, a
-    round ordering that lists an id twice or one the header does not
-    list, or a header radius or region side that is not positive and
-    finite raises ``ValueError`` before anything is written.
+    that is not an int >= 10, a trace field missing or that fails its
+    check (``require_ids``, ``require_reals``, ``require_positive``,
+    ``require_int``), a node id the header lists twice, a round index the
+    trace lists twice, or a round ordering that lists an id twice or one
+    the header does not list raises ``ValueError`` before anything is written.
     """
     require_resolution("resolution", resolution)
     trace_path = Path(trace_path)
@@ -231,29 +225,31 @@ def export_plot_data(
     if not rounds:
         raise ValueError(f"trace {trace_path} contains no rounds")
     try:
-        positions = {int(nid): Point2D(float(x), float(y)) for nid, x, y in header["nodes"]}
-        radius = float(header["radius"])
-        region = (float(header["region"][0]), float(header["region"][1]))
-        frames = [
-            (
-                int(record["round_index"]),
-                # each row unpacks to exactly three fields; null reads as NaN
-                Ordering(*zip(*[(pid, reach, core) for pid, reach, core in record["ordering"]])),
-                [positions[nid] for nid in record["active"]],
-            )
-            for record in rounds
-        ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # each row unpacks to exactly three fields
+        ids, x, y = zip(*[(nid, x, y) for nid, x, y in header["nodes"]])
+        ids = require_ids("the trace header's node ids", ids)
+        x = require_reals("the trace header's x coordinates", x)
+        y = require_reals("the trace header's y coordinates", y)
+        radius = require_positive("the trace header's radius", header["radius"])
+        sides = header["region"]
+        width, height = (require_positive("the trace header's region sides", s) for s in sides)
+        slot = {nid: k for k, nid in enumerate(ids.tolist())}
+        frames = []
+        for record in rounds:
+            require_int("round_index", record["round_index"])
+            active = [slot[nid] for nid in require_ids("active", record["active"]).tolist()]
+            rows = [(pid, reach, core) for pid, reach, core in record["ordering"]]
+            frames.append((record["round_index"], Ordering(*zip(*rows)), active))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed trace field: {exc!r}") from exc
-    if len(positions) < len(header["nodes"]):
+    if len(slot) < len(ids):
         raise ValueError("the trace header lists a node id twice")
+    if len({k for k, _, _ in frames}) < len(frames):
+        raise ValueError("the trace lists a round index twice")
     for k, ordering, _ in frames:
         listed = set(ordering.ids.tolist())
-        if len(listed) < len(ordering) or not listed <= positions.keys():
+        if len(listed) < len(ordering) or not listed <= slot.keys():
             raise ValueError(f"round {k}'s ordering lists an id twice or one not in the header")
-    require_positive("the trace header's radius", radius)
-    for side in region:
-        require_positive("the trace header's region sides", side)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     written = []
@@ -262,8 +258,7 @@ def export_plot_data(
         with open(reach_file, "w", newline="") as fh:
             write_reachability_csv(ordering, fh)
         written.append(reach_file)
-        x, y = [p.x for p in active], [p.y for p in active]
-        grid = coverage_grid(x, y, radius, region, resolution)
+        grid = coverage_grid(x[active], y[active], radius, (width, height), resolution)
         grid_file = out_path / f"coverage_round{k}.csv"
         with open(grid_file, "w", newline="") as fh:
             write_coverage_grid_csv(grid, fh)

@@ -27,7 +27,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .network import require_count, require_int, require_positive
+from .network import require_count, require_int, require_positive, require_reals
 
 # cells per side of the coverage grid unless a caller asks for another
 GRID_RESOLUTION = 500
@@ -111,15 +111,12 @@ def _column_runs(
     start; each end then moves a row at a time, within the grid, for as
     long as the exact test says it should.
     """
-    if len(x) != len(y):
-        raise ValueError(f"x and y need one entry per disc, got {len(x)} and {len(y)}")
+    px, py = require_reals("x of the disc centers", x), require_reals("y of the disc centers", y)
+    if len(px) != len(py):
+        raise ValueError(f"x and y need one entry per disc, got {len(px)} and {len(py)}")
     radius = require_positive("radius", radius)
     width, height = (require_positive("region sides", side) for side in region)
     require_resolution("resolution", resolution)
-    px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    bad = ~(np.isfinite(px) & np.isfinite(py))
-    if bad.any():
-        raise ValueError(f"disc centers must be finite, got ({px[bad][0]}, {py[bad][0]})")
     xs = (np.arange(resolution) + 0.5) * (width / resolution)
     ys = (np.arange(resolution) + 0.5) * (height / resolution)
     i0 = np.maximum(np.searchsorted(xs, px - radius, side="left") - 1, 0)
@@ -190,8 +187,8 @@ def coverage_grid(
     dx, dy from a disc's center have ``dx * dx + dy * dy <= radius *
     radius``. Each disc's covered cells are found column by column as a
     run of rows, and the runs are painted. ``ValueError`` unless ``x``
-    and ``y`` are as long and finite, the radius and both region sides
-    are positive and finite, and ``resolution`` is an int >= 10.
+    and ``y`` pass ``require_reals`` and are as long, the radius and both
+    region sides are positive and finite, and ``resolution`` is an int >= 10.
     """
     column, lo, hi = _column_runs(x, y, radius, region, resolution)
     # +1 at each run's start and -1 past its end, summed along each column
@@ -279,6 +276,4 @@ def write_table_csv(summary: ExperimentSummary, out: IO[str]) -> None:
 
 def write_coverage_grid_csv(grid: np.ndarray, out: IO[str]) -> None:
     """0/1 matrix dump of a coverage raster; row k is the y index k."""
-    writer = csv.writer(out)
-    for j in range(grid.shape[1]):
-        writer.writerow(grid[:, j].astype(int).tolist())
+    csv.writer(out).writerows(grid.T.astype(int).tolist())

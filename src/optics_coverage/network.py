@@ -90,20 +90,6 @@ class SensorNode:
         )
 
 
-def _checked(battery: Sequence[float], states: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Battery and state-code arrays; known states, in [0, 1], dead iff empty."""
-    codes = [STATE_CODE.get(state) for state in states]
-    if None in codes:
-        raise ValueError(f"unknown state {states[codes.index(None)]!r}")
-    charge, codes = np.asarray(battery, dtype=float), np.array(codes, dtype=np.int8)
-    outside = ~((charge >= 0.0) & (charge <= 1.0))  # NaN is outside
-    if outside.any():
-        raise ValueError(f"battery must be in [0, 1], got {charge[outside][0]}")
-    if ((charge == 0.0) != (codes == STATE_CODE[DEAD])).any():
-        raise ValueError("a node is dead exactly when its battery is empty")
-    return charge, codes
-
-
 class Deployment:
     """Sensors of one field as columns sorted by id, indexed by slot:
     ``ids``, ``x`` and ``y`` (read-only float64), and the only store of
@@ -116,9 +102,10 @@ class Deployment:
     argument. ``radius`` is the coverage radius r of every sensor; nothing
     else stores a copy of it. The columns, and ``states`` (default all
     idle), may come in any id order and are copied in. ``ValueError``
-    unless each has one entry per node, ids are unique ints, coordinates
-    finite, states known, batteries in [0, 1], a node dead exactly when
-    empty, and the radius and region sides, kept as floats, positive and finite."""
+    unless the columns pass ``require_ids`` and ``require_reals`` with one
+    entry per node each, ids are unique, states known, batteries in [0, 1],
+    a node dead exactly when empty, and the radius and region sides, kept
+    as floats, positive and finite."""
 
     def __init__(
         self,
@@ -135,22 +122,26 @@ class Deployment:
         self.region_width = require_positive("region_width", region_width)
         self.region_height = require_positive("region_height", region_height)
         self.radius, self.seed = require_positive("radius", radius), seed
+        ids, battery = require_ids("node ids", ids), require_reals("battery", battery)
+        x, y = require_reals("x coordinates", x), require_reals("y coordinates", y)
         n = len(ids)
         states = [IDLE] * n if states is None else states
         if not len(x) == len(y) == len(battery) == len(states) == n:
             raise ValueError("ids, x, y, battery and states need one entry per node")
-        ids = np.asarray(ids) if n else np.empty(0, dtype=np.int64)
-        if ids.dtype.kind not in "iu":
-            raise ValueError(f"node ids must be ints, got {ids.dtype}")
         order = np.argsort(ids, kind="stable")
-        self.ids = ids[order].astype(np.int64)
+        self.ids = ids[order]
         if (self.ids[1:] == self.ids[:-1]).any():
             raise ValueError("node ids must be unique")
-        x, y = np.asarray(x, dtype=float)[order], np.asarray(y, dtype=float)[order]
-        bad = ~(np.isfinite(x) & np.isfinite(y))
-        if bad.any():
-            raise ValueError(f"coordinates must be finite, got ({x[bad][0]}, {y[bad][0]})")
-        battery, codes = _checked(battery, states)
+        codes = [STATE_CODE.get(state) for state in states]
+        if None in codes:
+            raise ValueError(f"unknown state {states[codes.index(None)]!r}")
+        codes = np.array(codes, dtype=np.int8)
+        outside = (battery < 0.0) | (battery > 1.0)
+        if outside.any():
+            raise ValueError(f"battery must be in [0, 1], got {battery[outside][0]}")
+        if ((battery == 0.0) != (codes == STATE_CODE[DEAD])).any():
+            raise ValueError("a node is dead exactly when its battery is empty")
+        x, y = x[order], y[order]
         self.battery, self.state_code = battery[order], codes[order]
         # the kept tables hold distances between these positions
         x.flags.writeable = y.flags.writeable = False
@@ -166,8 +157,8 @@ class Deployment:
         )
 
     def slots(self, node_ids: Sequence[int]) -> np.ndarray:
-        """Slots of ``node_ids``; ``KeyError`` for an id that is not a node's."""
-        wanted = np.asarray(node_ids)
+        """Slots of ``node_ids`` (``require_ids``); ``KeyError`` for an id that is not a node's."""
+        wanted = require_ids("node_ids", node_ids)
         slot = np.searchsorted(self.ids, wanted)
         found = slot < len(self.ids)
         found[found] = self.ids[slot[found]] == wanted[found]
@@ -290,6 +281,32 @@ def require_finite(name: str, value: float) -> float:
     return real
 
 
+def require_ids(name: str, values: Sequence[int]) -> np.ndarray:
+    """``values`` as an int64 array, uncopied if it is one; ``ValueError``
+    unless numpy reads it as a 1-D column of ints that int64 holds: bool,
+    float, string, object and complex columns fail. An empty column passes."""
+    column = np.asarray(values)
+    if column.ndim != 1 or (column.dtype.kind not in "iu" and column.size):
+        raise ValueError(f"{name} must be ints in a 1-D column, got {column.dtype} {column.shape}")
+    if column.dtype.kind == "u" and column.size and column.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must be ints below 2**63, got {column.max()}")
+    return column.astype(np.int64, copy=False)
+
+
+def require_reals(name: str, values: Sequence[float]) -> np.ndarray:
+    """``values`` as a float64 array, uncopied if it is one; ``ValueError``
+    unless numpy reads it as a 1-D column of ints or floats, each finite:
+    bool, string, object (``None``) and complex columns fail. An empty
+    column passes."""
+    column = np.asarray(values)
+    if column.ndim != 1 or (column.dtype.kind not in "iuf" and column.size):
+        raise ValueError(f"{name} must be reals in a 1-D column, got {column.dtype} {column.shape}")
+    column = column.astype(np.float64, copy=False)
+    if not np.isfinite(column).all():
+        raise ValueError(f"{name} must be finite, got {column[~np.isfinite(column)][0]}")
+    return column
+
+
 def cell_side(radius: float) -> float:
     """Grid cell side of ``neighbor_rows`` at ``radius``, a hair wider than
     the radius: points two cells apart along an axis are then more than the
@@ -326,8 +343,8 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) -> NeighborTable:
     """The ``NeighborTable``, with ``ids`` as its ids, of the pairs within
     ``radius`` of the points (``x[i]``, ``y[i]``) of id ``ids[i]``.
-    ``ValueError`` unless the ids are strictly increasing ints, the three
-    columns have one entry per point, and every coordinate is finite.
+    ``ValueError`` unless the columns pass ``require_ids`` and ``require_reals``
+    with one entry per point each, and the ids are strictly increasing.
 
     A pair's distance is one float, ``math.hypot(x_b - x_a, y_b - y_a)``
     for its points a and b, held by both rows, and the pair is kept iff it
@@ -346,18 +363,17 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
     from the sorted keys. ``ValueError`` if ``n * n * U`` reaches 2**63.
     """
     radius = require_positive("radius", radius)
-    ids, x, y = np.asarray(ids), np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    ids = require_ids("ids", ids)
+    x, y = require_reals("x coordinates", x), require_reals("y coordinates", y)
     n = len(ids)
     if not len(x) == len(y) == n:
         raise ValueError("ids, x and y need one entry per point")
+    # index i is the i-th smallest id, so the keys order entries by id
+    if (ids[1:] <= ids[:-1]).any():
+        raise ValueError("ids must be strictly increasing")
     if n == 0:
         no_pairs = np.empty(0, dtype=np.intp)
         return NeighborTable(ids, np.zeros(1, dtype=np.intp), no_pairs, np.empty(0), radius)
-    # index i is the i-th smallest id, so the keys order entries by id
-    if ids.dtype.kind not in "iu" or (ids[1:] <= ids[:-1]).any():
-        raise ValueError("ids must be strictly increasing ints")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("coordinates must be finite")
     cell = cell_side(radius)
     cx, cy = _cell_ranks(x, cell), _cell_ranks(y, cell)
     # key (column, row) -> column * span + row; rows run 0..span - 2, so a

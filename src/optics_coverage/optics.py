@@ -35,7 +35,7 @@ from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
-from .network import NeighborTable, require_count, require_positive
+from .network import NeighborTable, require_count, require_ids, require_positive
 # perfbench/tracing.py wraps brute_force_query here
 from .spatial import brute_force_query  # noqa: F401
 
@@ -85,14 +85,14 @@ class Ordering:
     (int64), ``reachability`` (float64, NaN for a group starter) and
     ``core_distance`` (float64, NaN for a non-core point).
 
-    The columns are converted to those dtypes, None read as NaN, and must
-    be one-dimensional and of one length (``ValueError`` otherwise);
-    ``Ordering()`` is the empty ordering. Two orderings are equal when
-    their columns are, NaN equal to NaN. ``len`` counts the points.
-    Iterating yields an ``OrderedPoint`` per point, built as it is
-    iterated: that view stays only for readers that still walk points,
-    ``perfbench/workloads.py``'s round checks, and goes with
-    ``OrderedPoint`` once they read the columns.
+    The columns must be 1-D and of one length, the ids must pass
+    ``require_ids``, and the distances be ints, floats or None, read as NaN
+    (``ValueError`` otherwise); each is copied in. ``Ordering()`` is the
+    empty ordering. Two orderings are equal when their columns are, NaN
+    equal to NaN. ``len`` counts the points. Iterating yields an
+    ``OrderedPoint`` per point, built as it is iterated: that view stays
+    only for readers that still walk points, ``perfbench/workloads.py``'s
+    round checks, and goes with ``OrderedPoint`` once they read the columns.
     """
 
     ids: np.ndarray = ()
@@ -100,15 +100,13 @@ class Ordering:
     core_distance: np.ndarray = ()
 
     def __post_init__(self):
-        # copies, so that no caller's array turns read-only or changes them
-        columns = (
-            np.array(self.ids, dtype=np.int64),
-            np.array(self.reachability, dtype=np.float64),
-            np.array(self.core_distance, dtype=np.float64),
-        )
-        if any(c.ndim != 1 or len(c) != len(columns[0]) for c in columns):
-            raise ValueError("an ordering's columns must be 1-D and of one length")
-        for name, column in zip(("ids", "reachability", "core_distance"), columns):
+        checks = {"ids": require_ids, "reachability": _distances, "core_distance": _distances}
+        for name, check in checks.items():
+            column = np.asarray(getattr(self, name))
+            if column.ndim != 1 or len(column) != len(self.ids):
+                raise ValueError(f"{name} must be 1-D and of one length with the other columns")
+            # a copy, so that no caller's array turns read-only or changes it
+            column = check(name, column).copy()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -138,6 +136,18 @@ class Ordering:
             map(_none_for_nan, self.reachability.tolist()),
             map(_none_for_nan, self.core_distance.tolist()),
         )
+
+
+def _distances(name: str, values) -> np.ndarray:
+    """A distance column as float64, None read as NaN; ``ValueError`` unless
+    numpy reads the rest as ints or floats: strings and bools fail."""
+    column = np.asarray(values)
+    if column.dtype == object:
+        # None is NaN, and the other values decide the column's dtype
+        column = np.asarray(np.where(column == None, math.nan, column).tolist())  # noqa: E711
+    if column.dtype.kind not in "iuf" and column.size:
+        raise ValueError(f"{name} must be reals or None, got a {column.dtype} column")
+    return column.astype(np.float64, copy=False)
 
 
 def _none_for_nan(value: float) -> float | None:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -129,11 +129,6 @@ class RoundState:
     ordering: Ordering = field(default_factory=Ordering)
 
 
-def choose_initial_sensor(cluster: Cluster, deployment: Deployment) -> int:
-    """Cluster member closest to the member centroid, lower id on ties."""
-    return deployment.ids.item(_seed_slot(deployment, deployment.slots(cluster.members)))
-
-
 def _seed_slot(deployment: Deployment, slots: np.ndarray) -> int:
     """Of the member ``slots``, in member order, the one closest to their
     centroid, the lowest slot (and so the lowest id) on ties."""
@@ -216,8 +211,8 @@ def cover_cluster(
     node re-enters the frontier behind its new child. A node whose
     replies are all redundant, or that gets none, drops out.
     The walk runs over the slots of the deployment's 2r table, and the
-    members are resolved to slots once: the root is
-    ``choose_initial_sensor``'s pick, found among those slots. One
+    members are resolved to slots once: the root is the member closest to
+    their centroid, the lower id on ties, found among those slots. One
     ``offers`` array, built once, holds each idle member's acceptance-level
     numerator, which nothing in the walk changes; a member's offer goes to
     NaN as it activates or is discarded, so only the candidate pool answers.
@@ -392,7 +387,7 @@ def write_trace(
         "region": [deployment.region_width, deployment.region_height],
         "radius": deployment.radius,
         "seed": deployment.seed,
-        "nodes": [list(node) for node in zip(*columns)],
+        "nodes": list(zip(*columns)),
     }
     out.write(json.dumps(header) + "\n")
     for state, report in rounds:
@@ -401,20 +396,10 @@ def write_trace(
             "round_index": state.round_index,
             "active": sorted(state.active),
             "trees": [
-                {
-                    "cluster_id": t.cluster_id,
-                    "root": t.root,
-                    "edges": [[p, c] for p, c in t.edges],
-                }
+                {"cluster_id": t.cluster_id, "root": t.root, "edges": t.edges}
                 for t in state.trees
             ],
-            "report": {
-                "deployed_count": report.deployed_count,
-                "active_count": report.active_count,
-                "ratio_r": report.ratio_r,
-                "analytic_cr": report.analytic_cr,
-                "grid_cr": report.grid_cr,
-            },
+            "report": asdict(report),
             "ordering": list(state.ordering.rows()),
         }
         out.write(json.dumps(record) + "\n")

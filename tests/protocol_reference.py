@@ -13,8 +13,8 @@ the ranked replies and for the per-member arc sums that ``cover_cluster``
 keeps from the arcs of the neighbor table's rows.
 
 ``reference_seed`` picks a cluster's seed with ``min`` over (distance
-to the members' centroid, id): the oracle of the slot that
-``cover_cluster`` and ``choose_initial_sensor`` pick.
+to the members' centroid, id): the oracle of the root that
+``cover_cluster`` picks.
 
 ``acceptance_level`` scores one candidate with the whole expression
 ``(w_b * battery + w_n * neighbor_count) / (w_d * distance)``; it is the

@@ -456,11 +456,33 @@ class TestPlotDataCommand:
             '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1], [1, 2, 2]]}\n'
             '{"type": "round", "round_index": 1, "active": [0],'
             ' "ordering": [[0, null, 1], [0, 0.5, null]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0.5, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[true, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [1], "ordering": [[1, null, 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[1, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [true], "ordering": [[1, null, 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, "1", 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": "1", "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1.7, "active": [0], "ordering": [[0, null, 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": "1", "active": [0], "ordering": [[0, null, 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": true, "active": [0], "ordering": [[0, null, 1]]}\n',
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [], "ordering": []}\n',
         ],
         ids=["null-coordinate", "array-header", "path-round-index", "nan-coordinate",
              "infinite-coordinate", "repeated-node-id", "short-ordering-row",
              "null-ordering-id", "text-reachability", "ordering-id-past-int64",
-             "ordering-id-not-in-header", "repeated-ordering-id"],
+             "ordering-id-not-in-header", "repeated-ordering-id", "fractional-node-id",
+             "bool-node-id", "bool-active-id", "text-coordinate", "text-radius",
+             "fractional-round-index", "text-round-index", "bool-round-index",
+             "repeated-round-index"],
     )
     def test_malformed_trace_exits_2_as_bad_trace(self, text, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -476,6 +498,8 @@ class TestPlotDataCommand:
             assert "node id twice" in err
         if "0.5, null]]" in text:
             assert "ordering lists an id twice or one not in the header" in err
+        if text.count('"round_index": 1,') == 2:
+            assert "lists a round index twice" in err
 
 
 def table(config, out):

@@ -35,7 +35,7 @@ from optics_coverage.network import (
     generate_deployment,
     neighbor_rows,
 )
-from optics_coverage.metrics import analytic_cr, grid_cr
+from optics_coverage.metrics import analytic_cr, coverage_grid, grid_cr
 from optics_coverage.optics import OpticsParams, Ordering, extract_clusters
 from optics_coverage.protocol import AllNodesDeadError, ProtocolConfig, iterate_rounds, run_round
 from optics_coverage.spatial import GridIndex
@@ -616,12 +616,159 @@ class TestRequirePositive:
             generate_deployment(20, 10.0, 10.0, Fraction(5, 2), seed=1)
 
 
+def deployment_of(n, **column):
+    """A deployment of ``n`` nodes, with ``column`` as one of its columns."""
+    columns = {"ids": range(n), "x": [0.5] * n, "y": [0.5] * n, "battery": [1.0] * n, **column}
+    return Deployment(**columns, region_width=10.0, region_height=10.0, radius=1.0)
+
+
+def ordering_of(n, **column):
+    columns = {"ids": range(n), "reachability": [None] * n, "core_distance": [None] * n}
+    return Ordering(**{**columns, **column})
+
+
+def xy_of(n, **column):
+    """``x`` and ``y`` columns of ``n`` points, with ``column`` as one of them."""
+    return {"x": [0.5] * n, "y": [0.5] * n, **column}
+
+
+# every column argument that require_ids or require_reals checks, or, for an
+# ordering's distances, its own rule: the rule, the name its message gives, a
+# call with the argument under test as ``value`` (its other columns as long),
+# and for a column that is kept, a reader of the kept column from the result
+COLUMN_ARGUMENTS = {
+    **{
+        f"Deployment.{name}": (
+            "ids" if name == "ids" else "reals",
+            "node ids" if name == "ids" else f"{name} coordinates" if name in "xy" else name,
+            lambda value, name=name: deployment_of(len(value), **{name: value}),
+            attrgetter(name),
+        )
+        for name in ("ids", "x", "y", "battery")
+    },
+    "Deployment.slots": ("ids", "node_ids", lambda value: deployment_of(3).slots(value), None),
+    "neighbor_rows ids": (
+        "ids",
+        "ids",
+        lambda value: neighbor_rows(value, **xy_of(len(value)), radius=1.0),
+        attrgetter("ids"),
+    ),
+    **{
+        f"neighbor_rows {axis}": (
+            "reals",
+            f"{axis} coordinates",
+            lambda value, axis=axis: neighbor_rows(
+                range(len(value)), **xy_of(len(value), **{axis: value}), radius=1.0
+            ),
+            None,
+        )
+        for axis in "xy"
+    },
+    **{
+        f"{measure.__name__} {axis}": (
+            "reals",
+            f"{axis} of the disc centers",
+            lambda value, axis=axis, measure=measure: measure(
+                **xy_of(len(value), **{axis: value}), radius=1.0, region=(10.0, 10.0), resolution=10
+            ),
+            None,
+        )
+        for measure in (grid_cr, coverage_grid)
+        for axis in "xy"
+    },
+    **{
+        f"Ordering.{name}": (
+            "ids" if name == "ids" else "distances",
+            name,
+            lambda value, name=name: ordering_of(len(value), **{name: value}),
+            attrgetter(name),
+        )
+        for name in ("ids", "reachability", "core_distance")
+    },
+}
+# columns that no rule passes, and those that no id rule passes
+JUNK_COLUMNS = {
+    "strings": ["0", "1"], "bools": [True, False], "None": [None, None], "2-D": [[0], [1]],
+    "complex": [0j, 1j],
+}
+JUNK_IDS = {"floats": [0.9, 1.5], "past-int64": [2**63, 2**63 + 1]}
+# columns that every rule of their kind passes, as int64 or float64
+GOOD_COLUMNS = {
+    "ids": [
+        [0, 1, 2], (0, 1, 2), range(3), np.arange(3), np.arange(3, dtype=np.int32),
+        np.arange(3, dtype=np.uint8), [],
+    ],
+    "reals": [
+        [0.25, 0.5, 1], (0.25, 0.5, 1), range(1, 2), np.array([0.25, 0.5, 1.0]),
+        np.array([0.25, 0.5, 1.0], dtype=np.float32), np.array([1, 1], dtype=np.int32),
+        np.array([1], dtype=np.uint8), [],
+    ],
+}
+GOOD_COLUMNS["distances"] = GOOD_COLUMNS["reals"]
+
+
+class TestColumnRules:
+    @pytest.mark.parametrize(
+        "caller, junk",
+        [
+            (caller, junk)
+            for caller, (rule, *_) in COLUMN_ARGUMENTS.items()
+            for junk in [*JUNK_COLUMNS, *(JUNK_IDS if rule == "ids" else ())]
+            # an ordering's distances read None as NaN
+            if not (rule == "distances" and junk == "None")
+        ],
+    )
+    def test_a_junk_column_is_named(self, caller, junk):
+        _, name, call, _ = COLUMN_ARGUMENTS[caller]
+        with pytest.raises(ValueError, match=f"{re.escape(name)} must be"):
+            call({**JUNK_COLUMNS, **JUNK_IDS}[junk])
+
+    @pytest.mark.parametrize(
+        "caller, value",
+        [
+            (caller, value)
+            for caller, (rule, *_) in COLUMN_ARGUMENTS.items()
+            for value in GOOD_COLUMNS[rule]
+        ],
+        ids=repr,
+    )
+    def test_good_columns_pass(self, caller, value):
+        rule, _, call, kept = COLUMN_ARGUMENTS[caller]
+        result = call(value)
+        if kept is not None:
+            column = kept(result)
+            assert column.dtype == (np.int64 if rule == "ids" else np.float64)
+            assert column.ndim == 1 and column.tolist() == list(value)
+
+    @pytest.mark.parametrize("check", [network.require_ids, network.require_reals])
+    def test_a_column_of_the_target_dtype_is_not_copied(self, check):
+        column = np.arange(3, dtype=np.int64 if check is network.require_ids else np.float64)
+        assert check("column", column) is column
+
+    def test_a_mix_of_true_and_ints_is_read_as_ints(self):
+        # numpy promotes the list to int64, and the rule judges by dtype
+        assert network.require_ids("ids", [True, 2]).tolist() == [1, 2]
+
+    def test_a_2d_deployment_column_fails_before_any_round(self):
+        # it once built, and the first round failed inside numpy
+        with pytest.raises(ValueError, match="x coordinates must be reals in a 1-D column"):
+            Deployment(range(3), [[0.0], [1.0], [2.0]], [0.0] * 3, [1.0] * 3, 10.0, 10.0, 1.0)
+
+
 class TestNodeInvariants:
-    @pytest.mark.parametrize("battery", [1.5, -0.25, math.nan, math.inf])
+    @pytest.mark.parametrize("battery", [1.5, -0.25])
     def test_battery_range_enforced(self, battery):
         ids, x, y, batteries, *rest = columns()
         batteries[1] = battery
         with pytest.raises(ValueError, match=r"battery must be in \[0, 1\]"):
+            Deployment(ids, x, y, batteries, *rest)
+
+    @pytest.mark.parametrize("battery", [math.nan, math.inf])
+    def test_battery_must_be_finite(self, battery):
+        # require_reals refuses a non-finite battery before the range test
+        ids, x, y, batteries, *rest = columns()
+        batteries[1] = battery
+        with pytest.raises(ValueError, match="battery must be finite"):
             Deployment(ids, x, y, batteries, *rest)
 
     def test_dead_iff_empty(self):

@@ -35,7 +35,6 @@ from optics_coverage.protocol import (
     AllNodesDeadError,
     ProtocolConfig,
     RoundState,
-    choose_initial_sensor,
     cover_cluster,
     iterate_rounds,
     read_trace,
@@ -231,24 +230,25 @@ class TestProtocolConfig:
             ProtocolConfig(**bad)
 
 
-class TestChooseInitialSensor:
+class TestClusterRoot:
+    """A tree's root is the member closest to the members' centroid, the
+    lower id on ties."""
+
     def test_singleton(self):
         dep = make_deployment([(3, 3)])
-        assert choose_initial_sensor(Cluster(0, (0,)), dep) == 0
+        assert cover_cluster(Cluster(0, (0,)), dep).root == 0
 
     def test_collinear_prefers_nearest_to_centroid(self):
         dep = make_deployment([(0, 0), (1, 0), (10, 0)])
         # centroid x = 11/3, closest member is the one at x=1
-        assert choose_initial_sensor(Cluster(0, (0, 1, 2)), dep) == 1
+        assert cover_cluster(Cluster(0, (0, 1, 2)), dep).root == 1
 
     def test_symmetric_square_breaks_tie_by_id(self):
         dep = make_deployment([(0, 0), (0, 2), (2, 0), (2, 2)])
-        assert choose_initial_sensor(Cluster(0, (0, 1, 2, 3)), dep) == 0
+        assert cover_cluster(Cluster(0, (0, 1, 2, 3)), dep).root == 0
 
     def test_empty_cluster_rejected(self):
         dep = make_deployment([(0, 0)])
-        with pytest.raises(ValueError):
-            choose_initial_sensor(Cluster(0, ()), dep)
         with pytest.raises(ValueError, match="empty cluster"):
             cover_cluster(Cluster(0, ()), dep)
 
@@ -259,7 +259,6 @@ class TestChooseInitialSensor:
         dep = make_deployment([(12.0, 10.0), (8.0, 10.0), (10.0, 30.0)])
         cluster = Cluster(0, (1, 2, 0))
         assert reference_seed(cluster, dep) == 0
-        assert choose_initial_sensor(cluster, dep) == 0
         assert cover_cluster(cluster, dep).root == 0
 
     @settings(max_examples=60, deadline=None)
@@ -280,9 +279,6 @@ class TestChooseInitialSensor:
         clusters = extract_clusters(state.ordering, params.eps_prime).clusters
         assert [tree.root for tree in state.trees] == [
             reference_seed(cluster, dep) for cluster in clusters
-        ]
-        assert [tree.root for tree in state.trees] == [
-            choose_initial_sensor(cluster, dep) for cluster in clusters
         ]
 
 
