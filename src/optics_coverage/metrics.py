@@ -231,12 +231,17 @@ def _ceil_div(numerator: int, denominator: int) -> int:
 def summarize_experiment(trials: Mapping[int, Sequence[int]]) -> ExperimentSummary:
     """Build the deployment-size vs active-count summary table.
 
-    ``trials`` maps deployment size to that size's per-trial active
-    counts. Row values: N = ceil(mean of counts), R = ceil(100 * N / D);
-    the overall average ratio is the mean of the R column.
+    ``trials`` maps deployment size (an int >= 1) to that size's
+    per-trial active counts (ints >= 0), ``ValueError`` otherwise or with
+    no size or no trials. Row values: N = ceil(mean of counts), R =
+    ceil(100 * N / D); the overall average ratio is the mean of the R column.
     """
     if not trials:
         raise ValueError("need at least one deployment size")
+    for deployed, counts in trials.items():
+        require_count("deployment size", deployed, 1)
+        for count in counts:
+            require_count("active count", count, 0)
     rows = []
     for deployed in sorted(trials):
         counts = tuple(int(c) for c in trials[deployed])

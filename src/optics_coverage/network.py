@@ -1,13 +1,15 @@
 """Sensor field model: deployment, node lifecycle, neighbor relations.
 
 A deployment is a set of sensors dropped uniformly at random in a
-rectangle, each with a normalized battery level. It is built from id,
-``x``, ``y`` and battery columns and holds the one coverage radius r
-they all share, its sensors' coordinates as read-only ``x`` and ``y``
-columns, and its ``state_code``, ``battery`` and ``sleep_left`` arrays
-and its ``rounds_run`` count, the only store of simulation state, which
-only the constructor and a round write: a ``SensorNode`` is a read-only
-view of one slot, made when asked for. Two sensors are direct neighbors
+rectangle, each with a normalized battery level. It is built, every
+node idle, from id, ``x``, ``y`` and battery columns and holds the one
+coverage radius r they all share, its sensors' coordinates as read-only
+``x`` and ``y`` columns, and its ``state_code``, ``battery`` and
+``sleep_left`` arrays and its ``rounds_run`` count, the only store of
+simulation state, which only the constructor and a round write. A node's
+state is its int8 code, ``IDLE``, ``ACTIVE``, ``SLEEPING`` or ``DEAD``,
+named by ``STATE_NAME``; a ``SensorNode`` is a read-only view of one
+slot, made when asked for. Two sensors are direct neighbors
 when their centers are at most 2r apart, which is also the request
 broadcast range. Positions never change
 after deployment, so a deployment keeps each neighbor table it needs, held
@@ -36,14 +38,10 @@ import numpy as np
 
 from .geometry import Point2D, hypot
 
-IDLE = "idle"
-ACTIVE = "active"
-SLEEPING = "sleeping"
-DEAD = "dead"
-
-# state -> the int8 code a Deployment's ``state_code`` array holds, and back
-STATE_CODE = {IDLE: 0, ACTIVE: 1, SLEEPING: 2, DEAD: 3}
-STATE_NAME = tuple(STATE_CODE)
+# a node state is the int8 code a Deployment's ``state_code`` array holds,
+# and STATE_NAME[code] names it
+STATE_NAME = ("idle", "active", "sleeping", "dead")
+IDLE, ACTIVE, SLEEPING, DEAD = range(len(STATE_NAME))
 
 # points of the cell order per numpy pass of ``neighbor_rows``: each pass's
 # arrays stay ~100 kB at the default density; passes of 256 points raised
@@ -72,8 +70,8 @@ class SensorNode:
         return Point2D(self.deployment.x.item(self.slot), self.deployment.y.item(self.slot))
 
     @property
-    def state(self) -> str:
-        return STATE_NAME[self.deployment.state_code[self.slot]]
+    def state(self) -> int:
+        return int(self.deployment.state_code[self.slot])
 
     @property
     def battery(self) -> float:
@@ -86,26 +84,24 @@ class SensorNode:
     def __repr__(self) -> str:
         return (
             f"SensorNode(id={self.id!r}, position={self.position!r}, "
-            f"battery={self.battery!r}, state={self.state!r})"
+            f"battery={self.battery!r}, state={STATE_NAME[self.state]!r})"
         )
 
 
 class Deployment:
     """Sensors of one field as columns sorted by id, indexed by slot:
     ``ids``, ``x`` and ``y`` (read-only float64), and the only store of
-    node state, ``state_code`` (``STATE_CODE`` of each state),
-    ``battery`` and ``sleep_left`` (the rounds a sleeper has left, 0 at
-    construction, so a node built sleeping wakes next round).
-    ``rounds_run`` counts the rounds run on the deployment, from 0, and
-    ``tables`` maps a reach to the deployment's ``NeighborTable`` at it,
-    empty until a round builds one; none of the three is a constructor
-    argument. ``radius`` is the coverage radius r of every sensor; nothing
-    else stores a copy of it. The columns, and ``states`` (default all
-    idle), may come in any id order and are copied in. ``ValueError``
+    node state, ``state_code`` (each node's state code, ``IDLE`` at
+    construction), ``battery`` and ``sleep_left`` (the rounds a sleeper
+    has left, 0 at construction). ``rounds_run`` counts the rounds run on
+    the deployment, from 0, and ``tables`` maps a reach to the
+    deployment's ``NeighborTable`` at it, empty until a round builds one;
+    none of the three is a constructor argument. ``radius`` is the
+    coverage radius r of every sensor; nothing else stores a copy of it.
+    The columns may come in any id order and are copied in. ``ValueError``
     unless the columns pass ``require_ids`` and ``require_reals`` with one
-    entry per node each, ids are unique, states known, batteries in [0, 1],
-    a node dead exactly when empty, and the radius and region sides, kept
-    as floats, positive and finite."""
+    entry per node each, ids are unique, batteries in (0, 1], and the
+    radius and region sides, kept as floats, positive and finite."""
 
     def __init__(
         self,
@@ -117,7 +113,6 @@ class Deployment:
         region_height: float,
         radius: float,
         seed: int | None = None,
-        states: Sequence[str] | None = None,
     ):
         self.region_width = require_positive("region_width", region_width)
         self.region_height = require_positive("region_height", region_height)
@@ -125,24 +120,18 @@ class Deployment:
         ids, battery = require_ids("node ids", ids), require_reals("battery", battery)
         x, y = require_reals("x coordinates", x), require_reals("y coordinates", y)
         n = len(ids)
-        states = [IDLE] * n if states is None else states
-        if not len(x) == len(y) == len(battery) == len(states) == n:
-            raise ValueError("ids, x, y, battery and states need one entry per node")
+        if not len(x) == len(y) == len(battery) == n:
+            raise ValueError("ids, x, y and battery need one entry per node")
         order = np.argsort(ids, kind="stable")
         self.ids = ids[order]
         if (self.ids[1:] == self.ids[:-1]).any():
             raise ValueError("node ids must be unique")
-        codes = [STATE_CODE.get(state) for state in states]
-        if None in codes:
-            raise ValueError(f"unknown state {states[codes.index(None)]!r}")
-        codes = np.array(codes, dtype=np.int8)
-        outside = (battery < 0.0) | (battery > 1.0)
+        outside = (battery <= 0.0) | (battery > 1.0)
         if outside.any():
-            raise ValueError(f"battery must be in [0, 1], got {battery[outside][0]}")
-        if ((battery == 0.0) != (codes == STATE_CODE[DEAD])).any():
-            raise ValueError("a node is dead exactly when its battery is empty")
+            raise ValueError(f"battery must be in (0, 1], got {battery[outside][0]}")
         x, y = x[order], y[order]
-        self.battery, self.state_code = battery[order], codes[order]
+        self.battery = battery[order]
+        self.state_code = np.full(n, IDLE, dtype=np.int8)
         # the kept tables hold distances between these positions
         x.flags.writeable = y.flags.writeable = False
         self.x, self.y = x, y
@@ -469,12 +458,12 @@ def generate_deployment(
     """Drop ``count`` idle sensors uniformly at random in the rectangle.
 
     Batteries are drawn uniformly from ``battery_range``, within [0, 1]
-    and not both 0 (an empty node is dead). The same seed reproduces the
-    exact same deployment: one ``random.Random(seed)`` stream gives node
-    0's x, y and battery, then node 1's, and so on, each value
-    ``a + (b - a) * random()`` over its range [a, b] (``[0, width]``,
-    ``[0, height]``, ``battery_range``), the float ``rng.uniform(a, b)``
-    returns.
+    and not both 0 (a deployment's batteries lie in (0, 1]). The same
+    seed reproduces the exact same deployment: one ``random.Random(seed)``
+    stream gives node 0's x, y and battery, then node 1's, and so on,
+    each value ``a + (b - a) * random()`` over its range [a, b]
+    (``[0, width]``, ``[0, height]``, ``battery_range``), the float
+    ``rng.uniform(a, b)`` returns.
     """
     require_generation_args(count, width, height, radius, battery_range)
     lo, hi = battery_range

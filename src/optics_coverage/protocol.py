@@ -18,20 +18,22 @@ counts twice; each member keeps a running sum, grown by the discs of its
 neighbor-table row as they activate, from the arcs the table keeps for
 each row it has been asked for. Actives retire to sleep at the end
 of their round and rejoin the pool after a configurable number of rounds.
-A round runs on the deployment alone: its arrays ``state_code``,
-``battery`` and the sleepers' countdown ``sleep_left``, and the neighbor
-tables it keeps, at 2r and, for an eps wider than 2r, at eps, each built
-from the ``x`` and ``y`` columns by the first round that needs it.
-Waking, retiring and draining are masked writes, the ordering masks a
-kept table with ``state_code == IDLE``, the actives are the slots left
-``ACTIVE``, and a ``RoundState`` only records what the round did. A
-selection tree works at the 2r table's slots. It splits L in two: each
-idle member's offer, the numerator, is computed once per cluster into
-one array over the slots, NaN wherever no reply may come, and a tree
-node's first request divides the offers in its row by ``w_d * distance``
-and ranks them. Within one tree the scores are fixed and a reply can only
-leave the pool, so the node's later requests get that ranking, less the
-replies walked or gone NaN since: each node is ranked once.
+A round runs on the deployment alone: its arrays ``state_code``, each
+node's ``network`` state code (``IDLE``, ``ACTIVE``, ``SLEEPING`` or
+``DEAD``), ``battery`` and the sleepers' countdown ``sleep_left``, and
+the neighbor tables it keeps, at 2r and, for an eps wider than 2r, at
+eps, each built from the ``x`` and ``y`` columns by the first round that
+needs it. Waking, retiring and draining are masked writes, the ordering
+masks a kept table with ``state_code == IDLE``, the actives are the
+slots left ``ACTIVE``, and a ``RoundState`` only records what the round
+did. A selection tree works at the 2r table's slots. It splits L in
+two: each idle member's offer, the numerator, is computed once per
+cluster into one array over the slots, NaN wherever no reply may come,
+and a tree node's first request divides the offers in its row by
+``w_d * distance`` and ranks them. Within one tree the scores are fixed
+and a reply can only leave the pool, so the node's later requests get
+that ranking, less the replies walked or gone NaN since: each node is
+ranked once.
 """
 
 from __future__ import annotations
@@ -50,7 +52,10 @@ from .geometry import overlap_angle  # noqa: F401
 from .metrics import GRID_RESOLUTION, RoundReport, active_ratio, analytic_cr, grid_cr
 from .metrics import require_resolution
 from .network import (
-    STATE_CODE,
+    ACTIVE,
+    DEAD,
+    IDLE,
+    SLEEPING,
     STATE_NAME,
     Deployment,
     NeighborTable,
@@ -63,7 +68,6 @@ from .network import (
 from .optics import Cluster, OpticsParams, Ordering, extract_clusters, optics_order
 
 TWO_PI = 2 * math.pi
-IDLE_CODE, ACTIVE_CODE, SLEEPING_CODE, DEAD_CODE = (STATE_CODE[s] for s in STATE_NAME)
 
 
 class AllNodesDeadError(RuntimeError):
@@ -179,7 +183,7 @@ def select_next(
     cfg = config or ProtocolConfig()
     table = _table(deployment, 2 * deployment.radius)
     code = deployment.state_code[sender]
-    if code != ACTIVE_CODE:
+    if code != ACTIVE:
         raise ValueError(f"node {table.ids[sender]} is {STATE_NAME[code]}, not active")
     index, distance = table.row(sender)
     offer = offers[index]
@@ -229,7 +233,7 @@ def cover_cluster(
     members = deployment.slots(cluster.members)
     u = _seed_slot(deployment, members)
     tree = SelectionTree(cluster.cluster_id, ids.item(u))
-    members = members[codes[members] == IDLE_CODE]
+    members = members[codes[members] == IDLE]
     # the summed arc (2*alpha each) the cluster's actives cut from each
     # member. A discarded member's sum can only grow, so it would stay
     # redundant and is dropped.
@@ -244,7 +248,7 @@ def cover_cluster(
         )
 
         def activate(i: int) -> None:
-            codes[i] = ACTIVE_CODE
+            codes[i] = ACTIVE
             offers[i] = np.nan
             index, distance = table.row(i)
             # rows run by distance, so only a zero first entry has twins
@@ -284,8 +288,8 @@ def run_round(
 ) -> tuple[RoundState, RoundReport]:
     """Advance the deployment by one round, its ``rounds_run + 1``-th.
 
-    Sleepers count down and those with one round or less left rejoin the
-    idle pool, last round's actives go to sleep for ``sleep_rounds``, the
+    Sleepers count down and those with no rounds left rejoin the idle
+    pool, last round's actives go to sleep for ``sleep_rounds``, the
     idle pool is re-clustered and covered cluster by cluster, and the new
     actives pay the round's battery cost. Outliers of the clustering stay
     idle; an eps wider than 2r orders over a table at eps. The first round
@@ -297,22 +301,22 @@ def run_round(
     cfg = config or ProtocolConfig()
     round_index = deployment.rounds_run + 1
     ids, codes, left = deployment.ids, deployment.state_code, deployment.sleep_left
-    if not (codes != DEAD_CODE).any():
+    if not (codes != DEAD).any():
         raise AllNodesDeadError(round_index)
     saved = codes.copy(), left.copy()
     deployment.rounds_run = round_index
-    # sleepers count down, those with one round or less left wake, and
-    # last round's actives retire
-    asleep = codes == SLEEPING_CODE
-    codes[asleep & (left <= 1)] = IDLE_CODE
-    left[asleep & (left > 0)] -= 1
-    retiring = codes == ACTIVE_CODE
-    codes[retiring] = SLEEPING_CODE
+    # sleepers, each with a round or more left, count down, those with none
+    # left wake, and last round's actives retire
+    asleep = codes == SLEEPING
+    left[asleep] -= 1
+    codes[asleep & (left == 0)] = IDLE
+    retiring = codes == ACTIVE
+    codes[retiring] = SLEEPING
     left[retiring] = cfg.sleep_rounds
-    asleep = np.flatnonzero(codes == SLEEPING_CODE)
+    asleep = np.flatnonzero(codes == SLEEPING)
     sleeping = dict(zip(ids[asleep].tolist(), left[asleep].tolist()))
 
-    idle = codes == IDLE_CODE
+    idle = codes == IDLE
     trees: list[SelectionTree] = []
     ordering = Ordering()
     try:
@@ -328,7 +332,7 @@ def run_round(
         raise
 
     # last round's actives retired above, so the actives are the tree nodes
-    chosen = np.flatnonzero(codes == ACTIVE_CODE)
+    chosen = np.flatnonzero(codes == ACTIVE)
     area = deployment.region_width * deployment.region_height
     report = RoundReport(
         deployed_count=len(ids),
@@ -346,7 +350,7 @@ def run_round(
     # the round's cost, clamped at an empty battery, which is death
     charge = np.maximum(deployment.battery[chosen] - cfg.battery_drain, 0.0)
     deployment.battery[chosen] = charge
-    codes[chosen[charge == 0.0]] = DEAD_CODE
+    codes[chosen[charge == 0.0]] = DEAD
     survivors = set(ids[chosen[charge > 0.0]].tolist())
     return RoundState(round_index, survivors, sleeping, trees, ordering), report
 

@@ -55,7 +55,7 @@ from optics_coverage.network import (
     DEAD,
     IDLE,
     SLEEPING,
-    STATE_CODE,
+    STATE_NAME,
     build_neighbor_table,
 )
 from optics_coverage.optics import Cluster, Ordering
@@ -114,7 +114,7 @@ def reference_select_next(current, deployment, allowed=None, config=None):
     cfg = config or ProtocolConfig()
     sender = deployment.node(current)  # KeyError for an unknown id
     if sender.state != ACTIVE:
-        raise ValueError(f"node {current} is {sender.state}, not active")
+        raise ValueError(f"node {current} is {STATE_NAME[sender.state]}, not active")
     table = build_neighbor_table(deployment)
     replies = []
     for nid, dist in table_row(table, current):
@@ -146,8 +146,9 @@ def best_reply(current, table, deployment, allowed, exclude, config):
 
 
 def write_state(deployment, slot, state, left=0):
-    """Write ``state`` at ``slot``, with ``left`` rounds of sleep."""
-    deployment.state_code[slot] = STATE_CODE[state]
+    """Write the state code ``state`` at ``slot``, with ``left`` rounds of
+    sleep."""
+    deployment.state_code[slot] = state
     deployment.sleep_left[slot] = left
 
 
@@ -227,7 +228,7 @@ def reference_run_round(deployment, params, config):
         node = deployment.node(nid)
         deployment.battery[node.slot] = max(0.0, node.battery - config.battery_drain)
         if node.battery == 0.0:
-            deployment.state_code[node.slot] = STATE_CODE[DEAD]
+            deployment.state_code[node.slot] = DEAD
         else:
             survivors.add(nid)
     return RoundState(round_index, survivors, sleeping, trees, ordering), report

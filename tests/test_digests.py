@@ -4,7 +4,9 @@ The benchmark's workload module is loaded read-only; its ``digests.json``
 holds the digests of the default ``optics-coverage run`` artifacts and of the
 per-round active ids of the reference 5,000-node round. (The 24-round
 rotation digest is left to the benchmark run: it takes too long here.)
-Those cover round 1 only, so a four-round sweep is pinned here too: at the
+Those cover round 1 only, so the benchmark's own round checks run here over
+four rounds of a small field, where each round's eligible ids are read back
+from the node views, and a four-round sweep is pinned too: at the
 default eps (2r); at an eps wider than 2r, where the ordering reads a table
 of its own; and at an eps below 2r, where the ordering reads the 2r table
 and shuts out the row entries beyond eps; and at theta 0.5, where the
@@ -53,6 +55,15 @@ def test_scale_round_matches_recorded_digest(tmp_path):
     spec = workloads.SPECS["scale"]
     result = workloads.run_pass(spec, 0, 0, tmp_path, probe=False)
     assert result.digest == workloads.recorded_digests()["scale"]
+
+
+def test_multi_round_pass_reports_no_problem():
+    # the one-round digests never read a node view after a round; the
+    # rotation workload recomputes each round's eligible ids from them
+    spec = workloads.Spec("rotation", 300, 38.0, 4, passes=1)
+    result = workloads._rounds_pass(spec, 5, lambda fn: fn(), workloads.Timer(probe=False))
+    assert len(result.ops) == 4
+    assert [op.problems for op in result.ops] == [[]] * 4
 
 
 # digests of the four-round artifacts, by case: the config fields it

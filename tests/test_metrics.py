@@ -322,6 +322,26 @@ class TestSummarizeExperiment:
         with pytest.raises(ValueError):
             summarize_experiment({100: ()})
 
+    @pytest.mark.parametrize("trials", [{10: [2.7, True]}, {10: [2, True]}, {10: [3, -1]}])
+    def test_counts_must_be_ints_from_0(self, trials):
+        # 2.7 and True were once read as the counts 2 and 1
+        with pytest.raises(ValueError, match="^active count must be"):
+            summarize_experiment(trials)
+
+    @pytest.mark.parametrize(
+        "trials", [{10.5: [2]}, {True: [1]}, {0: [0]}, {-10: [1]}, {10: [2], "20": [1]}]
+    )
+    def test_sizes_must_be_ints_from_1(self, trials):
+        # the size 10.5 once gave a row with r_display = 20.0, a float, and
+        # a string size among ints failed the sort with a TypeError
+        with pytest.raises(ValueError, match="^deployment size must be"):
+            summarize_experiment(trials)
+
+    def test_numpy_int_sizes_and_counts_pass(self):
+        summary = summarize_experiment({np.int64(100): (np.int64(27), np.int32(32), 40)})
+        assert summary == summarize_experiment({100: (27, 32, 40)})
+        assert type(summary.rows[0].trials[0]) is int
+
     def test_csv_layout(self):
         summary = summarize_experiment(TABLE_TRIALS)
         buf = io.StringIO()

@@ -18,6 +18,7 @@ from network_reference import (
     table_row,
 )
 from optics_reference import points_table
+from protocol_reference import write_state
 
 from optics_coverage import network
 from optics_coverage.geometry import Point2D, overlap_angle
@@ -26,7 +27,6 @@ from optics_coverage.network import (
     DEAD,
     IDLE,
     SLEEPING,
-    STATE_CODE,
     Deployment,
     NeighborTable,
     _cell_ranks,
@@ -70,7 +70,7 @@ class TestGenerateDeployment:
         assert d.x.dtype == d.y.dtype == np.float64
         assert list(zip(d.x.tolist(), d.y.tolist())) == [(x, y) for x, y, _ in draws]
         assert d.battery.tolist() == [b for _, _, b in draws]
-        assert d.state_code.tolist() == [STATE_CODE[IDLE]] * 40
+        assert d.state_code.tolist() == [IDLE] * 40
 
     @pytest.mark.parametrize(
         "battery_range", [(0.5, 1.0), (0.0, 1.0), (0, 0.3), (0.7, 0.7), (1, 1)]
@@ -438,11 +438,11 @@ class TestHalfStencil:
         assert steps == {(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)}
 
 
-def columns(n=3, battery=1.0, ids=None, states=None):
+def columns(n=3, battery=1.0, ids=None):
     """Constructor arguments of ``n`` nodes in a row, 1 m apart."""
     ids = list(range(n)) if ids is None else ids
     x, y = [float(i) for i in range(n)], [0.0] * n
-    return ids, x, y, [battery] * n, 10.0, 10.0, 5.0, None, states
+    return ids, x, y, [battery] * n, 10.0, 10.0, 5.0, None
 
 
 class TestRowArcs:
@@ -756,11 +756,12 @@ class TestColumnRules:
 
 
 class TestNodeInvariants:
-    @pytest.mark.parametrize("battery", [1.5, -0.25])
+    @pytest.mark.parametrize("battery", [1.5, -0.25, 0.0, -0.0])
     def test_battery_range_enforced(self, battery):
+        # an empty battery is a dead node, which only a round makes
         ids, x, y, batteries, *rest = columns()
         batteries[1] = battery
-        with pytest.raises(ValueError, match=r"battery must be in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"battery must be in \(0, 1\]"):
             Deployment(ids, x, y, batteries, *rest)
 
     @pytest.mark.parametrize("battery", [math.nan, math.inf])
@@ -771,20 +772,6 @@ class TestNodeInvariants:
         with pytest.raises(ValueError, match="battery must be finite"):
             Deployment(ids, x, y, batteries, *rest)
 
-    def test_dead_iff_empty(self):
-        with pytest.raises(ValueError, match="dead exactly"):
-            Deployment(*columns(battery=0.0))
-        with pytest.raises(ValueError, match="dead exactly"):
-            Deployment(*columns(battery=0.5, states=[IDLE, DEAD, IDLE]))
-        ids, x, y, batteries, *rest = columns(states=[IDLE, DEAD, IDLE])
-        batteries[1] = 0.0
-        dep = Deployment(ids, x, y, batteries, *rest)
-        assert not dep.node(1).alive and dep.node(0).alive
-
-    def test_unknown_state_rejected(self):
-        with pytest.raises(ValueError, match="unknown state 'asleep'"):
-            Deployment(*columns(states=[IDLE, "asleep", IDLE]))
-
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             Deployment(*columns(ids=[4, 0, 4]))
@@ -794,27 +781,27 @@ class TestNodeInvariants:
         with pytest.raises(ValueError, match="ids must be ints"):
             Deployment(*columns(ids=ids))
 
-    @pytest.mark.parametrize("column", [0, 1, 2, 3, 8], ids=["ids", "x", "y", "battery", "states"])
+    @pytest.mark.parametrize("column", [0, 1, 2, 3], ids=["ids", "x", "y", "battery"])
     def test_column_lengths_must_match(self, column):
-        args = list(columns(states=[IDLE] * 3))
+        args = list(columns())
         args[column] = args[column][:2]
         with pytest.raises(ValueError, match="one entry per node"):
             Deployment(*args)
 
     @pytest.mark.parametrize("radius", [0, -1, math.nan, math.inf])
     def test_radius_positive_and_finite(self, radius):
-        ids, x, y, batteries, width, height, _, seed, states = columns()
+        ids, x, y, batteries, width, height, _, seed = columns()
         with pytest.raises(ValueError, match="radius must be positive"):
-            Deployment(ids, x, y, batteries, width, height, radius, seed, states)
+            Deployment(ids, x, y, batteries, width, height, radius, seed)
 
     @pytest.mark.parametrize("side", ["region_width", "region_height"])
     @pytest.mark.parametrize("value", [-50.0, 0.0, math.nan, math.inf])
     def test_region_sides_positive_and_finite(self, side, value):
         # a round would build its trees before analytic_cr refused the area
-        ids, x, y, batteries, width, height, radius, seed, states = columns()
+        ids, x, y, batteries, width, height, radius, seed = columns()
         region = {"region_width": width, "region_height": height, side: value}
         with pytest.raises(ValueError, match=f"{side} must be positive and finite"):
-            Deployment(ids, x, y, batteries, radius=radius, seed=seed, states=states, **region)
+            Deployment(ids, x, y, batteries, radius=radius, seed=seed, **region)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [1, 2], ids=["x", "y"])
@@ -837,18 +824,18 @@ class TestNodeInvariants:
         assert [n.id for n in dep.nodes] == [0, 1, 2] and dep.node(0).battery == 1.0
 
     def test_columns_sorted_by_id(self):
-        ids = [30, 10, 20]
-        dep = Deployment(*columns(ids=ids, battery=0.5, states=[ACTIVE, IDLE, SLEEPING]))
+        ids, x, y, _, *rest = columns(ids=[30, 10, 20])
+        dep = Deployment(ids, x, y, [0.25, 0.5, 1.0], *rest)
         assert dep.ids.tolist() == [10, 20, 30]
         assert dep.x.tolist() == [1.0, 2.0, 0.0] and dep.y.tolist() == [0.0, 0.0, 0.0]
-        assert [n.state for n in dep.nodes] == [IDLE, SLEEPING, ACTIVE]
+        assert dep.battery.tolist() == [0.5, 1.0, 0.25]
 
 
 def assert_arrays_match(dep):
     """The deployment's arrays, slot by slot in id order, equal its views'."""
     nodes = dep.nodes
     assert dep.ids.tolist() == [n.id for n in nodes] == sorted(n.id for n in nodes)
-    assert dep.state_code.tolist() == [STATE_CODE[n.state] for n in nodes]
+    assert dep.state_code.tolist() == [n.state for n in nodes]
     assert dep.battery.tolist() == [n.battery for n in nodes]
     assert list(zip(dep.x.tolist(), dep.y.tolist())) == [(n.position.x, n.position.y) for n in nodes]
 
@@ -865,13 +852,23 @@ class TestDeploymentArrays:
     def test_views_read_the_constructor_columns(self):
         dep = Deployment(
             [7, 3, 100], [7.0, 3.0, 100.0], [0.0] * 3, [1.0, 0.25, 1.0], 100.0, 100.0, 5.0,
-            states=[ACTIVE, IDLE, SLEEPING],
         )
         assert dep.ids.tolist() == [3, 7, 100]
+        write_state(dep, 1, ACTIVE)
+        write_state(dep, 2, SLEEPING, 1)
         assert_arrays_match(dep)
-        assert dep.state_code.tolist() == [STATE_CODE[IDLE], STATE_CODE[ACTIVE], STATE_CODE[SLEEPING]]
+        assert dep.state_code.tolist() == [IDLE, ACTIVE, SLEEPING]
         assert dep.battery.tolist() == [0.25, 1.0, 1.0]
         assert dep.node(7).state == ACTIVE and dep.node(3).battery == 0.25
+
+    def test_a_view_names_its_state(self):
+        dep = Deployment([0, 1], [0.0, 3.0], [0.0, 0.0], [1.0, 0.5], 10.0, 10.0, 5.0)
+        write_state(dep, 1, SLEEPING, 1)
+        assert dep.node(1).state == SLEEPING
+        assert repr(dep.node(1)) == (
+            "SensorNode(id=1, position=Point2D(x=3.0, y=0.0), battery=0.5, state='sleeping')"
+        )
+        assert repr(dep.node(0)).endswith("state='idle')")
 
     @pytest.mark.parametrize("field, value", [("state", ACTIVE), ("battery", 0.5)])
     def test_views_are_read_only(self, field, value):
@@ -879,17 +876,20 @@ class TestDeploymentArrays:
         dep = make_deployment([(0, 0), (3, 0)])
         with pytest.raises(AttributeError):
             setattr(dep.node(1), field, value)
-        assert dep.state_code.tolist() == [STATE_CODE[IDLE]] * 2
+        assert dep.state_code.tolist() == [IDLE] * 2
         assert dep.battery.tolist() == [1.0, 1.0]
 
     def test_countdown_and_round_count_start_at_zero(self):
-        # a node built sleeping has no rounds left, so it wakes next round
-        args = columns(4, ids=[9, 2, 5, 0], states=[SLEEPING, ACTIVE, IDLE, SLEEPING])
-        dep = Deployment(*args)
+        # every node is built idle: only a round puts one to sleep
+        dep = Deployment(*columns(4, ids=[9, 2, 5, 0]))
+        assert dep.state_code.dtype == np.int8 and dep.state_code.tolist() == [IDLE] * 4
         assert dep.sleep_left.dtype == np.int64
         assert dep.sleep_left.tolist() == [0, 0, 0, 0] and dep.rounds_run == 0
 
-    @pytest.mark.parametrize("name, value", [("sleep_left", [2, 2, 2]), ("rounds_run", 3)])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("sleep_left", [2, 2, 2]), ("rounds_run", 3), ("states", [ACTIVE, IDLE, DEAD])],
+    )
     def test_countdown_and_round_count_not_constructor_arguments(self, name, value):
         with pytest.raises(TypeError, match=name):
             Deployment(*columns(), **{name: value})
@@ -937,7 +937,7 @@ class TestDeploymentArrays:
             assert_arrays_match(second)
         assert (second.battery[:40] != drawn).any()
         assert first.battery.tolist() == drawn.tolist()
-        assert first.state_code.tolist() == [STATE_CODE[IDLE]] * 40
+        assert first.state_code.tolist() == [IDLE] * 40
         assert_arrays_match(first)
 
     def test_dropped_deployments_are_released(self):

@@ -14,6 +14,7 @@ from protocol_reference import (
     reference_run_round,
     reference_seed,
     reference_select_next,
+    write_state,
 )
 
 from optics_coverage import protocol
@@ -23,7 +24,6 @@ from optics_coverage.network import (
     DEAD,
     IDLE,
     SLEEPING,
-    STATE_CODE,
     Deployment,
     build_neighbor_table,
     generate_deployment,
@@ -44,9 +44,9 @@ from optics_coverage.protocol import (
 )
 
 
-def make_deployment(positions, radius=5.0, batteries=None, states=None, width=100.0):
+def make_deployment(positions, radius=5.0, batteries=None, state_of=None, width=100.0):
     n = len(positions)
-    return Deployment(
+    dep = Deployment(
         range(n),
         [x for x, _ in positions],
         [y for _, y in positions],
@@ -54,8 +54,8 @@ def make_deployment(positions, radius=5.0, batteries=None, states=None, width=10
         width,
         width,
         radius,
-        states=[(states or {}).get(i, IDLE) for i in range(n)],
     )
+    return with_states(dep, state_of or {})
 
 
 @st.composite
@@ -94,22 +94,22 @@ def request_layouts(draw):
     batteries = draw(st.lists(st.sampled_from([0.5, 0.75, 1.0]), min_size=n, max_size=n))
     sender = draw(st.just(0) | st.integers(0, n - 1))
     states[sender] = ACTIVE
-    batteries = [0.0 if state == DEAD else b for state, b in zip(states, batteries)]
     allowed = draw(st.none() | st.sets(st.sampled_from(ids)))
     config = ProtocolConfig(
         w_battery=draw(st.sampled_from([0.4, 0.0, -1.0])),
         w_neighbors=draw(st.sampled_from([0.3, 0.0])),
     )
     x, y = [x for x, _ in positions], [y for _, y in positions]
-    dep = Deployment(ids, x, y, batteries, 10.0, 10.0, 1.0, states=states)
+    dep = Deployment(ids, x, y, batteries, 10.0, 10.0, 1.0)
+    with_states(dep, dict(zip(ids, states)))
     return dep, ids[sender], allowed, config
 
 
 @st.composite
 def rotation_layouts(draw):
-    """Constructor arguments of a field, some of whose nodes are dead from
-    the start, with batteries low enough that a 0.3 or 0.6 drain kills
-    within a few rounds."""
+    """Constructor arguments of a field, with batteries low enough that a
+    0.3 or 0.6 drain kills within a few rounds, and the ids of the nodes
+    that are dead from the start."""
     n = draw(st.integers(1, 60))
     rng = random.Random(draw(st.integers(0, 10_000)))
     side = draw(st.sampled_from([15.0, 25.0, 40.0]))
@@ -119,10 +119,8 @@ def rotation_layouts(draw):
         y.append(rng.uniform(0, side))
     batteries = [rng.uniform(0.1, 1.0) for _ in range(n)]
     dead = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
-    states = [DEAD if i in dead else IDLE for i in range(n)]
-    batteries = [0.0 if i in dead else b for i, b in enumerate(batteries)]
     ids = rng.sample(range(10 * n), n)
-    return ids, x, y, batteries, side, side, 5.0, None, states
+    return (ids, x, y, batteries, side, side, 5.0), [ids[i] for i in dead]
 
 
 @st.composite
@@ -148,13 +146,15 @@ def transposable_fields(draw):
 
 
 def with_states(dep, states):
-    """A new deployment of ``dep``'s columns, with the ``{id: state}``
-    given and every other node's state kept."""
-    kept = [states.get(n.id, n.state) for n in dep.nodes]
-    return Deployment(
-        dep.ids, dep.x, dep.y, dep.battery, dep.region_width, dep.region_height,
-        dep.radius, dep.seed, states=kept,
-    )
+    """``dep``, with the ``{id: state}`` given written into its arrays as a
+    round leaves them: a sleeper with one round left, and a dead node with
+    an empty battery."""
+    for nid, state in states.items():
+        slot = int(dep.slots([nid])[0])
+        write_state(dep, slot, state, 1 if state == SLEEPING else 0)
+        if state == DEAD:
+            dep.battery[slot] = 0.0
+    return dep
 
 
 def replies(current, dep, allowed=None, config=None):
@@ -163,7 +163,7 @@ def replies(current, dep, allowed=None, config=None):
     the ids in ``allowed`` (None for every node), which only idle nodes
     get."""
     cfg = config or ProtocolConfig()
-    idle = np.flatnonzero(dep.state_code == STATE_CODE[IDLE])
+    idle = np.flatnonzero(dep.state_code == IDLE)
     if allowed is not None:
         idle = idle[np.isin(dep.ids[idle], list(allowed))]
     degrees = build_neighbor_table(dep).degrees[idle]
@@ -291,7 +291,7 @@ class TestSelectNext:
             [(0, 0), (1.8, 0), (0, 1.8), (0, 2.9)],
             radius=1.0,
             batteries={1: 1.0, 2: 0.6},
-            states={0: ACTIVE, 3: SLEEPING},
+            state_of={0: ACTIVE, 3: SLEEPING},
         )
         table = build_neighbor_table(dep)
         assert table_degree(table, 1) == 1
@@ -301,7 +301,7 @@ class TestSelectNext:
     def test_full_ranking_order(self):
         positions = [(0, 0), (6, 0), (0, 2), (-4, 1), (3, 3), (1, -7), (-2, -2)]
         batteries = {1: 0.9, 2: 0.55, 3: 0.7, 4: 1.0, 5: 0.8, 6: 0.6}
-        dep = make_deployment(positions, batteries=batteries, states={0: ACTIVE})
+        dep = make_deployment(positions, batteries=batteries, state_of={0: ACTIVE})
         table = build_neighbor_table(dep)
         levels = {
             nid: acceptance_level(batteries[nid], table_degree(table, nid), d)
@@ -314,24 +314,24 @@ class TestSelectNext:
         # 1, 2 and 3 are exactly 3 m out with equal battery and degree;
         # 4 is closer and outranks them
         dep = make_deployment(
-            [(0, 0), (3, 0), (0, 3), (-3, 0), (0, -2)], states={0: ACTIVE}
+            [(0, 0), (3, 0), (0, 3), (-3, 0), (0, -2)], state_of={0: ACTIVE}
         )
         table = build_neighbor_table(dep)
         assert {table_degree(table, nid) for nid in (1, 2, 3)} == {4}
         assert replies(0, dep) == [4, 1, 2, 3]
 
     def test_no_idle_neighbors(self):
-        dep = make_deployment([(0, 0), (3, 0)], states={0: ACTIVE, 1: SLEEPING})
+        dep = make_deployment([(0, 0), (3, 0)], state_of={0: ACTIVE, 1: SLEEPING})
         assert replies(0, dep) == []
 
     def test_allowed_filter(self):
-        dep = make_deployment([(0, 0), (3, 0), (0, 3)], states={0: ACTIVE})
+        dep = make_deployment([(0, 0), (3, 0), (0, 3)], state_of={0: ACTIVE})
         assert replies(0, dep, allowed={1}) == [1]
         assert replies(0, dep, allowed=set()) == []
 
     def test_minus_inf_reply_never_offered(self):
         # a negative battery weight over a subnormal distance scores -inf
-        dep = make_deployment([(0, 0), (1e-310, 0), (3, 0)], states={0: ACTIVE})
+        dep = make_deployment([(0, 0), (1e-310, 0), (3, 0)], state_of={0: ACTIVE})
         config = ProtocolConfig(w_battery=-1.0, w_neighbors=0.0)
         assert acceptance_level(1.0, 2, 1e-310, config) == -math.inf
         assert replies(0, dep, config=config) == [2]
@@ -362,7 +362,7 @@ class TestSelectNext:
                 [(x * c, y * c) for x, y in positions],
                 radius=5.0 * c,
                 batteries=batteries,
-                states={0: ACTIVE},
+                state_of={0: ACTIVE},
             )
             rankings.append(replies(0, dep))
         assert len(rankings[0]) == 3
@@ -382,22 +382,24 @@ class TestSelectNext:
         assert outcome(replies) == outcome(reference_select_next)
 
     def test_co_located_candidate_raises(self):
-        dep = make_deployment([(0, 0), (0, 0)], states={0: ACTIVE})
+        dep = make_deployment([(0, 0), (0, 0)], state_of={0: ACTIVE})
         with pytest.raises(CoLocatedSensorsError):
             replies(0, dep)
 
     def test_selector_must_be_active(self):
-        dep = make_deployment([(0, 0), (3, 0)])
-        with pytest.raises(ValueError):
+        dep = make_deployment([(0, 0), (3, 0), (6, 0)], state_of={1: SLEEPING})
+        with pytest.raises(ValueError, match="node 0 is idle, not active"):
             replies(0, dep)
+        with pytest.raises(ValueError, match="node 1 is sleeping, not active"):
+            replies(1, dep)
 
     def test_slot_outside_table(self):
-        dep = make_deployment([(0, 0)], states={0: ACTIVE})
+        dep = make_deployment([(0, 0)], state_of={0: ACTIVE})
         with pytest.raises(IndexError):
             select_next(1, dep, np.full(1, np.nan))
 
     def test_isolated_selector(self):
-        dep = make_deployment([(0, 0), (50, 50)], states={0: ACTIVE})
+        dep = make_deployment([(0, 0), (50, 50)], state_of={0: ACTIVE})
         assert replies(0, dep) == []
 
 
@@ -602,7 +604,8 @@ class TestRunRound:
         config = ProtocolConfig(
             sleep_rounds=sleep_rounds, battery_drain=drain, grid_resolution=50
         )
-        ours, ref = Deployment(*layout), Deployment(*layout)
+        columns, dead = layout
+        ours, ref = (with_states(Deployment(*columns), dict.fromkeys(dead, DEAD)) for _ in range(2))
         runs = [(run_round, ours), (reference_run_round, ref)]
         for _ in range(8):
             outcomes = []
@@ -618,16 +621,6 @@ class TestRunRound:
             assert ours.rounds_run == ref.rounds_run
             if isinstance(outcomes[0], int):
                 break
-
-    def test_node_set_sleeping_on_an_unrun_field_rejoins_at_round_1(self):
-        # isolated nodes, each its own cluster at min_pts = 1: node 2 wakes
-        # with 0 rounds left and activates with the others
-        dep = make_deployment([(0, 0), (30, 0), (0, 30), (30, 30)], states={2: SLEEPING})
-        assert dep.sleep_left.tolist() == [0, 0, 0, 0] and dep.rounds_run == 0
-        state, _ = run_round(dep, OpticsParams(eps=10, min_pts=1))
-        assert state.round_index == 1 and dep.rounds_run == 1
-        assert state.active == {0, 1, 2, 3} and state.sleeping == {}
-        assert dep.node(2).state == ACTIVE
 
     @pytest.mark.parametrize("sleep_rounds", [1, 3])
     def test_node_set_active_retires_for_sleep_rounds(self, sleep_rounds):
@@ -654,8 +647,8 @@ class TestRunRound:
         params = OpticsParams(eps=10, min_pts=4)
         for _ in range(6):
             state, _ = run_round(dep, params, config)
-            active = dep.state_code == STATE_CODE[ACTIVE]
-            asleep = dep.state_code == STATE_CODE[SLEEPING]
+            active = dep.state_code == ACTIVE
+            asleep = dep.state_code == SLEEPING
             assert state.active == set(dep.ids[active].tolist())
             assert state.sleeping == dict(
                 zip(dep.ids[asleep].tolist(), dep.sleep_left[asleep].tolist())
@@ -689,7 +682,7 @@ class TestRunRound:
         config = ProtocolConfig(battery_drain=0.5, grid_resolution=10)
         state, _ = run_round(dep, params, config)
         assert state.round_index == dep.rounds_run == 1
-        assert dep.state_code.tolist() == [STATE_CODE[DEAD]] * 2
+        assert dep.state_code.tolist() == [DEAD] * 2
         with pytest.raises(AllNodesDeadError) as err:
             run_round(dep, params, config)
         assert err.value.round_index == 2 and dep.rounds_run == 1
@@ -698,7 +691,7 @@ class TestRunRound:
         # nodes 1 and 2 share a position, so node 1's activation raises
         # mid-tree; the far node 5 would retire and the sleeper 6 count down
         positions = [(0, 0), (3, 0), (3, 0), (0, 3), (6, 3), (40, 40), (60, 60)]
-        dep = make_deployment(positions, batteries={3: 0.75}, states={5: ACTIVE, 6: SLEEPING})
+        dep = make_deployment(positions, batteries={3: 0.75}, state_of={5: ACTIVE, 6: SLEEPING})
         dep.sleep_left[6] = 3
         dep.rounds_run = 4
         before = dep.state_code.copy(), dep.sleep_left.copy(), dep.battery.copy()
@@ -762,6 +755,99 @@ class TestTransposedField:
             other = flip.tables[reach]
             for name in ("ids", "indptr", "index", "distance"):
                 assert getattr(table, name).tobytes() == getattr(other, name).tobytes()
+
+
+def nan_bits(column):
+    """The bytes of a float column, every NaN written as one NaN."""
+    return np.where(np.isnan(column), np.nan, column).tobytes()
+
+
+def round_views(dep, params, config, shift=0, f=1.0, rounds=3):
+    """What each of ``rounds`` rounds did, with every id plus ``shift`` and
+    every distance times ``f``: its index, actives, sleepers, trees,
+    ordering and report, or the type of the ``CoLocatedSensorsError`` it
+    raised (whose message names a node or a distance); each with the
+    deployment's arrays and round count after the round."""
+    views = []
+    for _ in range(rounds):
+        outcome, *after = round_outcome(dep, params, config)
+        if isinstance(outcome[0], RoundState):
+            state, report = outcome
+            ordering = state.ordering
+            outcome = (
+                state.round_index,
+                {i + shift for i in state.active},
+                {i + shift: left for i, left in state.sleeping.items()},
+                [
+                    (t.cluster_id, t.root + shift, [(a + shift, b + shift) for a, b in t.edges])
+                    for t in state.trees
+                ],
+                (ordering.ids + shift).tolist(),
+                nan_bits(ordering.reachability * f),
+                nan_bits(ordering.core_distance * f),
+                report,
+            )
+        else:
+            outcome = outcome[0]
+        views.append((outcome, *after))
+    return views
+
+
+# fields whose coordinates are 0 or at least 2**-900: scaled by 2**-2, every
+# length, difference and square the rounds compute stays a normal float
+scalable_fields = transposable_fields().filter(
+    lambda field: all(v == 0 or v >= 2.0**-900 for v in field[1] + field[2])
+)
+
+
+class TestMetamorphicFields:
+    @given(
+        scalable_fields,
+        st.sampled_from([1, -2, 10]),
+        st.sampled_from([1, 2, 4]),
+        st.sampled_from([1.0, 2.0, 3.0]),
+    )
+    # two points 2**-900 apart, the nearest a field holds: scaled to 2**-902
+    @example(([0, 1], [0.0, 0.0], [0.0, 2.0**-900], [1.0, 1.0], 12.0, 12.0, 1.5), -2, 1, 1.0)
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_every_length_by_a_power_of_2_scales_the_rounds(
+        self, field, k, min_pts, eps_in_r
+    ):
+        # a power of 2 scales every float exactly, so a rule that hides an
+        # absolute length shows: the rounds pick the same nodes, report the
+        # same figures, and every distance, reachability and core distance
+        # among them is the original times 2**k, bit for bit
+        ids, x, y, batteries, width, height, radius = field
+        f = 2.0**k
+        dep = Deployment(ids, x, y, batteries, width, height, radius)
+        xy = [v * f for v in x], [v * f for v in y]
+        scaled = Deployment(ids, *xy, batteries, width * f, height * f, radius * f)
+        params = OpticsParams(eps=eps_in_r * radius, min_pts=min_pts)
+        scaled_params = OpticsParams(eps=params.eps * f, min_pts=min_pts)
+        assert scaled_params.eps_prime == params.eps_prime * f
+        config = ProtocolConfig(grid_resolution=40)
+        views = round_views(dep, params, config, f=f)
+        assert views == round_views(scaled, scaled_params, config)
+        assert [reach * f for reach in dep.tables] == list(scaled.tables)
+        for table, other in zip(dep.tables.values(), scaled.tables.values()):
+            assert table.indptr.tobytes() == other.indptr.tobytes()
+            assert table.index.tobytes() == other.index.tobytes()
+            assert (table.distance * f).tobytes() == other.distance.tobytes()
+
+    @given(transposable_fields(), st.sampled_from([1, 2, 4]), st.sampled_from([1.0, 2.0, 3.0]))
+    @example(([0, 1], [0.0, 0.0], [0.0, 5e-324], [1.0, 1.0], 12.0, 12.0, 1.5), 1, 1.0)
+    @settings(max_examples=100, deadline=None)
+    def test_shifting_every_id_shifts_the_rounds_ids(self, field, min_pts, eps_in_r):
+        # ids name nodes and break ties, and a slot is no id: with every id
+        # 10**6 higher, the rounds are the same once their ids are mapped
+        ids, x, y, batteries, width, height, radius = field
+        shift = 10**6
+        dep = Deployment(ids, x, y, batteries, width, height, radius)
+        shifted = Deployment([i + shift for i in ids], x, y, batteries, width, height, radius)
+        params = OpticsParams(eps=eps_in_r * radius, min_pts=min_pts)
+        config = ProtocolConfig(grid_resolution=40)
+        views = round_views(dep, params, config, shift=shift)
+        assert views == round_views(shifted, params, config)
 
 
 def one_node_round(battery, drain):
@@ -879,9 +965,7 @@ class TestIterateRounds:
         assert len(s2.sleeping) == 41
 
     def test_dead_nodes_allowed(self):
-        dep = make_deployment(
-            [(0, 0), (3, 0), (6, 0)], batteries={1: 0.0}, states={1: DEAD}
-        )
+        dep = make_deployment([(0, 0), (3, 0), (6, 0)], state_of={1: DEAD})
         ((state, _),) = iterate_rounds(dep, OpticsParams(eps=10, min_pts=1))
         assert state.active and 1 not in state.active
 
@@ -933,7 +1017,7 @@ class TestIterateRounds:
         assert {reach: t.radius for reach, t in tables.items()} == {10: 10, eps: eps}
         list(iterate_rounds(dep, params, rounds=2))
         run_round(dep, params)
-        idle = dep.ids[dep.state_code == STATE_CODE[IDLE]]
+        idle = dep.ids[dep.state_code == IDLE]
         assert cover_cluster(Cluster(0, tuple(idle.tolist())), dep).edges
         assert calls == built
         assert dep.tables.keys() == tables.keys()
