@@ -120,7 +120,8 @@ def _cmd_run(args) -> int:
             f"  N={row.n_display:4d}  R={row.r_display:3d}%"
         )
     print(f"R_avg = {result.summary.r_avg:.2f}% -> {result.summary.r_avg_display}%")
-    print(f"artifacts in {config.output_dir}/")
+    # Path spells a blank directory, the working one, as "."
+    print(f"artifacts in {Path(config.output_dir)}/")
     return EXIT_OK
 
 

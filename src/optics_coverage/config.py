@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from typing import Sequence
 
-from .network import require_count, require_generation_args
+from .network import BATTERY_RANGE, require_count, require_generation_args
 from .optics import OpticsParams
 from .protocol import ProtocolConfig
 
@@ -40,8 +40,8 @@ class RunConfig:
     height: float = _ini("deployment", 50.0)
     radius: float = _ini("deployment", 5.0)
     seed: int = _ini("deployment", 42)
-    battery_min: float = _ini("deployment", 0.5)
-    battery_max: float = _ini("deployment", 1.0)
+    battery_min: float = _ini("deployment", BATTERY_RANGE[0])
+    battery_max: float = _ini("deployment", BATTERY_RANGE[1])
     eps: float | None = _ini("optics", None, note="blank eps means 2 * radius")
     min_pts: int = _ini("optics", 4)
     eps_prime: float | None = _ini(
@@ -73,10 +73,14 @@ class RunConfig:
             **{f.name: getattr(self, f.name) for f in fields(ProtocolConfig)}
         )
 
+    def generation_args(self, seed: int) -> tuple:
+        """The arguments of ``generate_deployment`` after the count, at ``seed``."""
+        return self.width, self.height, self.radius, seed, (self.battery_min, self.battery_max)
+
     def validate(self, sweep: bool = True) -> None:
         """``ConfigError`` for a value the library would refuse; ``sweep=False``
         skips the keys only the sweep reads: d_list, rounds."""
-        layout = (self.width, self.height, self.radius, (self.battery_min, self.battery_max))
+        layout = self.generation_args(self.seed)
         try:
             require_generation_args(self.count, *layout)
             self.optics_params()

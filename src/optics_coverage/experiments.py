@@ -5,37 +5,29 @@ fixed number of seeded trials per size; trial t of every size uses seed
 ``master_seed + t`` so reruns are byte-identical. The baseline experiment
 pairs each protocol run with a uniformly random active subset of the same
 size, isolating the value of informed selection at equal battery cost.
+
+Every artifact format is written, and read back, here; the other modules
+only compute.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import math
 import random
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
+from typing import IO, Iterable
+
+import numpy as np
 
 from .config import RunConfig
-from .metrics import (
-    GRID_RESOLUTION,
-    ExperimentSummary,
-    RoundReport,
-    coverage_grid,
-    grid_cr,
-    require_resolution,
-    summarize_experiment,
-    write_coverage_grid_csv,
-    write_table_csv,
-)
-from .network import Deployment, generate_deployment, require_ids, require_int
-from .network import require_positive, require_reals
-from .optics import Ordering, write_reachability_csv
-from .protocol import (
-    AllNodesDeadError,
-    RoundState,
-    iterate_rounds,
-    read_trace,
-    write_trace,
-)
+from .metrics import GRID_RESOLUTION, ExperimentSummary, RoundReport, coverage_grid, grid_cr
+from .metrics import require_resolution, summarize_experiment
+from .network import Deployment, generate_deployment, require_int
+from .optics import Ordering
+from .protocol import AllNodesDeadError, RoundState, iterate_rounds
 
 TABLE_FILENAME = "active_node_table.csv"
 
@@ -59,25 +51,14 @@ class TableExperimentResult:
     summary: ExperimentSummary | None
 
 
-def trial_seed(master_seed: int, trial: int) -> int:
-    return master_seed + trial
-
-
 def _run_trial(
     config: RunConfig, deployed: int, trial: int, rounds: int
 ) -> tuple[Deployment, list[tuple[RoundState, RoundReport]], TrialOutcome]:
     """Seed, generate and simulate one trial of ``deployed`` sensors; the
     rounds stop early, as the outcome records, if every node dies."""
-    seed = trial_seed(config.seed, trial)
+    seed = config.seed + trial
     outcome = TrialOutcome(deployed, trial, seed)
-    deployment = generate_deployment(
-        deployed,
-        config.width,
-        config.height,
-        config.radius,
-        seed,
-        battery_range=(config.battery_min, config.battery_max),
-    )
+    deployment = generate_deployment(deployed, *config.generation_args(seed))
     history: list[tuple[RoundState, RoundReport]] = []
     try:
         for state, report in iterate_rounds(
@@ -211,12 +192,12 @@ def export_plot_data(
     """Turn a round trace into plot-ready CSVs.
 
     Emits one reachability CSV per round plus one coverage 0/1 grid per
-    round, reconstructed from the trace's node snapshot. A resolution
-    that is not an int >= 10, a trace field missing or that fails its
-    check (``require_ids``, ``require_reals``, ``require_positive``,
-    ``require_int``), a node id the header lists twice, a round index the
-    trace lists twice, or a round ordering that lists an id twice or one
-    the header does not list raises ``ValueError`` before anything is written.
+    round, painted over the field of the trace's header, rebuilt as a
+    ``Deployment`` with full batteries. A resolution that is not an int
+    >= 10, a trace field missing or that a ``Deployment`` refuses, a round
+    index that is not an int or that the trace lists twice, or a round
+    whose active ids or ordering list an id the header does not, or whose
+    ordering lists one twice, raises ``ValueError`` before anything is written.
     """
     require_resolution("resolution", resolution)
     trace_path = Path(trace_path)
@@ -225,42 +206,137 @@ def export_plot_data(
     if not rounds:
         raise ValueError(f"trace {trace_path} contains no rounds")
     try:
-        # each row unpacks to exactly three fields
+        # each row unpacks to exactly three fields, and the region to two sides
         ids, x, y = zip(*[(nid, x, y) for nid, x, y in header["nodes"]])
-        ids = require_ids("the trace header's node ids", ids)
-        x = require_reals("the trace header's x coordinates", x)
-        y = require_reals("the trace header's y coordinates", y)
-        radius = require_positive("the trace header's radius", header["radius"])
-        sides = header["region"]
-        width, height = (require_positive("the trace header's region sides", s) for s in sides)
-        slot = {nid: k for k, nid in enumerate(ids.tolist())}
+        width, height = header["region"]
+        deployment = Deployment(ids, x, y, np.ones(len(ids)), width, height, header["radius"])
         frames = []
         for record in rounds:
             require_int("round_index", record["round_index"])
-            active = [slot[nid] for nid in require_ids("active", record["active"]).tolist()]
+            active = deployment.slots(record["active"])
             rows = [(pid, reach, core) for pid, reach, core in record["ordering"]]
             frames.append((record["round_index"], Ordering(*zip(*rows)), active))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed trace field: {exc!r}") from exc
-    if len(slot) < len(ids):
-        raise ValueError("the trace header lists a node id twice")
     if len({k for k, _, _ in frames}) < len(frames):
         raise ValueError("the trace lists a round index twice")
     for k, ordering, _ in frames:
         listed = set(ordering.ids.tolist())
-        if len(listed) < len(ordering) or not listed <= slot.keys():
+        if len(listed) < len(ordering) or not listed.issubset(deployment.ids.tolist()):
             raise ValueError(f"round {k}'s ordering lists an id twice or one not in the header")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
+    region = (deployment.region_width, deployment.region_height)
     written = []
     for k, ordering, active in frames:
         reach_file = out_path / f"reachability_round{k}.csv"
         with open(reach_file, "w", newline="") as fh:
             write_reachability_csv(ordering, fh)
         written.append(reach_file)
-        grid = coverage_grid(x[active], y[active], radius, (width, height), resolution)
+        x, y = deployment.x[active], deployment.y[active]
+        grid = coverage_grid(x, y, deployment.radius, region, resolution)
         grid_file = out_path / f"coverage_round{k}.csv"
         with open(grid_file, "w", newline="") as fh:
             write_coverage_grid_csv(grid, fh)
         written.append(grid_file)
     return written
+
+
+def write_trace(
+    out: IO[str],
+    deployment: Deployment,
+    rounds: Iterable[tuple[RoundState, RoundReport]],
+) -> None:
+    """JSON-lines trace: a header record, then one record per round.
+
+    The header snapshots node positions so the trace can be replayed and
+    plotted without the original deployment. A round's ordering is written
+    as ``[id, reachability, core distance]`` rows, null where the column
+    holds NaN.
+    """
+    columns = deployment.ids.tolist(), deployment.x.tolist(), deployment.y.tolist()
+    header = {
+        "type": "header",
+        "region": [deployment.region_width, deployment.region_height],
+        "radius": deployment.radius,
+        "seed": deployment.seed,
+        "nodes": list(zip(*columns)),
+    }
+    out.write(json.dumps(header) + "\n")
+    for state, report in rounds:
+        record = {
+            "type": "round",
+            "round_index": state.round_index,
+            "active": sorted(state.active),
+            "trees": [
+                {"cluster_id": t.cluster_id, "root": t.root, "edges": t.edges}
+                for t in state.trees
+            ],
+            "report": asdict(report),
+            "ordering": list(state.ordering.rows()),
+        }
+        out.write(json.dumps(record) + "\n")
+
+
+def read_trace(src: IO[str]) -> tuple[dict, list[dict]]:
+    """Parse a trace file into its header and round records, JSON objects each."""
+    lines = [line for line in src.read().splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("empty trace")
+    header, *rounds = map(json.loads, lines)
+    if not isinstance(header, dict) or header.get("type") != "header":
+        raise ValueError("trace does not start with a header record")
+    for record in rounds:
+        if not isinstance(record, dict) or record.get("type") != "round":
+            raise ValueError("unexpected record type in trace")
+    return header, rounds
+
+
+def _csv_field(value: float) -> float | str:
+    """The float, which ``str.format`` writes as its ``repr``, as
+    ``csv.writer`` does; "" for NaN."""
+    return value if value == value else ""
+
+
+def write_reachability_csv(ordering: Ordering, out: IO[str]) -> None:
+    """Plot-ready dump of the ordering, in one ``out.write``.
+
+    The bytes are those of ``csv.writer``'s default dialect: the header
+    ``order_index,point_id,reachability,core_distance``, then one row per
+    point in emission order, its index from 0, its id, and its
+    reachability and core distance as the float's ``repr`` (``inf``,
+    ``-0.0``, ``1e-300``), NaN as an empty field; no field is quoted,
+    and every line ends in ``\\r\\n``.
+    """
+    ids, reach, core = (column.tolist() for column in ordering.columns())
+    rows = map(
+        "{},{},{},{}\r\n".format,
+        range(len(ids)),
+        ids,
+        map(_csv_field, reach),
+        map(_csv_field, core),
+    )
+    out.write("order_index,point_id,reachability,core_distance\r\n" + "".join(rows))
+
+
+def write_table_csv(summary: ExperimentSummary, out: IO[str]) -> None:
+    """Summary table as CSV, one row per deployment size plus a footer.
+
+    The footer's N cell holds the raw average ratio truncated to two
+    decimals and its R cell the displayed integer.
+    """
+    max_trials = max(len(row.trials) for row in summary.rows)
+    writer = csv.writer(out)
+    writer.writerow(["D"] + [f"n{i + 1}" for i in range(max_trials)] + ["N", "R"])
+    for row in summary.rows:
+        padded = list(row.trials) + [""] * (max_trials - len(row.trials))
+        writer.writerow([row.deployed] + padded + [row.n_display, row.r_display])
+    truncated = math.floor(summary.r_avg * 100) / 100
+    writer.writerow(
+        ["R_avg"] + [""] * max_trials + [f"{truncated:.2f}", summary.r_avg_display]
+    )
+
+
+def write_coverage_grid_csv(grid: np.ndarray, out: IO[str]) -> None:
+    """0/1 matrix dump of a coverage raster; row k is the y index k."""
+    csv.writer(out).writerows(grid.T.astype(int).tolist())

@@ -20,10 +20,9 @@ N (average actives) and R (percent ratio) round up to whole numbers.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -260,25 +259,3 @@ def summarize_experiment(trials: Mapping[int, Sequence[int]]) -> ExperimentSumma
     r_avg = sum(row.r_display for row in rows) / len(rows)
     return ExperimentSummary(tuple(rows), r_avg, math.ceil(r_avg))
 
-
-def write_table_csv(summary: ExperimentSummary, out: IO[str]) -> None:
-    """Summary table as CSV, one row per deployment size plus a footer.
-
-    The footer's N cell holds the raw average ratio truncated to two
-    decimals and its R cell the displayed integer.
-    """
-    max_trials = max(len(row.trials) for row in summary.rows)
-    writer = csv.writer(out)
-    writer.writerow(["D"] + [f"n{i + 1}" for i in range(max_trials)] + ["N", "R"])
-    for row in summary.rows:
-        padded = list(row.trials) + [""] * (max_trials - len(row.trials))
-        writer.writerow([row.deployed] + padded + [row.n_display, row.r_display])
-    truncated = math.floor(summary.r_avg * 100) / 100
-    writer.writerow(
-        ["R_avg"] + [""] * max_trials + [f"{truncated:.2f}", summary.r_avg_display]
-    )
-
-
-def write_coverage_grid_csv(grid: np.ndarray, out: IO[str]) -> None:
-    """0/1 matrix dump of a coverage raster; row k is the y index k."""
-    csv.writer(out).writerows(grid.T.astype(int).tolist())

@@ -51,6 +51,9 @@ ROW_CHUNK = 64
 # the int64 key that orders a table's entries holds values below 2**63
 KEY_LIMIT = 2**63
 
+# the (min, max) battery range ``generate_deployment`` draws from by default
+BATTERY_RANGE = (0.5, 1.0)
+
 
 @dataclass(eq=False, slots=True)
 class SensorNode:
@@ -100,8 +103,9 @@ class Deployment:
     coverage radius r of every sensor; nothing else stores a copy of it.
     The columns may come in any id order and are copied in. ``ValueError``
     unless the columns pass ``require_ids`` and ``require_reals`` with one
-    entry per node each, ids are unique, batteries in (0, 1], and the
-    radius and region sides, kept as floats, positive and finite."""
+    entry per node each, ids are unique, batteries in (0, 1], the radius
+    and region sides, kept as floats, positive and finite, and the seed
+    None or an int, kept as a Python int."""
 
     def __init__(
         self,
@@ -116,7 +120,8 @@ class Deployment:
     ):
         self.region_width = require_positive("region_width", region_width)
         self.region_height = require_positive("region_height", region_height)
-        self.radius, self.seed = require_positive("radius", radius), seed
+        self.radius = require_positive("radius", radius)
+        self.seed = seed if seed is None else require_int("seed", seed)
         ids, battery = require_ids("node ids", ids), require_reals("battery", battery)
         x, y = require_reals("x coordinates", x), require_reals("y coordinates", y)
         n = len(ids)
@@ -229,10 +234,11 @@ class NeighborTable:
         return MappingProxyType(rows)
 
 
-def require_int(name: str, value: object) -> None:
-    """Reject a count that is not an integer; ``True`` is not a count."""
+def require_int(name: str, value: object) -> int:
+    """``value`` as a Python int; ``ValueError`` unless it is an integer, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
 
 
 def require_count(name: str, value: object, least: int) -> None:
@@ -425,12 +431,18 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
 
 
 def require_generation_args(
-    count: int, width: float, height: float, radius: float, battery_range: tuple[float, float]
+    count: int,
+    width: float,
+    height: float,
+    radius: float,
+    seed: int,
+    battery_range: tuple[float, float],
 ) -> None:
     """The checks ``generate_deployment`` runs before it draws."""
     require_count("count", count, 1)
     for name, value in (("width", width), ("height", height), ("radius", radius)):
         require_positive(name, value)
+    require_int("seed", seed)
     lo, hi = battery_range
     require_finite("battery_range min", lo)
     require_finite("battery_range max", hi)
@@ -453,7 +465,7 @@ def generate_deployment(
     height: float,
     radius: float,
     seed: int,
-    battery_range: tuple[float, float] = (0.5, 1.0),
+    battery_range: tuple[float, float] = BATTERY_RANGE,
 ) -> Deployment:
     """Drop ``count`` idle sensors uniformly at random in the rectangle.
 
@@ -463,11 +475,11 @@ def generate_deployment(
     stream gives node 0's x, y and battery, then node 1's, and so on,
     each value ``a + (b - a) * random()`` over its range [a, b]
     (``[0, width]``, ``[0, height]``, ``battery_range``), the float
-    ``rng.uniform(a, b)`` returns.
+    ``rng.uniform(a, b)`` returns, seeded by the int ``seed`` (numpy's too).
     """
-    require_generation_args(count, width, height, radius, battery_range)
+    require_generation_args(count, width, height, radius, seed, battery_range)
     lo, hi = battery_range
-    rng = random.Random(seed)
+    rng = random.Random(int(seed))
     # rng.random never returns None, so the iterator runs until fromiter
     # has its 3 * count values: a row per node, x, y and battery
     draws = np.fromiter(iter(rng.random, None), float, 3 * count).reshape(count, 3)

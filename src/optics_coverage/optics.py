@@ -23,15 +23,15 @@ The ordering is an ``Ordering``: three read-only columns in emission order,
 the ids, the reachabilities (NaN for a group starter) and the core
 distances (NaN for a non-core point). The emit loop appends one slot and
 one reachability per point, the cluster cut is array work over the
-columns, and the trace and CSV writers format the columns' ``.tolist()``
-values.
+columns, and ``experiments``' trace and CSV writers format the columns'
+``.tolist()`` values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -256,29 +256,3 @@ def extract_clusters(ordering: Ordering, eps_prime: float) -> ClusterAssignment:
     ]
     return ClusterAssignment(clusters if members else [], set(ids[~joins].tolist()))
 
-
-def _csv_field(value: float) -> float | str:
-    """The float, which ``str.format`` writes as its ``repr``, as
-    ``csv.writer`` does; "" for NaN."""
-    return value if value == value else ""
-
-
-def write_reachability_csv(ordering: Ordering, out: IO[str]) -> None:
-    """Plot-ready dump of the ordering, in one ``out.write``.
-
-    The bytes are those of ``csv.writer``'s default dialect: the header
-    ``order_index,point_id,reachability,core_distance``, then one row per
-    point in emission order, its index from 0, its id, and its
-    reachability and core distance as the float's ``repr`` (``inf``,
-    ``-0.0``, ``1e-300``), NaN as an empty field; no field is quoted,
-    and every line ends in ``\\r\\n``.
-    """
-    ids, reach, core = (column.tolist() for column in ordering.columns())
-    rows = map(
-        "{},{},{},{}\r\n".format,
-        range(len(ids)),
-        ids,
-        map(_csv_field, reach),
-        map(_csv_field, core),
-    )
-    out.write("order_index,point_id,reachability,core_distance\r\n" + "".join(rows))

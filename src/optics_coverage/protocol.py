@@ -38,11 +38,10 @@ ranked once.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from typing import IO, Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -372,52 +371,3 @@ def iterate_rounds(
     require_count("rounds", rounds, 1)
     return (run_round(deployment, params, config) for _ in range(rounds))
 
-
-def write_trace(
-    out: IO[str],
-    deployment: Deployment,
-    rounds: Iterable[tuple[RoundState, RoundReport]],
-) -> None:
-    """JSON-lines trace: a header record, then one record per round.
-
-    The header snapshots node positions so the trace can be replayed and
-    plotted without the original deployment. A round's ordering is written
-    as ``[id, reachability, core distance]`` rows, null where the column
-    holds NaN.
-    """
-    columns = deployment.ids.tolist(), deployment.x.tolist(), deployment.y.tolist()
-    header = {
-        "type": "header",
-        "region": [deployment.region_width, deployment.region_height],
-        "radius": deployment.radius,
-        "seed": deployment.seed,
-        "nodes": list(zip(*columns)),
-    }
-    out.write(json.dumps(header) + "\n")
-    for state, report in rounds:
-        record = {
-            "type": "round",
-            "round_index": state.round_index,
-            "active": sorted(state.active),
-            "trees": [
-                {"cluster_id": t.cluster_id, "root": t.root, "edges": t.edges}
-                for t in state.trees
-            ],
-            "report": asdict(report),
-            "ordering": list(state.ordering.rows()),
-        }
-        out.write(json.dumps(record) + "\n")
-
-
-def read_trace(src: IO[str]) -> tuple[dict, list[dict]]:
-    """Parse a trace file into its header and round records, JSON objects each."""
-    lines = [line for line in src.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty trace")
-    header, *rounds = map(json.loads, lines)
-    if not isinstance(header, dict) or header.get("type") != "header":
-        raise ValueError("trace does not start with a header record")
-    for record in rounds:
-        if not isinstance(record, dict) or record.get("type") != "round":
-            raise ValueError("unexpected record type in trace")
-    return header, rounds

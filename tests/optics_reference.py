@@ -22,8 +22,8 @@ cut: the point-by-point loop that cut the ordering before it was held as
 columns.
 
 ``reference_reachability_csv`` is the oracle for
-``write_reachability_csv``'s text: the ``csv.writer`` rows it wrote
-before it built its text from the columns.
+``experiments.write_reachability_csv``'s text: the ``csv.writer`` rows it
+wrote before it built its text from the columns.
 """
 
 from __future__ import annotations

@@ -237,6 +237,26 @@ class TestRunCommand:
     def test_bad_config_exits_2(self):
         assert run_cli("run", "--set", "experiment.trials=0") == 2
 
+    def test_blank_out_names_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "--out", "", "--d-list", "20", "--trials", "1", *FAST) == 0
+        assert capsys.readouterr().out.endswith("artifacts in ./\n")
+        assert (tmp_path / "active_node_table.csv").exists()
+        assert (tmp_path / "trace_D20_trial0.jsonl").exists()
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, b"ab"], ids=repr)
+    def test_seed_that_is_not_an_int_is_a_config_error(self, seed, tmp_path, monkeypatch):
+        def no_deployment(*args, **kwargs):
+            raise AssertionError("a deployment was generated")
+
+        monkeypatch.setattr(experiments, "generate_deployment", no_deployment)
+        config = replace(RunConfig(), seed=seed)
+        with pytest.raises(ConfigError, match="seed must be an int"):
+            run_table_experiment(config, tmp_path / "out")
+        with pytest.raises(ConfigError, match="seed must be an int"):
+            run_rand_baseline(config)
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_size_exits_2_before_any_deployment(self, tmp_path, capsys, monkeypatch):
         # a size listed twice would re-run its seeds and overwrite its traces
         def no_deployment(*args, **kwargs):
@@ -495,7 +515,7 @@ class TestPlotDataCommand:
         if "NaN" in text or "Infinity" in text:
             assert "coordinates must be finite" in err
         if "1000.0" in text:
-            assert "node id twice" in err
+            assert "node ids must be unique" in err
         if "0.5, null]]" in text:
             assert "ordering lists an id twice or one not in the header" in err
         if text.count('"round_index": 1,') == 2:

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from optics_coverage.experiments import write_coverage_grid_csv, write_table_csv
 from optics_coverage.metrics import (
     active_ratio,
     analytic_cr,
     coverage_grid,
     grid_cr,
     summarize_experiment,
-    write_coverage_grid_csv,
-    write_table_csv,
 )
 
 

@@ -1,3 +1,6 @@
+import inspect
+import io
+import json
 import math
 import random
 import re
@@ -21,6 +24,8 @@ from optics_reference import points_table
 from protocol_reference import write_state
 
 from optics_coverage import network
+from optics_coverage.config import RunConfig
+from optics_coverage.experiments import write_trace
 from optics_coverage.geometry import Point2D, overlap_angle
 from optics_coverage.network import (
     ACTIVE,
@@ -129,6 +134,39 @@ class TestGenerateDeployment:
     def test_battery_range_edges_accepted(self, lo, hi):
         d = generate_deployment(50, 50, 50, 5, seed=0, battery_range=(lo, hi))
         assert all(lo <= n.battery <= hi and n.state == IDLE for n in d.nodes)
+
+    def test_default_battery_range_is_the_network_constant(self):
+        default = inspect.signature(generate_deployment).parameters["battery_range"].default
+        assert default is network.BATTERY_RANGE
+        assert (RunConfig().battery_min, RunConfig().battery_max) == network.BATTERY_RANGE
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, b"ab", None], ids=repr)
+    def test_seed_must_be_an_int(self, seed):
+        # refused before drawing, not by random.Random or the trace's JSON
+        with pytest.raises(ValueError, match="seed must be an int"):
+            generate_deployment(5, 50, 50, 5, seed)
+
+    def test_numpy_int_seed_gives_that_ints_deployment_and_trace(self):
+        a = generate_deployment(60, 50, 50, 5, np.int64(3))
+        b = generate_deployment(60, 50, 50, 5, 3)
+        assert type(a.seed) is int and a.seed == 3
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+        assert a.battery.tobytes() == b.battery.tobytes()
+        traces = []
+        for d in (a, b):
+            out = io.StringIO()
+            write_trace(out, d, iterate_rounds(d, OpticsParams(10.0, 4), None, 2))
+            traces.append(out.getvalue())
+        assert traces[0] == traces[1]
+        assert json.loads(traces[0].splitlines()[0])["seed"] == 3
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, b"ab"], ids=repr)
+    def test_deployment_refuses_a_seed_that_is_not_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            Deployment([0], [1.0], [1.0], [1.0], 10.0, 10.0, 1.0, seed)
+
+    def test_deployment_keeps_no_seed_as_none(self):
+        assert Deployment([0], [1.0], [1.0], [1.0], 10.0, 10.0, 1.0).seed is None
 
 
 class TestNeighborTable:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from optics_coverage.experiments import write_reachability_csv
 from optics_coverage.geometry import Point2D
 from optics_coverage.network import Deployment, build_neighbor_table
 from optics_coverage.optics import (
@@ -16,7 +17,6 @@ from optics_coverage.optics import (
     Ordering,
     extract_clusters,
     optics_order,
-    write_reachability_csv,
 )
 from optics_coverage.spatial import GridIndex, brute_force_query
 

@@ -29,6 +29,7 @@ from optics_coverage.network import (
     generate_deployment,
 )
 from optics_coverage.config import RunConfig
+from optics_coverage.experiments import read_trace, write_trace
 from optics_coverage.metrics import coverage_grid
 from optics_coverage.optics import Cluster, OpticsParams, extract_clusters
 from optics_coverage.protocol import (
@@ -37,10 +38,8 @@ from optics_coverage.protocol import (
     RoundState,
     cover_cluster,
     iterate_rounds,
-    read_trace,
     run_round,
     select_next,
-    write_trace,
 )
 
 
