@@ -158,7 +158,8 @@ def _cmd_plot_data(args) -> int:
     except (ValueError, KeyError) as exc:
         print(f"bad trace {args.trace}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"wrote {len(written)} files to {args.out}/")
+    # Path spells a blank directory, the working one, as "."
+    print(f"wrote {len(written)} files to {Path(args.out)}/")
     return EXIT_OK
 
 

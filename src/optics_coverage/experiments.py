@@ -23,6 +23,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .config import RunConfig
+from .geometry import sum_in_order
 from .metrics import GRID_RESOLUTION, ExperimentSummary, RoundReport, coverage_grid, grid_cr
 from .metrics import require_resolution, summarize_experiment
 from .network import Deployment, generate_deployment, require_int
@@ -137,11 +138,11 @@ class BaselineResult:
 
     @property
     def mean_protocol_cr(self) -> float:
-        return sum(p.protocol_grid_cr for p in self.pairs) / len(self.pairs)
+        return sum_in_order([p.protocol_grid_cr for p in self.pairs]) / len(self.pairs)
 
     @property
     def mean_rand_cr(self) -> float:
-        return sum(p.rand_grid_cr for p in self.pairs) / len(self.pairs)
+        return sum_in_order([p.rand_grid_cr for p in self.pairs]) / len(self.pairs)
 
 
 def run_rand_baseline(config: RunConfig) -> BaselineResult:
@@ -212,10 +213,14 @@ def export_plot_data(
         deployment = Deployment(ids, x, y, np.ones(len(ids)), width, height, header["radius"])
         frames = []
         for record in rounds:
-            require_int("round_index", record["round_index"])
-            active = deployment.slots(record["active"])
+            k, active = record["round_index"], record["active"]
+            require_int("round_index", k)
+            try:
+                active = deployment.slots(active)
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"round {k}'s active field: {exc}") from exc
             rows = [(pid, reach, core) for pid, reach, core in record["ordering"]]
-            frames.append((record["round_index"], Ordering(*zip(*rows)), active))
+            frames.append((k, Ordering(*zip(*rows)), active))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed trace field: {exc!r}") from exc
     if len({k for k, _, _ in frames}) < len(frames):
@@ -250,10 +255,13 @@ def write_trace(
     """JSON-lines trace: a header record, then one record per round.
 
     The header snapshots node positions so the trace can be replayed and
-    plotted without the original deployment. A round's ordering is written
-    as ``[id, reachability, core distance]`` rows, null where the column
-    holds NaN.
+    plotted without the original deployment. A round's ordering, its
+    record's last key, is written as ``[id, reachability, core distance]``
+    rows, null where the column holds NaN. Every line is ``json.dumps``'
+    text; the ordering's rows are built from ``_ordering_text``, and the
+    last round's text is kept for its reachability CSV.
     """
+    global _kept
     columns = deployment.ids.tolist(), deployment.x.tolist(), deployment.y.tolist()
     header = {
         "type": "header",
@@ -273,9 +281,14 @@ def write_trace(
                 for t in state.trees
             ],
             "report": asdict(report),
-            "ordering": list(state.ordering.rows()),
         }
-        out.write(json.dumps(record) + "\n")
+        text = _ordering_text(state.ordering)
+        ids, reach, core = text
+        reach, core = map(_JSON.get, reach, reach), map(_JSON.get, core, core)
+        rows = ", ".join(map("[{}, {}, {}]".format, ids, reach, core))
+        # json.dumps' text of the record with "ordering" added as its last key
+        out.write(json.dumps(record)[:-1] + ', "ordering": [' + rows + "]}\n")
+        _kept = state.ordering, text
 
 
 def read_trace(src: IO[str]) -> tuple[dict, list[dict]]:
@@ -292,10 +305,27 @@ def read_trace(src: IO[str]) -> tuple[dict, list[dict]]:
     return header, rounds
 
 
-def _csv_field(value: float) -> float | str:
-    """The float, which ``str.format`` writes as its ``repr``, as
-    ``csv.writer`` does; "" for NaN."""
-    return value if value == value else ""
+# json's text for a distance whose ``_ordering_text`` differs from it
+_JSON = {"": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+# the ids' text, and the reachabilities' and core distances'
+_OrderingText = tuple[list[str], list[str], list[str]]
+
+# the ordering of the last round ``write_trace`` wrote, and its text, kept
+# for that round's reachability CSV, which takes it
+_kept: tuple[Ordering | None, _OrderingText | None] = (None, None)
+
+
+def _ordering_text(ordering: Ordering) -> _OrderingText:
+    """The text of ``ordering``'s columns, which the trace and the
+    reachability CSV are both built from: each id's, and each distance's
+    ``repr``, "" for NaN."""
+    ids, reach, core = (column.tolist() for column in ordering.columns())
+    return list(map(str, ids)), _distance_text(reach), _distance_text(core)
+
+
+def _distance_text(values: list[float]) -> list[str]:
+    return [repr(v) if v == v else "" for v in values]
 
 
 def write_reachability_csv(ordering: Ordering, out: IO[str]) -> None:
@@ -307,15 +337,21 @@ def write_reachability_csv(ordering: Ordering, out: IO[str]) -> None:
     reachability and core distance as the float's ``repr`` (``inf``,
     ``-0.0``, ``1e-300``), NaN as an empty field; no field is quoted,
     and every line ends in ``\\r\\n``.
+
+    The fields are ``_ordering_text``'s. The text of the last round
+    ``write_trace`` wrote is kept for that round's CSV, and this takes it
+    when given the same ``Ordering`` object (its columns are read-only, so
+    the text cannot go stale); so the trial that writes a trace and then
+    its CSV formats its ordering once, and holds the text no longer.
     """
-    ids, reach, core = (column.tolist() for column in ordering.columns())
-    rows = map(
-        "{},{},{},{}\r\n".format,
-        range(len(ids)),
-        ids,
-        map(_csv_field, reach),
-        map(_csv_field, core),
-    )
+    global _kept
+    kept, text = _kept
+    if kept is ordering:
+        _kept = None, None
+    else:
+        text = _ordering_text(ordering)
+    ids, reach, core = text
+    rows = map("{},{},{},{}\r\n".format, range(len(ids)), ids, reach, core)
     out.write("order_index,point_id,reachability,core_distance\r\n" + "".join(rows))
 
 

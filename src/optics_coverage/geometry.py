@@ -65,6 +65,23 @@ def overlap_angle(d: float, r: float) -> float:
     return min(math.pi / 2, max(0.0, math.acos(d / (2 * r))))
 
 
+def sum_in_order(values) -> float:
+    """The float64 sum of ``values``, added one at a time in their order;
+    0.0 for none.
+
+    This is how CPython 3.11's ``sum`` adds floats, bit for bit but for
+    the sign of a zero total (``sum`` starts from 0), and it is the same on
+    every interpreter: 3.12 made ``sum`` compensated, and numpy's ``sum``
+    adds pairwise, so both round differently.
+    """
+    column = np.asarray(values, dtype=float)
+    if not len(column):
+        return 0.0
+    # as sum does, a total past the largest float is inf and inf - inf NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.add.accumulate(column)[-1])
+
+
 def _square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``x * x`` as an unevaluated sum ``high + low``, exactly (Dekker)."""
     t = x * _SPLIT

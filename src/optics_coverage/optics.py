@@ -23,8 +23,8 @@ The ordering is an ``Ordering``: three read-only columns in emission order,
 the ids, the reachabilities (NaN for a group starter) and the core
 distances (NaN for a non-core point). The emit loop appends one slot and
 one reachability per point, the cluster cut is array work over the
-columns, and ``experiments``' trace and CSV writers format the columns'
-``.tolist()`` values.
+columns, and ``experiments``' trace and CSV writers share one text of
+the columns' ``.tolist()`` values.
 """
 
 from __future__ import annotations
@@ -122,20 +122,13 @@ class Ordering:
         )
 
     def __iter__(self) -> Iterator[OrderedPoint]:
-        for k, (pid, reach, core) in enumerate(self.rows()):
-            yield OrderedPoint(pid, k, reach, core)
+        reach = map(_none_for_nan, self.reachability.tolist())
+        core = map(_none_for_nan, self.core_distance.tolist())
+        for k, (pid, r, c) in enumerate(zip(self.ids.tolist(), reach, core)):
+            yield OrderedPoint(pid, k, r, c)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.ids, self.reachability, self.core_distance
-
-    def rows(self) -> Iterator[tuple[int, float | None, float | None]]:
-        """(id, reachability, core distance) per point as Python values,
-        None for NaN: what the trace writer formats."""
-        return zip(
-            self.ids.tolist(),
-            map(_none_for_nan, self.reachability.tolist()),
-            map(_none_for_nan, self.core_distance.tolist()),
-        )
 
 
 def _distances(name: str, values) -> np.ndarray:

@@ -76,10 +76,13 @@ def euclidean_distance(a, b):
 
 def reference_seed(cluster, deployment):
     """The member nearest the members' centroid, the lower id on ties. The
-    centroid adds the coordinates in member order, with Python's ``sum``."""
+    centroid adds the coordinates one at a time in member order, a left
+    fold: Python's ``sum`` compensates from 3.12 on."""
     positions = [deployment.node(m).position for m in cluster.members]
-    cx = sum(p.x for p in positions) / len(positions)
-    cy = sum(p.y for p in positions) / len(positions)
+    cx = cy = 0.0
+    for p in positions:
+        cx, cy = cx + p.x, cy + p.y
+    cx, cy = cx / len(positions), cy / len(positions)
     distance = [math.hypot(p.x - cx, p.y - cy) for p in positions]
     return min(zip(distance, cluster.members))[1]
 

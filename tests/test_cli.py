@@ -390,6 +390,36 @@ class TestPlotDataCommand:
             ran = trace.parent / f"reachability_D30_trial0_round{k}.csv"
             assert (out / f"reachability_round{k}.csv").read_bytes() == ran.read_bytes()
 
+    def test_blank_out_writes_to_and_names_the_working_directory(
+        self, trace, tmp_path, monkeypatch, capsys
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run_cli("plot-data", "--trace", str(trace), "--out", "", "--resolution", "50") == 0
+        assert capsys.readouterr().out == "wrote 4 files to ./\n"
+        assert sorted(p.name for p in work.iterdir()) == [
+            "coverage_round1.csv", "coverage_round2.csv",
+            "reachability_round1.csv", "reachability_round2.csv",
+        ]
+
+    @pytest.mark.parametrize(
+        "active, message",
+        [("[true]", "node_ids must be ints"), ("[7]", "unknown node id 7"), ('"0"', "node_ids")],
+        ids=["bool-id", "unknown-id", "text"],
+    )
+    def test_bad_active_ids_name_the_round_and_its_field(self, active, message, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"type": "header", "region": [10, 10], "radius": 1, "nodes": [[0, 1, 1]]}\n'
+            '{"type": "round", "round_index": 1, "active": [0], "ordering": [[0, null, 1]]}\n'
+            f'{{"type": "round", "round_index": 3, "active": {active}, "ordering": []}}\n'
+        )
+        out = tmp_path / "plots"
+        with pytest.raises(ValueError, match=f"round 3's active field: .*{message}"):
+            export_plot_data(bad, out, 50)
+        assert not out.exists()
+
     def test_missing_trace_exits_2(self, tmp_path):
         assert run_cli("plot-data", "--trace", str(tmp_path / "nope.jsonl")) == 2
 
@@ -551,6 +581,14 @@ class TestExperimentHelpers:
         assert len(result.pairs) == 2
         for pair in result.pairs:
             assert pair.active_count > 0
+
+    def test_baseline_means_add_the_pairs_in_order(self):
+        # ten 0.1s added left to right make 0.9999999999999999; a compensated
+        # sum (math.fsum, or Python's sum from 3.12 on) makes 1.0
+        pairs = [experiments.BaselinePair(t, t, 1, 0.1, 0.1) for t in range(10)]
+        result = experiments.BaselineResult(10, pairs)
+        assert result.mean_protocol_cr == result.mean_rand_cr == 0.9999999999999999 / 10
+        assert result.mean_protocol_cr != 0.1
 
     def test_baseline_trial_that_activates_nothing(self):
         # min_pts above D: no core point, so no cluster and no active node

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -10,6 +12,7 @@ from optics_coverage.geometry import (
     Point2D,
     hypot,
     overlap_angle,
+    sum_in_order,
 )
 
 
@@ -155,3 +158,25 @@ class TestTypes:
         with pytest.raises(ValueError):
             Point2D(0, math.inf)
 
+
+
+class TestSumInOrder:
+    def test_adds_one_value_at_a_time(self):
+        # 1e16 + 1.0 rounds back to 1e16, twice; a compensated sum
+        # (math.fsum, or Python's sum from 3.12 on) gives 1e16 + 2
+        assert sum_in_order([1e16, 1.0, 1.0]) == 1e16
+        assert math.fsum([1e16, 1.0, 1.0]) == 1e16 + 2
+        assert sum_in_order([0.1] * 10) == 0.9999999999999999
+        assert sum_in_order(np.array([0.1] * 10)) == 0.9999999999999999
+
+    def test_nothing_sums_to_zero(self):
+        assert sum_in_order([]) == 0.0
+
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=50))
+    @example([1.7976931348623157e308, 1.7976931348623157e308])
+    @example([math.inf, -math.inf])
+    @example([-0.0, -0.0])
+    def test_is_a_left_fold(self, values):
+        total = sum_in_order(values)
+        assert type(total) is float
+        assert repr(total) == repr(functools.reduce(operator.add, values))

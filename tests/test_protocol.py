@@ -260,6 +260,17 @@ class TestClusterRoot:
         assert reference_seed(cluster, dep) == 0
         assert cover_cluster(cluster, dep).root == 0
 
+    def test_cover_cluster_centroid_adds_the_members_in_order(self):
+        # 0 and 1 sit 0.45 m either side of the exact centroid x = 9.4 / 4 =
+        # 2.35, but 2.8 + 1.9 + 1.3 + 3.4 added left to right is
+        # 9.399999999999999, which puts the centroid nearer 1. A compensated
+        # sum (math.fsum, or Python's sum from 3.12 on) finds the tie and
+        # roots at 0
+        dep = make_deployment([(2.8, 1.0), (1.9, 1.0), (1.3, 1.0), (3.4, 1.0)])
+        cluster = Cluster(0, (0, 1, 2, 3))
+        assert reference_seed(cluster, dep) == 1
+        assert cover_cluster(cluster, dep).root == 1
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=40),
