@@ -258,10 +258,11 @@ def write_trace(
     plotted without the original deployment. A round's ordering, its
     record's last key, is written as ``[id, reachability, core distance]``
     rows, null where the column holds NaN. Every line is ``json.dumps``'
-    text; the ordering's rows are built from ``_ordering_text``, and the
-    last round's text is kept for its reachability CSV.
+    text; the ordering's rows are built from ``_ordering_text``, and each
+    round's text is kept for its reachability CSV until that CSV or the
+    next trace is written.
     """
-    global _kept
+    _kept.clear()
     columns = deployment.ids.tolist(), deployment.x.tolist(), deployment.y.tolist()
     header = {
         "type": "header",
@@ -288,7 +289,7 @@ def write_trace(
         rows = ", ".join(map("[{}, {}, {}]".format, ids, reach, core))
         # json.dumps' text of the record with "ordering" added as its last key
         out.write(json.dumps(record)[:-1] + ', "ordering": [' + rows + "]}\n")
-        _kept = state.ordering, text
+        _kept[id(state.ordering)] = state.ordering, text
 
 
 def read_trace(src: IO[str]) -> tuple[dict, list[dict]]:
@@ -311,9 +312,11 @@ _JSON = {"": "null", "inf": "Infinity", "-inf": "-Infinity"}
 # the ids' text, and the reachabilities' and core distances'
 _OrderingText = tuple[list[str], list[str], list[str]]
 
-# the ordering of the last round ``write_trace`` wrote, and its text, kept
-# for that round's reachability CSV, which takes it
-_kept: tuple[Ordering | None, _OrderingText | None] = (None, None)
+# each round of the last trace ``write_trace`` wrote: its ordering and that
+# ordering's text by the ordering's id, kept for the round's reachability
+# CSV, which takes it. An entry holds its ordering, so no other object can
+# take that id while the entry is kept
+_kept: dict[int, tuple[Ordering, _OrderingText]] = {}
 
 
 def _ordering_text(ordering: Ordering) -> _OrderingText:
@@ -338,19 +341,15 @@ def write_reachability_csv(ordering: Ordering, out: IO[str]) -> None:
     ``-0.0``, ``1e-300``), NaN as an empty field; no field is quoted,
     and every line ends in ``\\r\\n``.
 
-    The fields are ``_ordering_text``'s. The text of the last round
-    ``write_trace`` wrote is kept for that round's CSV, and this takes it
-    when given the same ``Ordering`` object (its columns are read-only, so
-    the text cannot go stale); so the trial that writes a trace and then
-    its CSV formats its ordering once, and holds the text no longer.
+    The fields are ``_ordering_text``'s. The text of each round of the
+    last trace ``write_trace`` wrote is kept for that round's CSV, and this
+    takes it when given the same ``Ordering`` object (its columns are
+    read-only, so the text cannot go stale); so the trial that writes a
+    trace and then its CSVs formats each round's ordering once, and holds
+    no text past its last CSV.
     """
-    global _kept
-    kept, text = _kept
-    if kept is ordering:
-        _kept = None, None
-    else:
-        text = _ordering_text(ordering)
-    ids, reach, core = text
+    kept = _kept.pop(id(ordering), None)
+    ids, reach, core = kept[1] if kept else _ordering_text(ordering)
     rows = map("{},{},{},{}\r\n".format, range(len(ids)), ids, reach, core)
     out.write("order_index,point_id,reachability,core_distance\r\n" + "".join(rows))
 

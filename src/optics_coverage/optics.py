@@ -12,12 +12,15 @@ Neighborhoods are the distance-sorted CSR rows of a given ``NeighborTable``,
 cut at eps and to a mask of the nodes to order (a round's idle ones):
 numpy finds all core distances, and every table entry's offer, in one pass.
 A point's core entry is found among the positions of the table's eligible
-entries within eps, by one ``searchsorted`` of the row starts. An emitted
-core point lowers ``seeds`` to ``min(seeds, offer + closed)`` over its row,
-and one ``argmin`` takes the next point. Determinism rules (needed for
-reproducible runs and reference comparison): the next start point is the
-lowest unprocessed id, and equal reachabilities in the seed queue break
-toward the lower id.
+entries within eps, by one ``searchsorted`` of the row starts. The one
+queue array, ``seeds``, is +inf for an eligible point not yet reached and
+NaN for an emitted or ineligible one; an emitted core point lowers it to
+``np.minimum(seeds, offer)`` over its row, which keeps every NaN, and one
+``argmin`` over its uint64 bits takes the next point: the lowest
+reachability, else (+inf) the start of the next group, else (NaN) the end.
+Determinism rules (needed for reproducible runs and reference comparison):
+the next start point is the lowest unprocessed id, and equal
+reachabilities in the seed queue break toward the lower id.
 
 The ordering is an ``Ordering``: three read-only columns in emission order,
 the ids, the reachabilities (NaN for a group starter) and the core
@@ -201,29 +204,34 @@ def optics_order(
     offer = np.repeat(core, table.degrees)
     np.maximum(offer, distance, out=offer)
     offer[beyond] = math.inf
-    # 0.0 while a point is eligible and unemitted, +inf once it is emitted or
-    # if it is not eligible: added to an offer, +inf shuts the offer out
-    closed = np.where(eligible, 0.0, math.inf)
-    # seed queue: the reachability of each reached, unemitted point, +inf for
-    # every other. argmin takes the first of equal minima and positions follow
-    # id order, so ties go to the lower id.
-    seeds = np.full(len(ids), math.inf)
+    # seed queue: the reachability of each reached, unemitted eligible point,
+    # +inf for an eligible point no core point has reached, and NaN for an
+    # emitted or ineligible one, which np.minimum keeps, so no relax reopens
+    # it. No seed is -0.0: distances are hypot's, and a min_pts=1 core
+    # distance the literal 0.0. So as uint64 bits the seeds sort as floats,
+    # with either NaN above +inf, and argmin, which takes the first of equal
+    # minima, picks the lowest seed, the lower id on a tie: a pick of +inf is
+    # the lowest unemitted eligible id, which starts a group, and a pick of
+    # NaN ends the ordering.
+    seeds = np.where(eligible, math.inf, math.nan)
+    bits = seeds.view(np.uint64)
     slots: list[int] = []
     reach: list[float] = []
-    for start in members.tolist():
-        if closed[start] == 0.0:  # no earlier group reached it
-            q, r = start, math.nan
-            while r != math.inf:
-                seeds[q] = closed[q] = math.inf
-                slots.append(q)
-                reach.append(r)
-                if is_core[q]:
-                    a, b = bounds[q], bounds[q + 1]
-                    row = index[a:b]
-                    seeds[row] = np.minimum(seeds[row], offer[a:b] + closed[row])
-                q = int(seeds.argmin())
-                r = seeds.item(q)
+    q = int(bits.argmin())
+    r = seeds.item(q)
+    while r == r:
+        seeds[q] = math.nan
+        slots.append(q)
+        reach.append(r)
+        if is_core[q]:
+            a, b = bounds[q], bounds[q + 1]
+            row = index[a:b]
+            seeds[row] = np.minimum(seeds[row], offer[a:b])
+        q = int(bits.argmin())
+        r = seeds.item(q)
     emitted = np.array(slots)
+    reach = np.array(reach)
+    reach[reach == math.inf] = math.nan  # group starters
     return Ordering(ids[emitted], reach, core[emitted])
 
 

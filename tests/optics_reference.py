@@ -4,7 +4,8 @@ Used as the oracle for the ordering algorithm: plain O(n^2) scans, a
 seed dict that a neighbor enters or improves in only on a strictly smaller
 reachability, scanned in id order for its smallest one (the rule the
 library's argmin over its ``seeds`` array applies), and a processed set in
-place of the library's ``closed`` array and precomputed offers. Tuples
+place of the NaN that closes a point in the library's ``seeds`` and of its
+precomputed offers. Tuples
 stand in for domain types. It shares only the IEEE hypot primitive with the
 library so that float results can be compared exactly.
 

@@ -144,10 +144,10 @@ def test_either_writer_first_gives_both_right(csv_first):
     if csv_first:
         assert csv_text(ordering) == reference_reachability_csv(ordering)
     assert trace_text(DEPLOYMENT, rounds) == reference_trace(DEPLOYMENT, rounds)
-    assert experiments._kept[0] is ordering
+    assert experiments._kept[id(ordering)][0] is ordering
     assert csv_text(ordering) == reference_reachability_csv(ordering)
     # the CSV takes the trace's text, so no text outlives the two writes
-    assert experiments._kept == (None, None)
+    assert experiments._kept == {}
 
 
 def test_repeated_and_alternating_calls_give_each_ordering_its_own_text():
@@ -173,3 +173,21 @@ def test_multi_round_trial_writes_each_rounds_trace_record_and_csv(tmp_path):
     for state, _ in rounds:
         path = tmp_path / f"reachability_D120_trial0_round{state.round_index}.csv"
         assert path.read_bytes().decode() == reference_reachability_csv(state.ordering)
+
+
+def test_multi_round_sweep_formats_each_ordering_once(tmp_path, monkeypatch):
+    # a trial's trace keeps every round's text until that round's CSV takes
+    # it, so no round is formatted twice and no text outlives the sweep
+    calls, ordering_text = [], experiments._ordering_text
+
+    def counted(ordering):
+        calls.append(ordering)
+        return ordering_text(ordering)
+
+    monkeypatch.setattr(experiments, "_ordering_text", counted)
+    config = replace(RunConfig(), rounds=4, d_list=(100, 300), trials=2)
+    experiments.run_table_experiment(config, tmp_path)
+    written = list(tmp_path.glob("reachability_*.csv"))
+    assert len(calls) == len(written) == 16
+    assert len({id(o) for o in calls}) == 16
+    assert experiments._kept == {}

@@ -321,6 +321,27 @@ class TestNeighborTable:
         points = {i: Point2D(*c) for i, c in enumerate(coords)}
         assert table.neighbors == reference_rows(points, radius)
 
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-8, 8)] * 2),
+            min_size=1,
+            max_size=30,
+        ),
+        st.lists(st.integers(0, 29), max_size=8),
+        st.sampled_from([0.5, 2.0, 5.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_distance_is_negative_zero(self, positions, twins, radius):
+        # the ordering's seed queue sorts its seeds as uint64 bits, where a
+        # -0.0 would sort above NaN and never be emitted: no table distance,
+        # co-located pairs' 0.0 and pairs of signed zeros among them, is -0.0
+        positions += [positions[i % len(positions)] for i in twins]
+        positions += [(-0.0, -0.0), (0.0, 0.0), (-0.0, 0.0), (3.0, 4.0), (3.0, 4.0)]
+        x, y = zip(*positions)
+        table = neighbor_rows(np.arange(len(positions)), x, y, radius)
+        assert (table.distance == 0.0).sum() >= 8
+        assert not np.signbit(table.distance).any()
+
     @pytest.mark.parametrize("radius", [np.float32(0.25), 0.25], ids=repr)
     def test_a_float32_radius_keeps_the_pair_at_exactly_2r(self, radius):
         # points 1 and 2 are exactly 0.5 apart. Kept as a float32, the 2r

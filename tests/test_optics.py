@@ -374,18 +374,43 @@ class TestOpticsOrder:
             ([0, 1, 2, 3, 4, 5], [0, 2, 4, 5], 5.0, 3.0, 2),
             ([0, 1, 2, 3, 4, 5], [0, 2, 4, 5], 5.0, 3.0, 3),
             ([0, 1, 2, 3, 4, 5], [1, 5], 5.0, 5.0, 2),
+            # co-located points: rows of 0.0 entries, so 0.0 seeds, offers
+            # and core distances, with a masked node among them
+            ([2, 2, 2, 2, 6], [0, 1, 2, 3, 4], 5.0, 5.0, 1),
+            ([2, 2, 2, 2, 6], [0, 1, 2, 3, 4], 5.0, 5.0, 2),
+            ([2, 2, 2, 2, 6], [0, 2, 3, 4], 5.0, 5.0, 1),
+            ([2, 2, 2, 2, 6], [0, 2, 3, 4], 5.0, 5.0, 2),
         ],
         ids=[
             "no-core-empty-rows", "no-core-beyond-eps", "no-core-beyond-eps-3",
             "min-pts-1", "min-pts-1-masked", "min-pts-above-rows", "min-pts-far-above-rows",
             "eps-below-radius", "eps-below-radius-3", "masked-between", "masked-between-3",
-            "masked-between-far",
+            "masked-between-far", "co-located-1", "co-located-2", "co-located-masked-1",
+            "co-located-masked-2",
         ],
     )
     def test_edge_cases_match_reference(self, xs, eligible, radius, eps, min_pts):
         pts = line_points(xs)
         table = points_table(pts, radius)
         assert_matches_reference({i: pts[i] for i in eligible}, table, eps, min_pts)
+
+    @pytest.mark.parametrize("min_pts", [1, 2, 3])
+    def test_each_group_starts_at_the_lowest_unemitted_id(self, min_pts):
+        # two trios far apart and four outliers, under ids that interleave
+        # them; ids 0-2 are masked and sit on or between eligible points.
+        # The queue drains to +inf once per group, six times in all
+        xs = [0, 100, 50, 100, 0, 200, 101, 1, 300, 0.5, 102, 400, 50]
+        pts = line_points(xs)
+        eligible = {i: pts[i] for i in range(3, len(xs))}
+        table = points_table(pts, 2.0)
+        out = order_points(eligible, OpticsParams(eps=2.0, min_pts=min_pts), table)
+        assert_matches_reference(eligible, table, 2.0, min_pts)
+        ids = out.ids.tolist()
+        starts = np.flatnonzero(np.isnan(out.reachability)).tolist()
+        for k in starts:
+            assert ids[k] == min(set(eligible) - set(ids[:k]))
+        assert len(starts) == 6
+        assert sorted(ids) == sorted(eligible)
 
 
 class TestOrdering:
