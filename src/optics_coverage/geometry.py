@@ -83,13 +83,23 @@ def sum_in_order(values) -> float:
 
 
 def _square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x * x`` as an unevaluated sum ``high + low``, exactly (Dekker)."""
+    """``x * x`` as an unevaluated sum ``high + low``, exactly (Dekker).
+    Each step is written into an array that is free by then, ``x`` among
+    them, so ``x`` is overwritten and four arrays are alive at most."""
     t = x * _SPLIT
-    head = t - (t - x)
-    tail = x - head
-    p, q = head * head, 2.0 * head * tail
+    head = t - x
+    np.subtract(t, head, out=head)  # t - (t - x)
+    tail = np.subtract(x, head, out=t)
+    p = np.multiply(head, head, out=x)
+    head *= 2.0
+    q = np.multiply(head, tail, out=head)  # 2.0 * head * tail
     high = p + q
-    return high, p - high + q + tail * tail
+    # low = p - high + q + tail * tail, in p
+    p -= high
+    p += q
+    tail *= tail
+    p += tail
+    return high, p
 
 
 def hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -106,6 +116,9 @@ def hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     over 2h, before the scale is undone. ``math.hypot`` itself gives each
     entry whose larger magnitude is 0, not finite, or outside (2**-1000,
     2**1000), where the scaled values could leave the normal floats.
+    Each step writes into an array it has freed, so the traced peak is
+    about ten arrays of the input's length, against nineteen when every
+    step made a new one: ``neighbor_rows`` calls it once per chunk.
 
     The steps are those of ``vector_norm`` in CPython 3.11, whose
     ``dl_mul`` squares by Dekker's split. Other CPython versions write the
@@ -123,25 +136,52 @@ def hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     if len(rest):
         # a stand-in pair (1, 0) until math.hypot answers for these below
         ax[rest], ay[rest], big[rest] = 1.0, 0.0, 1.0
-    # 2**-e from big's biased exponent bits b, with e = b - 1022
-    scale = ((2045 - (big.view(np.int64) >> 52)) << 52).view(np.float64)
+    # 2**-e from big's biased exponent bits b, with e = b - 1022. Here and
+    # below each step is written into an array that is free by then, with
+    # the same operands in the same order (a sum or product of two is the
+    # same float either way round), so the floats are those of the
+    # expressions in the comments and few arrays are alive at once
+    scale = big.view(np.int64)
+    scale >>= 52
+    np.subtract(2045, scale, out=scale)
+    scale <<= 52
+    scale = scale.view(np.float64)
+    del big
     # CPython's vector_norm from here: csum sums the squares' high parts
     # onto 1.0, frac1 sums their low parts and frac2 csum's rounding errors
-    csum, frac1, frac2 = 1.0, 0.0, 0.0
+    csum, frac1, frac2 = np.ones(len(scale)), 0.0, 0.0
     for magnitude in (ax, ay):
-        high, low = _square(magnitude * scale)
+        magnitude *= scale
+        high, low = _square(magnitude)
         total = csum + high
-        frac1 = frac1 + low
-        frac2 = frac2 + ((csum - total) + high)
+        frac1 = np.add(low, frac1, out=low)
+        # frac2 + ((csum - total) + high), in csum's array
+        csum -= total
+        csum += high
+        frac2 = np.add(csum, frac2, out=csum)
         csum = total
-    h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+    del high
+    # h = sqrt(csum - 1.0 + (frac1 + frac2))
+    h = csum - 1.0
+    h += frac1 + frac2
+    np.sqrt(h, out=h)
     # the differential correction: csum + frac1 + frac2 - h * h, over 2h
-    high, low = _square(h)
+    high, low = _square(h.copy())
     total = csum - high
-    frac1 = frac1 - low
-    frac2 = frac2 + ((csum - total) - high)
-    x = total - 1.0 + (frac1 + frac2)
-    out = (h + x / (2.0 * h)) / scale
+    frac1 -= low
+    # frac2 + ((csum - total) - high), in csum's array
+    csum -= total
+    csum -= high
+    frac2 = np.add(csum, frac2, out=csum)
+    # x = total - 1.0 + (frac1 + frac2), in total's array
+    x = total
+    x -= 1.0
+    frac1 += frac2
+    x += frac1
+    # (h + x / (2.0 * h)) / scale, in x's array
+    x /= np.multiply(h, 2.0, out=frac2)
+    x += h
+    out = np.divide(x, scale, out=x)
     if len(rest):
         out[rest] = list(map(math.hypot, dx[rest].tolist(), dy[rest].tolist()))
     return out

@@ -19,10 +19,15 @@ as CSR arrays, in ``tables``, by reach, for every round.
 columns, at 2r and at a wider eps, in one numpy pass over grid cells:
 each point, in cell order, proposes the points of half of its 3x3 cell
 block, so every pair is proposed once, and ``geometry.hypot`` gives each
-pair's distance, the float ``math.hypot`` gives. It orders the rows by
-one int64 key per entry, (row, distance rank, id), sorted once; the key
-bounds a table to n * n * U < 2**63 for n points and U distinct pair
-distances.
+pair's distance, the float ``math.hypot`` gives. It puts the pairs in
+distance order by one argsort, so a pair's distance rank is a running
+count of the level starts (a distance unlike the one before it), written
+straight into an int64 key per entry, (row, distance rank, id), built in
+place and sorted once; the key bounds a table to n * n * U < 2**63 for n
+points and U distinct pair distances. The sorted key decodes, a block at
+a time, into the distances, and becomes the neighbor index in place, so
+a build's traced peak stays within 1.4 times the table's arrays on the
+scale ladder's fields (0.2 sensors/m^2, 500 nodes and more).
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ ROW_CHUNK = 64
 
 # the int64 key that orders a table's entries holds values below 2**63
 KEY_LIMIT = 2**63
+
+# sorted keys of ``neighbor_rows`` decoded to distances per step: each
+# step's one temporary holds 16 kB; steps of 65536 entries held ~1.5 MB
+# beside a 2k-node table's ~1.8 MB
+DECODE_BLOCK = 2048
 
 # the (min, max) battery range ``generate_deployment`` draws from by default
 BATTERY_RANGE = (0.5, 1.0)
@@ -321,18 +331,73 @@ def _cell_ranks(values: np.ndarray, side: float) -> np.ndarray:
     return np.unique(np.floor((values - values.min()) / side), return_inverse=True)[1]
 
 
-def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values, ascending, and the rank of each value among
-    them, as ``np.unique(values, return_inverse=True)`` gives, from one
-    argsort."""
-    order = np.argsort(values)
-    ascending = values[order]
-    # a value starts a level where it differs from the one before it
-    level_start = np.ones(len(values), dtype=bool)
-    np.not_equal(ascending[1:], ascending[:-1], out=level_start[1:])
-    rank = np.empty(len(values), dtype=np.int64)
-    rank[order] = np.cumsum(level_start) - 1
-    return ascending[level_start], rank
+def _pairs_within(
+    x: np.ndarray, y: np.ndarray, radius: float, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate pairs (``a[i]``, ``b[i]``) of positions whose points
+    lie within ``radius``, and their distances. A candidate is kept for
+    its distance when its squared distance is within the cell side
+    squared, and the full candidate columns are dropped before ``hypot``
+    runs, so a chunk's temporaries stay small beside a small table."""
+    dx = x[b]
+    dx -= x[a]
+    dy = y[b]
+    dy -= y[a]
+    # the squared distance in one array, then the mask
+    keep = dx * dx
+    keep += dy * dy
+    keep = keep <= cell_side(radius) ** 2
+    a, b, dx, dy = a[keep], b[keep], dx[keep], dy[keep]
+    # math.hypot's floats, and hypot(-u, -v) is hypot(u, v): which point of
+    # a pair comes first does not change its distance
+    d = hypot(dx, dy)
+    within = d <= radius
+    return a[within], b[within], d[within]
+
+
+def _half_pairs(
+    x: np.ndarray, y: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Int64 positions ``a`` and ``b`` and the float distance ``d`` of each
+    pair of the points (``x[i]``, ``y[i]``) within ``radius``, each pair
+    once, in no particular order; ``neighbor_rows`` describes the pass.
+    At least one point."""
+    n = len(x)
+    cell = cell_side(radius)
+    cx, cy = _cell_ranks(x, cell), _cell_ranks(y, cell)
+    # key (column, row) -> column * span + row; rows run 0..span - 2, so a
+    # row range [cy - 1, cy + 1] never reaches another column
+    span = int(cy.max()) + 2
+    key = cx * span + cy
+    by_cell = np.argsort(key, kind="stable")
+    sorted_key = key[by_cell]
+    # the half stencil of the point at each position of the cell order, as
+    # two runs of positions [lo, hi): the rest of its own cell and the cell
+    # above it (keys k and k + 1), and the next column's three cells (keys
+    # k + span - 1 to k + span + 1). The other four neighboring cells
+    # propose the point, so every pair is proposed once.
+    lo = np.stack((np.arange(1, n + 1), np.searchsorted(sorted_key, sorted_key + (span - 1))), 1)
+    hi = np.searchsorted(sorted_key, sorted_key[:, None] + [1, span + 1], side="right")
+    runs = hi - lo
+    proposed = runs.sum(axis=1)
+    # only the runs and the cell order are read from here on
+    del cx, cy, key, sorted_key, hi
+    columns = [], [], []
+    for start in range(0, n, ROW_CHUNK):
+        chunk = slice(start, start + ROW_CHUNK)
+        counts = runs[chunk].ravel()
+        offsets = np.cumsum(counts) - counts
+        pos = np.arange(counts.sum()) + np.repeat(lo[chunk].ravel() - offsets, counts)
+        kept = _pairs_within(x, y, radius, np.repeat(by_cell[chunk], proposed[chunk]), by_cell[pos])
+        for parts, column in zip(columns, kept):
+            parts.append(column)
+    # each column is joined as its chunks are released, so at most one
+    # column is held twice
+    joined = []
+    for parts, dtype in zip(columns, (np.int64, np.int64, np.float64)):
+        joined.append(np.concatenate(parts, dtype=dtype))
+        parts.clear()
+    return tuple(joined)
 
 
 def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) -> NeighborTable:
@@ -351,11 +416,20 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
     its distance when its squared distance is within the cell side
     squared (a superset of the kept pairs).
 
-    Each directed entry gets one int64 key, (row, distance rank, id) as
-    ``(row * U + rank) * n + id`` with rank the dense rank of its distance
-    among the U distinct pair distances; the keys are unique, so one sort
-    puts every row in (distance, id) order, and the entries are read back
-    from the sorted keys. ``ValueError`` if ``n * n * U`` reaches 2**63.
+    The pairs are put in distance order by one argsort, which ``a`` and
+    ``b`` follow. A pair's rank among the U distinct pair distances is then
+    the running count of the level starts (a distance unlike the one
+    before it) up to it, written straight into both halves of one int64
+    key per directed entry, (row, distance rank, id) as
+    ``(row * U + rank) * n + id``, built in place. The keys are unique, so
+    one sort puts every row in (distance, id) order; the distances are
+    decoded from the sorted keys DECODE_BLOCK entries at a time, and
+    ``key %= n`` turns the keys themselves into the ids. Each step adds
+    at most one array of the pairs' length to what is alive, so the
+    traced peak stays within 1.4 times the bytes of the table's arrays
+    on fields of 0.2 sensors/m^2 from 500 points up; a sparser or smaller
+    table also pays the ~0.25 MB that one chunk's candidates take.
+    ``ValueError`` if ``n * n * U`` reaches 2**63.
     """
     radius = require_positive("radius", radius)
     ids = require_ids("ids", ids)
@@ -369,65 +443,58 @@ def neighbor_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray, radius: float) 
     if n == 0:
         no_pairs = np.empty(0, dtype=np.intp)
         return NeighborTable(ids, np.zeros(1, dtype=np.intp), no_pairs, np.empty(0), radius)
-    cell = cell_side(radius)
-    cx, cy = _cell_ranks(x, cell), _cell_ranks(y, cell)
-    # key (column, row) -> column * span + row; rows run 0..span - 2, so a
-    # row range [cy - 1, cy + 1] never reaches another column
-    span = int(cy.max()) + 2
-    key = cx * span + cy
-    by_cell = np.argsort(key, kind="stable")
-    sorted_key = key[by_cell]
-    # the half stencil of the point at each position of the cell order, as
-    # two runs of positions [lo, hi): the rest of its own cell and the cell
-    # above it (keys k and k + 1), and the next column's three cells (keys
-    # k + span - 1 to k + span + 1). The other four neighboring cells
-    # propose the point, so every pair is proposed once.
-    lo = np.stack((np.arange(1, n + 1), np.searchsorted(sorted_key, sorted_key + (span - 1))), 1)
-    hi = np.searchsorted(sorted_key, sorted_key[:, None] + [1, span + 1], side="right")
-    runs = hi - lo
-    proposed = runs.sum(axis=1)
-    reach2 = cell * cell
-    pairs = []
-    for start in range(0, n, ROW_CHUNK):
-        chunk = slice(start, start + ROW_CHUNK)
-        counts = runs[chunk].ravel()
-        offsets = np.cumsum(counts) - counts
-        pos = np.arange(counts.sum()) + np.repeat(lo[chunk].ravel() - offsets, counts)
-        a, b = np.repeat(by_cell[chunk], proposed[chunk]), by_cell[pos]
-        dx, dy = x[b] - x[a], y[b] - y[a]
-        keep = dx * dx + dy * dy <= reach2
-        a, b = a[keep], b[keep]
-        # math.hypot's floats, and hypot(-u, -v) is hypot(u, v): which
-        # point of a pair comes first does not change its distance
-        d = hypot(dx[keep], dy[keep])
-        within = d <= radius
-        pairs.append((a[within], b[within], d[within]))
-    a, b, d = (np.concatenate(column) for column in zip(*pairs))
-    distinct, rank = _dense_rank(d)
+    a, b, d = _half_pairs(x, y, radius)
+    m = len(d)
+    # the pairs in distance order, one column at a time
+    order = np.argsort(d)
+    d = d[order]
+    a = a[order]
+    b = b[order]
+    del order
+    # a distance starts a level where it differs from the one before it
+    level_start = np.empty(m, dtype=bool)
+    level_start[:1] = True
+    np.not_equal(d[1:], d[:-1], out=level_start[1:])
+    distinct = d[level_start]
+    del d
     levels = max(len(distinct), 1)
     if n * n * levels >= KEY_LIMIT:
         raise ValueError(
             f"{n} points with {levels} distinct pair distances overflow the int64 "
             "row key: n * n * distinct distances must be below 2**63"
         )
-    # both directions of every pair, keyed in place: rows first, for indptr
-    m = len(a)
-    key = np.concatenate((a, b), dtype=np.int64)
     indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(key, minlength=n), out=indptr[1:])
-    key *= levels
-    key[:m] += rank
-    key[m:] += rank
-    key *= n
-    key[:m] += b
-    key[m:] += a
-    del a, b, d, rank
+    np.cumsum(np.bincount(a, minlength=n) + np.bincount(b, minlength=n), out=indptr[1:])
+    # both directions of every pair, keyed in place: row a with id b in the
+    # first half, row b with id a in the second. A pair's rank counts the
+    # level starts after the first up to it, summed in the key's own int64s
+    key = np.empty(2 * m, dtype=np.int64)
+    ab, ba = key[:m], key[m:]
+    level_start[:1] = False
+    ab[:] = level_start
+    del level_start
+    np.cumsum(ab, out=ab)
+    ab *= n
+    ba[:] = ab
+    ab += b
+    ba += a
+    a *= levels * n
+    ab += a
+    b *= levels * n
+    ba += b
+    del a, b
     # unique keys, so the sort need not be stable
     key.sort()
-    index = key % n
-    key //= n
-    key %= levels
-    return NeighborTable(ids, indptr, index, distinct[key], radius)
+    distance = np.empty(2 * m)
+    for start in range(0, 2 * m, DECODE_BLOCK):
+        block = slice(start, start + DECODE_BLOCK)
+        rank = key[block] // n
+        rank %= levels
+        # every rank is in range, so "clip" clips none; unlike the default
+        # "raise", it lets take write into distance without a buffer
+        np.take(distinct, rank, out=distance[block], mode="clip")
+    key %= n
+    return NeighborTable(ids, indptr, key, distance, radius)
 
 
 def require_generation_args(

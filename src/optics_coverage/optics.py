@@ -11,8 +11,11 @@ min_pts, so ``OpticsParams`` holds all three.
 Neighborhoods are the distance-sorted CSR rows of a given ``NeighborTable``,
 cut at eps and to a mask of the nodes to order (a round's idle ones):
 numpy finds all core distances, and every table entry's offer, in one pass.
-A point's core entry is found among the positions of the table's eligible
-entries within eps, by one ``searchsorted`` of the row starts. The one
+A point's core entry is found by one ``searchsorted``, at each member's row
+start, over an int32 running count of the table's eligible entries within
+eps; the mask of the entries beyond eps is built only for an eps narrower
+than the table's radius, and every such array is freed before the offers
+are built. The one
 queue array, ``seeds``, is +inf for an eligible point not yet reached and
 NaN for an emitted or ineligible one; an emitted core point lowers it to
 ``np.minimum(seeds, offer)`` over its row, which keeps every NaN, and one
@@ -184,26 +187,41 @@ def optics_order(
     members = np.flatnonzero(eligible)
     if not members.size:
         raise ValueError("eligible must mark at least one node")
-    beyond = distance > eps
+    # every entry is within eps when eps is the table's radius
+    narrower = eps < table.radius
     # core distance: the (min_pts - 1)-th eligible entry within eps of the
-    # distance-sorted row, the point itself at 0.0 being the first. ``pos``
-    # holds the positions of the eligible entries within eps, and ends in
-    # len(index), past every row, for a row that has too few
+    # distance-sorted row, the point itself at 0.0 being the first.
+    # ``count[j]`` counts the eligible entries within eps among the first j
+    # entries, so that entry is the one before the first j at which
+    # ``count`` reaches its row start's count plus min_pts - 1, found by one
+    # ``searchsorted``; for a row that has too few, j is past the row
     core = np.full(len(ids), math.nan)
     if params.min_pts == 1:
         core[members] = 0.0
     else:
-        pos = np.append(np.flatnonzero(eligible[index] & ~beyond), len(index))
-        at = np.searchsorted(pos, indptr[members]) + params.min_pts - 2
-        at = pos[np.minimum(at, len(pos) - 1)]
-        core_point = at < indptr[members + 1]
-        core[members[core_point]] = distance[at[core_point]]
+        counted = eligible[index]
+        if narrower:
+            counted &= distance <= eps
+        # int32 counts a table of fewer than 2**31 entries, and the
+        # searchsorted targets are int32 too, so count is searched uncast
+        count = np.zeros(len(index) + 1, dtype=np.int32)
+        count[1:] = counted
+        del counted
+        np.cumsum(count[1:], out=count[1:])
+        need = count[indptr[members]]
+        # a need past len(index) finds no entry, as min_pts - 1 would
+        need += min(params.min_pts - 1, len(index) + 1)
+        after = np.searchsorted(count, need)
+        del count
+        core_point = after <= indptr[members + 1]
+        core[members[core_point]] = distance[after[core_point] - 1]
     is_core, bounds = (~np.isnan(core)).tolist(), indptr.tolist()
     # each entry's offer: max(distance, its row point's core distance), +inf
     # beyond eps; built in place (NaN on non-core rows, which never relax)
     offer = np.repeat(core, table.degrees)
     np.maximum(offer, distance, out=offer)
-    offer[beyond] = math.inf
+    if narrower:
+        offer[distance > eps] = math.inf
     # seed queue: the reachability of each reached, unemitted eligible point,
     # +inf for an eligible point no core point has reached, and NaN for an
     # emitted or ineligible one, which np.minimum keeps, so no relax reopens

@@ -1,5 +1,5 @@
 """Time one round, one neighbor-table build and one ordering on a
-constant-density scale ladder.
+constant-density scale ladder, and trace the memory of a build and a round.
 
     python3 studies/scale_ladder.py [--large]
 
@@ -14,9 +14,17 @@ seconds. The ordering's ``argmin`` scans every node once per emitted point,
 so its share of the round grows with n. The 100k rung holds one ~100 MB
 table at a time. The times
 are not scaled by a calibration kernel, so compare runs made back to back on
-the same machine. The last line of output is one JSON object with the
-results and a stamp (git sha, python and numpy versions, nproc). The
-package is imported from this checkout's ``src/``.
+the same machine.
+
+A separate pass per size, after its timed runs, traces (``tracemalloc``,
+which sees numpy's array buffers) the peak of one ``build_neighbor_table``
+and of one first round on a freshly generated deployment, and
+reports each in MB and as a multiple of the bytes of the table's
+``index``, ``distance`` and ``indptr``; the round's peak includes the
+table it keeps. The build's multiple stays at or under 1.4
+(``network.neighbor_rows``). The last line of output is one JSON object
+with the results and a stamp (git sha, python and numpy versions,
+nproc). The package is imported from this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +88,33 @@ def orderings(dep: oc.Deployment, repeats: int) -> list[float]:
     return [timed(lambda: oc.optics_order(table, PARAMS, idle)) for _ in range(repeats)]
 
 
+def traced_peak(call):
+    """``call()``'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def memory(n: int, side: float) -> dict:
+    """Traced peaks of one table build and of one first round on a freshly
+    generated deployment, in MB and as multiples of the table's array
+    bytes; the build leaves the deployment as it was."""
+    dep = oc.generate_deployment(n, side, side, RADIUS, SEED)
+    table, build = traced_peak(lambda: oc.build_neighbor_table(dep))
+    arrays = table.index.nbytes + table.distance.nbytes + table.indptr.nbytes
+    del table
+    _, first = traced_peak(lambda: next(oc.iterate_rounds(dep, PARAMS, PROTO)))
+    return {
+        "table_mb": round(arrays / 1e6, 3),
+        "build_peak_mb": round(build / 1e6, 3),
+        "build_multiple": round(build / arrays, 3),
+        "round_peak_mb": round(first / 1e6, 3),
+        "round_multiple": round(first / arrays, 3),
+    }
+
+
 def rung(n: int, repeats: int) -> dict:
     side = math.sqrt(n / DENSITY)
     rounds = [first_round(n, side) for _ in range(repeats)]
@@ -91,11 +127,13 @@ def rung(n: int, repeats: int) -> dict:
         "round_s": round(statistics.median(rounds), 4),
         "table_s": round(statistics.median(tables), 4),
         "order_s": round(statistics.median(orders), 4),
+        # traced after the timed runs, so tracing never slows them
+        **memory(n, side),
     }
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Time rounds, tables and orderings by size.")
+    parser = argparse.ArgumentParser(description="Time rounds, tables and orderings by size, and trace memory.")
     parser.add_argument(
         "--large", action="store_true", help="add the 20k, 50k and 100k rungs"
     )
@@ -106,7 +144,9 @@ def main() -> int:
         results.append(result)
         print(
             f"{n:>6} nodes  round {result['round_s']:.4f} s  "
-            f"table {result['table_s']:.4f} s  order {result['order_s']:.4f} s"
+            f"table {result['table_s']:.4f} s  order {result['order_s']:.4f} s  "
+            f"build peak {result['build_peak_mb']:.1f} MB ({result['build_multiple']:.2f}x)  "
+            f"round peak {result['round_peak_mb']:.1f} MB ({result['round_multiple']:.2f}x)"
         )
     stamp = {
         "git_sha": git_sha(),

@@ -6,12 +6,14 @@ oracle of ``network.neighbor_rows``. The package reads a table's rows by
 slot only (``NeighborTable.row``); ``table_row`` and ``table_degree`` read
 one by node id, as Python ints and floats, for the tests' references.
 ``reference_draws`` is the oracle of ``network.generate_deployment``'s
-columns.
+columns. ``traced_peak`` measures the memory bound of a table build or an
+ordering.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 
@@ -65,3 +67,13 @@ def reference_draws(count, width, height, seed, battery_range):
         for _ in range(count)
     ]
     return tuple(np.array(column, dtype=np.float64) for column in zip(*draws))
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes ``tracemalloc`` traced while
+    it ran: numpy reports its arrays' buffers there."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -69,6 +69,15 @@ class TestHypot:
         dy = (y + rng.uniform(-10, 10, y.size)) - y
         assert_same_floats(hypot(dx, dy), python_hypot(dx, dy))
 
+    def test_leaves_its_arguments_unchanged(self):
+        # every step writes into an array of its own making, never an argument
+        dx = np.array([3.0, -0.0, 2.0**1000, 1.5, -7.25])
+        dy = np.array([-4.0, 0.0, 1.0, 2.0**-1100, 0.5])
+        kept = dx.copy(), dy.copy()
+        assert_same_floats(hypot(dx, dy), python_hypot(dx, dy))
+        assert_same_floats(dx, kept[0])
+        assert_same_floats(dy, kept[1])
+
     def test_non_finite_entries_as_math_hypot(self):
         dx = np.array([math.nan, math.inf, -math.inf, math.nan, 3.0, 0.0])
         dy = np.array([1.0, math.nan, 2.0, math.nan, 4.0, 0.0])

@@ -9,7 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from optics_coverage.experiments import write_reachability_csv
 from optics_coverage.geometry import Point2D
-from optics_coverage.network import Deployment, build_neighbor_table
+from optics_coverage.network import (
+    Deployment,
+    build_neighbor_table,
+    generate_deployment,
+    neighbor_rows,
+)
 from optics_coverage.optics import (
     Cluster,
     OpticsParams,
@@ -20,6 +25,7 @@ from optics_coverage.optics import (
 )
 from optics_coverage.spatial import GridIndex, brute_force_query
 
+from network_reference import traced_peak
 from optics_reference import (
     as_rows,
     order_points,
@@ -135,6 +141,11 @@ def assert_columns(ordering):
     for column in ordering.columns():
         assert column.ndim == 1 and len(column) == len(ordering)
         assert not column.flags.writeable
+
+
+def assert_same_bits(got, expected):
+    for a, b in zip(got.columns(), expected.columns()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def by_id(points, params):
@@ -411,6 +422,43 @@ class TestOpticsOrder:
             assert ids[k] == min(set(eligible) - set(ids[:k]))
         assert len(starts) == 6
         assert sorted(ids) == sorted(eligible)
+
+
+    @given(table_layouts(), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_eps_at_the_radius_orders_as_a_wider_table(self, layout, min_pts):
+        # at eps = 2r every entry of the 2r table is within eps, so no mask
+        # of the entries beyond eps is built; a 3r table of the same points
+        # builds it, and both must order the same, bit for bit
+        dep, eligible = layout
+        params = OpticsParams(eps=2 * dep.radius, min_pts=min_pts)
+        mask = np.isin(dep.ids, list(eligible))
+        wider = neighbor_rows(dep.ids, dep.x, dep.y, 3 * dep.radius)
+        got = optics_order(build_neighbor_table(dep), params, mask)
+        assert_same_bits(got, optics_order(wider, params, mask))
+
+    @pytest.mark.parametrize("min_pts", [1, 2, 3, 4])
+    def test_an_empty_table_orders_every_point_alone(self, min_pts):
+        # every point isolated, even at 3r: no table has an entry, and the
+        # running count holds only the 0 before the first entry
+        pts = line_points([0, 10, 20, 30, 45])
+        params = OpticsParams(eps=2.0, min_pts=min_pts)
+        tables = points_table(pts, 2.0), points_table(pts, 3.0)
+        assert [len(table.index) for table in tables] == [0, 0]
+        got, wider = (optics_order(table, params, np.ones(5, dtype=bool)) for table in tables)
+        assert_same_bits(got, wider)
+        assert as_rows(got) == reference_optics(as_tuples(pts), 2.0, min_pts)
+
+    def test_an_all_idle_ordering_peaks_within_1_6_times_the_entries(self):
+        # 2,000 nodes at 0.2 sensors/m^2, the rotation workload's field:
+        # 1.39 times E * 8 bytes for E table entries at numpy 2.4, the
+        # offers' E float64s and the per-node lists of the emit loop; the
+        # core distances' int32 running count is freed before the offers
+        dep = generate_deployment(2000, 100.0, 100.0, 5.0, seed=42)
+        table, idle = build_neighbor_table(dep), np.ones(2000, dtype=bool)
+        params = OpticsParams(eps=10.0, min_pts=4)
+        _, peak = traced_peak(lambda: optics_order(table, params, idle))
+        assert peak <= 1.6 * 8 * len(table.index)
 
 
 class TestOrdering:
