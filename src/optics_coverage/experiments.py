@@ -113,13 +113,13 @@ def _write_trial_artifacts(
 ) -> None:
     stem = f"D{deployed}_trial{trial}"
     with open(out_path / f"trace_{stem}.jsonl", "w") as fh:
-        write_trace(fh, deployment, rounds)
-    for state, _ in rounds:
+        texts = write_trace(fh, deployment, rounds)
+    for (state, _), text in zip(rounds, texts):
         if not state.ordering:
             continue
         name = f"reachability_{stem}_round{state.round_index}.csv"
         with open(out_path / name, "w", newline="") as fh:
-            write_reachability_csv(state.ordering, fh)
+            write_reachability_csv(state.ordering, fh, text)
 
 
 @dataclass(frozen=True)
@@ -251,18 +251,17 @@ def write_trace(
     out: IO[str],
     deployment: Deployment,
     rounds: Iterable[tuple[RoundState, RoundReport]],
-) -> None:
+) -> list[_OrderingText]:
     """JSON-lines trace: a header record, then one record per round.
 
     The header snapshots node positions so the trace can be replayed and
     plotted without the original deployment. A round's ordering, its
     record's last key, is written as ``[id, reachability, core distance]``
     rows, null where the column holds NaN. Every line is ``json.dumps``'
-    text; the ordering's rows are built from ``_ordering_text``, and each
-    round's text is kept for its reachability CSV until that CSV or the
-    next trace is written.
+    text; the ordering's rows are built from ``_ordering_text``. Returns
+    each round's ``_ordering_text``, in round order, for its reachability CSV.
     """
-    _kept.clear()
+    texts = []
     columns = deployment.ids.tolist(), deployment.x.tolist(), deployment.y.tolist()
     header = {
         "type": "header",
@@ -289,7 +288,8 @@ def write_trace(
         rows = ", ".join(map("[{}, {}, {}]".format, ids, reach, core))
         # json.dumps' text of the record with "ordering" added as its last key
         out.write(json.dumps(record)[:-1] + ', "ordering": [' + rows + "]}\n")
-        _kept[id(state.ordering)] = state.ordering, text
+        texts.append(text)
+    return texts
 
 
 def read_trace(src: IO[str]) -> tuple[dict, list[dict]]:
@@ -312,12 +312,6 @@ _JSON = {"": "null", "inf": "Infinity", "-inf": "-Infinity"}
 # the ids' text, and the reachabilities' and core distances'
 _OrderingText = tuple[list[str], list[str], list[str]]
 
-# each round of the last trace ``write_trace`` wrote: its ordering and that
-# ordering's text by the ordering's id, kept for the round's reachability
-# CSV, which takes it. An entry holds its ordering, so no other object can
-# take that id while the entry is kept
-_kept: dict[int, tuple[Ordering, _OrderingText]] = {}
-
 
 def _ordering_text(ordering: Ordering) -> _OrderingText:
     """The text of ``ordering``'s columns, which the trace and the
@@ -331,7 +325,9 @@ def _distance_text(values: list[float]) -> list[str]:
     return [repr(v) if v == v else "" for v in values]
 
 
-def write_reachability_csv(ordering: Ordering, out: IO[str]) -> None:
+def write_reachability_csv(
+    ordering: Ordering, out: IO[str], text: _OrderingText | None = None
+) -> None:
     """Plot-ready dump of the ordering, in one ``out.write``.
 
     The bytes are those of ``csv.writer``'s default dialect: the header
@@ -341,15 +337,11 @@ def write_reachability_csv(ordering: Ordering, out: IO[str]) -> None:
     ``-0.0``, ``1e-300``), NaN as an empty field; no field is quoted,
     and every line ends in ``\\r\\n``.
 
-    The fields are ``_ordering_text``'s. The text of each round of the
-    last trace ``write_trace`` wrote is kept for that round's CSV, and this
-    takes it when given the same ``Ordering`` object (its columns are
-    read-only, so the text cannot go stale); so the trial that writes a
-    trace and then its CSVs formats each round's ordering once, and holds
-    no text past its last CSV.
+    The fields are ``text``, which must be ``_ordering_text(ordering)``,
+    as ``write_trace`` returns it for each round; without it the ordering
+    is formatted here.
     """
-    kept = _kept.pop(id(ordering), None)
-    ids, reach, core = kept[1] if kept else _ordering_text(ordering)
+    ids, reach, core = _ordering_text(ordering) if text is None else text
     rows = map("{},{},{},{}\r\n".format, range(len(ids)), ids, reach, core)
     out.write("order_index,point_id,reachability,core_distance\r\n" + "".join(rows))
 

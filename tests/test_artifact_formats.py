@@ -3,9 +3,10 @@ modules that compute (``protocol``, ``optics``, ``metrics``) import no
 file format, and each reader and writer is defined in ``experiments``.
 
 A round's trace record and its reachability CSV are built from one text of
-its ordering: the trace must still be ``json.dumps``' bytes, and each
-writer must give the right bytes whichever runs first, however often, and
-for every round of a multi-round trial."""
+its ordering, which ``write_trace`` returns for each round: the trace must
+still be ``json.dumps``' bytes, and each writer must give the right bytes
+whichever runs first, however often, and for every round of a multi-round
+trial, an empty one too."""
 
 import ast
 import inspect
@@ -112,9 +113,9 @@ def trace_text(deployment, rounds):
     return out.getvalue()
 
 
-def csv_text(ordering):
+def csv_text(ordering, text=None):
     out = io.StringIO(newline="")
-    experiments.write_reachability_csv(ordering, out)
+    experiments.write_reachability_csv(ordering, out, text)
     return out.getvalue()
 
 
@@ -143,11 +144,12 @@ def test_either_writer_first_gives_both_right(csv_first):
     rounds = [one_round(ordering)]
     if csv_first:
         assert csv_text(ordering) == reference_reachability_csv(ordering)
-    assert trace_text(DEPLOYMENT, rounds) == reference_trace(DEPLOYMENT, rounds)
-    assert experiments._kept[id(ordering)][0] is ordering
+    out = io.StringIO()
+    texts = experiments.write_trace(out, DEPLOYMENT, rounds)
+    assert out.getvalue() == reference_trace(DEPLOYMENT, rounds)
+    assert texts == [experiments._ordering_text(ordering)]
+    assert csv_text(ordering, texts[0]) == reference_reachability_csv(ordering)
     assert csv_text(ordering) == reference_reachability_csv(ordering)
-    # the CSV takes the trace's text, so no text outlives the two writes
-    assert experiments._kept == {}
 
 
 def test_repeated_and_alternating_calls_give_each_ordering_its_own_text():
@@ -176,18 +178,57 @@ def test_multi_round_trial_writes_each_rounds_trace_record_and_csv(tmp_path):
 
 
 def test_multi_round_sweep_formats_each_ordering_once(tmp_path, monkeypatch):
-    # a trial's trace keeps every round's text until that round's CSV takes
-    # it, so no round is formatted twice and no text outlives the sweep
+    # a trial's trace returns every round's text, which that round's CSV
+    # is written from, so no round is formatted twice
     calls, ordering_text = [], experiments._ordering_text
+    traces, write_trace = [], experiments.write_trace
 
     def counted(ordering):
         calls.append(ordering)
         return ordering_text(ordering)
 
+    def recorded(out, deployment, rounds):
+        texts = write_trace(out, deployment, rounds)
+        traces.append(([state.ordering for state, _ in rounds], texts))
+        return texts
+
     monkeypatch.setattr(experiments, "_ordering_text", counted)
+    monkeypatch.setattr(experiments, "write_trace", recorded)
     config = replace(RunConfig(), rounds=4, d_list=(100, 300), trials=2)
     experiments.run_table_experiment(config, tmp_path)
     written = list(tmp_path.glob("reachability_*.csv"))
     assert len(calls) == len(written) == 16
     assert len({id(o) for o in calls}) == 16
-    assert experiments._kept == {}
+    assert len(traces) == 4
+    for orderings, texts in traces:
+        assert texts == [ordering_text(o) for o in orderings]
+
+
+def test_an_empty_round_gets_no_csv_and_every_other_round_its_own_text(tmp_path):
+    # round 1 activates all six nodes of a small field; in round 2 each is
+    # asleep or, below the drain, dead, so its ordering is empty, and round
+    # 3 orders the five survivors, so a text written to the wrong round's
+    # CSV would show
+    config = replace(
+        RunConfig(),
+        width=10.0,
+        height=10.0,
+        min_pts=2,
+        eps_prime=10.0,
+        theta=0.0,
+        battery_drain=0.7,
+        grid_resolution=10,
+    )
+    deployment, rounds, outcome = experiments._run_trial(config, 6, 0, 3)
+    assert outcome.succeeded
+    assert rounds[0][1].active_count == 6
+    assert [len(state.ordering) for state, _ in rounds] == [6, 0, 5]
+    experiments._write_trial_artifacts(tmp_path, deployment, 6, 0, rounds)
+    with open(tmp_path / "trace_D6_trial0.jsonl") as fh:
+        _, records = experiments.read_trace(fh)
+    assert [record["ordering"] == [] for record in records] == [False, True, False]
+    written = sorted(path.name for path in tmp_path.glob("reachability_*.csv"))
+    assert written == ["reachability_D6_trial0_round1.csv", "reachability_D6_trial0_round3.csv"]
+    for state, _ in rounds[::2]:
+        path = tmp_path / f"reachability_D6_trial0_round{state.round_index}.csv"
+        assert path.read_bytes().decode() == reference_reachability_csv(state.ordering)
